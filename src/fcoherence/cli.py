@@ -13,7 +13,6 @@ import math
 import os
 import sys
 
-from .channels import gio_saturation_check, is_gio, is_sio
 from .coherence import (
     coherence_f,
     coherence_f_hat,

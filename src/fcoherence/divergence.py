@@ -40,13 +40,11 @@ __all__ = [
 GROUP_TOL = 1e-12
 
 
-def _group_slices(vals_desc: np.ndarray) -> list[slice]:
-    starts = [0]
-    for i in range(1, vals_desc.size):
-        if vals_desc[i - 1] - vals_desc[i] > GROUP_TOL:
-            starts.append(i)
-    starts.append(vals_desc.size)
-    return [slice(starts[i], starts[i + 1]) for i in range(len(starts) - 1)]
+def _grouped(vals_desc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Start index and mean eigenvalue of each spectral group."""
+    starts = np.concatenate(([0], np.flatnonzero(vals_desc[:-1] - vals_desc[1:] > GROUP_TOL) + 1))
+    sizes = np.diff(starts, append=vals_desc.size)
+    return starts, np.add.reduceat(vals_desc, starts) / sizes
 
 
 def _need_weighted_tail(f: GeneratorFunction) -> float:
@@ -77,42 +75,37 @@ def quasi_relative_entropy(a: DensityMatrix, b: DensityMatrix, f: GeneratorFunct
     # overlap[k, j] = |<v_k|u_j>|^2
     overlap = np.abs(sb.eigenvectors.conj().T @ sa.eigenvectors) ** 2
 
-    groups_a = _group_slices(sa.eigenvalues)
-    groups_b = _group_slices(sb.eigenvalues)
-    lam = np.array([float(sa.eigenvalues[g].mean()) for g in groups_a])
-    mu = np.array([float(sb.eigenvalues[g].mean()) for g in groups_b])
+    starts_a, lam = _grouped(sa.eigenvalues)
+    starts_b, mu = _grouped(sb.eigenvalues)
     # Block-summed overlap weight per (group of b, group of a).
-    w = np.empty((len(groups_b), len(groups_a)))
-    for kb, gb in enumerate(groups_b):
-        for ja, ga in enumerate(groups_a):
-            w[kb, ja] = float(overlap[gb, ga].sum())
+    w = np.add.reduceat(np.add.reduceat(overlap, starts_b, axis=0), starts_a, axis=1)
+    lam_pos = lam > EPS_ZERO
+    mu_pos = mu > EPS_ZERO
+    carried = w != 0.0
 
-    total = 0.0
+    both = mu_pos[:, None] & lam_pos[None, :] & carried
+    kb, ja = np.nonzero(both)
+    total = float(np.sum(lam[ja] * f(mu[kb] / lam[ja]) * w[kb, ja]))
     infinite = False
-    for ja in range(lam.size):
-        lam_j = lam[ja]
-        for kb in range(mu.size):
-            weight = w[kb, ja]
-            if weight == 0.0:
-                continue
-            mu_k = mu[kb]
-            if lam_j > EPS_ZERO and mu_k > EPS_ZERO:
-                total += lam_j * float(f(mu_k / lam_j)) * weight
-            elif lam_j <= EPS_ZERO and mu_k > EPS_ZERO:
-                tail = _need_weighted_tail(f)
-                if tail == 0.0:
-                    continue
-                if math.isinf(tail):
-                    infinite = True
-                else:
-                    total += mu_k * tail * weight
-            elif lam_j > EPS_ZERO and mu_k <= EPS_ZERO:
-                zero = _need_zero_limit(f)
-                if math.isinf(zero):
-                    infinite = True
-                else:
-                    total += lam_j * zero * weight
-            # Both groups in the kernel: no contribution.
+    # Kernel of a against the support of b.
+    tail_block = mu_pos[:, None] & ~lam_pos[None, :] & carried
+    if tail_block.any():
+        tail = _need_weighted_tail(f)
+        if math.isinf(tail):
+            infinite = True
+        elif tail != 0.0:
+            kb, _ = np.nonzero(tail_block)
+            total += float(np.sum(mu[kb] * tail * w[tail_block]))
+    # Support of a against the kernel of b.
+    zero_block = ~mu_pos[:, None] & lam_pos[None, :] & carried
+    if zero_block.any():
+        zero = _need_zero_limit(f)
+        if math.isinf(zero):
+            infinite = True
+        else:
+            _, ja = np.nonzero(zero_block)
+            total += float(np.sum(lam[ja] * zero * w[zero_block]))
+    # Both groups in the kernel: no contribution.
     return math.inf if infinite else total
 
 

@@ -123,6 +123,18 @@ def save_channel(ch: KrausChannel, path: str) -> None:
         fh.write(channel_to_json(ch))
 
 
+def _is_number(v) -> bool:
+    # JSON true/false load as bool, which is a subclass of int.
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _parse_dim(doc: dict, path: str) -> int:
+    dim = doc["dim"]
+    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
+        raise FileFormatError(f"{path}: 'dim' must be a positive integer")
+    return dim
+
+
 def _parse_complex_matrix(raw, dim: int, what: str) -> np.ndarray:
     if not isinstance(raw, list) or len(raw) != dim:
         raise FileFormatError(f"{what}: expected {dim} rows")
@@ -134,7 +146,7 @@ def _parse_complex_matrix(raw, dim: int, what: str) -> np.ndarray:
             if (
                 not isinstance(cell, list)
                 or len(cell) != 2
-                or not all(isinstance(v, (int, float)) for v in cell)
+                or not all(_is_number(v) for v in cell)
             ):
                 raise FileFormatError(
                     f"{what}: cell ({i},{j}) must be a [re, im] pair of numbers"
@@ -161,9 +173,7 @@ def load_state(path: str) -> DensityMatrix:
     doc = _load_json(path)
     if "dim" not in doc or "matrix" not in doc:
         raise FileFormatError(f"{path}: state file needs 'dim' and 'matrix'")
-    dim = doc["dim"]
-    if not isinstance(dim, int) or dim < 1:
-        raise FileFormatError(f"{path}: 'dim' must be a positive integer")
+    dim = _parse_dim(doc, path)
     matrix = _parse_complex_matrix(doc["matrix"], dim, f"{path}: matrix")
     return validate_density(matrix)
 
@@ -173,9 +183,7 @@ def load_channel(path: str) -> KrausChannel:
     doc = _load_json(path)
     if "dim" not in doc or "kraus" not in doc:
         raise FileFormatError(f"{path}: channel file needs 'dim' and 'kraus'")
-    dim = doc["dim"]
-    if not isinstance(dim, int) or dim < 1:
-        raise FileFormatError(f"{path}: 'dim' must be a positive integer")
+    dim = _parse_dim(doc, path)
     raw = doc["kraus"]
     if not isinstance(raw, list) or not raw:
         raise FileFormatError(f"{path}: 'kraus' must be a non-empty list")

@@ -9,6 +9,7 @@ floating-point noise up to the documented tolerances and is cleaned up
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -89,13 +90,18 @@ class DensityMatrix:
         """Diagonal entries as a real vector, tiny negatives clipped to 0."""
         return np.clip(np.real(np.diagonal(self.matrix)), 0.0, None)
 
-    def eigenvalues(self) -> np.ndarray:
-        """Eigenvalues in descending order."""
+    @cached_property
+    def _spectrum(self) -> np.ndarray:
+        # The matrix is a frozen copy, so one eigensolve serves every call.
         try:
             vals = np.linalg.eigvalsh(self.matrix)
         except np.linalg.LinAlgError as exc:
             raise ConvergenceFailure(str(exc)) from exc
-        return vals[::-1].copy()
+        return _frozen(vals[::-1].copy())
+
+    def eigenvalues(self) -> np.ndarray:
+        """Eigenvalues in descending order, as a fresh writable array."""
+        return self._spectrum.copy()
 
     def tensor(self, other: "DensityMatrix") -> "DensityMatrix":
         """Kronecker product with another state."""

@@ -377,13 +377,13 @@ def suite_strong_monotonicity(cfg: TrialConfig) -> VerificationReport:
                 gap = fun(rho, f).value - ensemble_coherence(mix, rho, f, fun)
                 w.update(abs(gap), s[2])
             # (c) mixed states under general diagonal representations:
-            # scored in dimension 2, explored above it.
-            mixed = random_density(d, max(2, 1 + (t + 1) % d), s[4])
+            # scored in dimension <= 2, explored above it.
+            mixed = random_density(d, min(d, max(2, 1 + (t + 1) % d)), s[4])
             ch2 = random_gio(d, 1 + (t + 2) % (d + 1), s[5])
             for g in dec:
                 for fun in (coherence_f, coherence_f_hat):
                     gap = fun(mixed, g).value - ensemble_coherence(ch2, mixed, g, fun)
-                    if d == 2:
+                    if d <= 2:
                         w.update(-gap, s[4])
                     else:
                         explore_trials += 1
@@ -544,7 +544,8 @@ def suite_sio_counterexample(cfg: TrialConfig) -> VerificationReport:
     other decreasing generator, identities consistent throughout."""
     _, dec, note = _resolve(cfg)
     w = _Worst()
-    dims = sorted(set(d for d in cfg.dims if d <= 3)) or [2]
+    # The witness needs an ancilla of dimension at least 2.
+    dims = sorted(set(d for d in cfg.dims if 2 <= d <= 3)) or [2]
     for d in dims:
         for f in dec:
             rep = sio_counterexample_report(f.name, d)

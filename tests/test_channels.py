@@ -301,3 +301,62 @@ class TestRecoveryDefect:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             recovery_defect(dephasing_channel(2), DensityMatrix.maximally_mixed(3))
+
+
+def einsum_apply(ch, m):
+    """Reference: sum_k K m K* as one three-operand einsum."""
+    ops = ch.kraus_ops
+    return np.einsum("kij,jl,kml->im", ops, m, ops.conj())
+
+
+def nonhermitian(dim, seed):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+
+
+class TestApplyMatrixForms:
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: random_channel(4, 3, seed=1),
+            lambda: random_unital_channel(3, 4, seed=2),
+            lambda: random_gio(5, 3, seed=3),
+            lambda: dephasing_channel(4),
+            lambda: diagonal_unitary_mixture([0.3, 0.7], [[0.0, 1.0, 2.0], [0.5, 0.1, 3.0]]),
+            lambda: depolarizing_extension(3),
+            lambda: erasure_extension(3),
+        ],
+        ids=["random", "random-unital", "random-gio", "dephase", "unitary-mixture", "depol-ext", "erase-ext"],
+    )
+    def test_matches_einsum(self, build):
+        ch = build()
+        for seed in range(3):
+            m = nonhermitian(ch.dim, seed)
+            np.testing.assert_allclose(ch.apply_matrix(m), einsum_apply(ch, m), rtol=0, atol=1e-13)
+        rho = random_density(ch.dim, ch.dim, seed=9)
+        np.testing.assert_allclose(ch.apply(rho).matrix, einsum_apply(ch, rho.matrix), rtol=0, atol=1e-13)
+
+    def test_diagonal_channel_checks_shape(self):
+        with pytest.raises(DimensionMismatch):
+            dephasing_channel(3).apply_matrix(np.eye(2))
+
+
+class TestExtensionSizeGuard:
+    @pytest.mark.parametrize("build", [depolarizing_extension, erasure_extension])
+    def test_rejects_before_allocating(self, build, monkeypatch):
+        from fcoherence import channels
+
+        class NoNumpy:
+            def __getattr__(self, name):
+                raise AssertionError(f"numpy.{name} touched before the size guard")
+
+        monkeypatch.setattr(channels, "np", NoNumpy())
+        with pytest.raises(DimensionMismatch, match="at most"):
+            build(channels.MAX_EXTENSION_DIM + 1)
+        with pytest.raises(DimensionMismatch):
+            build(10**6)
+
+    def test_limit_itself_is_accepted(self):
+        from fcoherence.channels import MAX_EXTENSION_DIM
+
+        assert erasure_extension(MAX_EXTENSION_DIM).dim == MAX_EXTENSION_DIM**2

@@ -17,7 +17,7 @@ from fcoherence import (
 )
 from fcoherence.channels import depolarizing_extension, random_channel
 from fcoherence.errors import DimensionMismatch, SingularState, UnsupportedLimit
-from fcoherence.generators import lookup, neg_log, power, transpose, tsallis
+from fcoherence.generators import GeneratorFunction, lookup, neg_log, power, transpose, tsallis
 
 BUILTIN_SPECS = ["neg_log", "power:0.5", "power:1.5", "tsallis:0.5", "tsallis:1.5"]
 
@@ -276,3 +276,149 @@ class TestEntropies:
             f_entropy(psi, power(1.5))
         with pytest.raises(UnsupportedLimit):
             f_entropy_hat(psi, power(1.5))
+
+
+def reference_quasi_relative_entropy(a, b, f):
+    """The grouped double spectral sum written as explicit Python loops,
+    one eigenvalue-group pair at a time."""
+    from fcoherence.divergence import GROUP_TOL
+    from fcoherence.states import EPS_ZERO, spectral_decompose
+
+    def group_slices(vals):
+        starts = [0]
+        for i in range(1, vals.size):
+            if vals[i - 1] - vals[i] > GROUP_TOL:
+                starts.append(i)
+        starts.append(vals.size)
+        return [slice(starts[i], starts[i + 1]) for i in range(len(starts) - 1)]
+
+    def need(limit, what):
+        if limit is None or math.isnan(limit):
+            raise UnsupportedLimit(f"generator {f.name} supplies no {what}")
+        return limit
+
+    sa, sb = spectral_decompose(a), spectral_decompose(b)
+    overlap = np.abs(sb.eigenvectors.conj().T @ sa.eigenvectors) ** 2
+    groups_a, groups_b = group_slices(sa.eigenvalues), group_slices(sb.eigenvalues)
+    lam = [float(sa.eigenvalues[g].mean()) for g in groups_a]
+    mu = [float(sb.eigenvalues[g].mean()) for g in groups_b]
+    total, infinite = 0.0, False
+    for ja, ga in enumerate(groups_a):
+        for kb, gb in enumerate(groups_b):
+            weight = float(overlap[gb, ga].sum())
+            if weight == 0.0:
+                continue
+            lam_j, mu_k = lam[ja], mu[kb]
+            if lam_j > EPS_ZERO and mu_k > EPS_ZERO:
+                total += lam_j * float(f(mu_k / lam_j)) * weight
+            elif lam_j <= EPS_ZERO and mu_k > EPS_ZERO:
+                tail = need(f.weighted_inf_limit, "weighted tail limit")
+                if math.isinf(tail):
+                    infinite = True
+                else:
+                    total += mu_k * tail * weight
+            elif lam_j > EPS_ZERO and mu_k <= EPS_ZERO:
+                zero = need(f.limit_at_zero, "limit at zero")
+                if math.isinf(zero):
+                    infinite = True
+                else:
+                    total += lam_j * zero * weight
+    return math.inf if infinite else total
+
+
+def rotated(spectrum, seed):
+    u = random_unitary(len(spectrum), seed=seed)
+    return DensityMatrix((u * np.asarray(spectrum, dtype=float)) @ u.conj().T)
+
+
+ALL_GENERATORS = [lookup(s) for s in BUILTIN_SPECS] + [transpose(lookup(s)) for s in BUILTIN_SPECS]
+
+REFERENCE_PAIRS = {
+    "full-rank": lambda: conditioned_pair(5, 31),
+    "degenerate": lambda: (rotated([0.4, 0.4, 0.1, 0.1], 77), rotated([0.3, 0.3, 0.3, 0.1], 78)),
+    "degenerate-diagonal": lambda: (
+        DensityMatrix.from_diagonal([0.25, 0.25, 0.25, 0.25]),
+        DensityMatrix.from_diagonal([0.5, 0.2, 0.2, 0.1]),
+    ),
+    # kernel of a inside the support of b: the weighted-tail block
+    "singular-first": lambda: (rotated([0.5, 0.3, 0.2, 0.0], 5), conditioned_pair(4, 6)[1]),
+    # support of a against the kernel of b: the limit-at-zero block
+    "singular-second": lambda: (conditioned_pair(4, 7)[0], rotated([0.6, 0.4, 0.0, 0.0], 8)),
+    "both-singular": lambda: (rotated([0.7, 0.3, 0.0], 9), rotated([0.5, 0.5, 0.0], 10)),
+    "shared-kernel": lambda: (
+        DensityMatrix.from_diagonal([0.6, 0.4, 0.0]),
+        DensityMatrix.from_diagonal([0.5, 0.5, 0.0]),
+    ),
+    "pure-pair": lambda: (random_pure(3, seed=11).as_density(), random_pure(3, seed=12).as_density()),
+}
+
+
+class TestAgainstLoopReference:
+    @pytest.mark.parametrize("case", sorted(REFERENCE_PAIRS))
+    @pytest.mark.parametrize("f", ALL_GENERATORS, ids=lambda f: f.name)
+    def test_matches_reference(self, case, f):
+        a, b = REFERENCE_PAIRS[case]()
+        want = reference_quasi_relative_entropy(a, b, f)
+        got = quasi_relative_entropy(a, b, f)
+        if math.isinf(want):
+            assert got == math.inf
+        else:
+            assert got == pytest.approx(want, rel=0.0, abs=1e-12)
+
+    def test_cases_reach_every_tail_kind(self):
+        # zero, finite nonzero and infinite values of both tail limits
+        for limits in ({f.weighted_inf_limit for f in ALL_GENERATORS}, {f.limit_at_zero for f in ALL_GENERATORS}):
+            assert 0.0 in limits and math.inf in limits
+            assert any(0.0 < v < math.inf for v in limits)
+        for case in ("singular-first", "singular-second"):
+            values = [reference_quasi_relative_entropy(*REFERENCE_PAIRS[case](), f) for f in ALL_GENERATORS]
+            assert any(math.isinf(v) for v in values) and any(math.isfinite(v) for v in values)
+
+
+def no_limits(weighted=math.nan, zero=math.nan):
+    base = neg_log()
+    return GeneratorFunction(
+        name="no-limits",
+        fn=base.fn,
+        limit_at_zero=zero,
+        weighted_inf_limit=weighted,
+        operator_convex=True,
+        monotone_decreasing=True,
+    )
+
+
+class TestUnsupportedLimitOnlyWithWeight:
+    def test_full_rank_pair_never_asks_for_limits(self):
+        a, b = conditioned_pair(4, 3)
+        f = no_limits()
+        assert quasi_relative_entropy(a, b, f) == pytest.approx(
+            quasi_relative_entropy(a, b, neg_log()), abs=1e-15
+        )
+
+    def test_shared_kernel_never_asks_for_limits(self):
+        a, b = REFERENCE_PAIRS["shared-kernel"]()
+        assert quasi_relative_entropy(a, b, no_limits()) == pytest.approx(
+            quasi_relative_entropy(a, b, neg_log()), abs=1e-15
+        )
+
+    def test_weighted_tail_block(self):
+        a, b = REFERENCE_PAIRS["singular-first"]()
+        with pytest.raises(UnsupportedLimit, match="weighted tail"):
+            quasi_relative_entropy(a, b, no_limits(zero=math.inf))
+        # the zero-limit block carries no weight here
+        assert quasi_relative_entropy(a, b, no_limits(weighted=0.0)) == pytest.approx(
+            reference_quasi_relative_entropy(a, b, neg_log()), abs=1e-12
+        )
+
+    def test_zero_limit_block(self):
+        a, b = REFERENCE_PAIRS["singular-second"]()
+        with pytest.raises(UnsupportedLimit, match="limit at zero"):
+            quasi_relative_entropy(a, b, no_limits(weighted=0.0))
+        assert quasi_relative_entropy(a, b, no_limits(zero=math.inf)) == math.inf
+
+    def test_nonzero_weighted_tail_is_added(self):
+        a, b = REFERENCE_PAIRS["singular-first"]()
+        f = no_limits(weighted=2.0)
+        want = reference_quasi_relative_entropy(a, b, f)
+        assert want != pytest.approx(reference_quasi_relative_entropy(a, b, neg_log()), abs=1e-3)
+        assert quasi_relative_entropy(a, b, f) == pytest.approx(want, abs=1e-12)

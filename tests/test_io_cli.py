@@ -323,6 +323,41 @@ class TestCliExitCodes:
         assert main(["channel", "dephase:3", path]) == 5
         capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            '{"dim": true, "matrix": [[[1.0, 0.0]]]}',
+            '{"dim": 1, "matrix": [[[true, false]]]}',
+            '{"dim": 2, "matrix": [[[0.5, 0], [0, 0]], [[0, 0], [0.5, false]]]}',
+        ],
+        ids=["bool-dim", "bool-cells", "one-bool-cell"],
+    )
+    def test_json_booleans_in_state_file(self, tmp_path, capsys, doc):
+        p = tmp_path / "s.json"
+        p.write_text(doc)
+        assert main(["coherence", str(p)]) == 2
+        assert "fcoherence:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            '{"dim": true, "kraus": [[[[1.0, 0.0]]]]}',
+            '{"dim": 1, "kraus": [[[[true, 0.0]]]]}',
+        ],
+        ids=["bool-dim", "bool-cell"],
+    )
+    def test_json_booleans_in_channel_file(self, tmp_path, capsys, doc):
+        state = write_state(tmp_path / "s.json", DensityMatrix.maximally_mixed(1))
+        p = tmp_path / "c.json"
+        p.write_text(doc)
+        assert main(["channel", str(p), state]) == 2
+        assert "fcoherence:" in capsys.readouterr().err
+
+    def test_oversized_extension_is_typed_error(self, tmp_path, capsys):
+        path = write_state(tmp_path / "s.json", DensityMatrix.maximally_mixed(4))
+        assert main(["channel", "depol-ext:40", path]) == 5
+        assert "at most" in capsys.readouterr().err
+
     def test_verify_zero_trials(self, capsys):
         assert main(["verify", "--trials", "0"]) == 2
         capsys.readouterr()

@@ -183,3 +183,32 @@ class TestRandomFactories:
     def test_random_unitary_is_unitary(self):
         u = random_unitary(4, seed=13)
         np.testing.assert_allclose(u @ u.conj().T, np.eye(4), atol=1e-12)
+
+
+class TestEigenvalueCache:
+    def test_copies_are_equal_independent_and_writable(self):
+        rho = random_density(4, 3, seed=21)
+        first = rho.eigenvalues()
+        assert first.flags.writeable
+        first[:] = -1.0
+        second = rho.eigenvalues()
+        assert second is not first
+        np.testing.assert_array_equal(second, np.sort(np.linalg.eigvalsh(rho.matrix))[::-1])
+        second[0] = 7.0
+        np.testing.assert_array_equal(rho.eigenvalues(), np.sort(np.linalg.eigvalsh(rho.matrix))[::-1])
+
+    def test_one_eigensolve_per_state(self, monkeypatch):
+        calls = []
+        real = np.linalg.eigvalsh
+
+        def counting(m):
+            calls.append(1)
+            return real(m)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        rho = random_density(3, 3, seed=22)
+        for _ in range(5):
+            rho.eigenvalues()
+        other = random_density(3, 3, seed=23)
+        other.eigenvalues()
+        assert len(calls) == 2

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from fcoherence import (
     run_all,
     sio_counterexample_report,
 )
+from fcoherence.cli import main
 from fcoherence.errors import UnknownGenerator
 from fcoherence.generators import lookup, tsallis
 from fcoherence.verify import SUITES
@@ -193,3 +195,30 @@ class TestSioCounterexampleReport:
     def test_rejects_mismatched_state(self):
         with pytest.raises(ValueError):
             sio_counterexample_report("neg_log", 3, rho=DensityMatrix.maximally_mixed(2))
+
+
+class TestDimensionOne:
+    def test_strong_suite_runs_at_dimension_one(self):
+        report = SUITES["strong-monotonicity"](TrialConfig(dims=(1,), trials_per_case=6, seed=3))
+        assert report.passed
+        assert report.trials == 3
+
+    def test_every_suite_passes_at_dimension_one(self):
+        for report in run_all(TrialConfig(dims=(1,), trials_per_case=4, seed=0)):
+            assert report.passed, report.suite
+
+
+GOLDEN = Path(__file__).parent / "data" / "verify_all_seed1_trials10.jsonl"
+
+
+def test_verify_stdout_matches_golden_file(tmp_path, capsys):
+    """`fcoherence verify --suite all --seed 1 --trials 10`, byte for byte.
+
+    The values carry 17 significant digits, so a change in summation
+    order or in the BLAS build can move the last digits; any such change
+    has to be regenerated here and explained.
+    """
+    out = tmp_path / "verify.jsonl"
+    assert main(["verify", "--suite", "all", "--seed", "1", "--trials", "10", "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert out.read_bytes() == GOLDEN.read_bytes()
