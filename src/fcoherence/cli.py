@@ -9,6 +9,7 @@ dimension mismatch, 6 verification-suite failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -84,8 +85,8 @@ def cmd_coherence(args) -> int:
         "f_name": res.f_name,
         "variant": res.variant,
         "dim": rho.dim,
-        "eigenvalues": list(res.eigenvalues),
-        "diagonal": list(res.diagonal),
+        "eigenvalues": res.eigenvalues,
+        "diagonal": res.diagonal,
     }
     _emit(dumps17(doc), args.out)
     return EXIT_OK
@@ -255,6 +256,7 @@ def cmd_demo(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A fresh parser for the fcoherence command line."""
     parser = argparse.ArgumentParser(
         prog="fcoherence",
         description="Coherence measures built from operator convex divergences.",
@@ -307,10 +309,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # Built on the first call, not at import; parse_args keeps no state
+    # between calls, so one parser serves every main() in the process.
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else EXIT_INPUT

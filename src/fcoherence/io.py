@@ -5,6 +5,12 @@ channel file is ``{"dim": d, "kraus": [matrix, ...], "label": ...}``
 with the same cell encoding. Floats are written with 17 significant
 digits, so a write and re-read loses no precision; channel files round
 trip byte for byte, state files only up to the validation rebuild.
+
+There is one writer, :func:`dumps17`. It formats a float or complex
+array in one batched step, and the state and channel files are its
+multi-line layout of the same bytes. The reader converts a matrix with
+one ``np.array`` call and one pass over the cell types; only a rejected
+matrix is walked cell by cell, to name the offending cell.
 """
 
 from __future__ import annotations
@@ -12,14 +18,20 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
+from itertools import chain
+from typing import NoReturn
 
 import numpy as np
 
 from .channels import (
+    DIAGONAL_TOL,
+    GioChannel,
     KrausChannel,
     dephasing_channel,
     depolarizing_extension,
     erasure_extension,
+    max_offdiagonal,
 )
 from .errors import FileFormatError
 from .states import DensityMatrix, validate_density
@@ -67,6 +79,8 @@ def dumps17(obj) -> str:
     if isinstance(obj, complex):
         return f"[{format_float(obj.real)}, {format_float(obj.imag)}]"
     if isinstance(obj, np.ndarray):
+        if obj.dtype.kind in "fc":
+            return _dumps_array(obj)
         return dumps17(obj.tolist())
     if isinstance(obj, dict):
         items = ", ".join(f"{json.dumps(str(k))}: {dumps17(v)}" for k, v in obj.items())
@@ -76,39 +90,50 @@ def dumps17(obj) -> str:
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def _matrix_lines(matrix: np.ndarray, indent: str) -> str:
-    rows = []
-    for row in np.asarray(matrix):
-        cells = ", ".join(
-            f"[{format_float(z.real)}, {format_float(z.imag)}]" for z in row
-        )
-        rows.append(f"{indent}[{cells}]")
-    return ",\n".join(rows)
+_NON_FINITE = re.compile(r"-?inf|nan")
+
+
+def _dumps_array(a: np.ndarray, lines: int = 0) -> str:
+    """The bytes of ``dumps17(a.tolist())`` for a float or complex array,
+    from one %-template over the flat values.
+
+    The first ``lines`` axes put one item per line, indented as the
+    value of a top-level key in a multi-line document.
+    """
+    is_complex = a.dtype.kind == "c"
+    flat = np.asarray(a, dtype=complex if is_complex else float).ravel()
+    if is_complex:
+        flat = flat.view(float)
+    text = "[%.17g, %.17g]" if is_complex else "%.17g"
+    for axis in reversed(range(a.ndim)):
+        items = [text] * a.shape[axis]
+        if axis < lines:
+            br = "\n" + "  " * (axis + 2)
+            text = "[" + br + ("," + br).join(items) + br[:-2] + "]"
+        else:
+            text = "[" + ", ".join(items) + "]"
+    text %= tuple(flat.tolist())
+    if not np.isfinite(flat).all():
+        text = _NON_FINITE.sub(r'"\g<0>"', text)
+    return text
 
 
 def state_to_json(rho: DensityMatrix) -> str:
     return (
         "{\n"
         f'  "dim": {rho.dim},\n'
-        '  "matrix": [\n'
-        f"{_matrix_lines(rho.matrix, '    ')}\n"
-        "  ]\n"
+        f'  "matrix": {_dumps_array(rho.matrix, lines=1)}\n'
         "}\n"
     )
 
 
 def channel_to_json(ch: KrausChannel) -> str:
-    blocks = []
-    for k in ch.kraus_ops:
-        blocks.append("    [\n" + _matrix_lines(k, "      ") + "\n    ]")
     label = f'  "label": {json.dumps(ch.label)},\n' if ch.label else ""
     return (
         "{\n"
         f'  "dim": {ch.dim},\n'
         f"{label}"
-        '  "kraus": [\n'
-        + ",\n".join(blocks)
-        + "\n  ]\n"
+        f'  "kraus": {_dumps_array(ch.kraus_ops, lines=2)}\n'
         "}\n"
     )
 
@@ -136,9 +161,24 @@ def _parse_dim(doc: dict, path: str) -> int:
 
 
 def _parse_complex_matrix(raw, dim: int, what: str) -> np.ndarray:
+    try:
+        cells = np.array(raw, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        cells = None
+    # np.array would also take strings, nulls and booleans as numbers.
+    if (
+        cells is None
+        or cells.shape != (dim, dim, 2)
+        or not set(map(type, chain.from_iterable(chain.from_iterable(raw)))) <= {int, float}
+    ):
+        _reject_matrix(raw, dim, what)
+    return cells.view(complex).reshape(dim, dim)
+
+
+def _reject_matrix(raw, dim: int, what: str) -> NoReturn:
+    """Raise FileFormatError naming the first bad row or cell."""
     if not isinstance(raw, list) or len(raw) != dim:
         raise FileFormatError(f"{what}: expected {dim} rows")
-    out = np.empty((dim, dim), dtype=complex)
     for i, row in enumerate(raw):
         if not isinstance(row, list) or len(row) != dim:
             raise FileFormatError(f"{what}: row {i} must have {dim} cells")
@@ -151,8 +191,13 @@ def _parse_complex_matrix(raw, dim: int, what: str) -> np.ndarray:
                 raise FileFormatError(
                     f"{what}: cell ({i},{j}) must be a [re, im] pair of numbers"
                 )
-            out[i, j] = complex(float(cell[0]), float(cell[1]))
-    return out
+            try:
+                float(cell[0]), float(cell[1])
+            except OverflowError:
+                raise FileFormatError(
+                    f"{what}: cell ({i},{j}) holds a number too large for a double"
+                ) from None
+    raise FileFormatError(f"{what}: not a {dim}x{dim} matrix of [re, im] pairs")
 
 
 def _load_json(path: str) -> dict:
@@ -161,7 +206,9 @@ def _load_json(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    # ValueError covers bad JSON, bad UTF-8 and integers over the
+    # interpreter's digit limit; RecursionError covers deep nesting.
+    except (OSError, ValueError, RecursionError) as exc:
         raise FileFormatError(f"{path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise FileFormatError(f"{path}: top level must be a JSON object")
@@ -179,7 +226,11 @@ def load_state(path: str) -> DensityMatrix:
 
 
 def load_channel(path: str) -> KrausChannel:
-    """Read a channel file; completeness is enforced by the constructor."""
+    """Read a channel file; completeness is enforced by the constructor.
+
+    A channel whose Kraus operators are all diagonal loads as a
+    GioChannel, which applies as a Schur product.
+    """
     doc = _load_json(path)
     if "dim" not in doc or "kraus" not in doc:
         raise FileFormatError(f"{path}: channel file needs 'dim' and 'kraus'")
@@ -187,14 +238,15 @@ def load_channel(path: str) -> KrausChannel:
     raw = doc["kraus"]
     if not isinstance(raw, list) or not raw:
         raise FileFormatError(f"{path}: 'kraus' must be a non-empty list")
-    ops = [
+    ops = np.stack([
         _parse_complex_matrix(block, dim, f"{path}: kraus[{i}]")
         for i, block in enumerate(raw)
-    ]
+    ])
     label = doc.get("label")
     if label is not None and not isinstance(label, str):
         raise FileFormatError(f"{path}: 'label' must be a string")
-    return KrausChannel(ops, label=label)
+    cls = GioChannel if max_offdiagonal(ops) <= DIAGONAL_TOL else KrausChannel
+    return cls(ops, label=label)
 
 
 _BUILTIN_CHANNELS = {

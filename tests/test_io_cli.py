@@ -2,26 +2,31 @@ import json
 import math
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from fcoherence import (
     DensityMatrix,
+    GioChannel,
+    KrausChannel,
     builtin_channel,
     channel_to_json,
     load_channel,
     load_channel_or_builtin,
     load_state,
+    random_channel,
     random_density,
     random_gio,
     save_channel,
     save_state,
     state_to_json,
 )
-from fcoherence.cli import main
+import fcoherence.cli as cli
+from fcoherence.cli import build_parser, main
 from fcoherence.errors import ChannelValidationError, FileFormatError, NotHermitian
-from fcoherence.io import dumps17, format_float
+from fcoherence.io import _parse_complex_matrix, dumps17, format_float
 
 
 def plus_state():
@@ -71,6 +76,164 @@ class TestDumps17:
     def test_floats_survive_round_trip(self):
         values = [1.0 / 3.0, 2.0 ** -52, 0.1 + 0.2]
         assert json.loads(dumps17(values)) == values
+
+
+# The seed's per-cell writer and reader, kept as references for the
+# batched ones in fcoherence.io.
+def ref_matrix_lines(matrix, indent):
+    rows = []
+    for row in np.asarray(matrix):
+        cells = ", ".join(
+            f"[{format_float(z.real)}, {format_float(z.imag)}]" for z in row
+        )
+        rows.append(f"{indent}[{cells}]")
+    return ",\n".join(rows)
+
+
+def ref_state_to_json(rho):
+    return (
+        "{\n"
+        f'  "dim": {rho.dim},\n'
+        '  "matrix": [\n'
+        f"{ref_matrix_lines(rho.matrix, '    ')}\n"
+        "  ]\n"
+        "}\n"
+    )
+
+
+def ref_channel_to_json(ch):
+    blocks = []
+    for k in ch.kraus_ops:
+        blocks.append("    [\n" + ref_matrix_lines(k, "      ") + "\n    ]")
+    label = f'  "label": {json.dumps(ch.label)},\n' if ch.label else ""
+    return (
+        "{\n"
+        f'  "dim": {ch.dim},\n'
+        f"{label}"
+        '  "kraus": [\n'
+        + ",\n".join(blocks)
+        + "\n  ]\n"
+        "}\n"
+    )
+
+
+def ref_parse_complex_matrix(raw, dim, what):
+    if not isinstance(raw, list) or len(raw) != dim:
+        raise FileFormatError(f"{what}: expected {dim} rows")
+    out = np.empty((dim, dim), dtype=complex)
+    for i, row in enumerate(raw):
+        if not isinstance(row, list) or len(row) != dim:
+            raise FileFormatError(f"{what}: row {i} must have {dim} cells")
+        for j, cell in enumerate(row):
+            if (
+                not isinstance(cell, list)
+                or len(cell) != 2
+                or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in cell)
+            ):
+                raise FileFormatError(
+                    f"{what}: cell ({i},{j}) must be a [re, im] pair of numbers"
+                )
+            out[i, j] = complex(float(cell[0]), float(cell[1]))
+    return out
+
+
+SPECIAL = [math.inf, -math.inf, math.nan, -0.0, 5e-324, 1e300]
+
+
+def writer_arrays():
+    rng = np.random.default_rng(3)
+    real = rng.standard_normal(40)
+    real[: len(SPECIAL)] = SPECIAL
+    cplx = np.empty(real.shape, dtype=complex)
+    cplx.real, cplx.imag = real, rng.permutation(real)
+    out = []
+    for base in (real, cplx):
+        out += [
+            ("empty", base[:0]),
+            ("vector", base[:3]),
+            ("square", base[2:6].reshape(2, 2)),
+            ("stack", base[:36].reshape(4, 3, 3)),
+            ("strided", base[:36].reshape(4, 9)[:, ::2]),
+            ("fortran", np.asfortranarray(base[:12].reshape(3, 4))),
+            ("empty-rows", base[:0].reshape(2, 0)),
+            ("scalar", np.array(base[5])),
+        ]
+    readonly = cplx[:9].reshape(3, 3).copy()
+    readonly.setflags(write=False)
+    out.append(("readonly", readonly))
+    out.append(("float32", real[6:10].astype(np.float32)))
+    return [pytest.param(a, id=f"{a.dtype}-{name}") for name, a in out]
+
+
+class TestBatchedWriter:
+    @pytest.mark.parametrize("a", writer_arrays())
+    def test_dumps17_array_matches_list_path(self, a):
+        assert dumps17(a) == dumps17(a.tolist())
+
+    @pytest.mark.parametrize("d", [1, 2, 5])
+    def test_state_layout_matches_seed(self, d):
+        rho = random_density(d, d, seed=d)
+        assert state_to_json(rho) == ref_state_to_json(rho)
+        rng = np.random.default_rng(d)
+        m = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        m.flat[: min(d * d, 6)] = np.array(SPECIAL)[: min(d * d, 6)] * (1 - 1j)
+        fake = SimpleNamespace(dim=d, matrix=np.asfortranarray(m))
+        assert state_to_json(fake) == ref_state_to_json(fake)
+
+    @pytest.mark.parametrize(
+        "ch",
+        [random_gio(3, 2, seed=1), random_channel(2, 3, seed=2), random_gio(1, 1, seed=3)],
+        ids=["gio", "kraus", "dim1"],
+    )
+    def test_channel_layout_matches_seed(self, ch):
+        assert channel_to_json(ch) == ref_channel_to_json(ch)
+        unlabelled = SimpleNamespace(dim=ch.dim, label=None, kraus_ops=ch.kraus_ops[:, ::-1])
+        assert channel_to_json(unlabelled) == ref_channel_to_json(unlabelled)
+
+
+def reader_cases():
+    good = [[[0.5, 0.0], [0.25, -0.125]], [[0.25, 0.125], [0.5, -0.0]]]
+    cases = {
+        "floats": (good, 2),
+        "all-int": ([[[1, 0], [0, 0]], [[0, 0], [0, -3]]], 2),
+        "mixed-int-float": ([[[1, 0.5], [2**53 + 1, 0]], [[0.0, 2**70 + 3], [-7, 1e-300]]], 2),
+        "string-cell": ([[[0.5, "0"], [0, 0]], [[0, 0], [0.5, 0]]], 2),
+        "string-for-cell": ([["ab", [0, 0]], [[0, 0], [0.5, 0]]], 2),
+        "null-cell": ([[[0.5, 0], [0, 0]], [[0, None], [0.5, 0]]], 2),
+        "bool-cell": ([[[True, 0]]], 1),
+        "nested-cell": ([[[[0.5], [0]]]], 1),
+        "nested-value": ([[[0.5, [0]], [0, 0]], [[0, 0], [0.5, 0]]], 2),
+        "one-element-cell": ([[[0.5], [0, 0]], [[0, 0], [0.5, 0]]], 2),
+        "three-element-cell": ([[[0.5, 0, 0], [0, 0]], [[0, 0], [0.5, 0]]], 2),
+        "all-cells-three-elements": ([[[0.5, 0, 0]]], 1),
+        "ragged-rows": ([[[0.5, 0], [0, 0]], [[0.5, 0]]], 2),
+        "row-not-list": ([[[0.5, 0], [0, 0]], 3], 2),
+        "wrong-row-count": (good[:1], 2),
+        "too-many-rows": (good, 1),
+        "not-a-list": ({"a": 1}, 1),
+        "dict-cell": ([[{"re": 1}]], 1),
+        "number": (1.0, 1),
+    }
+    return [pytest.param(raw, dim, id=name) for name, (raw, dim) in cases.items()]
+
+
+class TestBatchedReader:
+    @pytest.mark.parametrize("raw, dim", reader_cases())
+    def test_matches_per_cell_reference(self, raw, dim):
+        try:
+            want = ref_parse_complex_matrix(raw, dim, "m")
+        except FileFormatError as exc:
+            with pytest.raises(FileFormatError) as got:
+                _parse_complex_matrix(raw, dim, "m")
+            assert str(got.value) == str(exc)
+        else:
+            got = _parse_complex_matrix(raw, dim, "m")
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    def test_non_finite_floats_pass_through(self):
+        raw = [[[math.inf, -0.0]]]
+        assert _parse_complex_matrix(raw, 1, "m").tobytes() == ref_parse_complex_matrix(raw, 1, "m").tobytes()
 
 
 class TestStateFiles:
@@ -146,11 +309,30 @@ class TestChannelFiles:
         np.testing.assert_allclose(back.kraus_ops, ch.kraus_ops, atol=1e-15)
         assert back.label == ch.label
 
-    def test_rewrite_is_byte_identical(self, tmp_path):
-        ch = random_gio(2, 3, seed=10)
+    @pytest.mark.parametrize(
+        "ch", [random_gio(2, 3, seed=10), random_channel(3, 2, seed=10)], ids=["gio", "kraus"]
+    )
+    def test_rewrite_is_byte_identical(self, tmp_path, ch):
         path = tmp_path / "ch.json"
         save_channel(ch, str(path))
         assert channel_to_json(load_channel(str(path))) == channel_to_json(ch)
+
+    def test_diagonal_file_loads_as_gio(self, tmp_path):
+        ch = random_gio(4, 3, seed=13)
+        path = tmp_path / "ch.json"
+        save_channel(ch, str(path))
+        back = load_channel(str(path))
+        assert isinstance(back, GioChannel)
+        rho = random_density(4, 4, seed=14)
+        diag = np.stack([np.diagonal(k) for k in back.kraus_ops])
+        schur = np.einsum("jn,jm->nm", diag, diag.conj()) * rho.matrix
+        np.testing.assert_allclose(back.apply_matrix(rho.matrix), schur, atol=1e-15)
+        np.testing.assert_allclose(back.apply(rho).matrix, schur, atol=1e-14)
+
+    def test_non_diagonal_file_loads_as_kraus(self, tmp_path):
+        path = tmp_path / "ch.json"
+        save_channel(random_channel(3, 2, seed=15), str(path))
+        assert type(load_channel(str(path))) is KrausChannel
 
     def test_incomplete_kraus_rejected(self, tmp_path):
         p = tmp_path / "half.json"
@@ -353,6 +535,12 @@ class TestCliExitCodes:
         assert main(["channel", str(p), state]) == 2
         assert "fcoherence:" in capsys.readouterr().err
 
+    def test_invalid_utf8_is_input_error(self, tmp_path, capsys):
+        p = tmp_path / "s.json"
+        p.write_bytes(b'{"dim": 1, "matrix": [[[\xff, 0]]]}')
+        assert main(["coherence", str(p)]) == 2
+        assert "fcoherence:" in capsys.readouterr().err
+
     def test_oversized_extension_is_typed_error(self, tmp_path, capsys):
         path = write_state(tmp_path / "s.json", DensityMatrix.maximally_mixed(4))
         assert main(["channel", "depol-ext:40", path]) == 5
@@ -411,6 +599,75 @@ class TestCliExitCodes:
     def test_demo_names_enforced(self, capsys):
         assert main(["demo", "unknown-demo"]) == 2
         capsys.readouterr()
+
+
+# Matrices json.load or float() cannot turn into doubles.
+BAD_NUMBER_MATRICES = {
+    "400-digit-int": "[[[1" + "0" * 399 + ", 0]]]",
+    "5000-digit-int": "[[[1" + "0" * 4999 + ", 0]]]",
+    "deep-nesting": "[" * 100000 + "]" * 100000,
+}
+
+
+class TestUnreadableNumbers:
+    @pytest.mark.parametrize("command", ["coherence", "channel"])
+    @pytest.mark.parametrize("case", sorted(BAD_NUMBER_MATRICES))
+    def test_typed_error_not_traceback(self, tmp_path, capsys, command, case):
+        matrix = BAD_NUMBER_MATRICES[case]
+        bad = tmp_path / "bad.json"
+        if command == "coherence":
+            bad.write_text(f'{{"dim": 1, "matrix": {matrix}}}')
+            argv = ["coherence", str(bad)]
+        else:
+            bad.write_text(f'{{"dim": 1, "kraus": [{matrix}]}}')
+            state = write_state(tmp_path / "s.json", DensityMatrix.maximally_mixed(1))
+            argv = ["channel", str(bad), state]
+        assert main(argv) == 2
+        assert "fcoherence:" in capsys.readouterr().err
+
+
+class TestCachedParser:
+    def test_defaults_do_not_leak_between_calls(self, tmp_path, capsys):
+        path = write_state(tmp_path / "plus.json", plus_state())
+        assert main(["coherence", path, "--variant", "hat"]) == 0
+        assert json.loads(capsys.readouterr().out)["variant"] == "hat"
+        assert main(["coherence", path]) == 0
+        assert json.loads(capsys.readouterr().out)["variant"] == "plain"
+
+    def test_bad_flag_then_valid_command(self, tmp_path, capsys):
+        path = write_state(tmp_path / "plus.json", plus_state())
+        assert main(["coherence", path, "--bogus"]) == 2
+        capsys.readouterr()
+        assert main(["coherence", path]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["value"] == pytest.approx(math.log(2.0), abs=1e-12)
+
+    def test_build_parser_returns_fresh_parsers(self):
+        assert build_parser() is not build_parser()
+
+    def test_main_builds_the_parser_at_most_once(self, tmp_path, capsys, monkeypatch):
+        calls = []
+
+        def counting():
+            calls.append(1)
+            return build_parser()
+
+        path = write_state(tmp_path / "plus.json", plus_state())
+        monkeypatch.setattr(cli, "build_parser", counting)
+        cli._parser.cache_clear()
+        try:
+            for argv in (["coherence", path], ["entropy", path], ["frobnicate"]):
+                main(argv)
+        finally:
+            cli._parser.cache_clear()
+        capsys.readouterr()
+        assert len(calls) <= 1
+
+    @pytest.mark.parametrize("argv", [["--help"], ["channel", "--help"]])
+    def test_help_exits_zero(self, capsys, argv):
+        assert main(argv) == 0
+        assert main(argv) == 0
+        assert "usage:" in capsys.readouterr().out
 
 
 class TestDemos:
