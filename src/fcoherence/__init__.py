@@ -25,6 +25,7 @@ from .coherence import (
     PowerCoherence,
     coherence_f,
     coherence_f_hat,
+    coherence_table,
     dephase,
     dephasing_distance,
     is_incoherent,
@@ -33,6 +34,7 @@ from .coherence import (
     relative_entropy_coherence,
 )
 from .divergence import (
+    entropy_table,
     f_entropy,
     f_entropy_hat,
     f_weighted_sum,

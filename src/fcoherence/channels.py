@@ -302,19 +302,21 @@ def random_unital_channel(dim: int, num_unitaries: int, seed: int) -> KrausChann
     return KrausChannel(ops, label=f"random-unital:{dim}")
 
 
-def is_gio(ch: KrausChannel, tol: float = 1e-10) -> bool:
-    """True when every Kraus operator is diagonal and every incoherent
-    basis state is a fixed point, both within tol.
+def is_gio(ch: KrausChannel) -> bool:
+    """True when every Kraus operator is diagonal within DIAGONAL_TOL and
+    every incoherent basis state is a fixed point within COMPLETENESS_TOL.
 
+    Uses the tolerances of GioChannel, so it holds exactly for the Kraus
+    lists that GioChannel and io.load_channel accept as diagonal.
     Classifies the supplied Kraus representation, not the channel's
     equivalence class.
     """
-    if max_offdiagonal(ch.kraus_ops) > tol:
+    if max_offdiagonal(ch.kraus_ops) > DIAGONAL_TOL:
         return False
     # Diagonal Kraus plus completeness already fix |n><n|; check directly anyway.
-    coeffs = np.stack([np.diagonal(k) for k in ch.kraus_ops])
+    coeffs = np.diagonal(ch.kraus_ops, axis1=1, axis2=2)
     col_norms = np.sum(np.abs(coeffs) ** 2, axis=0)
-    return bool(np.abs(col_norms - 1.0).max() <= tol)
+    return bool(np.abs(col_norms - 1.0).max() <= COMPLETENESS_TOL)
 
 
 def is_sio(ch: KrausChannel, tol: float = 1e-10) -> bool:

@@ -2,8 +2,9 @@
 
 Standard output carries JSON or JSON lines only; diagnostics go to
 standard error. Exit codes: 0 success, 2 unreadable input or bad flags,
-3 failed validation, 4 unknown or out-of-range generator spec, 5
-dimension mismatch, 6 verification-suite failure.
+3 failed validation, 4 unknown or out-of-range generator spec or a
+generator without the limit the state needs, 5 dimension mismatch, 6
+verification-suite failure.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .errors import (
     ParamOutOfRange,
     StateValidationError,
     UnknownGenerator,
+    UnsupportedLimit,
 )
 from .generators import lookup
 from .io import dumps17, load_channel_or_builtin, load_state, state_to_json
@@ -327,7 +329,7 @@ def main(argv=None) -> int:
     except FileFormatError as exc:
         _diag(str(exc))
         return EXIT_INPUT
-    except (UnknownGenerator, ParamOutOfRange) as exc:
+    except (UnknownGenerator, ParamOutOfRange, UnsupportedLimit) as exc:
         _diag(str(exc))
         return EXIT_GENERATOR
     except DimensionMismatch as exc:

@@ -9,6 +9,11 @@ resolved through the generator's closed-form tail limits; a zero
 eigenvalue of B seen by a nonzero eigenvector of A can push the value to
 +inf, which is returned as ``math.inf``.
 
+``f_weighted_sum`` is the kernel of every entropy and coherence value:
+it works on a (..., d) stack of spectra or diagonals, so one generator
+call serves many states, and ``spectral_sums`` runs it for a list of
+generators with both numerators 1/d and 1.
+
 ``oracle_quasi_relative_entropy`` evaluates the same quantity through an
 independent route, building the dim^2 x dim^2 matrix of the modular-type
 superoperator X -> B X A^{-1} and applying f to its spectrum, and exists
@@ -23,15 +28,17 @@ import numpy as np
 
 from .errors import DimensionMismatch, SingularState, UnsupportedLimit
 from .generators import GeneratorFunction
-from .states import EPS_ZERO, DensityMatrix, spectral_decompose
+from .states import EPS_ZERO, DensityMatrix, spectra, spectral_decompose
 
 __all__ = [
     "GROUP_TOL",
     "quasi_relative_entropy",
     "oracle_quasi_relative_entropy",
     "f_weighted_sum",
+    "spectral_sums",
     "f_entropy",
     "f_entropy_hat",
+    "entropy_table",
 ]
 
 # Eigenvalues closer than this are merged into one spectral group so the
@@ -135,26 +142,78 @@ def oracle_quasi_relative_entropy(a: DensityMatrix, b: DensityMatrix, f: Generat
     return float(np.real(image[:: d + 1].sum()))
 
 
-def f_weighted_sum(values, numerator: float, f: GeneratorFunction) -> float:
-    """sum_j v_j f(numerator / v_j) over a probability-like vector.
+def f_weighted_sum(values, numerator, f: GeneratorFunction):
+    """sum_j v_j f(numerator / v_j) along the last axis of a (..., d) stack.
 
-    Entries at or below EPS_ZERO contribute their limiting value, which
-    is 0 exactly when the generator's weighted tail limit is 0; any other
-    tail raises UnsupportedLimit since no finite convention applies.
+    ``numerator`` broadcasts against the leading shape values.shape[:-1].
+    A vector with a scalar numerator gives a float, any other input an
+    array of the broadcast shape. Entries at or below EPS_ZERO contribute
+    their limiting value, which is 0 exactly when the generator's
+    weighted tail limit is 0; any other tail raises UnsupportedLimit
+    since no finite convention applies. Each row is summed over its
+    positive entries alone and in order, so a row of a stack gives the
+    same bits as the row passed on its own.
     """
-    v = np.asarray(values, dtype=float)
+    (sums,) = _weighted_sums(np.asarray(values, dtype=float), np.asarray(numerator, dtype=float), [f])
+    return float(sums) if sums.ndim == 0 else sums
+
+
+def spectral_sums(rows, dim: int, gens) -> np.ndarray:
+    """f_weighted_sum of a (..., d) stack for each generator and numerator.
+
+    Returns shape (..., len(gens), 2): numerator 1/dim in [..., 0]
+    (the plain variant) and 1 in [..., 1] (the hat variant).
+    """
+    rows = np.asarray(rows, dtype=float)
+    c = np.array([1.0 / dim, 1.0]).reshape((2,) + (1,) * (rows.ndim - 1))
+    sums = np.stack(_weighted_sums(rows, c, gens), axis=-1)  # (2, ..., len(gens))
+    return np.moveaxis(sums, 0, -1)
+
+
+def _weighted_sums(v: np.ndarray, c: np.ndarray, gens) -> list[np.ndarray]:
+    """f_weighted_sum of the stack v with numerator c, once per generator;
+    the masking is shared by all generators."""
     pos = v > EPS_ZERO
-    if not np.all(pos):
-        tail = _need_weighted_tail(f)
-        if tail != 0.0:
+    if pos.all():
+        x = c[..., None] / v
+        return [np.sum(v * f(x), axis=-1) for f in gens]
+    for f in gens:
+        if _need_weighted_tail(f) != 0.0:
             raise UnsupportedLimit(
                 f"generator {f.name} has nonzero weighted tail limit, "
                 "cannot evaluate on a vector with zero entries"
             )
+    # Zero-padding the masked entries would let numpy's pairwise summation
+    # regroup rows of 8 or more terms, so each row is summed over its
+    # compressed positive entries: rows with the same count m of them are
+    # summed as one (rows, m) block.
+    shape = v.shape[:-1] if c.ndim == 0 else np.broadcast_shapes(v.shape[:-1], c.shape)
+    if shape != v.shape[:-1]:
+        v = np.broadcast_to(v, shape + v.shape[-1:])
+        pos = v > EPS_ZERO
     vp = v[pos]
-    if vp.size == 0:
-        return 0.0
-    return float(np.sum(vp * f(numerator / vp)))
+    x = c / vp if c.ndim == 0 else (c[..., None] / np.where(pos, v, 1.0))[pos]
+    counts = pos.sum(axis=-1).ravel() if pos.ndim > 1 else np.array([vp.size])
+    sizes = set(counts.tolist())
+    out = []
+    if len(sizes) == 1:
+        m = sizes.pop()
+        for f in gens:
+            sums = (vp * f(x)).reshape(counts.size, m).sum(axis=1) if m else np.zeros(counts.size)
+            out.append(sums.reshape(shape))
+        return out
+    ends = np.cumsum(counts)
+    blocks = []
+    for m in sizes - {0}:
+        rows = np.flatnonzero(counts == m)
+        blocks.append((rows, (ends[rows] - m)[:, None] + np.arange(m)))
+    for f in gens:
+        terms = vp * f(x)
+        sums = np.zeros(counts.size)
+        for rows, idx in blocks:
+            sums[rows] = terms[idx].sum(axis=1)
+        out.append(sums.reshape(shape))
+    return out
 
 
 def f_entropy(rho: DensityMatrix, f: GeneratorFunction) -> float:
@@ -176,3 +235,18 @@ def f_entropy_hat(rho: DensityMatrix, f: GeneratorFunction) -> float:
     """
     vals = rho.eigenvalues()
     return -f_weighted_sum(vals, 1.0, f)
+
+
+def entropy_table(states, gens) -> np.ndarray:
+    """f_entropy and f_entropy_hat of every state under every generator.
+
+    The states share one dimension. Returns shape (len(states),
+    len(gens), 2) with the f_entropy value in [..., 0] and the
+    f_entropy_hat value in [..., 1], equal bit for bit to the
+    single-state functions.
+    """
+    vals = spectra(states)
+    d = vals.shape[-1]
+    sums = spectral_sums(vals, d, gens)
+    top = np.array([float(f(1.0 / d)) for f in gens])
+    return np.stack((top - sums[..., 0], -sums[..., 1]), axis=-1)

@@ -26,16 +26,14 @@ __all__ = [
     "TOL_HERM",
     "TOL_TRACE",
     "TOL_PSD",
-    "TOL_RECON",
-    "TOL_ORTH",
     "TOL_NORM",
     "EPS_ZERO",
     "DensityMatrix",
     "PureState",
     "SpectralDecomposition",
     "validate_density",
-    "decompose_hermitian",
     "spectral_decompose",
+    "spectra",
     "trace_norm",
     "tensor",
     "random_pure",
@@ -46,8 +44,6 @@ __all__ = [
 TOL_HERM = 1e-10
 TOL_TRACE = 1e-10
 TOL_PSD = 1e-9
-TOL_RECON = 1e-10
-TOL_ORTH = 1e-10
 TOL_NORM = 1e-10
 
 # Eigenvalues at or below this are treated as exactly zero downstream.
@@ -63,7 +59,7 @@ def _as_square(matrix, what: str = "matrix") -> np.ndarray:
     m = np.asarray(matrix, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionMismatch(f"{what} must be square, got shape {m.shape}")
-    if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
+    if not np.isfinite(m).all():
         raise StateValidationError(f"{what} contains non-finite entries")
     return m
 
@@ -102,6 +98,16 @@ class DensityMatrix:
     def eigenvalues(self) -> np.ndarray:
         """Eigenvalues in descending order, as a fresh writable array."""
         return self._spectrum.copy()
+
+    @cached_property
+    def _decomposition(self) -> "SpectralDecomposition":
+        # eigh is a different LAPACK driver from eigvalsh, so its
+        # eigenvalues are kept apart from _spectrum.
+        try:
+            vals, vecs = np.linalg.eigh(self.matrix)
+        except np.linalg.LinAlgError as exc:
+            raise ConvergenceFailure(str(exc)) from exc
+        return SpectralDecomposition(vals[::-1], vecs[:, ::-1])
 
     def tensor(self, other: "DensityMatrix") -> "DensityMatrix":
         """Kronecker product with another state."""
@@ -212,20 +218,33 @@ def validate_density(
     return DensityMatrix((vecs * clipped) @ vecs.conj().T)
 
 
-def decompose_hermitian(matrix) -> SpectralDecomposition:
-    """Eigendecomposition of a Hermitian matrix, eigenvalues descending."""
-    m = _as_square(matrix)
-    try:
-        vals, vecs = np.linalg.eigh(m)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailure(str(exc)) from exc
-    order = np.arange(vals.size)[::-1]
-    return SpectralDecomposition(vals[order], vecs[:, order])
-
-
 def spectral_decompose(rho: DensityMatrix) -> SpectralDecomposition:
-    """Spectral decomposition of a density matrix."""
-    return decompose_hermitian(rho.matrix)
+    """Spectral decomposition of a density matrix, eigenvalues descending.
+
+    Solved once per state; later calls return the same read-only result.
+    """
+    return rho._decomposition
+
+
+def spectra(states) -> np.ndarray:
+    """Descending eigenvalues of states of one dimension, as an (n, d) array.
+
+    States whose spectrum is not known yet are solved in one stacked
+    eigvalsh, which gives each matrix the same eigenvalues as solving it
+    alone, and keep the result as their cached spectrum.
+    """
+    dims = {s.dim for s in states}
+    if len(dims) != 1:
+        raise DimensionMismatch(f"need states of one dimension, got dimensions {sorted(dims)}")
+    todo = [s for s in states if "_spectrum" not in s.__dict__]
+    if todo:
+        try:
+            vals = np.linalg.eigvalsh(np.array([s.matrix for s in todo]))
+        except np.linalg.LinAlgError as exc:
+            raise ConvergenceFailure(str(exc)) from exc
+        for s, row in zip(todo, vals[:, ::-1]):
+            s.__dict__["_spectrum"] = _frozen(row.copy())
+    return np.array([s._spectrum for s in states])
 
 
 def trace_norm(matrix) -> float:

@@ -27,13 +27,14 @@ from .channels import (
 from .coherence import (
     coherence_f,
     coherence_f_hat,
+    coherence_table,
     dephase,
     dephasing_distance,
     max_coherent_state,
 )
 from .divergence import (
-    f_entropy,
-    f_entropy_hat,
+    entropy_table,
+    f_weighted_sum,
     oracle_quasi_relative_entropy,
     quasi_relative_entropy,
 )
@@ -177,22 +178,33 @@ def suite_entropy_bounds(cfg: TrialConfig) -> VerificationReport:
     if not dec:
         return w.report("entropy-bounds", cfg, note)
     for case, d in enumerate(cfg.dims):
-        for f in dec:
-            top = float(f(1.0 / d))
-            bottom = -float(f(d))
-            mm = DensityMatrix.maximally_mixed(d)
-            w.update(abs(f_entropy(mm, f) - top), cfg.seed)
-            w.update(abs(f_entropy_hat(mm, f) - bottom), cfg.seed)
+        tops = [float(f(1.0 / d)) for f in dec]
+        bottoms = [-float(f(d)) for f in dec]
+        mm = entropy_table([DensityMatrix.maximally_mixed(d)], dec)[0].tolist()
+        for (ent, ent_hat), top, bottom in zip(mm, tops, bottoms):
+            w.update(abs(ent - top), cfg.seed)
+            w.update(abs(ent_hat - bottom), cfg.seed)
         for t in range(cfg.trials_per_case):
             s = _trial_seeds(cfg.seed, case, t)
             rho = _draw_state(d, t, s[0])
             pure = t % 3 == 0
             w.trials += 1
-            for f in dec:
-                top = float(f(1.0 / d))
-                bottom = -float(f(d))
-                ent = f_entropy(rho, f)
-                ent_hat = f_entropy_hat(rho, f)
+            fi = t % len(dec)
+            kind = t % 3
+            if kind == 0:
+                # Concavity on a random two-state mixture.
+                other = random_density(d, 1 + (t // 3) % d, s[1])
+                lam = 0.5 + 0.4 * math.sin(float(t))
+                extra = [other, DensityMatrix(lam * rho.matrix + (1.0 - lam) * other.matrix)]
+            elif kind == 1:
+                # Unitary invariance.
+                u = random_unitary(d, s[2])
+                extra = [DensityMatrix(u @ rho.matrix @ u.conj().T)]
+            else:
+                # Non-decrease under a random unital channel.
+                extra = [random_unital_channel(d, 2 + t % 2, s[3]).apply(rho)]
+            table = entropy_table([rho] + extra, dec).tolist()
+            for (ent, ent_hat), top, bottom in zip(table[0], tops, bottoms):
                 w.update(-ent, s[0])
                 w.update(ent - top, s[0])
                 w.update(-ent_hat, s[0])
@@ -200,28 +212,15 @@ def suite_entropy_bounds(cfg: TrialConfig) -> VerificationReport:
                 if pure:
                     w.update(abs(ent), s[0])
                     w.update(abs(ent_hat), s[0])
-            f = dec[t % len(dec)]
-            kind = t % 3
-            if kind == 0:
-                # Concavity on a random two-state mixture.
-                other = random_density(d, 1 + (t // 3) % d, s[1])
-                lam = 0.5 + 0.4 * math.sin(float(t))
-                mix = DensityMatrix(lam * rho.matrix + (1.0 - lam) * other.matrix)
-                for ent_fn in (f_entropy, f_entropy_hat):
-                    gap = lam * ent_fn(rho, f) + (1.0 - lam) * ent_fn(other, f) - ent_fn(mix, f)
-                    w.update(gap, s[1])
-            elif kind == 1:
-                # Unitary invariance.
-                u = random_unitary(d, s[2])
-                rot = DensityMatrix(u @ rho.matrix @ u.conj().T)
-                w.update(abs(f_entropy(rho, f) - f_entropy(rot, f)), s[2])
-                w.update(abs(f_entropy_hat(rho, f) - f_entropy_hat(rot, f)), s[2])
-            else:
-                # Non-decrease under a random unital channel.
-                ch = random_unital_channel(d, 2 + t % 2, s[3])
-                out = ch.apply(rho)
-                w.update(f_entropy(rho, f) - f_entropy(out, f), s[3])
-                w.update(f_entropy_hat(rho, f) - f_entropy_hat(out, f), s[3])
+            own = table[0][fi]
+            for v in (0, 1):
+                if kind == 0:
+                    other_ent, mix_ent = table[1][fi][v], table[2][fi][v]
+                    w.update(lam * own[v] + (1.0 - lam) * other_ent - mix_ent, s[1])
+                elif kind == 1:
+                    w.update(abs(own[v] - table[1][fi][v]), s[2])
+                else:
+                    w.update(own[v] - table[1][fi][v], s[3])
     return w.report("entropy-bounds", cfg, note)
 
 
@@ -271,10 +270,6 @@ def suite_divergence_oracle(cfg: TrialConfig) -> VerificationReport:
     return w.report("divergence-oracle", cfg)
 
 
-def _coherence_pair(rho: DensityMatrix, f: GeneratorFunction) -> tuple[float, float]:
-    return coherence_f(rho, f).value, coherence_f_hat(rho, f).value
-
-
 def suite_gio_monotonicity(cfg: TrialConfig) -> VerificationReport:
     """Non-selective monotonicity under diagonal channels and the
     equality-iff-saturation classification.
@@ -304,8 +299,9 @@ def suite_gio_monotonicity(cfg: TrialConfig) -> VerificationReport:
         pred = shrink[iu] * weight[iu]
         pred_max = float(pred.max()) if pred.size else 0.0
         pred_sum = float(pred.sum()) if pred.size else 0.0
-        for f in gens:
-            for lhs, rhs in zip(_coherence_pair(rho, f), _coherence_pair(out, f)):
+        before, after = coherence_table([rho, out], gens).tolist()
+        for pair_before, pair_after in zip(before, after):
+            for lhs, rhs in zip(pair_before, pair_after):
                 decrease = lhs - rhs
                 w.update(-decrease, seed)
                 if sat and pred_sum <= 1e-12:
@@ -331,9 +327,36 @@ def suite_gio_monotonicity(cfg: TrialConfig) -> VerificationReport:
     return w.report("gio-monotonicity", cfg)
 
 
+def _outcome_average(outcomes, rows: list, n_gens: int) -> list[list[float]]:
+    """sum_k p_k C(rho_k) per generator and variant from the outcomes'
+    coherence-table rows, a Python sum from 0 in outcome order."""
+    return [
+        [sum(o.probability * row[g][v] for o, row in zip(outcomes, rows)) for v in (0, 1)]
+        for g in range(n_gens)
+    ]
+
+
+def _ensemble_gaps(ch: KrausChannel, rho: DensityMatrix, gens) -> list[list[float]]:
+    """Coherence of rho minus its average over the selective outcomes of
+    ch, per generator and variant, from one table over rho and the
+    outcomes."""
+    outcomes = ch.selective_outcomes(rho)
+    own, *rows = coherence_table([rho] + [o.state for o in outcomes], gens).tolist()
+    average = _outcome_average(outcomes, rows, len(gens))
+    return [[own[g][v] - average[g][v] for v in (0, 1)] for g in range(len(gens))]
+
+
 def ensemble_coherence(ch: KrausChannel, rho: DensityMatrix, f: GeneratorFunction, fun) -> float:
-    """Average coherence over the selective outcomes of one channel."""
-    return sum(o.probability * fun(o.state, f).value for o in ch.selective_outcomes(rho))
+    """Average coherence over the selective outcomes of one channel.
+
+    ``fun`` is coherence_f or coherence_f_hat and picks the variant.
+    """
+    variants = (coherence_f, coherence_f_hat)  # the columns of a coherence table
+    if fun not in variants:
+        raise ValueError(f"fun must be coherence_f or coherence_f_hat, got {fun!r}")
+    outcomes = ch.selective_outcomes(rho)
+    rows = coherence_table([o.state for o in outcomes], [f]).tolist()
+    return _outcome_average(outcomes, rows, 1)[0][variants.index(fun)]
 
 
 def suite_strong_monotonicity(cfg: TrialConfig) -> VerificationReport:
@@ -363,8 +386,7 @@ def suite_strong_monotonicity(cfg: TrialConfig) -> VerificationReport:
             psi = random_pure(d, s[0]).as_density()
             ch = random_gio(d, 1 + t % (d + 1), s[1])
             w.trials += 1
-            for fun in (coherence_f, coherence_f_hat):
-                gap = fun(psi, f).value - ensemble_coherence(ch, psi, f, fun)
+            for gap in _ensemble_gaps(ch, psi, [f])[0]:
                 w.update(-gap, s[0])
             # (b) diagonal-unitary mixtures saturate on any state.
             rho = _draw_state(d, t + 1, s[2])
@@ -373,16 +395,14 @@ def suite_strong_monotonicity(cfg: TrialConfig) -> VerificationReport:
             mix = diagonal_unitary_mixture(
                 rng.dirichlet(np.ones(k)), rng.uniform(0.0, 2.0 * math.pi, size=(k, d))
             )
-            for fun in (coherence_f, coherence_f_hat):
-                gap = fun(rho, f).value - ensemble_coherence(mix, rho, f, fun)
+            for gap in _ensemble_gaps(mix, rho, [f])[0]:
                 w.update(abs(gap), s[2])
             # (c) mixed states under general diagonal representations:
             # scored in dimension <= 2, explored above it.
             mixed = random_density(d, min(d, max(2, 1 + (t + 1) % d)), s[4])
             ch2 = random_gio(d, 1 + (t + 2) % (d + 1), s[5])
-            for g in dec:
-                for fun in (coherence_f, coherence_f_hat):
-                    gap = fun(mixed, g).value - ensemble_coherence(ch2, mixed, g, fun)
+            for gaps in _ensemble_gaps(ch2, mixed, dec):
+                for gap in gaps:
                     if d <= 2:
                         w.update(-gap, s[4])
                     else:
@@ -406,21 +426,18 @@ def suite_faithfulness_and_bounds(cfg: TrialConfig) -> VerificationReport:
         return w.report("faithfulness-bounds", cfg, note)
     per_kind = max(1, cfg.trials_per_case // (2 * max(1, len(cfg.dims))))
     for case, d in enumerate(cfg.dims):
-        for f in dec:
-            mcs = max_coherent_state(d).as_density()
-            w.update(abs(coherence_f(mcs, f).value - float(f(1.0 / d))), cfg.seed)
-            w.update(abs(coherence_f_hat(mcs, f).value + float(f(d))), cfg.seed)
+        plain_max = [float(f(1.0 / d)) for f in dec]
+        hat_max = [-float(f(d)) for f in dec]
+        mcs = coherence_table([max_coherent_state(d).as_density()], dec)[0].tolist()
+        for (plain, hat), top, hat_top in zip(mcs, plain_max, hat_max):
+            w.update(abs(plain - top), cfg.seed)
+            w.update(abs(hat - hat_top), cfg.seed)
         for t in range(per_kind):
             s = _trial_seeds(cfg.seed, 400 + case, t)
             w.trials += 1
             # Incoherent draw: coherence must vanish, distance must vanish.
             rng = np.random.default_rng(s[0])
             diag = DensityMatrix.from_diagonal(rng.dirichlet(np.ones(d)))
-            for f in dec:
-                plain, hat = _coherence_pair(diag, f)
-                w.update(abs(plain), s[0])
-                w.update(abs(hat), s[0])
-            w.update(dephasing_distance(diag), s[0])
             # Coherent draw: rejection-sample until an off-diagonal is large.
             rho = None
             for attempt in range(64):
@@ -429,11 +446,15 @@ def suite_faithfulness_and_bounds(cfg: TrialConfig) -> VerificationReport:
                 if np.abs(off).max() >= 0.1:
                     rho = cand
                     break
+            table = coherence_table([diag] if rho is None else [diag, rho], dec).tolist()
+            for plain, hat in table[0]:
+                w.update(abs(plain), s[0])
+                w.update(abs(hat), s[0])
+            w.update(dephasing_distance(diag), s[0])
             if rho is None:
                 continue
             dist = dephasing_distance(rho)
-            for f in dec:
-                plain, hat = _coherence_pair(rho, f)
+            for (plain, hat), top, hat_top in zip(table[1], plain_max, hat_max):
                 # Faithfulness both ways at the configured tolerance.
                 if (plain <= cfg.tol_violation) != (dist <= cfg.tol_violation):
                     w.update(1.0, s[1])
@@ -441,14 +462,16 @@ def suite_faithfulness_and_bounds(cfg: TrialConfig) -> VerificationReport:
                     w.update(1.0, s[1])
                 w.update(-plain, s[1])
                 w.update(-hat, s[1])
-                w.update(plain - float(f(1.0 / d)), s[1])
-                w.update(hat + float(f(d)), s[1])
+                w.update(plain - top, s[1])
+                w.update(hat - hat_top, s[1])
             # Pure-state coherence equals the dephased state's entropy.
             if t % 3 == 0:
                 psi = random_pure(d, s[2]).as_density()
                 f = dec[t % len(dec)]
-                w.update(abs(coherence_f(psi, f).value - f_entropy(dephase(psi), f)), s[2])
-                w.update(abs(coherence_f_hat(psi, f).value - f_entropy_hat(dephase(psi), f)), s[2])
+                coh = coherence_table([psi], [f])[0, 0].tolist()
+                ent = entropy_table([dephase(psi)], [f])[0, 0].tolist()
+                for v in (0, 1):
+                    w.update(abs(coh[v] - ent[v]), s[2])
     return w.report("faithfulness-bounds", cfg, note)
 
 
@@ -496,29 +519,22 @@ def sio_counterexample_report(f_name: str, d: int, rho: DensityMatrix | None = N
         rho = max_coherent_state(d).as_density()
     if rho.dim != d:
         raise ValueError(f"state dimension {rho.dim} does not match d={d}")
-    from .divergence import f_weighted_sum  # local import to avoid cycle noise
-
     mixed = DensityMatrix.maximally_mixed(d)
     ground = DensityMatrix.from_diagonal([1.0] + [0.0] * (d - 1))
     w_i = rho.tensor(mixed)
     w_0 = rho.tensor(ground)
 
-    lhs_plain = coherence_f(w_i, f).value
-    rhs_plain = coherence_f(w_0, f).value
-    lhs_hat = coherence_f_hat(w_i, f).value
-    rhs_hat = coherence_f_hat(w_0, f).value
+    (lhs_plain, lhs_hat), (rhs_plain, rhs_hat) = coherence_table([w_i, w_0], [f])[:, 0].tolist()
 
-    evals = rho.eigenvalues()
-    diag = rho.diagonal_probabilities()
-    d2 = float(d * d)
-
-    def ident(numerator: float) -> float:
-        return f_weighted_sum(evals, numerator, f) - f_weighted_sum(diag, numerator, f)
-
-    ident_lhs_plain = ident(1.0 / d)       # rho (x) I/d keeps the d-scaled value
-    ident_rhs_plain = ident(1.0 / d2)      # rho (x) ground at dimension d^2
-    ident_lhs_hat = ident(float(d))        # eigenvalues diluted by 1/d
-    ident_rhs_hat = ident(1.0)             # unscaled value survives the ground ancilla
+    numerators = [
+        1.0 / d,         # rho (x) I/d keeps the d-scaled value
+        1.0 / (d * d),   # rho (x) ground at dimension d^2
+        float(d),        # eigenvalues diluted by 1/d
+        1.0,             # unscaled value survives the ground ancilla
+    ]
+    rows = np.array((rho.eigenvalues(), rho.diagonal_probabilities()))
+    sums = f_weighted_sum(rows, np.array(numerators)[:, None], f)
+    ident_lhs_plain, ident_rhs_plain, ident_lhs_hat, ident_rhs_hat = (sums[:, 0] - sums[:, 1]).tolist()
 
     cross = max(
         abs(lhs_plain - ident_lhs_plain),

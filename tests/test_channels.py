@@ -191,6 +191,22 @@ class TestIncoherenceClassifiers:
             assert is_sio(ch), ch.label
             assert not is_gio(ch), ch.label
 
+    def test_is_gio_agrees_with_gio_channel_and_file_loading(self, tmp_path):
+        from fcoherence.io import load_channel, save_channel
+
+        ops = random_gio(3, 2, seed=1).kraus_ops.copy()
+        ops[0, 0, 1] = 5e-11
+        ch = KrausChannel(ops)
+        assert not is_gio(ch)
+        with pytest.raises(NotGio):
+            GioChannel(ops)
+        path = tmp_path / "ch.json"
+        save_channel(ch, str(path))
+        assert type(load_channel(str(path))) is KrausChannel
+        ops[0, 0, 1] = 5e-13
+        assert is_gio(KrausChannel(ops))
+        assert isinstance(GioChannel(ops), GioChannel)
+
     def test_hadamard_is_neither(self):
         ch = hadamard_channel()
         assert not is_sio(ch)

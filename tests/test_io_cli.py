@@ -494,6 +494,13 @@ class TestCliExitCodes:
         assert main(["coherence", path, "--f", "power:2.5"]) == 4
         capsys.readouterr()
 
+    def test_unsupported_limit_is_generator_error(self, tmp_path, capsys):
+        # power:1.5 has no finite weighted tail, so a rank-one state cannot be scored.
+        path = write_state(tmp_path / "pure.json", plus_state())
+        for argv in (["coherence", path], ["entropy", path]):
+            assert main(argv + ["--f", "power:1.5"]) == 4
+            assert "weighted tail" in capsys.readouterr().err
+
     def test_dimension_mismatch(self, tmp_path, capsys):
         a = write_state(tmp_path / "a.json", DensityMatrix.maximally_mixed(2))
         b = write_state(tmp_path / "b.json", DensityMatrix.maximally_mixed(3))

@@ -212,3 +212,27 @@ class TestEigenvalueCache:
         other = random_density(3, 3, seed=23)
         other.eigenvalues()
         assert len(calls) == 2
+
+    def test_one_eigendecomposition_per_state(self, monkeypatch):
+        from fcoherence import quasi_relative_entropy
+        from fcoherence.generators import lookup
+
+        calls = []
+        real = np.linalg.eigh
+
+        def counting(m):
+            calls.append(1)
+            return real(m)
+
+        a, b = random_density(4, 4, seed=24), random_density(4, 4, seed=25)
+        expected = np.linalg.eigh(a.matrix)
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        for spec in ("neg_log", "power:0.5", "tsallis:1.5"):
+            quasi_relative_entropy(a, b, lookup(spec))
+            quasi_relative_entropy(b, a, lookup(spec))
+            quasi_relative_entropy(a, a, lookup(spec))
+        assert len(calls) == 2
+        dec = spectral_decompose(a)
+        assert dec is spectral_decompose(a)
+        np.testing.assert_array_equal(dec.eigenvalues, expected[0][::-1])
+        np.testing.assert_array_equal(dec.eigenvectors, expected[1][:, ::-1])

@@ -222,3 +222,16 @@ def test_verify_stdout_matches_golden_file(tmp_path, capsys):
     assert main(["verify", "--suite", "all", "--seed", "1", "--trials", "10", "--out", str(out)]) == 0
     capsys.readouterr()
     assert out.read_bytes() == GOLDEN.read_bytes()
+
+
+GOLDEN_DIMS_2_6 = Path(__file__).parent / "data" / "verify_all_seed2_trials60_dims2-6.jsonl"
+
+
+def test_verify_stdout_matches_golden_file_dims_2_to_6(tmp_path, capsys):
+    """`fcoherence verify --suite all --seed 2 --trials 60 --dims 2,3,4,5,6`,
+    byte for byte: reaches d = 6 and the d >= 3 exploration branch."""
+    out = tmp_path / "verify.jsonl"
+    argv = ["verify", "--suite", "all", "--seed", "2", "--trials", "60", "--dims", "2,3,4,5,6"]
+    assert main(argv + ["--out", str(out)]) == 0
+    capsys.readouterr()
+    assert out.read_bytes() == GOLDEN_DIMS_2_6.read_bytes()
