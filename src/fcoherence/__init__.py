@@ -14,6 +14,7 @@ from .channels import (
     identity_channel,
     is_gio,
     is_sio,
+    outcome_ensembles,
     petz_recovery,
     random_channel,
     random_gio,
@@ -60,7 +61,6 @@ from .states import (
     random_pure,
     random_unitary,
     spectral_decompose,
-    tensor,
     trace_norm,
     validate_density,
 )

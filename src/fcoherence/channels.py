@@ -17,6 +17,7 @@ diagonal.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,6 +48,7 @@ __all__ = [
     "random_channel",
     "random_unital_channel",
     "max_offdiagonal",
+    "outcome_ensembles",
     "is_gio",
     "is_sio",
     "gio_saturation_check",
@@ -61,12 +63,36 @@ DIAGONAL_TOL = 1e-12
 # 16 d^6 bytes for depolarizing_extension (16 MB at d = 10, 65 GB at
 # d = 40), 16 d^5 bytes for erasure_extension.
 MAX_EXTENSION_DIM = 10
+# Largest stack of d x d matrices outcome_ensembles builds at once. Past
+# about 128 KiB every fresh array costs page faults, which at d = 64
+# outweigh what stacking saves.
+OUTCOME_BLOCK_BYTES = 1 << 16
 
 
 @dataclass(frozen=True)
 class MeasurementOutcome:
     probability: float
     state: DensityMatrix
+
+
+def _kraus_stack(kraus_ops) -> np.ndarray:
+    """Read-only (num_kraus, d, d) complex copy of a Kraus list, checked
+    for shape and finiteness on the whole stack."""
+    ops = kraus_ops if isinstance(kraus_ops, np.ndarray) else list(kraus_ops)
+    if len(ops) == 0:
+        raise ChannelValidationError("a channel needs at least one Kraus operator")
+    try:
+        stack = np.array(ops, dtype=complex)
+    except ValueError:
+        if len({np.shape(k) for k in ops}) > 1:
+            raise DimensionMismatch("Kraus operators must all be square of one size") from None
+        raise
+    if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
+        raise DimensionMismatch(f"Kraus operators must all be square of one size, got {stack.shape[1:]}")
+    if not np.isfinite(stack).all():
+        raise ChannelValidationError("Kraus operator contains non-finite entries")
+    stack.setflags(write=False)
+    return stack
 
 
 class KrausChannel:
@@ -79,25 +105,15 @@ class KrausChannel:
     """
 
     def __init__(self, kraus_ops, label: str | None = None, *, require_trace_preserving: bool = True):
-        ops = [np.asarray(k, dtype=complex) for k in kraus_ops]
-        if not ops:
-            raise ChannelValidationError("a channel needs at least one Kraus operator")
-        d = ops[0].shape[0] if ops[0].ndim == 2 else 0
-        for k in ops:
-            if k.ndim != 2 or k.shape != (d, d):
-                raise DimensionMismatch(f"Kraus operators must all be square of one size, got {k.shape}")
-            if not np.all(np.isfinite(k.real)) or not np.all(np.isfinite(k.imag)):
-                raise ChannelValidationError("Kraus operator contains non-finite entries")
-        stack = np.stack(ops)
-        stack.setflags(write=False)
-        self._ops = stack
+        self._ops = _kraus_stack(kraus_ops)
         self.label = label
         if require_trace_preserving:
-            defect = self.completeness_defect()
-            if defect > COMPLETENESS_TOL:
-                raise ChannelValidationError(
-                    f"sum K*K deviates from identity by {defect:.3e} (Frobenius)"
-                )
+            self._check_complete()
+
+    def _check_complete(self) -> None:
+        defect = self.completeness_defect()
+        if defect > COMPLETENESS_TOL:
+            raise ChannelValidationError(f"sum K*K deviates from identity by {defect:.3e} (Frobenius)")
 
     @property
     def dim(self) -> int:
@@ -112,12 +128,16 @@ class KrausChannel:
         """Read-only stack of shape (num_kraus, dim, dim)."""
         return self._ops
 
+    def _kraus_slice(self, start: int, stop: int) -> np.ndarray:
+        return self._ops[start:stop]
+
     def completeness_defect(self) -> float:
         s = np.einsum("kij,kil->jl", self._ops.conj(), self._ops)
         return float(np.linalg.norm(s - np.eye(self.dim), "fro"))
 
     def is_unital(self, tol: float = COMPLETENESS_TOL) -> bool:
-        s = np.einsum("kij,klj->il", self._ops, self._ops.conj())
+        ops = self.kraus_ops
+        s = np.einsum("kij,klj->il", ops, ops.conj())
         return bool(np.linalg.norm(s - np.eye(self.dim), "fro") <= tol)
 
     def _operand(self, m) -> np.ndarray:
@@ -133,30 +153,70 @@ class KrausChannel:
 
     def apply(self, rho: DensityMatrix) -> DensityMatrix:
         """Apply to a state and revalidate the output."""
-        if rho.dim != self.dim:
-            raise DimensionMismatch(f"state dimension {rho.dim} does not match channel dimension {self.dim}")
+        _check_pair(self, rho)
         return validate_density(self.apply_matrix(rho.matrix))
 
     def dual(self) -> "KrausChannel":
         """Adjoint map with Kraus operators K*; unital iff this channel is trace preserving."""
         return KrausChannel(
-            [k.conj().T for k in self._ops],
+            self.kraus_ops.conj().transpose(0, 2, 1),
             label=None if self.label is None else f"dual({self.label})",
             require_trace_preserving=False,
         )
 
     def selective_outcomes(self, rho: DensityMatrix) -> list[MeasurementOutcome]:
         """Per-Kraus outcome list (p_k, K rho K*/p_k), zero-probability outcomes dropped."""
-        if rho.dim != self.dim:
-            raise DimensionMismatch(f"state dimension {rho.dim} does not match channel dimension {self.dim}")
-        outcomes = []
-        for k in self._ops:
-            e = k @ rho.matrix @ k.conj().T
-            p = float(np.real(np.trace(e)))
-            if p <= EPS_ZERO:
-                continue
-            outcomes.append(MeasurementOutcome(p, validate_density(e / p)))
-        return outcomes
+        return outcome_ensembles([self], [rho])[0]
+
+
+def _check_pair(ch: KrausChannel, rho: DensityMatrix) -> None:
+    if rho.dim != ch.dim:
+        raise DimensionMismatch(f"state dimension {rho.dim} does not match channel dimension {ch.dim}")
+
+
+def outcome_ensembles(channels, states) -> list[list[MeasurementOutcome]]:
+    """Selective outcomes of every (channel, state) pair, all of one dimension.
+
+    The K rho K* of all pairs are computed as one concatenated stacked
+    product, and the outcome states validated as one stack, in blocks of
+    at most OUTCOME_BLOCK_BYTES, so each outcome equals, byte for byte,
+    what selective_outcomes gives for its pair alone.
+    """
+    channels, states = list(channels), list(states)
+    if len(channels) != len(states):
+        raise DimensionMismatch(f"need one state per channel, got {len(states)} for {len(channels)}")
+    if not channels:
+        return []
+    for ch, rho in zip(channels, states):
+        _check_pair(ch, rho)
+    if len({rho.dim for rho in states}) > 1:
+        raise DimensionMismatch("outcome ensembles need pairs of one dimension")
+    counts = [ch.num_kraus for ch in channels]
+    begin = np.cumsum([0] + counts).tolist()
+    owner = np.repeat(np.arange(len(states)), counts)
+    probs, outcome_states = [], []
+    step = max(1, OUTCOME_BLOCK_BYTES // (16 * states[0].dim ** 2))
+    for start in range(0, begin[-1], step):
+        stop = min(start + step, begin[-1])
+        pairs = range(owner[start], owner[stop - 1] + 1)
+        pieces = [
+            channels[i]._kraus_slice(max(start, begin[i]) - begin[i], min(stop, begin[i + 1]) - begin[i])
+            for i in pairs
+        ]
+        # A block of one pair takes its operands as they are, uncopied.
+        k = pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
+        r = states[pairs[0]].matrix if len(pairs) == 1 else np.array([states[i].matrix for i in owner[start:stop]])
+        blocks = k @ r @ k.conj().transpose(0, 2, 1)
+        p = np.trace(blocks, axis1=1, axis2=2).real
+        kept = p > EPS_ZERO
+        probs += p.tolist()
+        if kept.any():
+            outcome_states += validate_density((blocks if kept.all() else blocks[kept]) / p[kept, None, None])
+    outcome_states = iter(outcome_states)
+    return [
+        [MeasurementOutcome(p, next(outcome_states)) for p in probs[begin[i] : begin[i + 1]] if p > EPS_ZERO]
+        for i in range(len(channels))
+    ]
 
 
 def max_offdiagonal(kraus_ops: np.ndarray) -> float:
@@ -173,28 +233,81 @@ def max_offdiagonal(kraus_ops: np.ndarray) -> float:
 class GioChannel(KrausChannel):
     """A channel whose Kraus operators are all diagonal.
 
-    Column n of the coefficient table holds the n-th diagonal entry of
-    every Kraus operator; completeness makes each column a unit vector,
-    so every incoherent state is a fixed point.
+    Stored as its (num_kraus, dim) coefficient table, whose row j is the
+    diagonal of Kraus operator j and whose column n is the action on
+    |n><n|, together with the correlation matrix C = coeffs^T conj(coeffs)
+    that the channel multiplies entrywise. Completeness makes each column
+    a unit vector, so every incoherent state is a fixed point. The dense
+    Kraus stack is derived on request.
     """
 
     def __init__(self, kraus_ops, label: str | None = None):
-        super().__init__(kraus_ops, label=label)
-        offdiag = max_offdiagonal(self.kraus_ops)
+        ops = _kraus_stack(kraus_ops)
+        offdiag = max_offdiagonal(ops)
         if offdiag > DIAGONAL_TOL:
             raise NotGio(f"Kraus operator has off-diagonal entry of modulus {offdiag:.3e}")
-        coeffs = np.stack([np.diagonal(k).copy() for k in self.kraus_ops])
+        self._set_table(np.diagonal(ops, axis1=1, axis2=2).copy(), label)
+
+    @classmethod
+    def from_coefficients(cls, coefficients, label: str | None = None) -> "GioChannel":
+        """Channel with Kraus operators diag(coefficients[j]), from a
+        (num_kraus, dim) table."""
+        ch = cls.__new__(cls)
+        ch._set_table(np.array(coefficients, dtype=complex), label)
+        return ch
+
+    def _set_table(self, coeffs: np.ndarray, label: str | None) -> None:
+        if coeffs.ndim != 2 or coeffs.size == 0:
+            raise DimensionMismatch(f"coefficient table must be a non-empty matrix, got shape {coeffs.shape}")
+        if not np.isfinite(coeffs).all():
+            raise ChannelValidationError("coefficient table contains non-finite entries")
         coeffs.setflags(write=False)
         self._coeffs = coeffs
+        self.label = label
+        self._check_complete()
+        corr = coeffs.T @ coeffs.conj()
+        corr.setflags(write=False)
+        self._corr = corr
+
+    @property
+    def dim(self) -> int:
+        return self._coeffs.shape[1]
+
+    @property
+    def num_kraus(self) -> int:
+        return self._coeffs.shape[0]
 
     @property
     def coefficients(self) -> np.ndarray:
         """Table of shape (num_kraus, dim); column n is the action on |n><n|."""
         return self._coeffs
 
+    @property
+    def correlation(self) -> np.ndarray:
+        """C = coeffs^T conj(coeffs), C_nm = sum_j k_jn conj(k_jm); the channel maps m to C o m."""
+        return self._corr
+
+    @property
+    def kraus_ops(self) -> np.ndarray:
+        """Read-only stack of shape (num_kraus, dim, dim), built from the coefficients on each call."""
+        return self._kraus_slice(0, self.num_kraus)
+
+    def _kraus_slice(self, start: int, stop: int) -> np.ndarray:
+        rows = self._coeffs[start:stop]
+        ops = np.zeros((len(rows), self.dim, self.dim), dtype=complex)
+        idx = np.arange(self.dim)
+        ops[:, idx, idx] = rows
+        ops.setflags(write=False)
+        return ops
+
+    def completeness_defect(self) -> float:
+        """Frobenius distance of sum K*K = diag(column norms squared) from the identity."""
+        c = self._coeffs
+        return float(np.linalg.norm((c.real**2 + c.imag**2).sum(axis=0) - 1.0))
+
     def apply_matrix(self, m: np.ndarray) -> np.ndarray:
-        """Schur product C o m with C = coeffs^T conj(coeffs), C_nm = sum_j k_jn conj(k_jm)."""
-        return (self._coeffs.T @ self._coeffs.conj()) * self._operand(m)
+        """Schur product C o m."""
+        return self._corr * self._operand(m)
 
 
 def identity_channel(dim: int) -> KrausChannel:
@@ -203,10 +316,7 @@ def identity_channel(dim: int) -> KrausChannel:
 
 def dephasing_channel(dim: int) -> GioChannel:
     """Kraus list {|n><n|}; the channel that removes all off-diagonals."""
-    ops = [np.zeros((dim, dim), dtype=complex) for _ in range(dim)]
-    for n in range(dim):
-        ops[n][n, n] = 1.0
-    return GioChannel(ops, label="dephase")
+    return GioChannel.from_coefficients(np.eye(dim), label="dephase")
 
 
 def _check_extension_dim(dim: int) -> None:
@@ -265,8 +375,8 @@ def diagonal_unitary_mixture(weights, phase_table) -> GioChannel:
         raise BadWeights(f"weights must be strictly positive, smallest is {w.min():.3e}")
     if abs(w.sum() - 1.0) > 1e-10:
         raise BadWeights(f"weights sum to {w.sum()!r}, expected 1")
-    ops = [np.sqrt(wj) * np.diag(np.exp(1j * row)) for wj, row in zip(w, phases)]
-    return GioChannel(ops, label="diagonal-unitary-mixture")
+    coeffs = np.sqrt(w)[:, None] * np.exp(1j * phases)
+    return GioChannel.from_coefficients(coeffs, label="diagonal-unitary-mixture")
 
 
 def random_gio(dim: int, num_kraus: int, seed: int) -> GioChannel:
@@ -274,12 +384,15 @@ def random_gio(dim: int, num_kraus: int, seed: int) -> GioChannel:
     coefficient vector across the Kraus operators."""
     if dim < 1 or num_kraus < 1:
         raise DimensionMismatch(f"need positive dimension and Kraus count, got {dim}, {num_kraus}")
-    rng = np.random.default_rng(seed)
-    coeffs = np.empty((num_kraus, dim), dtype=complex)
-    for n in range(dim):
-        v = rng.standard_normal(num_kraus) + 1j * rng.standard_normal(num_kraus)
-        coeffs[:, n] = v / np.linalg.norm(v)
-    return GioChannel([np.diag(coeffs[j]) for j in range(num_kraus)], label=f"random-gio:{dim}")
+    # One block, drawn in the order of a column-by-column loop.
+    z = np.random.default_rng(seed).standard_normal((dim, 2, num_kraus))
+    v = z[:, 0] + 1j * z[:, 1]
+    # np.linalg.norm of one complex vector is the root of two BLAS dots
+    # over its strided real and imaginary views; the stacked row-by-column
+    # products on the same views run the same dots.
+    re, im = v.real, v.imag
+    norms = np.sqrt(re[:, None, :] @ re[:, :, None] + im[:, None, :] @ im[:, :, None])[:, 0]
+    return GioChannel.from_coefficients((v / norms).T, label=f"random-gio:{dim}")
 
 
 def random_channel(dim: int, num_kraus: int, seed: int) -> KrausChannel:
@@ -321,20 +434,28 @@ def is_gio(ch: KrausChannel) -> bool:
 
 def is_sio(ch: KrausChannel, tol: float = 1e-10) -> bool:
     """True when K_j Delta(X) K_j* = Delta(K_j X K_j*) for every Kraus
-    operator and every matrix unit X = |n><m|."""
-    d = ch.dim
-    for k in ch.kraus_ops:
-        for n in range(d):
-            for m in range(d):
-                rhs_diag = k[:, n] * k[:, m].conj()  # diagonal of K|n><m|K*
-                if n == m:
-                    lhs = np.outer(k[:, n], k[:, n].conj())
-                    defect = np.abs(lhs - np.diag(rhs_diag)).max()
-                else:
-                    defect = np.abs(rhs_diag).max()
-                if float(defect) > tol:
-                    return False
-    return True
+    operator and every matrix unit X = |n><m|.
+
+    For X = |n><m| with n != m the defect is max_i |k_in k_im|, and for
+    n = m it is max_{i != l} |k_in k_ln|: the product of the two largest
+    moduli in a row, or in a column, of K_j.
+    """
+    if ch.dim < 2:
+        return True
+    mod = np.abs(ch.kraus_ops)
+    rows = np.sort(mod, axis=2)[:, :, -2:]
+    cols = np.sort(mod, axis=1)[:, -2:, :]
+    worst = max((rows[..., 0] * rows[..., 1]).max(), (cols[:, 0] * cols[:, 1]).max())
+    return bool(worst <= tol)
+
+
+@functools.lru_cache(maxsize=64)
+def _upper_pairs(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only index arrays of the pairs n < m, in row-major order."""
+    rows, cols = np.triu_indices(dim, 1)
+    rows.setflags(write=False)
+    cols.setflags(write=False)
+    return rows, cols
 
 
 @dataclass(frozen=True)
@@ -368,27 +489,21 @@ def gio_saturation_check(ch: KrausChannel, rho: DensityMatrix, tol: float = 1e-6
     else:
         if not is_gio(ch):
             raise NotGio("saturation check needs a channel with diagonal Kraus operators")
-        coeffs = np.stack([np.diagonal(k) for k in ch.kraus_ops])
+        coeffs = np.diagonal(ch.kraus_ops, axis1=1, axis2=2)
     gram = coeffs.conj().T @ coeffs  # gram[n, m] = <k_n, k_m>
-    overlap_sq = np.abs(gram) ** 2
-
-    worst_pair = None
-    worst_value = 1.0
-    d = rho.dim
-    for n in range(d):
-        for m in range(n + 1, d):
-            if abs(rho.matrix[n, m]) <= tol:
-                continue
-            if overlap_sq[n, m] < worst_value:
-                worst_value = float(overlap_sq[n, m])
-                worst_pair = (n, m)
-    if worst_pair is None:
+    # The first smallest overlap below 1 among the coupled pairs is the worst.
+    rows, cols = _upper_pairs(rho.dim)
+    coupled = np.abs(rho.matrix[rows, cols]) > tol
+    overlap_sq = np.abs(gram[rows, cols][coupled]) ** 2
+    worst = int(np.argmin(overlap_sq)) if overlap_sq.size else -1
+    if worst < 0 or not overlap_sq[worst] < 1.0:
         return SaturationReport(True, None, 1.0, 0.0)
-    n, m = worst_pair
+    n, m = int(rows[coupled][worst]), int(cols[coupled][worst])
+    worst_value = float(overlap_sq[worst])
     # ||k_n - <k_m, k_n> k_m|| measures failure of k_n = alpha k_m.
     residual = coeffs[:, n] - gram[m, n] * coeffs[:, m]
     defect = float(np.linalg.norm(residual))
-    return SaturationReport(worst_value >= 1.0 - tol, worst_pair, worst_value, defect)
+    return SaturationReport(worst_value >= 1.0 - tol, (n, m), worst_value, defect)
 
 
 class PetzRecoveryMap:

@@ -137,18 +137,12 @@ def cmd_channel(args) -> int:
 
 def _parse_dims(raw: str) -> tuple[int, ...]:
     try:
-        dims = tuple(int(part) for part in raw.split(","))
+        return tuple(int(part) for part in raw.split(","))
     except ValueError:
         raise FileFormatError(f"--dims must be comma-separated integers, got {raw!r}") from None
-    if not dims or any(d < 1 for d in dims):
-        raise FileFormatError(f"--dims entries must be positive, got {raw!r}")
-    return dims
 
 
 def cmd_verify(args) -> int:
-    if args.trials is not None and args.trials < 1:
-        _diag("--trials must be at least 1")
-        return EXIT_INPUT
     kwargs = {}
     if args.dims:
         kwargs["dims"] = _parse_dims(args.dims)
@@ -161,7 +155,11 @@ def cmd_verify(args) -> int:
             return EXIT_INPUT
         kwargs["f_list"] = f_list
     seed = args.seed if args.seed is not None else _default_seed()
-    cfg = TrialConfig(seed=seed, **kwargs)
+    try:
+        cfg = TrialConfig(seed=seed, **kwargs)
+    except ValueError as exc:  # dims, trials or tolerance out of range
+        _diag(str(exc))
+        return EXIT_INPUT
     names = list(SUITES) if args.suite == "all" else [args.suite]
     lines = []
     ok = True

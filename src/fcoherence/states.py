@@ -35,7 +35,6 @@ __all__ = [
     "spectral_decompose",
     "spectra",
     "trace_norm",
-    "tensor",
     "random_pure",
     "random_density",
     "random_unitary",
@@ -55,9 +54,10 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _as_square(matrix, what: str = "matrix") -> np.ndarray:
+def _as_square(matrix, what: str = "matrix", ndim: int = 2) -> np.ndarray:
+    """Complex array of ``ndim`` axes whose last two are square, all finite."""
     m = np.asarray(matrix, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim != ndim or m.shape[-1] != m.shape[-2]:
         raise DimensionMismatch(f"{what} must be square, got shape {m.shape}")
     if not np.isfinite(m).all():
         raise StateValidationError(f"{what} contains non-finite entries")
@@ -191,31 +191,52 @@ def validate_density(
     tol_herm: float = TOL_HERM,
     tol_trace: float = TOL_TRACE,
     tol_psd: float = TOL_PSD,
-) -> DensityMatrix:
+) -> DensityMatrix | list[DensityMatrix]:
     """Check matrix against the density-matrix invariants and clean it up.
 
     Raises NotHermitian, TraceNotOne or NotPositive (naming the worst
     offending magnitude) when the defect exceeds its tolerance. Within
     tolerance, eigenvalues are clipped to [0, 1] and renormalized so the
     returned state is exactly usable downstream.
+
+    A (d, d) matrix gives one DensityMatrix. An (n, d, d) stack gives a
+    list of n, checked together with one stacked eigh; each equals, byte
+    for byte, the state its matrix gives alone. A stack is checked for
+    hermiticity, then trace, then positivity, and raises the error of
+    the first matrix that fails the first failing check, so a stack with
+    one bad matrix raises what that matrix raises alone.
     """
-    m = _as_square(matrix, "density matrix")
-    herm_defect = float(np.abs(m - m.conj().T).max())
-    if herm_defect > tol_herm:
-        raise NotHermitian(f"hermiticity defect {herm_defect:.3e} exceeds {tol_herm:.1e}")
-    trace_defect = abs(complex(np.trace(m)) - 1.0)
-    if trace_defect > tol_trace:
-        raise TraceNotOne(f"trace defect {trace_defect:.3e} exceeds {tol_trace:.1e}")
-    h = (m + m.conj().T) / 2.0
+    m = np.asarray(matrix, dtype=complex)
+    m = _as_square(m, "density matrix", 3 if m.ndim == 3 else 2)
+    adjoint = m.conj().swapaxes(-1, -2)
+    asymmetry = np.abs(m - adjoint)
+    if asymmetry.max() > tol_herm:
+        defect = _first_above(asymmetry.max(axis=(-2, -1)), tol_herm)
+        raise NotHermitian(f"hermiticity defect {defect:.3e} exceeds {tol_herm:.1e}")
+    trace_defect = abs(m.trace(axis1=-2, axis2=-1) - 1.0)
+    if (trace_defect > tol_trace).any():
+        defect = _first_above(trace_defect, tol_trace)
+        raise TraceNotOne(f"trace defect {defect:.3e} exceeds {tol_trace:.1e}")
+    h = (m + adjoint) / 2.0
     try:
         vals, vecs = np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(str(exc)) from exc
     if vals.min() < -tol_psd:
-        raise NotPositive(f"most negative eigenvalue {vals.min():.3e} exceeds {tol_psd:.1e}")
+        lowest = -_first_above(-vals.min(axis=-1), tol_psd)
+        raise NotPositive(f"most negative eigenvalue {lowest:.3e} exceeds {tol_psd:.1e}")
     clipped = np.clip(vals, 0.0, 1.0)
-    clipped /= clipped.sum()
-    return DensityMatrix((vecs * clipped) @ vecs.conj().T)
+    clipped /= clipped.sum(axis=-1, keepdims=True)
+    cleaned = (vecs * clipped[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
+    if cleaned.ndim == 2:
+        return DensityMatrix(cleaned)
+    return [DensityMatrix(c) for c in cleaned]
+
+
+def _first_above(defects, tol: float) -> float:
+    """The first of the per-matrix defects (0-d for one matrix) above tol."""
+    defects = np.atleast_1d(defects)
+    return defects[defects > tol][0]
 
 
 def spectral_decompose(rho: DensityMatrix) -> SpectralDecomposition:
@@ -257,11 +278,6 @@ def trace_norm(matrix) -> float:
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(str(exc)) from exc
     return float(s.sum())
-
-
-def tensor(a, b) -> np.ndarray:
-    """Kronecker product of two matrices."""
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
 
 
 def random_pure(dim: int, seed: int) -> PureState:

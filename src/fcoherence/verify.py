@@ -6,11 +6,18 @@ together with the seed that produced it. A suite passes when the worst
 violation stays at or below the configured tolerance. All randomness is
 derived from (master seed, case index, trial index), so a rerun with the
 same configuration reproduces the report byte for byte.
+
+The entropy, GIO and strong-monotonicity suites run case-batched: they
+draw a chunk of trials first, each from its own seeds, then validate,
+apply and score the chunk as stacks, and reduce the checks in trial
+order. Every stacked step gives each matrix the bytes it would get
+alone, so the reports equal those of a trial-by-trial run.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +27,7 @@ from .channels import (
     KrausChannel,
     diagonal_unitary_mixture,
     gio_saturation_check,
+    outcome_ensembles,
     random_gio,
     random_channel,
     random_unital_channel,
@@ -39,10 +47,12 @@ from .divergence import (
     quasi_relative_entropy,
 )
 from .generators import GeneratorFunction, lookup
-from .states import DensityMatrix, random_density, random_pure, random_unitary
+from .states import DensityMatrix, random_density, random_pure, random_unitary, validate_density
 
 __all__ = [
     "DEFAULT_F_SPECS",
+    "MAX_DIM",
+    "STACK_BYTES",
     "TrialConfig",
     "VerificationReport",
     "SioCounterexampleReport",
@@ -64,6 +74,14 @@ DEFAULT_F_SPECS = ("neg_log", "power:0.5", "power:1.5", "tsallis:0.5", "tsallis:
 EQUALITY_TOL = 1e-8
 # Off-diagonal and overlap threshold fed to the saturation predicate.
 SATURATION_TOL = 1e-6
+# Largest dimension a suite accepts. A strong-monotonicity trial builds
+# up to d + 2 selective outcomes of 16 d^2 bytes each, 4.3 MB at d = 64,
+# so one trial always fits in STACK_BYTES.
+MAX_DIM = 64
+# Byte budget of one stack of d x d complex matrices in a case-batched
+# suite. A case runs in chunks of consecutive trials sized to it, so
+# memory does not grow with trials_per_case.
+STACK_BYTES = 1 << 23
 
 
 @dataclass(frozen=True)
@@ -77,16 +95,20 @@ class TrialConfig:
     tol_violation: float = 1e-9
 
     def __post_init__(self) -> None:
-        if not self.dims or any(d < 1 for d in self.dims):
-            raise ValueError(f"dims must be positive, got {self.dims}")
-        if self.trials_per_case < 1:
-            raise ValueError(f"trials_per_case must be at least 1, got {self.trials_per_case}")
-        if not self.tol_violation > 0:
-            raise ValueError(f"tol_violation must be positive, got {self.tol_violation}")
+        if not self.dims or not all(_is_int(d) and 1 <= d <= MAX_DIM for d in self.dims):
+            raise ValueError(f"dims must be integers in [1, {MAX_DIM}], got {self.dims}")
+        if not _is_int(self.trials_per_case) or self.trials_per_case < 1:
+            raise ValueError(f"trials_per_case must be an integer of at least 1, got {self.trials_per_case!r}")
+        if isinstance(self.tol_violation, bool) or not 0.0 < self.tol_violation < math.inf:
+            raise ValueError(f"tol_violation must be positive and finite, got {self.tol_violation!r}")
         if not self.f_list:
             raise ValueError("f_list must name at least one generator")
         for spec in self.f_list:
             lookup(spec)  # fail fast on unknown generators
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
 
 
 @dataclass(frozen=True)
@@ -141,6 +163,13 @@ def _trial_seeds(master: int, case: int, trial: int, n: int = 6) -> list[int]:
     return [int(x) for x in state]
 
 
+def _chunks(trials: int, d: int, per_trial: int):
+    """Consecutive ranges of trials, at least one each, whose stacks of
+    per_trial d x d complex matrices per trial fit in STACK_BYTES."""
+    size = max(1, STACK_BYTES // (16 * d * d * per_trial))
+    return (range(start, min(start + size, trials)) for start in range(0, trials, size))
+
+
 def _resolve(cfg: TrialConfig) -> tuple[list[GeneratorFunction], list[GeneratorFunction], str]:
     """Split the configured generators into all and monotone-decreasing."""
     fs = [lookup(s) for s in cfg.f_list]
@@ -184,43 +213,57 @@ def suite_entropy_bounds(cfg: TrialConfig) -> VerificationReport:
         for (ent, ent_hat), top, bottom in zip(mm, tops, bottoms):
             w.update(abs(ent - top), cfg.seed)
             w.update(abs(ent_hat - bottom), cfg.seed)
-        for t in range(cfg.trials_per_case):
-            s = _trial_seeds(cfg.seed, case, t)
-            rho = _draw_state(d, t, s[0])
-            pure = t % 3 == 0
-            w.trials += 1
-            fi = t % len(dec)
-            kind = t % 3
-            if kind == 0:
-                # Concavity on a random two-state mixture.
-                other = random_density(d, 1 + (t // 3) % d, s[1])
-                lam = 0.5 + 0.4 * math.sin(float(t))
-                extra = [other, DensityMatrix(lam * rho.matrix + (1.0 - lam) * other.matrix)]
-            elif kind == 1:
-                # Unitary invariance.
-                u = random_unitary(d, s[2])
-                extra = [DensityMatrix(u @ rho.matrix @ u.conj().T)]
-            else:
-                # Non-decrease under a random unital channel.
-                extra = [random_unital_channel(d, 2 + t % 2, s[3]).apply(rho)]
-            table = entropy_table([rho] + extra, dec).tolist()
-            for (ent, ent_hat), top, bottom in zip(table[0], tops, bottoms):
-                w.update(-ent, s[0])
-                w.update(ent - top, s[0])
-                w.update(-ent_hat, s[0])
-                w.update(ent_hat - bottom, s[0])
-                if pure:
-                    w.update(abs(ent), s[0])
-                    w.update(abs(ent_hat), s[0])
-            own = table[0][fi]
-            for v in (0, 1):
-                if kind == 0:
-                    other_ent, mix_ent = table[1][fi][v], table[2][fi][v]
-                    w.update(lam * own[v] + (1.0 - lam) * other_ent - mix_ent, s[1])
-                elif kind == 1:
-                    w.update(abs(own[v] - table[1][fi][v]), s[2])
+        # A trial scores at most three states.
+        for chunk in _chunks(cfg.trials_per_case, d, 3):
+            drawn = []
+            unital = []  # unital-channel outputs, validated as one stack
+            for t in chunk:
+                s = _trial_seeds(cfg.seed, case, t)
+                rho = _draw_state(d, t, s[0])
+                lam = 0.0
+                if t % 3 == 0:
+                    # Concavity on a random two-state mixture.
+                    other = random_density(d, 1 + (t // 3) % d, s[1])
+                    lam = 0.5 + 0.4 * math.sin(float(t))
+                    extra = [other, DensityMatrix(lam * rho.matrix + (1.0 - lam) * other.matrix)]
+                elif t % 3 == 1:
+                    # Unitary invariance.
+                    u = random_unitary(d, s[2])
+                    extra = [DensityMatrix(u @ rho.matrix @ u.conj().T)]
                 else:
-                    w.update(own[v] - table[1][fi][v], s[3])
+                    # Non-decrease under a random unital channel.
+                    unital.append(random_unital_channel(d, 2 + t % 2, s[3]).apply_matrix(rho.matrix))
+                    extra = []
+                drawn.append((t, s, rho, lam, extra))
+            outputs = iter(validate_density(np.array(unital)) if unital else ())
+            states = []
+            for t, _, rho, _, extra in drawn:
+                if t % 3 == 2:
+                    extra.append(next(outputs))
+                states += [rho] + extra
+            rows = iter(entropy_table(states, dec).tolist())
+            for t, s, _, lam, extra in drawn:
+                own_row = next(rows)
+                extra_rows = [next(rows) for _ in extra]
+                w.trials += 1
+                for (ent, ent_hat), top, bottom in zip(own_row, tops, bottoms):
+                    w.update(-ent, s[0])
+                    w.update(ent - top, s[0])
+                    w.update(-ent_hat, s[0])
+                    w.update(ent_hat - bottom, s[0])
+                    if t % 3 == 0:  # pure
+                        w.update(abs(ent), s[0])
+                        w.update(abs(ent_hat), s[0])
+                fi = t % len(dec)
+                own = own_row[fi]
+                for v in (0, 1):
+                    if t % 3 == 0:
+                        other_ent, mix_ent = extra_rows[0][fi][v], extra_rows[1][fi][v]
+                        w.update(lam * own[v] + (1.0 - lam) * other_ent - mix_ent, s[1])
+                    elif t % 3 == 1:
+                        w.update(abs(own[v] - extra_rows[0][fi][v]), s[2])
+                    else:
+                        w.update(own[v] - extra_rows[0][fi][v], s[3])
     return w.report("entropy-bounds", cfg, note)
 
 
@@ -288,62 +331,85 @@ def suite_gio_monotonicity(cfg: TrialConfig) -> VerificationReport:
     """
     fs, dec, _ = _resolve(cfg)
     w = _Worst()
-
-    def check(rho: DensityMatrix, ch: GioChannel, gens, seed: int) -> None:
-        out = ch.apply(rho)
-        sat = gio_saturation_check(ch, rho, SATURATION_TOL).saturates
-        gram = ch.coefficients.conj().T @ ch.coefficients
-        shrink = 1.0 - np.abs(gram) ** 2
-        weight = np.abs(rho.matrix) ** 2
-        iu = np.triu_indices(rho.dim, 1)
-        pred = shrink[iu] * weight[iu]
-        pred_max = float(pred.max()) if pred.size else 0.0
-        pred_sum = float(pred.sum()) if pred.size else 0.0
-        before, after = coherence_table([rho, out], gens).tolist()
-        for pair_before, pair_after in zip(before, after):
-            for lhs, rhs in zip(pair_before, pair_after):
-                decrease = lhs - rhs
-                w.update(-decrease, seed)
-                if sat and pred_sum <= 1e-12:
-                    w.update(abs(decrease) - EQUALITY_TOL, seed)
-                elif not sat and pred_max >= 1e-7:
-                    w.update(EQUALITY_TOL - decrease, seed)
-
     for case, d in enumerate(cfg.dims):
-        for t in range(cfg.trials_per_case):
-            s = _trial_seeds(cfg.seed, 200 + case, t)
-            if t % 5 == 4:
-                rng = np.random.default_rng(s[1])
-                k = 2 + t % d
-                ch: GioChannel = diagonal_unitary_mixture(
-                    rng.dirichlet(np.ones(k)), rng.uniform(0.0, 2.0 * math.pi, size=(k, d))
-                )
-            else:
-                ch = random_gio(d, 1 + t % (d + 1), s[1])
-            w.trials += 1
-            check(_draw_conditioned(d, s[0]), ch, fs, s[0])
-            if t % 3 == 0:
-                check(_draw_state(d, t // 3, s[2]), ch, dec, s[2])
+        # A trial checks at most two states: their matrices, correlation
+        # matrices and outputs.
+        for chunk in _chunks(cfg.trials_per_case, d, 6):
+            checks = []  # (state, channel, seed, generators)
+            for t in chunk:
+                s = _trial_seeds(cfg.seed, 200 + case, t)
+                if t % 5 == 4:
+                    rng = np.random.default_rng(s[1])
+                    k = 2 + t % d
+                    ch: GioChannel = diagonal_unitary_mixture(
+                        rng.dirichlet(np.ones(k)), rng.uniform(0.0, 2.0 * math.pi, size=(k, d))
+                    )
+                else:
+                    ch = random_gio(d, 1 + t % (d + 1), s[1])
+                w.trials += 1
+                checks.append((_draw_conditioned(d, s[0]), ch, s[0], fs))
+                if t % 3 == 0:
+                    checks.append((_draw_state(d, t // 3, s[2]), ch, s[2], dec))
+            rhos = np.array([rho.matrix for rho, _, _, _ in checks])
+            outputs = validate_density(np.array([ch.correlation for _, ch, _, _ in checks]) * rhos)
+            # Quadratic proxy for the expected decrease, summed over the
+            # pairs n < m in row-major order.
+            rows, cols = np.triu_indices(d, 1)
+            grams = np.array([ch.coefficients.conj().T @ ch.coefficients for _, ch, _, _ in checks])
+            pred = (1.0 - np.abs(grams[:, rows, cols]) ** 2) * np.abs(rhos[:, rows, cols]) ** 2
+            pred_max = pred.max(axis=1).tolist() if d > 1 else [0.0] * len(checks)
+            pred_sum = pred.sum(axis=1).tolist()
+            scores = [None] * len(checks)  # (before, after) table rows
+            for gens in (fs, dec):
+                group = [i for i, c in enumerate(checks) if c[3] is gens]
+                if group and gens:
+                    states = [checks[i][0] for i in group] + [outputs[i] for i in group]
+                    table = coherence_table(states, gens).tolist()
+                    for j, i in enumerate(group):
+                        scores[i] = (table[j], table[len(group) + j])
+            for (rho, ch, seed, _), score, top, total in zip(checks, scores, pred_max, pred_sum):
+                if score is None:
+                    continue
+                sat = gio_saturation_check(ch, rho, SATURATION_TOL).saturates
+                for pair_before, pair_after in zip(*score):
+                    for lhs, rhs in zip(pair_before, pair_after):
+                        decrease = lhs - rhs
+                        w.update(-decrease, seed)
+                        if sat and total <= 1e-12:
+                            w.update(abs(decrease) - EQUALITY_TOL, seed)
+                        elif not sat and top >= 1e-7:
+                            w.update(EQUALITY_TOL - decrease, seed)
     return w.report("gio-monotonicity", cfg)
 
 
-def _outcome_average(outcomes, rows: list, n_gens: int) -> list[list[float]]:
-    """sum_k p_k C(rho_k) per generator and variant from the outcomes'
-    coherence-table rows, a Python sum from 0 in outcome order."""
+def _outcome_average(outcomes, rows: list, columns) -> list[list[float]]:
+    """sum_k p_k C(rho_k) per variant, for the generators at the given
+    columns of the outcomes' coherence-table rows, a Python sum from 0
+    in outcome order."""
     return [
         [sum(o.probability * row[g][v] for o, row in zip(outcomes, rows)) for v in (0, 1)]
-        for g in range(n_gens)
+        for g in columns
     ]
 
 
-def _ensemble_gaps(ch: KrausChannel, rho: DensityMatrix, gens) -> list[list[float]]:
-    """Coherence of rho minus its average over the selective outcomes of
-    ch, per generator and variant, from one table over rho and the
-    outcomes."""
-    outcomes = ch.selective_outcomes(rho)
-    own, *rows = coherence_table([rho] + [o.state for o in outcomes], gens).tolist()
-    average = _outcome_average(outcomes, rows, len(gens))
-    return [[own[g][v] - average[g][v] for v in (0, 1)] for g in range(len(gens))]
+def _ensemble_gaps(pairs, gens, columns) -> list:
+    """gaps[i][j][v]: coherence of state i minus its average over the
+    selective outcomes of channel i, under generator gens[columns[i][j]]
+    and variant v.
+
+    The outcomes of every (channel, state) pair come from one
+    outcome_ensembles call and every value from one coherence table
+    over the states and their outcomes.
+    """
+    ensembles = outcome_ensembles([ch for ch, _ in pairs], [rho for _, rho in pairs])
+    states = [rho for _, rho in pairs] + [o.state for outcomes in ensembles for o in outcomes]
+    table = coherence_table(states, gens).tolist()
+    rows = iter(table[len(pairs) :])
+    gaps = []
+    for own, outcomes, cols in zip(table, ensembles, columns):
+        average = _outcome_average(outcomes, [next(rows) for _ in outcomes], cols)
+        gaps.append([[own[g][v] - avg[v] for v in (0, 1)] for g, avg in zip(cols, average)])
+    return gaps
 
 
 def ensemble_coherence(ch: KrausChannel, rho: DensityMatrix, f: GeneratorFunction, fun) -> float:
@@ -356,7 +422,7 @@ def ensemble_coherence(ch: KrausChannel, rho: DensityMatrix, f: GeneratorFunctio
         raise ValueError(f"fun must be coherence_f or coherence_f_hat, got {fun!r}")
     outcomes = ch.selective_outcomes(rho)
     rows = coherence_table([o.state for o in outcomes], [f]).tolist()
-    return _outcome_average(outcomes, rows, 1)[0][variants.index(fun)]
+    return _outcome_average(outcomes, rows, [0])[0][variants.index(fun)]
 
 
 def suite_strong_monotonicity(cfg: TrialConfig) -> VerificationReport:
@@ -378,36 +444,44 @@ def suite_strong_monotonicity(cfg: TrialConfig) -> VerificationReport:
     explore_trials = 0
 
     trials = max(1, cfg.trials_per_case // 2)
+    every = range(len(dec))
     for case, d in enumerate(cfg.dims):
-        for t in range(trials):
-            s = _trial_seeds(cfg.seed, 300 + case, t)
-            f = dec[t % len(dec)]
-            # (a) pure states, random diagonal channels, any dimension.
-            psi = random_pure(d, s[0]).as_density()
-            ch = random_gio(d, 1 + t % (d + 1), s[1])
-            w.trials += 1
-            for gap in _ensemble_gaps(ch, psi, [f])[0]:
-                w.update(-gap, s[0])
-            # (b) diagonal-unitary mixtures saturate on any state.
-            rho = _draw_state(d, t + 1, s[2])
-            rng = np.random.default_rng(s[3])
-            k = 2 + t % (d + 1)
-            mix = diagonal_unitary_mixture(
-                rng.dirichlet(np.ones(k)), rng.uniform(0.0, 2.0 * math.pi, size=(k, d))
-            )
-            for gap in _ensemble_gaps(mix, rho, [f])[0]:
-                w.update(abs(gap), s[2])
-            # (c) mixed states under general diagonal representations:
-            # scored in dimension <= 2, explored above it.
-            mixed = random_density(d, min(d, max(2, 1 + (t + 1) % d)), s[4])
-            ch2 = random_gio(d, 1 + (t + 2) % (d + 1), s[5])
-            for gaps in _ensemble_gaps(ch2, mixed, dec):
-                for gap in gaps:
-                    if d <= 2:
-                        w.update(-gap, s[4])
-                    else:
-                        explore_trials += 1
-                        explore_worst = max(explore_worst, -gap)
+        # A trial's largest stack is one part's outcomes, at most d + 2.
+        for chunk in _chunks(trials, d, d + 2):
+            seeds = [_trial_seeds(cfg.seed, 300 + case, t) for t in chunk]
+            pure, mixtures, general = [], [], []
+            for t, s in zip(chunk, seeds):
+                # (a) pure states, random diagonal channels, any dimension.
+                pure.append((random_gio(d, 1 + t % (d + 1), s[1]), random_pure(d, s[0]).as_density()))
+                # (b) diagonal-unitary mixtures saturate on any state.
+                rng = np.random.default_rng(s[3])
+                k = 2 + t % (d + 1)
+                mix = diagonal_unitary_mixture(
+                    rng.dirichlet(np.ones(k)), rng.uniform(0.0, 2.0 * math.pi, size=(k, d))
+                )
+                mixtures.append((mix, _draw_state(d, t + 1, s[2])))
+                # (c) mixed states under general diagonal representations:
+                # scored in dimension <= 2, explored above it.
+                mixed = random_density(d, min(d, max(2, 1 + (t + 1) % d)), s[4])
+                general.append((random_gio(d, 1 + (t + 2) % (d + 1), s[5]), mixed))
+            # Parts (a) and (b) score one generator per trial, (c) all.
+            own = [[t % len(dec)] for t in chunk]
+            gaps_a = _ensemble_gaps(pure, dec, own)
+            gaps_b = _ensemble_gaps(mixtures, dec, own)
+            gaps_c = _ensemble_gaps(general, dec, [every] * len(chunk))
+            for s, a, b, c in zip(seeds, gaps_a, gaps_b, gaps_c):
+                w.trials += 1
+                for gap in a[0]:
+                    w.update(-gap, s[0])
+                for gap in b[0]:
+                    w.update(abs(gap), s[2])
+                for gaps in c:
+                    for gap in gaps:
+                        if d <= 2:
+                            w.update(-gap, s[4])
+                        else:
+                            explore_trials += 1
+                            explore_worst = max(explore_worst, -gap)
     if explore_trials:
         extra = (
             f"exploration (mixed states, dim >= 3, general diagonal representations): "

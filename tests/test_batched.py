@@ -29,6 +29,7 @@ from fcoherence.divergence import entropy_table
 from fcoherence.errors import DimensionMismatch, UnsupportedLimit
 from fcoherence.generators import lookup, transpose
 from fcoherence.states import EPS_ZERO, spectra
+from fcoherence import verify
 from fcoherence.verify import suite_strong_monotonicity
 
 SPECS = ["neg_log", "power:0.5", "power:1.5", "power:-0.5", "tsallis:0.5", "tsallis:1.5"]
@@ -243,14 +244,18 @@ class TestEnsembles:
             ensemble_coherence(random_gio(2, 2, seed=1), random_density(2, 2, 1), lookup("neg_log"), f_entropy)
 
     def test_strong_suite_builds_each_ensemble_once(self, monkeypatch):
-        calls = []
-        real = KrausChannel.selective_outcomes
+        # One stacked outcome build per suite part (a), (b), (c) and case
+        # chunk, together covering every trial's (channel, state) pair.
+        builds = []
+        real = verify.outcome_ensembles
 
-        def counting(self, rho):
-            calls.append(1)
-            return real(self, rho)
+        def counting(chans, states):
+            builds.append(len(chans))
+            return real(chans, states)
 
-        monkeypatch.setattr(KrausChannel, "selective_outcomes", counting)
+        monkeypatch.setattr(verify, "outcome_ensembles", counting)
+        monkeypatch.setattr(KrausChannel, "selective_outcomes", None)  # not used per pair
         report = suite_strong_monotonicity(TrialConfig(dims=(2, 3), trials_per_case=8, seed=1))
         assert report.trials == 8
-        assert len(calls) == 3 * report.trials
+        assert builds == [4, 4, 4, 4, 4, 4]
+        assert sum(builds) == 3 * report.trials

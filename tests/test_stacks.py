@@ -1,0 +1,450 @@
+"""Stacked state validation, coefficient-table channels and case batching.
+
+Every stacked path must give each matrix the bytes the one-matrix path
+gives it, and the case-batched suites the reports of a trial-by-trial
+run. The per-column, per-pair and per-operator loops these replaced are
+kept here as references.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+import fcoherence
+from fcoherence import (
+    DensityMatrix,
+    GioChannel,
+    TrialConfig,
+    dephasing_channel,
+    depolarizing_extension,
+    diagonal_unitary_mixture,
+    erasure_extension,
+    gio_saturation_check,
+    identity_channel,
+    is_sio,
+    outcome_ensembles,
+    random_channel,
+    random_density,
+    random_gio,
+    random_pure,
+    random_unital_channel,
+    validate_density,
+)
+from fcoherence import verify
+from fcoherence.channels import KrausChannel, SaturationReport
+from fcoherence.cli import main
+from fcoherence.errors import (
+    ChannelValidationError,
+    ConvergenceFailure,
+    DimensionMismatch,
+    NotHermitian,
+    NotPositive,
+    StateValidationError,
+    TraceNotOne,
+)
+from fcoherence.states import EPS_ZERO
+
+
+def seed_random_gio_stack(dim, num_kraus, seed):
+    """The per-column draw of random_gio, as a dense Kraus stack."""
+    rng = np.random.default_rng(seed)
+    coeffs = np.empty((num_kraus, dim), dtype=complex)
+    for n in range(dim):
+        v = rng.standard_normal(num_kraus) + 1j * rng.standard_normal(num_kraus)
+        coeffs[:, n] = v / np.linalg.norm(v)
+    return np.stack([np.diag(coeffs[j]) for j in range(num_kraus)])
+
+
+def seed_validate_density(matrix):
+    """The one-matrix validation body: (cleaned matrix, error)."""
+    m = np.asarray(matrix, dtype=complex)
+    if not np.isfinite(m).all():
+        return None, (StateValidationError, "density matrix contains non-finite entries")
+    herm_defect = float(np.abs(m - m.conj().T).max())
+    if herm_defect > 1e-10:
+        return None, (NotHermitian, f"hermiticity defect {herm_defect:.3e} exceeds 1.0e-10")
+    trace_defect = abs(complex(np.trace(m)) - 1.0)
+    if trace_defect > 1e-10:
+        return None, (TraceNotOne, f"trace defect {trace_defect:.3e} exceeds 1.0e-10")
+    vals, vecs = np.linalg.eigh((m + m.conj().T) / 2.0)
+    if vals.min() < -1e-9:
+        return None, (NotPositive, f"most negative eigenvalue {vals.min():.3e} exceeds 1.0e-09")
+    clipped = np.clip(vals, 0.0, 1.0)
+    clipped /= clipped.sum()
+    return (vecs * clipped) @ vecs.conj().T, None
+
+
+def seed_selective_outcomes(ops, rho):
+    """Per-operator outcome loop: [(p, K rho K* / p validated)]."""
+    out = []
+    for k in ops:
+        e = k @ rho.matrix @ k.conj().T
+        p = float(np.real(np.trace(e)))
+        if p <= EPS_ZERO:
+            continue
+        out.append((p, validate_density(e / p)))
+    return out
+
+
+def seed_saturation_check(coeffs, rho, tol):
+    """The double loop over index pairs n < m."""
+    gram = coeffs.conj().T @ coeffs
+    overlap_sq = np.abs(gram) ** 2
+    worst_pair = None
+    worst_value = 1.0
+    d = rho.dim
+    for n in range(d):
+        for m in range(n + 1, d):
+            if abs(rho.matrix[n, m]) <= tol:
+                continue
+            if overlap_sq[n, m] < worst_value:
+                worst_value = float(overlap_sq[n, m])
+                worst_pair = (n, m)
+    if worst_pair is None:
+        return SaturationReport(True, None, 1.0, 0.0)
+    n, m = worst_pair
+    residual = coeffs[:, n] - gram[m, n] * coeffs[:, m]
+    return SaturationReport(worst_value >= 1.0 - tol, worst_pair, worst_value, float(np.linalg.norm(residual)))
+
+
+def seed_is_sio(ops, tol=1e-10):
+    """The loop over Kraus operators and matrix units |n><m|."""
+    d = ops.shape[1]
+    for k in ops:
+        for n in range(d):
+            for m in range(d):
+                rhs_diag = k[:, n] * k[:, m].conj()
+                if n == m:
+                    defect = np.abs(np.outer(k[:, n], k[:, n].conj()) - np.diag(rhs_diag)).max()
+                else:
+                    defect = np.abs(rhs_diag).max()
+                if float(defect) > tol:
+                    return False
+    return True
+
+
+def noisy_states(d, n, seed):
+    """Valid density matrices of cycling rank, with noise inside the tolerances."""
+    rng = np.random.default_rng(seed)
+    mats = []
+    for i in range(n):
+        r = 1 + i % d
+        g = rng.standard_normal((d, r)) + 1j * rng.standard_normal((d, r))
+        m = g @ g.conj().T
+        m = m / np.trace(m).real + 1e-13 * rng.standard_normal((d, d))
+        mats.append(m)
+    return np.array(mats)
+
+
+class TestRandomGio:
+    @pytest.mark.parametrize("dim", range(1, 7))
+    def test_matches_column_loop(self, dim):
+        for num_kraus in range(1, 8):
+            for seed in range(60):
+                ops = random_gio(dim, num_kraus, seed).kraus_ops
+                assert ops.tobytes() == seed_random_gio_stack(dim, num_kraus, seed).tobytes()
+
+    def test_matches_column_loop_at_larger_sizes(self):
+        for dim, num_kraus in ((17, 9), (40, 33), (64, 4)):
+            for seed in range(5):
+                ops = random_gio(dim, num_kraus, seed).kraus_ops
+                assert ops.tobytes() == seed_random_gio_stack(dim, num_kraus, seed).tobytes()
+
+
+class TestCoefficientTable:
+    def test_kraus_ops_read_only_and_derived(self):
+        ch = random_gio(4, 3, seed=2)
+        ops = ch.kraus_ops
+        with pytest.raises(ValueError):
+            ops[0, 0, 0] = 0.0
+        with pytest.raises(AttributeError):
+            ch.kraus_ops = ops
+        assert ops.tobytes() == seed_random_gio_stack(4, 3, 2).tobytes()
+        assert not ch.coefficients.flags.writeable
+        assert not ch.correlation.flags.writeable
+
+    def test_builders_match_dense_stacks(self):
+        assert dephasing_channel(4).kraus_ops.tobytes() == np.stack(
+            [np.diag(np.eye(4, dtype=complex)[n]) for n in range(4)]
+        ).tobytes()
+        for t in range(50):
+            rng = np.random.default_rng(t)
+            k, d = 1 + t % 6, 1 + t % 5
+            w, phases = rng.dirichlet(np.ones(k)), rng.uniform(0.0, 2.0 * math.pi, size=(k, d))
+            dense = np.stack([np.sqrt(wj) * np.diag(np.exp(1j * row)) for wj, row in zip(w, phases)])
+            assert diagonal_unitary_mixture(w, phases).kraus_ops.tobytes() == dense.tobytes()
+
+    def test_kraus_list_and_table_agree(self):
+        ch = random_gio(5, 3, seed=8)
+        again = GioChannel(list(ch.kraus_ops), label="copy")
+        assert again.coefficients.tobytes() == ch.coefficients.tobytes()
+        assert again.correlation.tobytes() == (ch.coefficients.T @ ch.coefficients.conj()).tobytes()
+        assert (again.num_kraus, again.dim, again.label) == (3, 5, "copy")
+        m = np.arange(25.0).reshape(5, 5) + 1j
+        assert np.array_equal(again.apply_matrix(m), again.correlation * m)
+
+    def test_completeness_and_unitality(self):
+        ch = random_gio(4, 3, seed=1)
+        assert ch.completeness_defect() < 1e-14
+        assert ch.is_unital()
+        dual = ch.dual()
+        assert type(dual) is KrausChannel
+        assert np.array_equal(dual.kraus_ops, ch.kraus_ops.conj())
+
+    def test_from_coefficients_validates(self):
+        with pytest.raises(ChannelValidationError):
+            GioChannel.from_coefficients([[0.5, 1.0]])
+        with pytest.raises(ChannelValidationError):
+            GioChannel.from_coefficients([[np.nan, 1.0]])
+        with pytest.raises(DimensionMismatch):
+            GioChannel.from_coefficients([1.0, 1.0])
+
+    def test_kraus_stack_checks(self):
+        with pytest.raises(DimensionMismatch):
+            KrausChannel([np.eye(2), np.eye(3)])
+        with pytest.raises(DimensionMismatch):
+            KrausChannel(np.ones((2, 2, 3)))
+        with pytest.raises(ChannelValidationError):
+            KrausChannel([np.full((2, 2), np.inf)])
+        ops = np.array([np.eye(2)], dtype=complex)
+        KrausChannel(ops)
+        assert ops.flags.writeable  # the caller's array is copied, not frozen
+
+
+class TestStackedValidation:
+    @pytest.mark.parametrize("d", list(range(1, 13)) + [17, 33])
+    def test_stack_equals_single_calls(self, d):
+        mats = noisy_states(d, 9, seed=d)
+        stacked = validate_density(mats)
+        assert isinstance(stacked, list) and len(stacked) == len(mats)
+        for m, rho in zip(mats, stacked):
+            single = validate_density(m)
+            reference, error = seed_validate_density(m)
+            assert error is None
+            assert rho.matrix.tobytes() == single.matrix.tobytes() == reference.tobytes()
+
+    @pytest.mark.parametrize(
+        "spoil",
+        [
+            lambda m: m + np.triu(np.full_like(m, 1e-6), 1),
+            lambda m: 1.01 * m,
+            lambda m: m + 0.3 * (np.diag([1.0, -1.0, 0.0, 0.0]) + 0.0j),
+            lambda m: np.where(np.eye(4) == 1, np.nan, m),
+        ],
+        ids=["hermiticity", "trace", "positivity", "non-finite"],
+    )
+    @pytest.mark.parametrize("position", [0, 3, 6])
+    def test_one_bad_matrix_raises_its_own_error(self, spoil, position):
+        mats = noisy_states(4, 7, seed=5)
+        mats[position] = spoil(mats[position])
+        with pytest.raises(StateValidationError) as alone:
+            validate_density(mats[position])
+        with pytest.raises(StateValidationError) as stacked:
+            validate_density(mats)
+        assert type(stacked.value) is type(alone.value)
+        assert str(stacked.value) == str(alone.value)
+        _, (kind, message) = seed_validate_density(mats[position])
+        assert (type(alone.value), str(alone.value)) == (kind, message)
+
+    def test_shapes(self):
+        with pytest.raises(DimensionMismatch):
+            validate_density(np.ones((2, 2, 3)))
+        with pytest.raises(DimensionMismatch):
+            validate_density(np.ones(4))
+        assert validate_density(np.eye(3)[None] / 3)[0].dim == 3
+
+    def test_convergence_failure_is_typed(self, monkeypatch):
+        def failing(h):
+            raise np.linalg.LinAlgError("no convergence")
+
+        monkeypatch.setattr(np.linalg, "eigh", failing)
+        with pytest.raises(ConvergenceFailure):
+            validate_density(noisy_states(3, 2, seed=1))
+
+
+def pairs_for_outcomes(d):
+    pairs = []
+    for t in range(8):
+        rho = random_pure(d, t).as_density() if t % 3 == 0 else random_density(d, 1 + t % d, 100 + t)
+        if t % 4 == 0:
+            ch = random_gio(d, 1 + t % (d + 1), 200 + t)
+        elif t % 4 == 1:
+            ch = random_channel(d, 2, 300 + t)
+        elif t % 4 == 2:
+            rng = np.random.default_rng(t)
+            ch = diagonal_unitary_mixture(rng.dirichlet(np.ones(3)), rng.uniform(0.0, 6.0, size=(3, d)))
+        else:
+            ch = dephasing_channel(d)
+            rho = DensityMatrix.from_diagonal([1.0] + [0.0] * (d - 1))  # zero-probability outcomes
+        pairs.append((ch, rho))
+    return pairs
+
+
+class TestOutcomeEnsembles:
+    @pytest.mark.parametrize("d", [2, 3, 5, 9, 12, 40, 64])
+    def test_matches_per_operator_loop(self, d):
+        pairs = pairs_for_outcomes(d)
+        ensembles = outcome_ensembles([ch for ch, _ in pairs], [rho for _, rho in pairs])
+        for (ch, rho), outcomes in zip(pairs, ensembles):
+            reference = seed_selective_outcomes(ch.kraus_ops, rho)
+            single = ch.selective_outcomes(rho)
+            assert len(outcomes) == len(reference) == len(single)
+            for o, s, (p, state) in zip(outcomes, single, reference):
+                assert o.probability == s.probability == p
+                assert o.state.matrix.tobytes() == s.state.matrix.tobytes() == state.matrix.tobytes()
+
+    def test_checks_dimensions(self):
+        with pytest.raises(DimensionMismatch):
+            outcome_ensembles([random_gio(2, 2, 1)], [random_density(3, 3, 1)])
+        with pytest.raises(DimensionMismatch):
+            outcome_ensembles(
+                [random_gio(2, 2, 1), random_gio(3, 2, 1)], [random_density(2, 2, 1), random_density(3, 3, 1)]
+            )
+        with pytest.raises(DimensionMismatch):
+            outcome_ensembles([random_gio(2, 2, 1)], [])
+        assert outcome_ensembles([], []) == []
+
+
+class TestVectorisedPredicates:
+    def states(self, d):
+        out = [random_density(d, 1 + i % d, 40 + i) for i in range(6)]
+        out.append(random_pure(d, 3).as_density())
+        out.append(DensityMatrix.from_diagonal(np.full(d, 1.0 / d)))
+        out.append(DensityMatrix(np.full((d, d), 1.0 / d, dtype=complex)))
+        return out
+
+    def channels(self, d):
+        chans = [random_gio(d, k, 10 * d + k) for k in (1, 2, 3)]
+        chans.append(dephasing_channel(d))
+        chans.append(diagonal_unitary_mixture([0.4, 0.6], np.tile(np.linspace(0.0, 1.0, d), (2, 1))))
+        # Proportional and equal columns give ties in the overlap.
+        chans.append(GioChannel.from_coefficients(np.full((2, d), math.sqrt(0.5))))
+        chans.append(GioChannel.from_coefficients(np.array([[1.0] * (d // 2) + [0.0] * (d - d // 2),
+                                                            [0.0] * (d // 2) + [1.0] * (d - d // 2)])))
+        return chans
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 7])
+    def test_saturation_check_matches_pair_loop(self, d):
+        for ch in self.channels(d):
+            for rho in self.states(d):
+                for tol in (1e-6, 0.05, 0.3):
+                    got = gio_saturation_check(ch, rho, tol)
+                    assert got == seed_saturation_check(ch.coefficients, rho, tol)
+                    assert gio_saturation_check(KrausChannel(ch.kraus_ops), rho, tol) == got
+
+    def test_first_tied_pair_wins(self):
+        rho = DensityMatrix(np.full((4, 4), 0.25, dtype=complex))
+        report = gio_saturation_check(dephasing_channel(4), rho)
+        assert report.worst_pair == (0, 1) and report.worst_value == 0.0
+
+    def test_is_sio_matches_matrix_unit_loop(self):
+        perm = np.roll(np.eye(3), 1, axis=0).astype(complex)
+        near = np.eye(2, dtype=complex)
+        near[0, 1] = 1e-6
+        cases = [
+            random_gio(4, 3, 1), dephasing_channel(3), identity_channel(1), identity_channel(3),
+            depolarizing_extension(2), erasure_extension(3), random_channel(3, 2, 5),
+            random_unital_channel(2, 3, 6), KrausChannel([perm]),
+            KrausChannel([near], require_trace_preserving=False),
+            KrausChannel([np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)]),
+        ]
+        for ch in cases:
+            for tol in (1e-10, 1e-5, 0.6):
+                assert is_sio(ch, tol) == seed_is_sio(ch.kraus_ops, tol)
+
+
+CHUNKED = [
+    ("entropy-bounds", 3),
+    ("gio-monotonicity", 6),
+    ("strong-monotonicity", None),
+]
+
+
+class TestCaseBatching:
+    @pytest.mark.parametrize("name,per_trial", CHUNKED)
+    def test_chunked_case_gives_the_unsplit_report(self, name, per_trial, monkeypatch):
+        cfg = TrialConfig(dims=(2, 3, 4), trials_per_case=14, seed=11)
+        whole = verify.SUITES[name](cfg)
+        # Budget for three trials of the largest dimension, one at a time below.
+        per = per_trial or 4 + 2
+        monkeypatch.setattr(verify, "STACK_BYTES", 3 * 16 * 4 * 4 * per)
+        assert len(list(verify._chunks(cfg.trials_per_case, 4, per))) > 1
+        assert verify.SUITES[name](cfg) == whole
+
+    def test_strong_suite_builds_one_outcome_stack_per_part_and_chunk(self, monkeypatch):
+        builds = []
+        real = verify.outcome_ensembles
+
+        def counting(chans, states):
+            builds.append(len(chans))
+            return real(chans, states)
+
+        monkeypatch.setattr(verify, "outcome_ensembles", counting)
+        monkeypatch.setattr(verify, "STACK_BYTES", 16 * 3 * 3 * (3 + 2) * 2)  # two trials at d = 3
+        report = verify.suite_strong_monotonicity(TrialConfig(dims=(3,), trials_per_case=10, seed=1))
+        assert report.trials == 5
+        assert builds == [2, 2, 2, 2, 2, 2, 1, 1, 1]
+
+    def test_chunks_bound_the_stack(self):
+        assert [list(r) for r in verify._chunks(5, 2, 1)] == [list(range(5))]
+        size = verify.STACK_BYTES // (16 * 64 * 64 * 66)
+        chunks = list(verify._chunks(500, 64, 66))
+        assert all(len(r) <= max(1, size) for r in chunks) and sum(map(len, chunks)) == 500
+
+    def test_gio_suite_without_decreasing_generators(self):
+        cfg = TrialConfig(dims=(2, 3), trials_per_case=6, seed=3, f_list=("power:1.5",))
+        report = verify.suite_gio_monotonicity(cfg)
+        assert report.passed and report.trials == 12
+
+
+class TestTrialConfigHardening:
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"dims": (2.5,)},
+            {"dims": (2, True)},
+            {"dims": (np.float64(3.0),)},
+            {"trials_per_case": True},
+            {"trials_per_case": 2.0},
+        ],
+        ids=["float-dim", "bool-dim", "numpy-float-dim", "bool-trials", "float-trials"],
+    )
+    def test_rejects(self, kwargs):
+        with pytest.raises(ValueError):
+            TrialConfig(**kwargs)
+
+    def test_rejects_non_finite_tolerance(self):
+        for tol in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="tol_violation"):
+                TrialConfig(tol_violation=tol)
+
+    def test_accepts_numpy_integers_and_the_cap(self):
+        cfg = TrialConfig(dims=(np.int64(2), verify.MAX_DIM), trials_per_case=np.int32(3))
+        assert cfg.dims[1] == verify.MAX_DIM
+
+    def test_dimension_cap_raises_before_anything_is_drawn(self, monkeypatch):
+        class NoNumpy:
+            def __getattr__(self, name):
+                raise AssertionError(f"numpy.{name} touched before the dimension cap")
+
+        monkeypatch.setattr(verify, "np", NoNumpy())
+        for dims in ((verify.MAX_DIM + 1,), (2, 10**9)):
+            with pytest.raises(ValueError, match="dims must be integers"):
+                TrialConfig(dims=dims)
+
+    def test_cli_rejects_oversized_dims(self, capsys, monkeypatch):
+        def no_suites(cfg):
+            raise AssertionError("a suite ran")
+
+        import fcoherence.cli as cli
+
+        for name in list(cli.SUITES):
+            monkeypatch.setitem(cli.SUITES, name, no_suites)
+        for dims in (str(verify.MAX_DIM + 1), "2,1000000", "0"):
+            assert main(["verify", "--dims", dims, "--trials", "1"]) == 2
+            assert "dims must be integers" in capsys.readouterr().err
+
+    def test_module_level_tensor_is_gone(self):
+        assert not hasattr(fcoherence, "tensor")
+        assert not hasattr(fcoherence.states, "tensor")
