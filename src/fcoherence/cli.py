@@ -55,14 +55,19 @@ def _diag(message: str) -> None:
     print(f"fcoherence: {message}", file=sys.stderr)
 
 
-def _default_seed() -> int:
-    raw = os.environ.get("QCOH_SEED")
-    if raw is None:
-        return 0
+def _seed(args) -> int:
+    """--seed, else QCOH_SEED, else 0, as a non-negative integer."""
+    if args.seed is not None:
+        source, raw = "--seed", args.seed
+    else:
+        source, raw = "QCOH_SEED", os.environ.get("QCOH_SEED", "0")
     try:
-        return int(raw)
+        seed = int(raw)
     except ValueError:
-        raise FileFormatError(f"QCOH_SEED must be an integer, got {raw!r}") from None
+        seed = -1
+    if seed < 0:
+        raise FileFormatError(f"{source} must be a non-negative integer, got {raw!r}")
+    return seed
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -154,7 +159,7 @@ def cmd_verify(args) -> int:
             _diag("--f must name at least one generator")
             return EXIT_INPUT
         kwargs["f_list"] = f_list
-    seed = args.seed if args.seed is not None else _default_seed()
+    seed = _seed(args)
     try:
         cfg = TrialConfig(seed=seed, **kwargs)
     except ValueError as exc:  # dims, trials or tolerance out of range
@@ -242,7 +247,7 @@ def _demo_max_coherent(seed: int) -> tuple[list[str], bool]:
 
 
 def cmd_demo(args) -> int:
-    seed = args.seed if args.seed is not None else _default_seed()
+    seed = _seed(args)
     runner = {
         "log-chain": _demo_log_chain,
         "sio-separation": _demo_sio_separation,

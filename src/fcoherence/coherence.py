@@ -10,7 +10,7 @@ with p_j the eigenvalues and c_j the diagonal entries of rho. For
 f = neg_log the two coincide with the relative entropy of coherence.
 
 ``coherence_table`` scores many states under many generators at once:
-one stacked eigensolve for the states without a cached spectrum, one
+one stacked eigensolve for the states without a cached decomposition, one
 diagonal extraction, and one ``f_weighted_sum`` per generator.
 """
 

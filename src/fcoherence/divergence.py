@@ -127,9 +127,9 @@ def oracle_quasi_relative_entropy(a: DensityMatrix, b: DensityMatrix, f: Generat
         raise DimensionMismatch(f"states have dimensions {a.dim} and {b.dim}")
     d = a.dim
     for name, rho in (("first", a), ("second", b)):
-        vals = np.linalg.eigvalsh(rho.matrix)
-        if vals.min() <= EPS_ZERO:
-            raise SingularState(f"{name} state has eigenvalue {vals.min():.3e}, full rank required")
+        lowest = spectral_decompose(rho).eigenvalues[-1]
+        if lowest <= EPS_ZERO:
+            raise SingularState(f"{name} state has eigenvalue {lowest:.3e}, full rank required")
     am = a.matrix
     a_inv = np.linalg.inv(am)
     # Column-stacked vec: X -> B X A^{-1} has matrix (A^{-1})^T kron B.

@@ -48,16 +48,15 @@ DEFAULT_GRID = 2.0 ** np.arange(-20, 21)
 class GeneratorFunction:
     """An operator convex generator with its tail limits.
 
-    ``operator_convex`` and ``monotone_decreasing`` are trusted flags
-    supplied analytically by each constructor, not verified numerically
-    at build time; the sampled grid checks below probe them pointwise.
+    ``monotone_decreasing`` is a trusted flag supplied analytically by
+    each constructor, not verified numerically at build time; the
+    sampled grid check below probes it pointwise.
     """
 
     name: str
     fn: Callable[[np.ndarray], np.ndarray]
     limit_at_zero: float
     weighted_inf_limit: float
-    operator_convex: bool
     monotone_decreasing: bool
     params: tuple = field(default=())
 
@@ -83,7 +82,6 @@ class GeneratorFunction:
             fn=tfn,
             limit_at_zero=base.weighted_inf_limit,
             weighted_inf_limit=base.limit_at_zero,
-            operator_convex=base.operator_convex,
             # x * f(1/x) is generally not monotone even when f is.
             monotone_decreasing=False,
             params=base.params,
@@ -97,7 +95,6 @@ def neg_log() -> GeneratorFunction:
         fn=lambda x: -np.log(x),
         limit_at_zero=math.inf,
         weighted_inf_limit=0.0,
-        operator_convex=True,
         monotone_decreasing=True,
     )
 
@@ -122,7 +119,6 @@ def power(p: float) -> GeneratorFunction:
         fn=fn,
         limit_at_zero=math.inf if p < 0 else 1.0 / c,
         weighted_inf_limit=0.0 if p < 1 else math.inf,
-        operator_convex=True,
         monotone_decreasing=p < 1,
         params=(p,),
     )
@@ -147,7 +143,6 @@ def tsallis(q: float) -> GeneratorFunction:
         fn=fn,
         limit_at_zero=math.inf if q > 1 else 1.0 / e,
         weighted_inf_limit=0.0,
-        operator_convex=True,
         monotone_decreasing=True,
         params=(q,),
     )

@@ -4,12 +4,15 @@ All states are dense complex matrices in a fixed computational basis.
 Validation is tolerance-based: a candidate density matrix may carry
 floating-point noise up to the documented tolerances and is cleaned up
 (eigenvalues clipped to [0, 1], trace renormalized) on acceptance.
+
+Each state is eigendecomposed at most once: ``validate_density`` seeds
+its cached decomposition from the eigh that cleans the matrix, and a
+stacked eigh solves any other state on first use.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -73,6 +76,8 @@ class DensityMatrix:
     """
 
     matrix: np.ndarray
+    # Not a field: the SpectralDecomposition that _store sets once.
+    _decomposition = None
 
     def __post_init__(self) -> None:
         m = _as_square(self.matrix, "density matrix")
@@ -86,28 +91,9 @@ class DensityMatrix:
         """Diagonal entries as a real vector, tiny negatives clipped to 0."""
         return np.clip(np.real(np.diagonal(self.matrix)), 0.0, None)
 
-    @cached_property
-    def _spectrum(self) -> np.ndarray:
-        # The matrix is a frozen copy, so one eigensolve serves every call.
-        try:
-            vals = np.linalg.eigvalsh(self.matrix)
-        except np.linalg.LinAlgError as exc:
-            raise ConvergenceFailure(str(exc)) from exc
-        return _frozen(vals[::-1].copy())
-
     def eigenvalues(self) -> np.ndarray:
         """Eigenvalues in descending order, as a fresh writable array."""
-        return self._spectrum.copy()
-
-    @cached_property
-    def _decomposition(self) -> "SpectralDecomposition":
-        # eigh is a different LAPACK driver from eigvalsh, so its
-        # eigenvalues are kept apart from _spectrum.
-        try:
-            vals, vecs = np.linalg.eigh(self.matrix)
-        except np.linalg.LinAlgError as exc:
-            raise ConvergenceFailure(str(exc)) from exc
-        return SpectralDecomposition(vals[::-1], vecs[:, ::-1])
+        return _decomposed((self,))[0].eigenvalues.copy()
 
     def tensor(self, other: "DensityMatrix") -> "DensityMatrix":
         """Kronecker product with another state."""
@@ -197,7 +183,8 @@ def validate_density(
     Raises NotHermitian, TraceNotOne or NotPositive (naming the worst
     offending magnitude) when the defect exceeds its tolerance. Within
     tolerance, eigenvalues are clipped to [0, 1] and renormalized so the
-    returned state is exactly usable downstream.
+    returned state is exactly usable downstream. It keeps that spectrum
+    and its eigenvectors as its decomposition, and is never solved again.
 
     A (d, d) matrix gives one DensityMatrix. An (n, d, d) stack gives a
     list of n, checked together with one stacked eigh; each equals, byte
@@ -208,35 +195,53 @@ def validate_density(
     """
     m = np.asarray(matrix, dtype=complex)
     m = _as_square(m, "density matrix", 3 if m.ndim == 3 else 2)
-    adjoint = m.conj().swapaxes(-1, -2)
-    asymmetry = np.abs(m - adjoint)
+    stack = m.reshape((-1,) + m.shape[-2:])
+    adjoint = stack.conj().swapaxes(-1, -2)
+    asymmetry = np.abs(stack - adjoint)
     if asymmetry.max() > tol_herm:
         defect = _first_above(asymmetry.max(axis=(-2, -1)), tol_herm)
         raise NotHermitian(f"hermiticity defect {defect:.3e} exceeds {tol_herm:.1e}")
-    trace_defect = abs(m.trace(axis1=-2, axis2=-1) - 1.0)
+    trace_defect = abs(stack.trace(axis1=-2, axis2=-1) - 1.0)
     if (trace_defect > tol_trace).any():
         defect = _first_above(trace_defect, tol_trace)
         raise TraceNotOne(f"trace defect {defect:.3e} exceeds {tol_trace:.1e}")
-    h = (m + adjoint) / 2.0
-    try:
-        vals, vecs = np.linalg.eigh(h)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailure(str(exc)) from exc
+    vals, vecs = _eigh((stack + adjoint) / 2.0)
     if vals.min() < -tol_psd:
         lowest = -_first_above(-vals.min(axis=-1), tol_psd)
         raise NotPositive(f"most negative eigenvalue {lowest:.3e} exceeds {tol_psd:.1e}")
     clipped = np.clip(vals, 0.0, 1.0)
     clipped /= clipped.sum(axis=-1, keepdims=True)
     cleaned = (vecs * clipped[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
-    if cleaned.ndim == 2:
-        return DensityMatrix(cleaned)
-    return [DensityMatrix(c) for c in cleaned]
+    states = [DensityMatrix(c) for c in cleaned]
+    _store(states, clipped, vecs)
+    return states if m.ndim == 3 else states[0]
 
 
-def _first_above(defects, tol: float) -> float:
-    """The first of the per-matrix defects (0-d for one matrix) above tol."""
-    defects = np.atleast_1d(defects)
+def _first_above(defects: np.ndarray, tol: float) -> float:
+    """The first of the per-matrix defects above tol."""
     return defects[defects > tol][0]
+
+
+def _eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    try:
+        return np.linalg.eigh(m)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceFailure(str(exc)) from exc
+
+
+def _store(states, vals: np.ndarray, vecs: np.ndarray) -> None:
+    """Cache on each state its row of a stacked eigh (ascending values)."""
+    for s, w, v in zip(states, vals, vecs):
+        object.__setattr__(s, "_decomposition", SpectralDecomposition(w[::-1], v[:, ::-1]))
+
+
+def _decomposed(states) -> list["SpectralDecomposition"]:
+    """The decompositions of states, solving those without one in one
+    stacked eigh, which gives each matrix the bits it gets alone."""
+    todo = [s for s in states if s._decomposition is None]
+    if todo:
+        _store(todo, *_eigh(np.array([s.matrix for s in todo])))
+    return [s._decomposition for s in states]
 
 
 def spectral_decompose(rho: DensityMatrix) -> SpectralDecomposition:
@@ -244,28 +249,19 @@ def spectral_decompose(rho: DensityMatrix) -> SpectralDecomposition:
 
     Solved once per state; later calls return the same read-only result.
     """
-    return rho._decomposition
+    return _decomposed((rho,))[0]
 
 
 def spectra(states) -> np.ndarray:
     """Descending eigenvalues of states of one dimension, as an (n, d) array.
 
-    States whose spectrum is not known yet are solved in one stacked
-    eigvalsh, which gives each matrix the same eigenvalues as solving it
-    alone, and keep the result as their cached spectrum.
+    The states without a cached decomposition are solved in one stacked
+    eigh and keep the result.
     """
     dims = {s.dim for s in states}
     if len(dims) != 1:
         raise DimensionMismatch(f"need states of one dimension, got dimensions {sorted(dims)}")
-    todo = [s for s in states if "_spectrum" not in s.__dict__]
-    if todo:
-        try:
-            vals = np.linalg.eigvalsh(np.array([s.matrix for s in todo]))
-        except np.linalg.LinAlgError as exc:
-            raise ConvergenceFailure(str(exc)) from exc
-        for s, row in zip(todo, vals[:, ::-1]):
-            s.__dict__["_spectrum"] = _frozen(row.copy())
-    return np.array([s._spectrum for s in states])
+    return np.array([dec.eigenvalues for dec in _decomposed(states)])
 
 
 def trace_norm(matrix) -> float:

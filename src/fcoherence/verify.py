@@ -97,6 +97,8 @@ class TrialConfig:
     def __post_init__(self) -> None:
         if not self.dims or not all(_is_int(d) and 1 <= d <= MAX_DIM for d in self.dims):
             raise ValueError(f"dims must be integers in [1, {MAX_DIM}], got {self.dims}")
+        if not _is_int(self.seed) or self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
         if not _is_int(self.trials_per_case) or self.trials_per_case < 1:
             raise ValueError(f"trials_per_case must be an integer of at least 1, got {self.trials_per_case!r}")
         if isinstance(self.tol_violation, bool) or not 0.0 < self.tol_violation < math.inf:

@@ -1,4 +1,8 @@
-"""Shared test plumbing: the acceptance summary printed after the run."""
+"""Shared test plumbing: the acceptance summary printed after the run and
+an eigensolver call recorder."""
+
+import numpy as np
+import pytest
 
 ACCEPTANCE_LINES: dict[int, str] = {}
 
@@ -15,3 +19,21 @@ def pytest_terminal_summary(terminalreporter):
     terminalreporter.section("acceptance criteria")
     for number in sorted(ACCEPTANCE_LINES):
         terminalreporter.write_line(ACCEPTANCE_LINES[number])
+
+
+@pytest.fixture
+def eigh_calls(monkeypatch):
+    """Shapes of the np.linalg.eigh calls made in the test; eigvalsh fails."""
+    calls = []
+    real = np.linalg.eigh
+
+    def counting(m):
+        calls.append(np.shape(m))
+        return real(m)
+
+    def forbidden(m):
+        raise AssertionError("eigvalsh called")
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
+    return calls

@@ -22,6 +22,7 @@ from fcoherence import (
     random_density,
     random_gio,
     random_pure,
+    validate_density,
 )
 from fcoherence.channels import KrausChannel
 from fcoherence.coherence import coherence_table
@@ -207,24 +208,30 @@ class TestTables:
         with pytest.raises(DimensionMismatch):
             entropy_table([], ZERO_TAIL)
 
-    def test_spectra_solve_once_and_fill_the_cache(self, monkeypatch):
+    def test_spectra_solve_once_and_fill_the_cache(self, eigh_calls):
         states = states_of_dim(5)
-        solo = [np.linalg.eigvalsh(s.matrix)[::-1] for s in states]
-        calls = []
-        real = np.linalg.eigvalsh
-
-        def counting(m):
-            calls.append(np.shape(m))
-            return real(m)
-
-        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        solo = [np.linalg.eigh(s.matrix)[0][::-1] for s in states]
+        eigh_calls.clear()
         first = spectra(states)
         again = spectra(states)
-        assert calls == [(len(states), 5, 5)]
+        assert eigh_calls == [(len(states), 5, 5)]
         for rho, row, ref in zip(states, first, solo):
             assert row.tobytes() == ref.tobytes() == rho.eigenvalues().tobytes()
         assert again.tobytes() == first.tobytes()
-        assert len(calls) == 1
+        assert len(eigh_calls) == 1
+
+    def test_spectra_solve_only_the_states_without_a_decomposition(self, eigh_calls):
+        raw = states_of_dim(4)
+        solo = [np.linalg.eigh(s.matrix)[0][::-1] for s in raw]
+        validated = validate_density(np.array([s.matrix for s in raw]))
+        seeded = [s.eigenvalues() for s in validated]
+        mixed = [s for pair in zip(validated, raw) for s in pair]
+        eigh_calls.clear()
+        rows = spectra(mixed)
+        spectra(mixed)
+        assert eigh_calls == [(len(raw), 4, 4)]
+        assert rows[0::2].tobytes() == np.array(seeded).tobytes()
+        assert rows[1::2].tobytes() == np.array(solo).tobytes()
 
 
 class TestEnsembles:

@@ -382,7 +382,6 @@ def no_limits(weighted=math.nan, zero=math.nan):
         fn=base.fn,
         limit_at_zero=zero,
         weighted_inf_limit=weighted,
-        operator_convex=True,
         monotone_decreasing=True,
     )
 

@@ -710,6 +710,18 @@ class TestDemos:
         assert main(["demo", "log-chain"]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["verify", "--trials", "1", "--dims", "2"], ["demo", "log-chain"], ["demo", "max-coherent"]],
+        ids=["verify", "log-chain", "max-coherent"],
+    )
+    def test_negative_seed_exits_2(self, argv, capsys, monkeypatch):
+        assert main(argv + ["--seed", "-1"]) == 2
+        assert "--seed must be a non-negative integer" in capsys.readouterr().err
+        monkeypatch.setenv("QCOH_SEED", "-3")
+        assert main(argv) == 2
+        assert "QCOH_SEED must be a non-negative integer" in capsys.readouterr().err
+
 
 class TestModuleEntry:
     def test_python_dash_m(self):

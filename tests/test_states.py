@@ -188,30 +188,26 @@ class TestRandomFactories:
 class TestEigenvalueCache:
     def test_copies_are_equal_independent_and_writable(self):
         rho = random_density(4, 3, seed=21)
+        expected = np.linalg.eigh(rho.matrix)[0][::-1].tobytes()
         first = rho.eigenvalues()
         assert first.flags.writeable
+        assert first.tobytes() == expected
         first[:] = -1.0
         second = rho.eigenvalues()
         assert second is not first
-        np.testing.assert_array_equal(second, np.sort(np.linalg.eigvalsh(rho.matrix))[::-1])
+        assert second.tobytes() == expected
         second[0] = 7.0
-        np.testing.assert_array_equal(rho.eigenvalues(), np.sort(np.linalg.eigvalsh(rho.matrix))[::-1])
+        assert rho.eigenvalues().tobytes() == expected
 
-    def test_one_eigensolve_per_state(self, monkeypatch):
-        calls = []
-        real = np.linalg.eigvalsh
-
-        def counting(m):
-            calls.append(1)
-            return real(m)
-
-        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    def test_one_eigensolve_per_state(self, eigh_calls):
         rho = random_density(3, 3, seed=22)
+        other = random_density(3, 3, seed=23)
         for _ in range(5):
             rho.eigenvalues()
-        other = random_density(3, 3, seed=23)
+        spectral_decompose(rho)
         other.eigenvalues()
-        assert len(calls) == 2
+        spectral_decompose(other)
+        assert eigh_calls == [(1, 3, 3), (1, 3, 3)]
 
     def test_one_eigendecomposition_per_state(self, monkeypatch):
         from fcoherence import quasi_relative_entropy
@@ -236,3 +232,37 @@ class TestEigenvalueCache:
         assert dec is spectral_decompose(a)
         np.testing.assert_array_equal(dec.eigenvalues, expected[0][::-1])
         np.testing.assert_array_equal(dec.eigenvectors, expected[1][:, ::-1])
+
+    def test_validated_state_is_never_solved_again(self, eigh_calls):
+        from fcoherence import coherence_f, oracle_quasi_relative_entropy, quasi_relative_entropy
+        from fcoherence.coherence import coherence_table
+        from fcoherence.divergence import entropy_table
+        from fcoherence.generators import lookup
+
+        d = 3
+        a = validate_density(0.8 * random_density(d, d, seed=26).matrix + 0.2 * np.eye(d) / d)
+        b = validate_density(np.array([0.7 * random_density(d, d, seed=27).matrix + 0.3 * np.eye(d) / d]))[0]
+        f = lookup("tsallis:0.5")
+        assert eigh_calls == [(1, d, d), (1, d, d)]  # the two validations
+        eigh_calls.clear()
+        a.eigenvalues()
+        coherence_f(a, f)
+        coherence_table([a, b], [f])
+        entropy_table([a, b], [f])
+        quasi_relative_entropy(a, b, f)
+        oracle_quasi_relative_entropy(a, b, f)
+        # The oracle's one eigh is of its d^2 x d^2 superoperator.
+        assert eigh_calls == [(d * d, d * d)]
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_seeded_decomposition_rebuilds_the_stored_matrix(self, seed):
+        rng = np.random.default_rng(seed)
+        noisy = [random_density(4, 1 + seed % 4, seed=seed).matrix + 1e-12 * rng.standard_normal((4, 4))]
+        noisy.append(random_pure(4, seed=seed).as_density().matrix)
+        noisy = [(m + m.conj().T) / 2 / np.trace(m).real for m in noisy]
+        for rho in [validate_density(noisy[0])] + validate_density(np.array(noisy)):
+            dec = rho._decomposition
+            assert dec is not None
+            assert np.abs(dec.reconstruct() - rho.matrix).max() <= 1e-14
+            assert dec.orthonormality_defect() <= 1e-14
+            assert np.all(np.diff(dec.eigenvalues) <= 0.0) and np.all(dec.eigenvalues >= 0.0)

@@ -48,6 +48,14 @@ class TestTrialConfig:
         with pytest.raises(ValueError):
             TrialConfig(tol_violation=0.0)
 
+    @pytest.mark.parametrize("seed", [-1, True, False, 1.5, "3", None])
+    def test_rejects_seed_that_is_not_a_non_negative_integer(self, seed):
+        with pytest.raises(ValueError, match="seed"):
+            TrialConfig(seed=seed)
+
+    def test_accepts_numpy_integer_seed(self):
+        assert TrialConfig(seed=np.uint32(7), dims=(2,)).seed == 7
+
     def test_rejects_unknown_generator_early(self):
         with pytest.raises(UnknownGenerator):
             TrialConfig(f_list=("neg_log", "bogus"))
