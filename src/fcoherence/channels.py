@@ -29,7 +29,7 @@ from .errors import (
     NotGio,
     SingularState,
 )
-from .states import EPS_ZERO, DensityMatrix, trace_norm, validate_density, random_unitary
+from .states import EPS_ZERO, DensityMatrix, random_unitary, spectral_decompose, trace_norm, validate_density
 
 __all__ = [
     "COMPLETENESS_TOL",
@@ -135,20 +135,13 @@ class KrausChannel:
         s = np.einsum("kij,kil->jl", self._ops.conj(), self._ops)
         return float(np.linalg.norm(s - np.eye(self.dim), "fro"))
 
-    def is_unital(self, tol: float = COMPLETENESS_TOL) -> bool:
-        ops = self.kraus_ops
-        s = np.einsum("kij,klj->il", ops, ops.conj())
-        return bool(np.linalg.norm(s - np.eye(self.dim), "fro") <= tol)
-
-    def _operand(self, m) -> np.ndarray:
-        m = np.asarray(m, dtype=complex)
-        if m.shape != (self.dim, self.dim):
-            raise DimensionMismatch(f"matrix shape {m.shape} does not match channel dimension {self.dim}")
-        return m
+    def is_unital(self) -> bool:
+        """sum K K* equals the identity within COMPLETENESS_TOL."""
+        return self.dual().completeness_defect() <= COMPLETENESS_TOL
 
     def apply_matrix(self, m: np.ndarray) -> np.ndarray:
         """Linear action sum_k K m K* on an arbitrary matrix."""
-        m = self._operand(m)
+        m = _operand(m, self.dim)
         return (self._ops @ m @ self._ops.conj().transpose(0, 2, 1)).sum(axis=0)
 
     def apply(self, rho: DensityMatrix) -> DensityMatrix:
@@ -167,6 +160,14 @@ class KrausChannel:
     def selective_outcomes(self, rho: DensityMatrix) -> list[MeasurementOutcome]:
         """Per-Kraus outcome list (p_k, K rho K*/p_k), zero-probability outcomes dropped."""
         return outcome_ensembles([self], [rho])[0]
+
+
+def _operand(m, dim: int) -> np.ndarray:
+    """m as a complex (dim, dim) array."""
+    m = np.asarray(m, dtype=complex)
+    if m.shape != (dim, dim):
+        raise DimensionMismatch(f"matrix shape {m.shape} does not match channel dimension {dim}")
+    return m
 
 
 def _check_pair(ch: KrausChannel, rho: DensityMatrix) -> None:
@@ -219,14 +220,14 @@ def outcome_ensembles(channels, states) -> list[list[MeasurementOutcome]]:
     ]
 
 
-def max_offdiagonal(kraus_ops: np.ndarray) -> float:
-    """Largest off-diagonal modulus in a (num_kraus, d, d) stack.
+def max_offdiagonal(matrices) -> float:
+    """Largest off-diagonal modulus in a (..., d, d) array; 0 when d = 1.
 
-    GioChannel accepts a stack when this is at most DIAGONAL_TOL.
+    GioChannel accepts a Kraus stack when this is at most DIAGONAL_TOL.
     """
-    off = np.abs(kraus_ops)
+    off = np.abs(matrices)
     idx = np.arange(off.shape[-1])
-    off[:, idx, idx] = 0.0
+    off[..., idx, idx] = 0.0
     return float(off.max())
 
 
@@ -307,7 +308,7 @@ class GioChannel(KrausChannel):
 
     def apply_matrix(self, m: np.ndarray) -> np.ndarray:
         """Schur product C o m."""
-        return self._corr * self._operand(m)
+        return self._corr * _operand(m, self.dim)
 
 
 def identity_channel(dim: int) -> KrausChannel:
@@ -335,14 +336,9 @@ def depolarizing_extension(dim: int) -> KrausChannel:
     rho (x) I/dim.
     """
     _check_extension_dim(dim)
-    eye = np.eye(dim, dtype=complex)
-    ops = []
-    for i in range(dim):
-        for j in range(dim):
-            e = np.zeros((dim, dim), dtype=complex)
-            e[i, j] = 1.0 / np.sqrt(dim)
-            ops.append(np.kron(eye, e))
-    return KrausChannel(ops, label=f"depol-ext:{dim}")
+    # Row i * dim + j of the unit stack is |i><j|.
+    units = np.eye(dim * dim).reshape(dim * dim, dim, dim)
+    return KrausChannel(np.kron(np.eye(dim), units / np.sqrt(dim)), label=f"depol-ext:{dim}")
 
 
 def erasure_extension(dim: int) -> KrausChannel:
@@ -352,13 +348,9 @@ def erasure_extension(dim: int) -> KrausChannel:
     maps rho (x) I/dim back to rho (x) |0><0|.
     """
     _check_extension_dim(dim)
-    eye = np.eye(dim, dtype=complex)
-    ops = []
-    for j in range(dim):
-        e = np.zeros((dim, dim), dtype=complex)
-        e[0, j] = 1.0
-        ops.append(np.kron(eye, e))
-    return KrausChannel(ops, label=f"erase-ext:{dim}")
+    # Row j of the unit stack is |0><j|.
+    units = np.eye(dim, dim * dim).reshape(dim, dim, dim)
+    return KrausChannel(np.kron(np.eye(dim), units), label=f"erase-ext:{dim}")
 
 
 def diagonal_unitary_mixture(weights, phase_table) -> GioChannel:
@@ -416,20 +408,18 @@ def random_unital_channel(dim: int, num_unitaries: int, seed: int) -> KrausChann
 
 
 def is_gio(ch: KrausChannel) -> bool:
-    """True when every Kraus operator is diagonal within DIAGONAL_TOL and
-    every incoherent basis state is a fixed point within COMPLETENESS_TOL.
+    """True when GioChannel accepts the Kraus operators of ch: every one
+    diagonal within DIAGONAL_TOL, and every incoherent basis state a
+    fixed point within COMPLETENESS_TOL.
 
-    Uses the tolerances of GioChannel, so it holds exactly for the Kraus
-    lists that GioChannel and io.load_channel accept as diagonal.
     Classifies the supplied Kraus representation, not the channel's
     equivalence class.
     """
-    if max_offdiagonal(ch.kraus_ops) > DIAGONAL_TOL:
+    try:
+        GioChannel(ch.kraus_ops)
+    except (NotGio, ChannelValidationError):
         return False
-    # Diagonal Kraus plus completeness already fix |n><n|; check directly anyway.
-    coeffs = np.diagonal(ch.kraus_ops, axis1=1, axis2=2)
-    col_norms = np.sum(np.abs(coeffs) ** 2, axis=0)
-    return bool(np.abs(col_norms - 1.0).max() <= COMPLETENESS_TOL)
+    return True
 
 
 def is_sio(ch: KrausChannel, tol: float = 1e-10) -> bool:
@@ -482,14 +472,8 @@ def gio_saturation_check(ch: KrausChannel, rho: DensityMatrix, tol: float = 1e-6
     |sum_j conj(k_jn) k_jm|^2 must reach 1 - tol. Raises NotGio when the
     channel is not diagonal.
     """
-    if rho.dim != ch.dim:
-        raise DimensionMismatch(f"state dimension {rho.dim} does not match channel dimension {ch.dim}")
-    if isinstance(ch, GioChannel):
-        coeffs = ch.coefficients
-    else:
-        if not is_gio(ch):
-            raise NotGio("saturation check needs a channel with diagonal Kraus operators")
-        coeffs = np.diagonal(ch.kraus_ops, axis1=1, axis2=2)
+    _check_pair(ch, rho)
+    coeffs = (ch if isinstance(ch, GioChannel) else GioChannel(ch.kraus_ops)).coefficients
     gram = coeffs.conj().T @ coeffs  # gram[n, m] = <k_n, k_m>
     # The first smallest overlap below 1 among the coupled pairs is the worst.
     rows, cols = _upper_pairs(rho.dim)
@@ -520,19 +504,21 @@ class PetzRecoveryMap:
         return self._sigma_sqrt.shape[0]
 
     def __call__(self, omega: np.ndarray) -> np.ndarray:
-        omega = np.asarray(omega, dtype=complex)
-        if omega.shape != (self.dim, self.dim):
-            raise DimensionMismatch(f"matrix shape {omega.shape} does not match map dimension {self.dim}")
-        inner = self._out_inv_sqrt @ omega @ self._out_inv_sqrt
+        inner = self._out_inv_sqrt @ _operand(omega, self.dim) @ self._out_inv_sqrt
         return self._sigma_sqrt @ self._dual.apply_matrix(inner) @ self._sigma_sqrt
 
     def apply(self, rho: DensityMatrix) -> DensityMatrix:
         return validate_density(self(rho.matrix))
 
 
-def _psd_power(matrix: np.ndarray, exponent: float, what: str) -> np.ndarray:
-    h = (matrix + matrix.conj().T) / 2.0
-    vals, vecs = np.linalg.eigh(h)
+def _psd_power(m, exponent: float, what: str) -> np.ndarray:
+    """m**exponent of a DensityMatrix, from its cached decomposition, or
+    of the Hermitian part of a matrix."""
+    if isinstance(m, DensityMatrix):
+        dec = spectral_decompose(m)
+        vals, vecs = dec.eigenvalues, dec.eigenvectors
+    else:
+        vals, vecs = np.linalg.eigh((m + m.conj().T) / 2.0)
     if exponent < 0 and vals.min() <= EPS_ZERO:
         raise SingularState(f"{what} has eigenvalue {vals.min():.3e}, full rank required")
     vals = np.clip(vals, EPS_ZERO if exponent < 0 else 0.0, None)
@@ -545,10 +531,9 @@ def petz_recovery(ch: KrausChannel, sigma) -> PetzRecoveryMap:
     Satisfies recovery(ch.apply(sigma)) = sigma; for a unital channel
     and sigma proportional to the identity it reduces to the dual map.
     """
-    s = sigma.matrix if isinstance(sigma, DensityMatrix) else np.asarray(sigma, dtype=complex)
-    if s.shape != (ch.dim, ch.dim):
-        raise DimensionMismatch(f"reference shape {s.shape} does not match channel dimension {ch.dim}")
-    sigma_sqrt = _psd_power(s, 0.5, "reference operator")
+    is_state = isinstance(sigma, DensityMatrix)
+    s = _operand(sigma.matrix if is_state else sigma, ch.dim)
+    sigma_sqrt = _psd_power(sigma if is_state else s, 0.5, "reference operator")
     out = ch.apply_matrix(s)
     out_inv_sqrt = _psd_power(out, -0.5, "channel output of reference")
     return PetzRecoveryMap(sigma_sqrt, out_inv_sqrt, ch.dual())
@@ -560,7 +545,6 @@ def recovery_defect(ch: KrausChannel, rho: DensityMatrix) -> float:
     Vanishes exactly when a diagonal channel saturates the coherence
     monotonicity on rho.
     """
-    if rho.dim != ch.dim:
-        raise DimensionMismatch(f"state dimension {rho.dim} does not match channel dimension {ch.dim}")
+    _check_pair(ch, rho)
     roundtrip = ch.dual().apply_matrix(ch.apply_matrix(rho.matrix))
     return trace_norm(rho.matrix - roundtrip)

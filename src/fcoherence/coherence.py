@@ -22,6 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .channels import max_offdiagonal
 from .divergence import f_weighted_sum, spectral_sums
 from .errors import ParamOutOfRange
 from .generators import GeneratorFunction
@@ -139,8 +140,7 @@ def power_coherence(rho: DensityMatrix, alpha: float) -> PowerCoherence:
 
 def is_incoherent(rho: DensityMatrix, tol: float = 1e-10) -> bool:
     """True when every off-diagonal entry is at most tol in modulus."""
-    off = rho.matrix - np.diag(np.diagonal(rho.matrix))
-    return bool(np.abs(off).max() <= tol) if rho.dim > 1 else True
+    return max_offdiagonal(rho.matrix) <= tol
 
 
 def dephasing_distance(rho: DensityMatrix) -> float:

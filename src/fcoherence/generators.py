@@ -176,15 +176,13 @@ def normalization_defect(f: GeneratorFunction) -> float:
     return abs(float(f(1.0)))
 
 
-def convexity_defect(f: GeneratorFunction, grid: np.ndarray = DEFAULT_GRID) -> float:
-    """Worst midpoint-convexity violation f((x+y)/2) - (f(x)+f(y))/2 over grid pairs."""
-    x = np.asarray(grid, dtype=float)
-    xx, yy = np.meshgrid(x, x)
+def convexity_defect(f: GeneratorFunction) -> float:
+    """Worst midpoint-convexity violation f((x+y)/2) - (f(x)+f(y))/2 over DEFAULT_GRID pairs."""
+    xx, yy = np.meshgrid(DEFAULT_GRID, DEFAULT_GRID)
     defect = f((xx + yy) / 2.0) - (f(xx) + f(yy)) / 2.0
     return float(defect.max())
 
 
-def monotonicity_defect(f: GeneratorFunction, grid: np.ndarray = DEFAULT_GRID) -> float:
-    """Worst increase f(x_{i+1}) - f(x_i) along the ascending grid."""
-    vals = f(np.sort(np.asarray(grid, dtype=float)))
-    return float(np.diff(vals).max())
+def monotonicity_defect(f: GeneratorFunction) -> float:
+    """Worst increase f(x_{i+1}) - f(x_i) along the ascending DEFAULT_GRID."""
+    return float(np.diff(f(DEFAULT_GRID)).max())

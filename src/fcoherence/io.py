@@ -25,15 +25,13 @@ from typing import NoReturn
 import numpy as np
 
 from .channels import (
-    DIAGONAL_TOL,
     GioChannel,
     KrausChannel,
     dephasing_channel,
     depolarizing_extension,
     erasure_extension,
-    max_offdiagonal,
 )
-from .errors import FileFormatError
+from .errors import FileFormatError, NotGio
 from .states import DensityMatrix, validate_density
 
 __all__ = [
@@ -245,8 +243,10 @@ def load_channel(path: str) -> KrausChannel:
     label = doc.get("label")
     if label is not None and not isinstance(label, str):
         raise FileFormatError(f"{path}: 'label' must be a string")
-    cls = GioChannel if max_offdiagonal(ops) <= DIAGONAL_TOL else KrausChannel
-    return cls(ops, label=label)
+    try:
+        return GioChannel(ops, label=label)
+    except NotGio:
+        return KrausChannel(ops, label=label)
 
 
 _BUILTIN_CHANNELS = {

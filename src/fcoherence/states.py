@@ -58,10 +58,11 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 
 def _as_square(matrix, what: str = "matrix", ndim: int = 2) -> np.ndarray:
-    """Complex array of ``ndim`` axes whose last two are square, all finite."""
+    """Complex array of ``ndim`` axes whose last two are square and
+    non-empty, all finite."""
     m = np.asarray(matrix, dtype=complex)
-    if m.ndim != ndim or m.shape[-1] != m.shape[-2]:
-        raise DimensionMismatch(f"{what} must be square, got shape {m.shape}")
+    if m.ndim != ndim or m.shape[-1] != m.shape[-2] or m.shape[-1] == 0:
+        raise DimensionMismatch(f"{what} must be square and non-empty, got shape {m.shape}")
     if not np.isfinite(m).all():
         raise StateValidationError(f"{what} contains non-finite entries")
     return m
@@ -171,44 +172,42 @@ class SpectralDecomposition:
         return float(np.abs(v.conj().T @ v - np.eye(self.dim)).max())
 
 
-def validate_density(
-    matrix,
-    *,
-    tol_herm: float = TOL_HERM,
-    tol_trace: float = TOL_TRACE,
-    tol_psd: float = TOL_PSD,
-) -> DensityMatrix | list[DensityMatrix]:
+def validate_density(matrix) -> DensityMatrix | list[DensityMatrix]:
     """Check matrix against the density-matrix invariants and clean it up.
 
     Raises NotHermitian, TraceNotOne or NotPositive (naming the worst
-    offending magnitude) when the defect exceeds its tolerance. Within
-    tolerance, eigenvalues are clipped to [0, 1] and renormalized so the
-    returned state is exactly usable downstream. It keeps that spectrum
-    and its eigenvectors as its decomposition, and is never solved again.
+    offending magnitude) when the defect exceeds TOL_HERM, TOL_TRACE or
+    TOL_PSD. Within tolerance, eigenvalues are clipped to [0, 1] and
+    renormalized so the returned state is exactly usable downstream. It
+    keeps that spectrum and its eigenvectors as its decomposition, and
+    is never solved again.
 
     A (d, d) matrix gives one DensityMatrix. An (n, d, d) stack gives a
-    list of n, checked together with one stacked eigh; each equals, byte
-    for byte, the state its matrix gives alone. A stack is checked for
-    hermiticity, then trace, then positivity, and raises the error of
-    the first matrix that fails the first failing check, so a stack with
-    one bad matrix raises what that matrix raises alone.
+    list of n, empty for n = 0, checked together with one stacked eigh;
+    each equals, byte for byte, the state its matrix gives alone. A
+    stack is checked for hermiticity, then trace, then positivity, and
+    raises the error of the first matrix that fails the first failing
+    check, so a stack with one bad matrix raises what that matrix raises
+    alone.
     """
     m = np.asarray(matrix, dtype=complex)
     m = _as_square(m, "density matrix", 3 if m.ndim == 3 else 2)
+    if m.size == 0:
+        return []
     stack = m.reshape((-1,) + m.shape[-2:])
     adjoint = stack.conj().swapaxes(-1, -2)
     asymmetry = np.abs(stack - adjoint)
-    if asymmetry.max() > tol_herm:
-        defect = _first_above(asymmetry.max(axis=(-2, -1)), tol_herm)
-        raise NotHermitian(f"hermiticity defect {defect:.3e} exceeds {tol_herm:.1e}")
+    if asymmetry.max() > TOL_HERM:
+        defect = _first_above(asymmetry.max(axis=(-2, -1)), TOL_HERM)
+        raise NotHermitian(f"hermiticity defect {defect:.3e} exceeds {TOL_HERM:.1e}")
     trace_defect = abs(stack.trace(axis1=-2, axis2=-1) - 1.0)
-    if (trace_defect > tol_trace).any():
-        defect = _first_above(trace_defect, tol_trace)
-        raise TraceNotOne(f"trace defect {defect:.3e} exceeds {tol_trace:.1e}")
+    if (trace_defect > TOL_TRACE).any():
+        defect = _first_above(trace_defect, TOL_TRACE)
+        raise TraceNotOne(f"trace defect {defect:.3e} exceeds {TOL_TRACE:.1e}")
     vals, vecs = _eigh((stack + adjoint) / 2.0)
-    if vals.min() < -tol_psd:
-        lowest = -_first_above(-vals.min(axis=-1), tol_psd)
-        raise NotPositive(f"most negative eigenvalue {lowest:.3e} exceeds {tol_psd:.1e}")
+    if vals.min() < -TOL_PSD:
+        lowest = -_first_above(-vals.min(axis=-1), TOL_PSD)
+        raise NotPositive(f"most negative eigenvalue {lowest:.3e} exceeds {TOL_PSD:.1e}")
     clipped = np.clip(vals, 0.0, 1.0)
     clipped /= clipped.sum(axis=-1, keepdims=True)
     cleaned = (vecs * clipped[..., None, :]) @ vecs.conj().swapaxes(-1, -2)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -27,6 +27,7 @@ from .channels import (
     KrausChannel,
     diagonal_unitary_mixture,
     gio_saturation_check,
+    max_offdiagonal,
     outcome_ensembles,
     random_gio,
     random_channel,
@@ -72,8 +73,6 @@ DEFAULT_F_SPECS = ("neg_log", "power:0.5", "power:1.5", "tsallis:0.5", "tsallis:
 
 # Equality is asserted below this, strict decrease above it.
 EQUALITY_TOL = 1e-8
-# Off-diagonal and overlap threshold fed to the saturation predicate.
-SATURATION_TOL = 1e-6
 # Largest dimension a suite accepts. A strong-monotonicity trial builds
 # up to d + 2 selective outcomes of 16 d^2 bytes each, 4.3 MB at d = 64,
 # so one trial always fits in STACK_BYTES.
@@ -124,15 +123,7 @@ class VerificationReport:
     notes: str = ""
 
     def to_json_dict(self) -> dict:
-        return {
-            "suite": self.suite,
-            "passed": self.passed,
-            "trials": self.trials,
-            "worst_violation": self.worst_violation,
-            "worst_case_seed": self.worst_case_seed,
-            "tol_violation": self.tol_violation,
-            "notes": self.notes,
-        }
+        return asdict(self)
 
 
 class _Worst:
@@ -186,6 +177,12 @@ def _draw_state(d: int, trial: int, seed: int) -> DensityMatrix:
     if trial % 3 == 0:
         return random_pure(d, seed).as_density()
     return random_density(d, 1 + trial % d, seed)
+
+
+def _random_unitary_mixture(d: int, k: int, seed: int) -> GioChannel:
+    """Mixture of k diagonal unitaries: Dirichlet weights, then uniform phases."""
+    rng = np.random.default_rng(seed)
+    return diagonal_unitary_mixture(rng.dirichlet(np.ones(k)), rng.uniform(0.0, 2.0 * math.pi, size=(k, d)))
 
 
 def _draw_conditioned(d: int, seed: int) -> DensityMatrix:
@@ -341,11 +338,7 @@ def suite_gio_monotonicity(cfg: TrialConfig) -> VerificationReport:
             for t in chunk:
                 s = _trial_seeds(cfg.seed, 200 + case, t)
                 if t % 5 == 4:
-                    rng = np.random.default_rng(s[1])
-                    k = 2 + t % d
-                    ch: GioChannel = diagonal_unitary_mixture(
-                        rng.dirichlet(np.ones(k)), rng.uniform(0.0, 2.0 * math.pi, size=(k, d))
-                    )
+                    ch: GioChannel = _random_unitary_mixture(d, 2 + t % d, s[1])
                 else:
                     ch = random_gio(d, 1 + t % (d + 1), s[1])
                 w.trials += 1
@@ -372,7 +365,7 @@ def suite_gio_monotonicity(cfg: TrialConfig) -> VerificationReport:
             for (rho, ch, seed, _), score, top, total in zip(checks, scores, pred_max, pred_sum):
                 if score is None:
                     continue
-                sat = gio_saturation_check(ch, rho, SATURATION_TOL).saturates
+                sat = gio_saturation_check(ch, rho).saturates
                 for pair_before, pair_after in zip(*score):
                     for lhs, rhs in zip(pair_before, pair_after):
                         decrease = lhs - rhs
@@ -456,11 +449,7 @@ def suite_strong_monotonicity(cfg: TrialConfig) -> VerificationReport:
                 # (a) pure states, random diagonal channels, any dimension.
                 pure.append((random_gio(d, 1 + t % (d + 1), s[1]), random_pure(d, s[0]).as_density()))
                 # (b) diagonal-unitary mixtures saturate on any state.
-                rng = np.random.default_rng(s[3])
-                k = 2 + t % (d + 1)
-                mix = diagonal_unitary_mixture(
-                    rng.dirichlet(np.ones(k)), rng.uniform(0.0, 2.0 * math.pi, size=(k, d))
-                )
+                mix = _random_unitary_mixture(d, 2 + t % (d + 1), s[3])
                 mixtures.append((mix, _draw_state(d, t + 1, s[2])))
                 # (c) mixed states under general diagonal representations:
                 # scored in dimension <= 2, explored above it.
@@ -518,8 +507,7 @@ def suite_faithfulness_and_bounds(cfg: TrialConfig) -> VerificationReport:
             rho = None
             for attempt in range(64):
                 cand = _draw_state(d, t + attempt, s[1] + attempt)
-                off = cand.matrix - np.diag(np.diagonal(cand.matrix))
-                if np.abs(off).max() >= 0.1:
+                if max_offdiagonal(cand.matrix) >= 0.1:
                     rho = cand
                     break
             table = coherence_table([diag] if rho is None else [diag, rho], dec).tolist()
@@ -572,16 +560,7 @@ class SioCounterexampleReport:
     cross_check_error: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "f_name": self.f_name,
-            "dim": self.dim,
-            "lhs_plain": self.lhs_plain,
-            "rhs_plain": self.rhs_plain,
-            "lhs_hat": self.lhs_hat,
-            "rhs_hat": self.rhs_hat,
-            "gap": self.gap,
-            "cross_check_error": self.cross_check_error,
-        }
+        return asdict(self)
 
 
 def sio_counterexample_report(f_name: str, d: int, rho: DensityMatrix | None = None) -> SioCounterexampleReport:
@@ -590,7 +569,7 @@ def sio_counterexample_report(f_name: str, d: int, rho: DensityMatrix | None = N
 
     Defaults to the uniform-superposition state on dimension d.
     """
-    f = lookup(f_name) if isinstance(f_name, str) else f_name
+    f = lookup(f_name)
     if rho is None:
         rho = max_coherent_state(d).as_density()
     if rho.dim != d:

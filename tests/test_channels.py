@@ -22,6 +22,7 @@ from fcoherence import (
     random_unitary,
     recovery_defect,
     trace_norm,
+    validate_density,
 )
 from fcoherence.errors import (
     BadWeights,
@@ -277,6 +278,17 @@ class TestPetzRecovery:
         rec = petz_recovery(ch, np.eye(2))
         out = rec.apply(random_density(2, 2, seed=83))
         assert np.real(np.trace(out.matrix)) == pytest.approx(1.0, abs=1e-10)
+
+    def test_state_reference_is_not_solved_again(self, eigh_calls):
+        sigma = validate_density(0.8 * random_density(3, 3, seed=2).matrix + 0.2 * np.eye(3) / 3)
+        ch = random_gio(3, 2, seed=2)
+        eigh_calls.clear()
+        rec = petz_recovery(ch, sigma)
+        assert eigh_calls == [(3, 3)]  # the channel output; sigma's spectrum is cached
+        np.testing.assert_allclose(rec(ch.apply_matrix(sigma.matrix)), sigma.matrix, atol=1e-12)
+        fresh = petz_recovery(ch, sigma.matrix)
+        omega = random_density(3, 2, seed=3).matrix
+        np.testing.assert_allclose(rec(omega), fresh(omega), atol=1e-13)
 
     def test_rejects_singular_reference_image(self):
         with pytest.raises(SingularState):

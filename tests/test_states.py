@@ -49,6 +49,14 @@ class TestValidation:
         with pytest.raises(StateValidationError):
             validate_density(mat)
 
+    def test_empty_stack_gives_empty_list(self):
+        assert validate_density(np.zeros((0, 3, 3), dtype=complex)) == []
+
+    @pytest.mark.parametrize("shape", [(0, 0), (2, 0, 0), (0, 0, 0)])
+    def test_rejects_zero_dimension(self, shape):
+        with pytest.raises(DimensionMismatch):
+            validate_density(np.zeros(shape))
+
     def test_symmetrizes_tiny_asymmetry(self):
         mat = np.eye(2) / 2 + 1e-13 * np.array([[0.0, 1.0], [0.0, 0.0]])
         rho = validate_density(mat)
