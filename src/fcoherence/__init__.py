@@ -35,10 +35,12 @@ from .coherence import (
     relative_entropy_coherence,
 )
 from .divergence import (
+    divergence_table,
     entropy_table,
     f_entropy,
     f_entropy_hat,
     f_weighted_sum,
+    oracle_divergence_table,
     oracle_quasi_relative_entropy,
     quasi_relative_entropy,
 )

@@ -24,7 +24,7 @@ import numpy as np
 
 from .channels import max_offdiagonal
 from .divergence import f_weighted_sum, spectral_sums
-from .errors import ParamOutOfRange
+from .errors import DimensionMismatch, ParamOutOfRange
 from .generators import GeneratorFunction
 from .states import EPS_ZERO, DensityMatrix, PureState, spectra, trace_norm
 
@@ -151,5 +151,5 @@ def dephasing_distance(rho: DensityMatrix) -> float:
 def max_coherent_state(dim: int) -> PureState:
     """Uniform superposition of all basis states."""
     if dim < 1:
-        raise ParamOutOfRange(f"dimension must be positive, got {dim}")
+        raise DimensionMismatch(f"dimension must be positive, got {dim}")
     return PureState(np.ones(dim, dtype=complex) / math.sqrt(dim))

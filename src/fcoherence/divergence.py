@@ -9,15 +9,22 @@ resolved through the generator's closed-form tail limits; a zero
 eigenvalue of B seen by a nonzero eigenvector of A can push the value to
 +inf, which is returned as ``math.inf``.
 
+``divergence_table`` is the kernel of every divergence value: for a list
+of (A, B) pairs it builds each pair's eigenvector overlap, spectral
+grouping and support masks once and evaluates every generator on them.
+``quasi_relative_entropy`` is its one-pair, one-generator entry.
+
 ``f_weighted_sum`` is the kernel of every entropy and coherence value:
 it works on a (..., d) stack of spectra or diagonals, so one generator
 call serves many states, and ``spectral_sums`` runs it for a list of
 generators with both numerators 1/d and 1.
 
-``oracle_quasi_relative_entropy`` evaluates the same quantity through an
+``oracle_divergence_table`` evaluates the same quantity through an
 independent route, building the dim^2 x dim^2 matrix of the modular-type
 superoperator X -> B X A^{-1} and applying f to its spectrum, and exists
-so the two paths can be checked against each other.
+so the two paths can be checked against each other. The superoperators
+of all pairs are solved in one stacked eigh that serves every generator;
+``oracle_quasi_relative_entropy`` is its one-pair, one-generator entry.
 """
 
 from __future__ import annotations
@@ -28,12 +35,14 @@ import numpy as np
 
 from .errors import DimensionMismatch, SingularState, UnsupportedLimit
 from .generators import GeneratorFunction
-from .states import EPS_ZERO, DensityMatrix, spectra, spectral_decompose
+from .states import EPS_ZERO, DensityMatrix, SpectralDecomposition, _decomposed, spectra
 
 __all__ = [
     "GROUP_TOL",
     "quasi_relative_entropy",
     "oracle_quasi_relative_entropy",
+    "divergence_table",
+    "oracle_divergence_table",
     "f_weighted_sum",
     "spectral_sums",
     "f_entropy",
@@ -47,11 +56,24 @@ __all__ = [
 GROUP_TOL = 1e-12
 
 
-def _grouped(vals_desc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Start index and mean eigenvalue of each spectral group."""
-    starts = np.concatenate(([0], np.flatnonzero(vals_desc[:-1] - vals_desc[1:] > GROUP_TOL) + 1))
-    sizes = np.diff(starts, append=vals_desc.size)
-    return starts, np.add.reduceat(vals_desc, starts) / sizes
+def _grouped(vals_desc: np.ndarray) -> tuple[np.ndarray | None, np.ndarray]:
+    """Start index and mean eigenvalue of each spectral group; no start
+    indices when every eigenvalue is a group of its own."""
+    cut = vals_desc[:-1] - vals_desc[1:] > GROUP_TOL
+    if cut.all():
+        return None, vals_desc
+    edges = np.concatenate(([0], np.flatnonzero(cut) + 1, [vals_desc.size]))
+    starts = edges[:-1]
+    return starts, np.add.reduceat(vals_desc, starts) / (edges[1:] - starts)
+
+
+def _carried(rows: np.ndarray, cols: np.ndarray, carried: np.ndarray):
+    """Row and column indices of the carried entries of the rows x cols
+    block, or None when it has none."""
+    if not (rows.any() and cols.any()):
+        return None
+    index = np.nonzero(rows[:, None] & cols[None, :] & carried)
+    return index if index[0].size else None
 
 
 def _need_weighted_tail(f: GeneratorFunction) -> float:
@@ -73,47 +95,77 @@ def quasi_relative_entropy(a: DensityMatrix, b: DensityMatrix, f: GeneratorFunct
 
     Returns ``math.inf`` when the support configuration forces it (for
     example the kernel of b overlapping the support of a when f diverges
-    at zero).
+    at zero). The one-pair, one-generator entry of divergence_table.
     """
-    if a.dim != b.dim:
-        raise DimensionMismatch(f"states have dimensions {a.dim} and {b.dim}")
-    sa = spectral_decompose(a)
-    sb = spectral_decompose(b)
-    # overlap[k, j] = |<v_k|u_j>|^2
-    overlap = np.abs(sb.eigenvectors.conj().T @ sa.eigenvectors) ** 2
+    return float(divergence_table([(a, b)], [f])[0, 0])
 
-    starts_a, lam = _grouped(sa.eigenvalues)
-    starts_b, mu = _grouped(sb.eigenvalues)
-    # Block-summed overlap weight per (group of b, group of a).
-    w = np.add.reduceat(np.add.reduceat(overlap, starts_b, axis=0), starts_a, axis=1)
-    lam_pos = lam > EPS_ZERO
-    mu_pos = mu > EPS_ZERO
-    carried = w != 0.0
 
-    both = mu_pos[:, None] & lam_pos[None, :] & carried
-    kb, ja = np.nonzero(both)
-    total = float(np.sum(lam[ja] * f(mu[kb] / lam[ja]) * w[kb, ja]))
-    infinite = False
-    # Kernel of a against the support of b.
-    tail_block = mu_pos[:, None] & ~lam_pos[None, :] & carried
-    if tail_block.any():
-        tail = _need_weighted_tail(f)
-        if math.isinf(tail):
-            infinite = True
-        elif tail != 0.0:
-            kb, _ = np.nonzero(tail_block)
-            total += float(np.sum(mu[kb] * tail * w[tail_block]))
-    # Support of a against the kernel of b.
-    zero_block = ~mu_pos[:, None] & lam_pos[None, :] & carried
-    if zero_block.any():
-        zero = _need_zero_limit(f)
-        if math.isinf(zero):
-            infinite = True
-        else:
-            _, ja = np.nonzero(zero_block)
-            total += float(np.sum(lam[ja] * zero * w[zero_block]))
-    # Both groups in the kernel: no contribution.
-    return math.inf if infinite else total
+def divergence_table(pairs, gens) -> np.ndarray:
+    """S_f(a || b) of every (a, b) pair under every generator.
+
+    The states of all pairs share one dimension. Returns shape
+    (len(pairs), len(gens)), entries ``math.inf`` where the support
+    configuration forces it. The states without a decomposition are
+    solved in one stacked eigh; each pair's overlap, spectral grouping
+    and support masks are built once and serve every generator, so each
+    entry is bit for bit the value the pair and generator give alone.
+    Raises UnsupportedLimit for the first pair, then the first
+    generator, whose nonzero block needs a limit it does not supply.
+    """
+    pairs = list(pairs)
+    decs = _pair_decompositions(pairs)
+    out = np.empty((len(decs), len(gens)))
+    for row, (sa, sb) in zip(out, decs):
+        # overlap[k, j] = |<v_k|u_j>|^2
+        w = np.abs(sb.eigenvectors.conj().T @ sa.eigenvectors) ** 2
+        starts_a, lam = _grouped(sa.eigenvalues)
+        starts_b, mu = _grouped(sb.eigenvalues)
+        # Block-summed overlap weight per (group of b, group of a).
+        if starts_b is not None:
+            w = np.add.reduceat(w, starts_b, axis=0)
+        if starts_a is not None:
+            w = np.add.reduceat(w, starts_a, axis=1)
+        lam_pos = lam > EPS_ZERO
+        mu_pos = mu > EPS_ZERO
+        carried = w != 0.0
+
+        kb, ja = np.nonzero(mu_pos[:, None] & lam_pos[None, :] & carried)
+        lam_ja, ratio, w_both = lam[ja], mu[kb] / lam[ja], w[kb, ja]
+        # Kernel of a against the support of b.
+        tail_block = _carried(mu_pos, ~lam_pos, carried)
+        # Support of a against the kernel of b.
+        zero_block = _carried(~mu_pos, lam_pos, carried)
+        # Both groups in the kernel: no contribution.
+        for g, f in enumerate(gens):
+            total = float(np.sum(lam_ja * f(ratio) * w_both))
+            infinite = False
+            if tail_block is not None:
+                tail = _need_weighted_tail(f)
+                if math.isinf(tail):
+                    infinite = True
+                elif tail != 0.0:
+                    total += float(np.sum(mu[tail_block[0]] * tail * w[tail_block]))
+            if zero_block is not None:
+                zero = _need_zero_limit(f)
+                if math.isinf(zero):
+                    infinite = True
+                else:
+                    total += float(np.sum(lam[zero_block[1]] * zero * w[zero_block]))
+            row[g] = math.inf if infinite else total
+    return out
+
+
+def _pair_decompositions(pairs: list) -> list[tuple[SpectralDecomposition, SpectralDecomposition]]:
+    """The decompositions of each (a, b) pair of states of one dimension,
+    the unsolved ones from one stacked eigh."""
+    for a, b in pairs:
+        if a.dim != b.dim:
+            raise DimensionMismatch(f"states have dimensions {a.dim} and {b.dim}")
+    dims = {a.dim for a, _ in pairs}
+    if len(dims) > 1:
+        raise DimensionMismatch(f"need pairs of one dimension, got dimensions {sorted(dims)}")
+    decs = iter(_decomposed([s for pair in pairs for s in pair]))
+    return list(zip(decs, decs))
 
 
 def oracle_quasi_relative_entropy(a: DensityMatrix, b: DensityMatrix, f: GeneratorFunction) -> float:
@@ -121,25 +173,49 @@ def oracle_quasi_relative_entropy(a: DensityMatrix, b: DensityMatrix, f: Generat
 
     Requires both states full rank. Builds the matrix of X -> b X a^{-1}
     in the column-stacked basis, applies f by eigendecomposition and
-    takes the trace against a. Intended for small dimensions.
+    takes the trace against a. Intended for small dimensions. The
+    one-pair, one-generator entry of oracle_divergence_table.
     """
-    if a.dim != b.dim:
-        raise DimensionMismatch(f"states have dimensions {a.dim} and {b.dim}")
-    d = a.dim
-    for name, rho in (("first", a), ("second", b)):
-        lowest = spectral_decompose(rho).eigenvalues[-1]
-        if lowest <= EPS_ZERO:
-            raise SingularState(f"{name} state has eigenvalue {lowest:.3e}, full rank required")
-    am = a.matrix
-    a_inv = np.linalg.inv(am)
+    return float(oracle_divergence_table([(a, b)], [f])[0, 0])
+
+
+def oracle_divergence_table(pairs, gens) -> np.ndarray:
+    """oracle_quasi_relative_entropy of every (a, b) pair under every
+    generator, shape (len(pairs), len(gens)).
+
+    The states of all pairs share one dimension and are full rank
+    (SingularState names the first state, in pair order, that is not).
+    One stacked inverse and one stacked eigh of the (n, d^2, d^2)
+    superoperators serve every generator, and each entry is bit for bit
+    the value the pair and generator give alone.
+    """
+    pairs = list(pairs)
+    decs = _pair_decompositions(pairs)
+    for pair in decs:
+        for name, dec in zip(("first", "second"), pair):
+            lowest = dec.eigenvalues[-1]
+            if lowest <= EPS_ZERO:
+                raise SingularState(f"{name} state has eigenvalue {lowest:.3e}, full rank required")
+    out = np.empty((len(decs), len(gens)))
+    if not decs:
+        return out
+    am = np.array([a.matrix for a, _ in pairs])
+    bm = np.array([b.matrix for _, b in pairs])
+    n, d = am.shape[:2]
+    a_inv_t = np.linalg.inv(am).swapaxes(-1, -2)
     # Column-stacked vec: X -> B X A^{-1} has matrix (A^{-1})^T kron B.
-    sup = np.kron(a_inv.T, b.matrix)
-    sup = (sup + sup.conj().T) / 2.0
-    vals, vecs = np.linalg.eigh(sup)
-    fsup = (vecs * f(np.maximum(vals, 1e-300))) @ vecs.conj().T
-    image = fsup @ am.flatten(order="F")
-    # Trace of the un-stacked image: diagonal sits at stride d + 1.
-    return float(np.real(image[:: d + 1].sum()))
+    sup = (a_inv_t[:, :, None, :, None] * bm[:, None, :, None, :]).reshape(n, d * d, d * d)
+    sup = (sup + sup.conj().swapaxes(-1, -2)) / 2.0
+    # A lone pair solves its superoperator as one (d^2, d^2) matrix.
+    vals, vecs = np.linalg.eigh(sup if n > 1 else sup[0])
+    vals, vecs = vals.reshape(n, d * d), vecs.reshape(sup.shape)
+    vecs_h = vecs.conj().swapaxes(-1, -2)
+    a_vec = am.swapaxes(-1, -2).reshape(n, d * d, 1)
+    for g, f in enumerate(gens):
+        image = ((vecs * f(np.maximum(vals, 1e-300))[:, None, :]) @ vecs_h) @ a_vec
+        # Trace of each un-stacked image: the diagonal sits at stride d + 1.
+        out[:, g] = np.real(image[:, :: d + 1, 0].sum(axis=1))
+    return out
 
 
 def f_weighted_sum(values, numerator, f: GeneratorFunction):

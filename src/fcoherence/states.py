@@ -235,9 +235,10 @@ def _store(states, vals: np.ndarray, vecs: np.ndarray) -> None:
 
 
 def _decomposed(states) -> list["SpectralDecomposition"]:
-    """The decompositions of states, solving those without one in one
-    stacked eigh, which gives each matrix the bits it gets alone."""
-    todo = [s for s in states if s._decomposition is None]
+    """The decompositions of states, solving those without one (each
+    once, however often it is listed) in one stacked eigh, which gives
+    each matrix the bits it gets alone."""
+    todo = list({id(s): s for s in states if s._decomposition is None}.values())
     if todo:
         _store(todo, *_eigh(np.array([s.matrix for s in todo])))
     return [s._decomposition for s in states]

@@ -7,10 +7,10 @@ violation stays at or below the configured tolerance. All randomness is
 derived from (master seed, case index, trial index), so a rerun with the
 same configuration reproduces the report byte for byte.
 
-The entropy, GIO and strong-monotonicity suites run case-batched: they
-draw a chunk of trials first, each from its own seeds, then validate,
-apply and score the chunk as stacks, and reduce the checks in trial
-order. Every stacked step gives each matrix the bytes it would get
+The entropy, divergence, GIO and strong-monotonicity suites run
+case-batched: they draw a chunk of trials first, each from its own
+seeds, then validate, apply and score the chunk as stacks, and reduce
+the checks in trial order. Every stacked step gives each matrix the bytes it would get
 alone, so the reports equal those of a trial-by-trial run.
 """
 
@@ -41,14 +41,17 @@ from .coherence import (
     dephasing_distance,
     max_coherent_state,
 )
-from .divergence import (
-    entropy_table,
-    f_weighted_sum,
-    oracle_quasi_relative_entropy,
-    quasi_relative_entropy,
-)
+from .divergence import divergence_table, entropy_table, f_weighted_sum, oracle_divergence_table
+from .errors import DimensionMismatch
 from .generators import GeneratorFunction, lookup
-from .states import DensityMatrix, random_density, random_pure, random_unitary, validate_density
+from .states import (
+    DensityMatrix,
+    _decomposed,
+    random_density,
+    random_pure,
+    random_unitary,
+    validate_density,
+)
 
 __all__ = [
     "DEFAULT_F_SPECS",
@@ -268,47 +271,75 @@ def suite_entropy_bounds(cfg: TrialConfig) -> VerificationReport:
 
 def suite_divergence_oracle(cfg: TrialConfig) -> VerificationReport:
     """Spectral formula against the superoperator route, plus the basic
-    divergence identities, on random full-rank pairs."""
+    divergence identities, on random full-rank pairs.
+
+    Trial t checks every generator on (a, b) against the oracle, for
+    positivity and for the self-distance zero, then f = f_list[t % n]
+    for transpose symmetry, data processing and joint convexity. The
+    trials of a chunk that share f are scored in one table row of
+    generators, f's transpose included.
+    """
     fs, _, _ = _resolve(cfg)
     w = _Worst()
     dims = [d for d in cfg.dims if d <= 4] or [2]
     trials = max(1, cfg.trials_per_case // 5)
+    n = len(fs)
     for case, d in enumerate(dims):
-        for t in range(trials):
-            s = _trial_seeds(cfg.seed, 100 + case, t)
-            a = _draw_conditioned(d, s[0])
-            b = _draw_conditioned(d, s[1])
-            w.trials += 1
-            for f in fs:
-                direct = quasi_relative_entropy(a, b, f)
-                oracle = oracle_quasi_relative_entropy(a, b, f)
-                w.update(abs(direct - oracle), s[0])
-                # Positivity and the self-distance zero.
-                w.update(-direct, s[0])
-                w.update(abs(quasi_relative_entropy(a, a, f)), s[0])
-            f = fs[t % len(fs)]
-            # Transposed generator swaps the arguments.
-            w.update(
-                abs(quasi_relative_entropy(a, b, f.transpose()) - quasi_relative_entropy(b, a, f)),
-                s[0],
+        # A trial's largest stack is its six drawn states or its
+        # d^2 x d^2 superoperator, whichever holds more.
+        for chunk in _chunks(trials, d, max(6, d * d)):
+            seeds, ab, ab2, lams, mixes, channels = [], [], [], [], [], []
+            for t in chunk:
+                s = _trial_seeds(cfg.seed, 100 + case, t)
+                a = _draw_conditioned(d, s[0])
+                b = _draw_conditioned(d, s[1])
+                a2 = random_density(d, d, s[3])
+                b2 = random_density(d, d, s[4])
+                lam = 0.5 + 0.35 * math.cos(float(t))
+                seeds.append(s)
+                ab.append((a, b))
+                ab2.append((a2, b2))
+                lams.append(lam)
+                mixes.append(
+                    (
+                        DensityMatrix(lam * a.matrix + (1.0 - lam) * a2.matrix),
+                        DensityMatrix(lam * b.matrix + (1.0 - lam) * b2.matrix),
+                    )
+                )
+                channels.append(random_channel(d, 2 + t % 2, s[2]))
+            _decomposed([x for pairs in (ab, ab2, mixes) for pair in pairs for x in pair])
+            outputs = validate_density(
+                np.array([ch.apply_matrix(x.matrix) for ch, pair in zip(channels, ab) for x in pair])
             )
-            # Data processing under a random channel.
-            ch = random_channel(d, 2 + t % 2, s[2])
-            w.update(
-                quasi_relative_entropy(ch.apply(a), ch.apply(b), f) - quasi_relative_entropy(a, b, f),
-                s[2],
-            )
-            # Joint convexity on a two-component mixture.
-            a2 = random_density(d, d, s[3])
-            b2 = random_density(d, d, s[4])
-            lam = 0.5 + 0.35 * math.cos(float(t))
-            mix_a = DensityMatrix(lam * a.matrix + (1.0 - lam) * a2.matrix)
-            mix_b = DensityMatrix(lam * b.matrix + (1.0 - lam) * b2.matrix)
-            gap = quasi_relative_entropy(mix_a, mix_b, f) - (
-                lam * quasi_relative_entropy(a, b, f)
-                + (1.0 - lam) * quasi_relative_entropy(a2, b2, f)
-            )
-            w.update(gap, s[3])
+            processed = list(zip(outputs[0::2], outputs[1::2]))
+            oracle = oracle_divergence_table(ab, fs).tolist()
+            selfs = divergence_table([(a, a) for a, _ in ab], fs).tolist()
+            # Per trial: (a, b) under every generator and f's transpose;
+            # (b, a), the channel outputs, the mixtures and (a2, b2) under f.
+            direct, others = [None] * len(chunk), [None] * len(chunk)
+            for r in sorted({t % n for t in chunk}):
+                rows = [i for i, t in enumerate(chunk) if t % n == r]
+                table = divergence_table([ab[i] for i in rows], fs + [fs[r].transpose()]).tolist()
+                extra = [pair for i in rows for pair in (ab[i][::-1], processed[i], mixes[i], ab2[i])]
+                values = divergence_table(extra, [fs[r]]).reshape(len(rows), 4).tolist()
+                for i, row, vals in zip(rows, table, values):
+                    direct[i], others[i] = row, vals
+            for t, s, lam, row, oracle_row, self_row, (ba, after, mixed, other) in zip(
+                chunk, seeds, lams, direct, oracle, selfs, others
+            ):
+                w.trials += 1
+                for value, oracle_value, self_value in zip(row[:n], oracle_row, self_row):
+                    w.update(abs(value - oracle_value), s[0])
+                    # Positivity and the self-distance zero.
+                    w.update(-value, s[0])
+                    w.update(abs(self_value), s[0])
+                before = row[t % n]
+                # Transposed generator swaps the arguments.
+                w.update(abs(row[n] - ba), s[0])
+                # Data processing under a random channel.
+                w.update(after - before, s[2])
+                # Joint convexity on a two-component mixture.
+                w.update(mixed - (lam * before + (1.0 - lam) * other), s[3])
     return w.report("divergence-oracle", cfg)
 
 
@@ -567,19 +598,22 @@ def sio_counterexample_report(f_name: str, d: int, rho: DensityMatrix | None = N
     """Evaluate both tensor-extension coherences directly and through
     the eigenvalue identities.
 
-    Defaults to the uniform-superposition state on dimension d.
+    Defaults to the uniform-superposition state on dimension d, and
+    raises DimensionMismatch when rho has another dimension.
     """
-    f = lookup(f_name)
+    return _sio_reports([lookup(f_name)], d, rho)[0]
+
+
+def _sio_reports(gens, d: int, rho: DensityMatrix | None = None) -> list[SioCounterexampleReport]:
+    """sio_counterexample_report for each generator, from one pair of
+    tensor-extension states and one coherence table."""
     if rho is None:
         rho = max_coherent_state(d).as_density()
     if rho.dim != d:
-        raise ValueError(f"state dimension {rho.dim} does not match d={d}")
+        raise DimensionMismatch(f"state dimension {rho.dim} does not match d={d}")
     mixed = DensityMatrix.maximally_mixed(d)
     ground = DensityMatrix.from_diagonal([1.0] + [0.0] * (d - 1))
-    w_i = rho.tensor(mixed)
-    w_0 = rho.tensor(ground)
-
-    (lhs_plain, lhs_hat), (rhs_plain, rhs_hat) = coherence_table([w_i, w_0], [f])[:, 0].tolist()
+    table = coherence_table([rho.tensor(mixed), rho.tensor(ground)], gens).tolist()
 
     numerators = [
         1.0 / d,         # rho (x) I/d keeps the d-scaled value
@@ -588,26 +622,30 @@ def sio_counterexample_report(f_name: str, d: int, rho: DensityMatrix | None = N
         1.0,             # unscaled value survives the ground ancilla
     ]
     rows = np.array((rho.eigenvalues(), rho.diagonal_probabilities()))
-    sums = f_weighted_sum(rows, np.array(numerators)[:, None], f)
-    ident_lhs_plain, ident_rhs_plain, ident_lhs_hat, ident_rhs_hat = (sums[:, 0] - sums[:, 1]).tolist()
-
-    cross = max(
-        abs(lhs_plain - ident_lhs_plain),
-        abs(rhs_plain - ident_rhs_plain),
-        abs(lhs_hat - ident_lhs_hat),
-        abs(rhs_hat - ident_rhs_hat),
-    )
-    gap = max(abs(lhs_plain - rhs_plain), abs(lhs_hat - rhs_hat))
-    return SioCounterexampleReport(
-        f_name=f.name,
-        dim=d,
-        lhs_plain=lhs_plain,
-        rhs_plain=rhs_plain,
-        lhs_hat=lhs_hat,
-        rhs_hat=rhs_hat,
-        gap=gap,
-        cross_check_error=cross,
-    )
+    reports = []
+    for f, (lhs_plain, lhs_hat), (rhs_plain, rhs_hat) in zip(gens, table[0], table[1]):
+        sums = f_weighted_sum(rows, np.array(numerators)[:, None], f)
+        ident_lhs_plain, ident_rhs_plain, ident_lhs_hat, ident_rhs_hat = (sums[:, 0] - sums[:, 1]).tolist()
+        cross = max(
+            abs(lhs_plain - ident_lhs_plain),
+            abs(rhs_plain - ident_rhs_plain),
+            abs(lhs_hat - ident_lhs_hat),
+            abs(rhs_hat - ident_rhs_hat),
+        )
+        gap = max(abs(lhs_plain - rhs_plain), abs(lhs_hat - rhs_hat))
+        reports.append(
+            SioCounterexampleReport(
+                f_name=f.name,
+                dim=d,
+                lhs_plain=lhs_plain,
+                rhs_plain=rhs_plain,
+                lhs_hat=lhs_hat,
+                rhs_hat=rhs_hat,
+                gap=gap,
+                cross_check_error=cross,
+            )
+        )
+    return reports
 
 
 def suite_sio_counterexample(cfg: TrialConfig) -> VerificationReport:
@@ -615,14 +653,15 @@ def suite_sio_counterexample(cfg: TrialConfig) -> VerificationReport:
     other decreasing generator, identities consistent throughout."""
     _, dec, note = _resolve(cfg)
     w = _Worst()
+    if not dec:
+        return w.report("sio-counterexample", cfg, note)
     # The witness needs an ancilla of dimension at least 2.
     dims = sorted(set(d for d in cfg.dims if 2 <= d <= 3)) or [2]
     for d in dims:
-        for f in dec:
-            rep = sio_counterexample_report(f.name, d)
+        for rep in _sio_reports(dec, d):
             w.trials += 1
             w.update(rep.cross_check_error, cfg.seed)
-            if f.name == "neg_log":
+            if rep.f_name == "neg_log":
                 w.update(rep.gap, cfg.seed)
             else:
                 w.update(10.0 * cfg.tol_violation - rep.gap, cfg.seed)

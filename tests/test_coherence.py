@@ -18,7 +18,7 @@ from fcoherence import (
     random_pure,
     relative_entropy_coherence,
 )
-from fcoherence.errors import ParamOutOfRange
+from fcoherence.errors import DimensionMismatch, ParamOutOfRange
 from fcoherence.generators import lookup, neg_log, power, tsallis
 
 DECREASING_SPECS = ["neg_log", "power:0.5", "tsallis:0.5", "tsallis:1.5"]
@@ -189,7 +189,7 @@ class TestMaxCoherentState:
         np.testing.assert_allclose(psi.amplitudes, np.full(4, 0.5))
 
     def test_rejects_bad_dimension(self):
-        with pytest.raises(ParamOutOfRange):
+        with pytest.raises(DimensionMismatch, match="dimension must be positive, got 0"):
             max_coherent_state(0)
 
     @pytest.mark.parametrize("spec", DECREASING_SPECS)

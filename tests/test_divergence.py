@@ -6,14 +6,17 @@ from scipy.linalg import fractional_matrix_power, logm
 
 from fcoherence import (
     DensityMatrix,
+    divergence_table,
     f_entropy,
     f_entropy_hat,
     f_weighted_sum,
+    oracle_divergence_table,
     oracle_quasi_relative_entropy,
     quasi_relative_entropy,
     random_density,
     random_pure,
     random_unitary,
+    validate_density,
 )
 from fcoherence.channels import depolarizing_extension, random_channel
 from fcoherence.errors import DimensionMismatch, SingularState, UnsupportedLimit
@@ -421,3 +424,155 @@ class TestUnsupportedLimitOnlyWithWeight:
         want = reference_quasi_relative_entropy(a, b, f)
         assert want != pytest.approx(reference_quasi_relative_entropy(a, b, neg_log()), abs=1e-3)
         assert quasi_relative_entropy(a, b, f) == pytest.approx(want, abs=1e-12)
+
+
+def fresh(pairs):
+    """The same pairs as new, unsolved states."""
+    return [(DensityMatrix(a.matrix), DensityMatrix(b.matrix)) for a, b in pairs]
+
+
+def bits(x):
+    return np.float64(x).tobytes()
+
+
+TABLE_PAIRS = {
+    **REFERENCE_PAIRS,
+    "maximally-mixed": lambda: (DensityMatrix.maximally_mixed(4), conditioned_pair(4, 41)[0]),
+    # eigenvalues closer than GROUP_TOL fall into one group
+    "near-degenerate": lambda: (
+        rotated([0.4, 0.4 - 5e-13, 0.2 + 5e-13], 43),
+        rotated([0.5, 0.25 + 4e-13, 0.25 - 4e-13], 44),
+    ),
+    "identical": lambda: (rotated([0.5, 0.3, 0.2], 45),) * 2,
+}
+
+
+def table_groups():
+    """The TABLE_PAIRS cases grouped by dimension: {dim: (names, pairs)}."""
+    groups = {}
+    for name in sorted(TABLE_PAIRS):
+        a, b = TABLE_PAIRS[name]()
+        names, pairs = groups.setdefault(a.dim, ([], []))
+        names.append(name)
+        pairs.append((a, b))
+    return groups
+
+
+class TestDivergenceTable:
+    @pytest.mark.parametrize("dim", sorted(table_groups()))
+    def test_entries_equal_the_one_call_bit_for_bit(self, dim):
+        names, pairs = table_groups()[dim]
+        table = divergence_table(pairs, ALL_GENERATORS)
+        assert table.shape == (len(pairs), len(ALL_GENERATORS))
+        for name, (a, b), row in zip(names, fresh(pairs), table):
+            for f, value in zip(ALL_GENERATORS, row):
+                assert bits(value) == bits(quasi_relative_entropy(a, b, f)), (name, f.name)
+                want = reference_quasi_relative_entropy(a, b, f)
+                if math.isinf(want):
+                    assert value == math.inf
+                else:
+                    assert value == pytest.approx(want, rel=0.0, abs=1e-12)
+
+    def test_empty(self):
+        assert divergence_table([], ALL_GENERATORS).shape == (0, len(ALL_GENERATORS))
+        assert oracle_divergence_table([], ALL_GENERATORS).shape == (0, len(ALL_GENERATORS))
+
+    @pytest.mark.parametrize("gens", [
+        [neg_log(), no_limits(zero=math.inf)],
+        [no_limits(weighted=0.0), neg_log()],
+        [no_limits(weighted=2.0), no_limits(weighted=0.0, zero=0.0)],
+        [neg_log(), no_limits()],
+    ], ids=["no-tail", "no-zero", "limits", "none"])
+    def test_unsupported_limit_exactly_where_the_one_call_raises(self, gens):
+        cases = ["full-rank", "shared-kernel", "singular-first", "singular-second", "degenerate-diagonal"]
+        pairs_by_dim = {}
+        for name in cases:
+            a, b = TABLE_PAIRS[name]()
+            pairs_by_dim.setdefault(a.dim, []).append((a, b))
+        raised = 0
+        for pairs in pairs_by_dim.values():
+            for subset in (pairs, pairs[::-1], pairs[:1], pairs[-1:]):
+                first_error = None
+                for a, b in subset:
+                    for f in gens:
+                        try:
+                            quasi_relative_entropy(a, b, f)
+                        except UnsupportedLimit as exc:
+                            first_error = first_error or str(exc)
+                if first_error is None:
+                    table = divergence_table(subset, gens)
+                    for (a, b), row in zip(subset, table):
+                        assert [bits(v) for v in row] == [bits(quasi_relative_entropy(a, b, f)) for f in gens]
+                else:
+                    raised += 1
+                    with pytest.raises(UnsupportedLimit) as info:
+                        divergence_table(subset, gens)
+                    assert str(info.value) == first_error
+        assert raised
+
+    def test_mixed_dimensions_rejected(self):
+        a2, b2 = conditioned_pair(2, 1)
+        a3, b3 = conditioned_pair(3, 2)
+        for table in (divergence_table, oracle_divergence_table):
+            with pytest.raises(DimensionMismatch, match="states have dimensions 2 and 3"):
+                table([(a2, b2), (a2, b3)], [neg_log()])
+            with pytest.raises(DimensionMismatch, match=r"need pairs of one dimension, got dimensions \[2, 3\]"):
+                table([(a2, b2), (a3, b3)], [neg_log()])
+
+    def test_pair_dimension_error_comes_first(self):
+        full = DensityMatrix.maximally_mixed(2)
+        sing = DensityMatrix.from_diagonal([1.0, 0.0])
+        with pytest.raises(DimensionMismatch):
+            oracle_divergence_table([(sing, full), (full, DensityMatrix.maximally_mixed(3))], [neg_log()])
+
+
+class TestOracleTable:
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4, 6])
+    def test_entries_equal_the_one_call_bit_for_bit(self, dim):
+        pairs = [conditioned_pair(dim, 50 + i) for i in range(7)]
+        table = oracle_divergence_table(pairs, ALL_GENERATORS)
+        for (a, b), row in zip(fresh(pairs), table):
+            for f, value in zip(ALL_GENERATORS, row):
+                assert bits(value) == bits(oracle_quasi_relative_entropy(a, b, f))
+                assert value == pytest.approx(quasi_relative_entropy(a, b, f), abs=1e-10)
+
+    def test_singular_state_messages(self):
+        full = DensityMatrix.maximally_mixed(2)
+        sing = DensityMatrix.from_diagonal([1.0, 0.0])
+        message = r"^{} state has eigenvalue 0\.000e\+00, full rank required$"
+        with pytest.raises(SingularState, match=message.format("first")):
+            oracle_quasi_relative_entropy(sing, full, neg_log())
+        with pytest.raises(SingularState, match=message.format("second")):
+            oracle_quasi_relative_entropy(full, sing, neg_log())
+        # The first singular state in pair order is named.
+        with pytest.raises(SingularState, match=message.format("second")):
+            oracle_divergence_table([(full, full), (full, sing), (sing, full)], [neg_log()])
+        with pytest.raises(SingularState, match=message.format("first")):
+            oracle_divergence_table([(full, full), (sing, sing)], [neg_log()])
+
+    def test_one_superoperator_solve_for_every_generator(self, eigh_calls):
+        d, n = 3, 5
+        pairs = [conditioned_pair(d, 70 + i) for i in range(n)]
+        validated = validate_density(np.array([m.matrix for pair in pairs for m in pair]))
+        pairs = list(zip(validated[0::2], validated[1::2]))
+        eigh_calls.clear()
+        oracle_divergence_table(pairs, ALL_GENERATORS)
+        assert eigh_calls == [(n, d * d, d * d)]
+        eigh_calls.clear()
+        divergence_table(pairs + [(a, a) for a, _ in pairs], ALL_GENERATORS)
+        assert eigh_calls == []
+
+    def test_unsolved_states_take_one_stacked_solve(self, eigh_calls):
+        d, n = 3, 4
+        pairs = [conditioned_pair(d, 80 + i) for i in range(n)]
+        pairs += [(a, a) for a, _ in pairs]
+        divergence_table(pairs, ALL_GENERATORS)
+        oracle_divergence_table(pairs, ALL_GENERATORS)
+        assert eigh_calls == [(2 * n, d, d), (2 * n, d * d, d * d)]
+
+
+def test_tables_take_any_iterable_of_pairs():
+    pairs = [conditioned_pair(3, 90 + i) for i in range(3)]
+    for table in (divergence_table, oracle_divergence_table):
+        want = table(pairs, ALL_GENERATORS)
+        assert table(iter(pairs), ALL_GENERATORS).tobytes() == want.tobytes()

@@ -372,6 +372,27 @@ class TestCaseBatching:
         assert len(list(verify._chunks(cfg.trials_per_case, 4, per))) > 1
         assert verify.SUITES[name](cfg) == whole
 
+    def test_chunked_divergence_oracle_gives_the_unsplit_report(self, monkeypatch):
+        # 14 trials per case; five generators, so chunks of three split
+        # the trials that share a generator row.
+        cfg = TrialConfig(dims=(2, 3, 4), trials_per_case=70, seed=11)
+        whole = verify.suite_divergence_oracle(cfg)
+        monkeypatch.setattr(verify, "STACK_BYTES", 3 * 16 * 4 * 4 * 16)
+        assert [len(r) for r in verify._chunks(14, 4, 16)] == [3, 3, 3, 3, 2]
+        assert verify.suite_divergence_oracle(cfg) == whole
+
+    def test_divergence_oracle_solves_once_per_chunk(self, monkeypatch, eigh_calls):
+        """Per chunk of m trials at d = 3: one stacked eigh of the 6m drawn
+        states, one of the 2m channel outputs and one of the m
+        superoperators, however many generators are configured."""
+        monkeypatch.setattr(verify, "STACK_BYTES", 16 * 9 * 9 * 3)  # three trials at d = 3
+        report = verify.suite_divergence_oracle(TrialConfig(dims=(3,), trials_per_case=35, seed=2))
+        assert report.trials == 7
+        expected = []
+        for m in (3, 3, 1):
+            expected += [(6 * m, 3, 3), (2 * m, 3, 3), (m, 9, 9) if m > 1 else (9, 9)]
+        assert eigh_calls == expected
+
     def test_strong_suite_builds_one_outcome_stack_per_part_and_chunk(self, monkeypatch):
         builds = []
         real = verify.outcome_ensembles

@@ -19,9 +19,10 @@ from fcoherence import (
     sio_counterexample_report,
 )
 from fcoherence.cli import main
-from fcoherence.errors import UnknownGenerator
+from fcoherence.errors import DimensionMismatch, UnknownGenerator
 from fcoherence.generators import lookup, tsallis
-from fcoherence.verify import SUITES
+from fcoherence.io import dumps17
+from fcoherence.verify import DEFAULT_F_SPECS, SUITES, _sio_reports
 
 SMALL = TrialConfig(dims=(2, 3), trials_per_case=30, seed=5)
 
@@ -201,8 +202,28 @@ class TestSioCounterexampleReport:
         assert rep.cross_check_error <= 1e-10
 
     def test_rejects_mismatched_state(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(DimensionMismatch, match="state dimension 2 does not match d=3"):
             sio_counterexample_report("neg_log", 3, rho=DensityMatrix.maximally_mixed(2))
+
+    def test_rejects_nonpositive_dimension(self):
+        with pytest.raises(DimensionMismatch):
+            sio_counterexample_report("neg_log", 0)
+
+    def test_suite_shares_the_states_of_a_dimension(self, eigh_calls):
+        """The eigensolves of the suite do not grow with the generator count."""
+        calls = []
+        for specs in (("neg_log",), DEFAULT_F_SPECS):
+            eigh_calls.clear()
+            SUITES["sio-counterexample"](TrialConfig(dims=(2, 3), trials_per_case=1, f_list=specs))
+            calls.append(list(eigh_calls))
+        assert calls[0] == calls[1]
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_reports_equal_the_one_generator_reports(self, d):
+        gens = [lookup(s) for s in DEFAULT_F_SPECS if lookup(s).monotone_decreasing]
+        for f, rep in zip(gens, _sio_reports(gens, d)):
+            alone = sio_counterexample_report(f.name, d)
+            assert dumps17(rep.to_json_dict()) == dumps17(alone.to_json_dict())
 
 
 class TestDimensionOne:
@@ -243,3 +264,17 @@ def test_verify_stdout_matches_golden_file_dims_2_to_6(tmp_path, capsys):
     assert main(argv + ["--out", str(out)]) == 0
     capsys.readouterr()
     assert out.read_bytes() == GOLDEN_DIMS_2_6.read_bytes()
+
+
+GOLDEN_ORACLE = Path(__file__).parent / "data" / "verify_oracle_seed3_trials200_dims2-4.jsonl"
+
+
+def test_verify_stdout_matches_golden_file_divergence_oracle(tmp_path, capsys):
+    """`fcoherence verify --suite divergence-oracle --seed 3 --trials 200
+    --dims 2,3,4`, byte for byte: 40 trials per case, so every generator
+    row holds several trials."""
+    out = tmp_path / "verify.jsonl"
+    argv = ["verify", "--suite", "divergence-oracle", "--seed", "3", "--trials", "200", "--dims", "2,3,4"]
+    assert main(argv + ["--out", str(out)]) == 0
+    capsys.readouterr()
+    assert out.read_bytes() == GOLDEN_ORACLE.read_bytes()
