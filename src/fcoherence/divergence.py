@@ -56,15 +56,11 @@ __all__ = [
 GROUP_TOL = 1e-12
 
 
-def _grouped(vals_desc: np.ndarray) -> tuple[np.ndarray | None, np.ndarray]:
-    """Start index and mean eigenvalue of each spectral group; no start
-    indices when every eigenvalue is a group of its own."""
-    cut = vals_desc[:-1] - vals_desc[1:] > GROUP_TOL
-    if cut.all():
-        return None, vals_desc
-    edges = np.concatenate(([0], np.flatnonzero(cut) + 1, [vals_desc.size]))
-    starts = edges[:-1]
-    return starts, np.add.reduceat(vals_desc, starts) / (edges[1:] - starts)
+def _grouped(vals_desc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Start index and mean eigenvalue of each spectral group."""
+    starts = np.concatenate(([0], np.flatnonzero(vals_desc[:-1] - vals_desc[1:] > GROUP_TOL) + 1))
+    sizes = np.diff(starts, append=vals_desc.size)
+    return starts, np.add.reduceat(vals_desc, starts) / sizes
 
 
 def _carried(rows: np.ndarray, cols: np.ndarray, carried: np.ndarray):
@@ -121,10 +117,7 @@ def divergence_table(pairs, gens) -> np.ndarray:
         starts_a, lam = _grouped(sa.eigenvalues)
         starts_b, mu = _grouped(sb.eigenvalues)
         # Block-summed overlap weight per (group of b, group of a).
-        if starts_b is not None:
-            w = np.add.reduceat(w, starts_b, axis=0)
-        if starts_a is not None:
-            w = np.add.reduceat(w, starts_a, axis=1)
+        w = np.add.reduceat(np.add.reduceat(w, starts_b, axis=0), starts_a, axis=1)
         lam_pos = lam > EPS_ZERO
         mu_pos = mu > EPS_ZERO
         carried = w != 0.0
@@ -206,9 +199,7 @@ def oracle_divergence_table(pairs, gens) -> np.ndarray:
     # Column-stacked vec: X -> B X A^{-1} has matrix (A^{-1})^T kron B.
     sup = (a_inv_t[:, :, None, :, None] * bm[:, None, :, None, :]).reshape(n, d * d, d * d)
     sup = (sup + sup.conj().swapaxes(-1, -2)) / 2.0
-    # A lone pair solves its superoperator as one (d^2, d^2) matrix.
-    vals, vecs = np.linalg.eigh(sup if n > 1 else sup[0])
-    vals, vecs = vals.reshape(n, d * d), vecs.reshape(sup.shape)
+    vals, vecs = np.linalg.eigh(sup)
     vecs_h = vecs.conj().swapaxes(-1, -2)
     a_vec = am.swapaxes(-1, -2).reshape(n, d * d, 1)
     for g, f in enumerate(gens):

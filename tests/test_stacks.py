@@ -390,7 +390,7 @@ class TestCaseBatching:
         assert report.trials == 7
         expected = []
         for m in (3, 3, 1):
-            expected += [(6 * m, 3, 3), (2 * m, 3, 3), (m, 9, 9) if m > 1 else (9, 9)]
+            expected += [(6 * m, 3, 3), (2 * m, 3, 3), (m, 9, 9)]
         assert eigh_calls == expected
 
     def test_strong_suite_builds_one_outcome_stack_per_part_and_chunk(self, monkeypatch):

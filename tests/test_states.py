@@ -259,8 +259,8 @@ class TestEigenvalueCache:
         entropy_table([a, b], [f])
         quasi_relative_entropy(a, b, f)
         oracle_quasi_relative_entropy(a, b, f)
-        # The oracle's one eigh is of its d^2 x d^2 superoperator.
-        assert eigh_calls == [(d * d, d * d)]
+        # The oracle's one eigh is of its stack of one d^2 x d^2 superoperator.
+        assert eigh_calls == [(1, d * d, d * d)]
 
     @pytest.mark.parametrize("seed", range(5))
     def test_seeded_decomposition_rebuilds_the_stored_matrix(self, seed):
