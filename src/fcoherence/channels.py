@@ -29,7 +29,15 @@ from .errors import (
     NotGio,
     SingularState,
 )
-from .states import EPS_ZERO, DensityMatrix, random_unitary, spectral_decompose, trace_norm, validate_density
+from .states import (
+    EPS_ZERO,
+    DensityMatrix,
+    _check_dim,
+    random_unitary,
+    spectral_decompose,
+    trace_norm,
+    validate_density,
+)
 
 __all__ = [
     "COMPLETENESS_TOL",
@@ -87,8 +95,8 @@ def _kraus_stack(kraus_ops) -> np.ndarray:
         if len({np.shape(k) for k in ops}) > 1:
             raise DimensionMismatch("Kraus operators must all be square of one size") from None
         raise
-    if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
-        raise DimensionMismatch(f"Kraus operators must all be square of one size, got {stack.shape[1:]}")
+    if stack.ndim != 3 or stack.shape[1] != stack.shape[2] or stack.shape[1] == 0:
+        raise DimensionMismatch(f"Kraus operators must be non-empty squares of one size, got {stack.shape[1:]}")
     if not np.isfinite(stack).all():
         raise ChannelValidationError("Kraus operator contains non-finite entries")
     stack.setflags(write=False)
@@ -312,15 +320,18 @@ class GioChannel(KrausChannel):
 
 
 def identity_channel(dim: int) -> KrausChannel:
+    _check_dim(dim)
     return KrausChannel([np.eye(dim, dtype=complex)], label="identity")
 
 
 def dephasing_channel(dim: int) -> GioChannel:
     """Kraus list {|n><n|}; the channel that removes all off-diagonals."""
+    _check_dim(dim)
     return GioChannel.from_coefficients(np.eye(dim), label="dephase")
 
 
 def _check_extension_dim(dim: int) -> None:
+    _check_dim(dim)
     if dim > MAX_EXTENSION_DIM:
         raise DimensionMismatch(
             f"extension channels support ancilla dimension at most {MAX_EXTENSION_DIM}, got {dim}"

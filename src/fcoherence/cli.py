@@ -34,7 +34,7 @@ from .errors import (
 from .generators import lookup
 from .io import dumps17, load_channel_or_builtin, load_state, state_to_json
 from .states import DensityMatrix, random_density
-from .verify import DEFAULT_F_SPECS, SUITES, TrialConfig, sio_counterexample_report
+from .verify import DEFAULT_F_SPECS, SUITES, TrialConfig, run_all, sio_counterexample_report
 
 __all__ = ["build_parser", "main", "main_entry"]
 
@@ -162,15 +162,9 @@ def cmd_verify(args) -> int:
     except ValueError as exc:  # dims, trials or tolerance out of range
         _diag(str(exc))
         return EXIT_INPUT
-    names = list(SUITES) if args.suite == "all" else [args.suite]
-    lines = []
-    ok = True
-    for name in names:
-        rep = SUITES[name](cfg)
-        ok = ok and rep.passed
-        lines.append(dumps17(rep.to_json_dict()))
-    _emit("\n".join(lines), args.out)
-    return EXIT_OK if ok else EXIT_SUITE
+    reports = run_all(cfg) if args.suite == "all" else [SUITES[args.suite](cfg)]
+    _emit("\n".join(dumps17(rep.to_json_dict()) for rep in reports), args.out)
+    return EXIT_OK if all(rep.passed for rep in reports) else EXIT_SUITE
 
 
 def _demo_log_chain(seed: int) -> tuple[list[str], bool]:

@@ -26,7 +26,7 @@ from .channels import max_offdiagonal
 from .divergence import f_weighted_sum, spectral_sums
 from .errors import DimensionMismatch, ParamOutOfRange
 from .generators import GeneratorFunction
-from .states import EPS_ZERO, DensityMatrix, PureState, spectra, trace_norm
+from .states import EPS_ZERO, DensityMatrix, PureState, _check_dim, spectra, trace_norm
 
 __all__ = [
     "CoherenceResult",
@@ -150,6 +150,5 @@ def dephasing_distance(rho: DensityMatrix) -> float:
 
 def max_coherent_state(dim: int) -> PureState:
     """Uniform superposition of all basis states."""
-    if dim < 1:
-        raise DimensionMismatch(f"dimension must be positive, got {dim}")
+    _check_dim(dim)
     return PureState(np.ones(dim, dtype=complex) / math.sqrt(dim))

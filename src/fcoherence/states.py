@@ -57,6 +57,11 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _check_dim(dim: int) -> None:
+    if dim < 1:
+        raise DimensionMismatch(f"dimension must be positive, got {dim}")
+
+
 def _as_square(matrix, what: str = "matrix", ndim: int = 2) -> np.ndarray:
     """Complex array of ``ndim`` axes whose last two are square and
     non-empty, all finite."""
@@ -102,6 +107,7 @@ class DensityMatrix:
 
     @classmethod
     def maximally_mixed(cls, dim: int) -> "DensityMatrix":
+        _check_dim(dim)
         return cls(np.eye(dim, dtype=complex) / dim)
 
     @classmethod
@@ -278,8 +284,7 @@ def trace_norm(matrix) -> float:
 
 def random_pure(dim: int, seed: int) -> PureState:
     """Haar-random pure state: normalized complex Gaussian vector."""
-    if dim < 1:
-        raise DimensionMismatch(f"dimension must be positive, got {dim}")
+    _check_dim(dim)
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     return PureState(v / np.linalg.norm(v))
@@ -287,15 +292,19 @@ def random_pure(dim: int, seed: int) -> PureState:
 
 def random_density(dim: int, rank: int, seed: int) -> DensityMatrix:
     """Random density matrix G G* / Tr(G G*) with G of shape (dim, rank)."""
-    if dim < 1:
-        raise DimensionMismatch(f"dimension must be positive, got {dim}")
+    return DensityMatrix(_wishart(dim, rank, seed))
+
+
+def _wishart(dim: int, rank: int, seed: int) -> np.ndarray:
+    """The matrix of random_density(dim, rank, seed), as a plain array."""
+    _check_dim(dim)
     if not 1 <= rank <= dim:
         raise DimensionMismatch(f"rank must lie in [1, {dim}], got {rank}")
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
     m = g @ g.conj().T
     m = (m + m.conj().T) / 2.0
-    return DensityMatrix(m / np.real(np.trace(m)))
+    return m / np.real(np.trace(m))
 
 
 def random_unitary(dim: int, seed: int) -> np.ndarray:

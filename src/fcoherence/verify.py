@@ -12,12 +12,21 @@ case-batched: they draw a chunk of trials first, each from its own
 seeds, then validate, apply and score the chunk as stacks, and reduce
 the checks in trial order. Every stacked step gives each matrix the bytes it would get
 alone, so the reports equal those of a trial-by-trial run.
+
+``run_all`` runs the suites on the usable CPUs, one forked process per
+extra CPU, and returns the same reports as running them one after
+another.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 import numbers
+import os
+import pickle
+import signal
+import threading
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -42,11 +51,12 @@ from .coherence import (
     max_coherent_state,
 )
 from .divergence import divergence_table, entropy_table, f_weighted_sum, oracle_divergence_table
-from .errors import DimensionMismatch
+from .errors import CoherenceError, DimensionMismatch
 from .generators import GeneratorFunction, lookup
 from .states import (
     DensityMatrix,
     _decomposed,
+    _wishart,
     random_density,
     random_pure,
     random_unitary,
@@ -105,6 +115,8 @@ class TrialConfig:
             raise ValueError(f"trials_per_case must be an integer of at least 1, got {self.trials_per_case!r}")
         if isinstance(self.tol_violation, bool) or not 0.0 < self.tol_violation < math.inf:
             raise ValueError(f"tol_violation must be positive and finite, got {self.tol_violation!r}")
+        if isinstance(self.f_list, str):
+            raise ValueError(f"f_list must be a sequence of generator specs, got the string {self.f_list!r}")
         if not self.f_list:
             raise ValueError("f_list must name at least one generator")
         for spec in self.f_list:
@@ -197,8 +209,7 @@ def _draw_conditioned(d: int, seed: int) -> DensityMatrix:
     comparable at the 1e-10 level while staying a random full-rank
     ensemble.
     """
-    w = random_density(d, d, seed)
-    return DensityMatrix(0.8 * w.matrix + 0.2 * np.eye(d) / d)
+    return DensityMatrix(0.8 * _wishart(d, d, seed) + 0.2 * np.eye(d) / d)
 
 
 def suite_entropy_bounds(cfg: TrialConfig) -> VerificationReport:
@@ -679,5 +690,105 @@ SUITES = {
 
 
 def run_all(cfg: TrialConfig) -> list[VerificationReport]:
-    """Run every suite in a fixed order."""
-    return [fn(cfg) for fn in SUITES.values()]
+    """Run every suite and return the reports in SUITES order.
+
+    The suites are independent, so they share the usable CPUs: with n
+    shares, share k is list(SUITES)[k::n], this process runs share 0
+    and one forked child runs each other share, sending its results
+    back pickled through a pipe. With one usable CPU, no os.fork or
+    other running threads, there is one share and nothing forks. The
+    reports equal those of running the suites one after another. When
+    suites raise, the exception of the first failing suite in SUITES
+    order is raised; a child that dies without a result raises
+    CoherenceError. Children still running when this returns or raises
+    are killed and reaped.
+    """
+    names = list(SUITES)
+    n = _share_count()
+    children = []  # (pid, read end of its pipe, its suites), until reaped
+    try:
+        for k in range(1, n):
+            children.append(_fork_share(names[k::n], cfg))
+        results = dict(_run_share(names[0::n], cfg))
+        while children:
+            results.update(_collect(*children[0]))
+            children.pop(0)
+    finally:
+        for pid, fd, _ in children:  # left by an exception
+            with contextlib.suppress(OSError):
+                os.close(fd)
+            with contextlib.suppress(OSError):
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+    reports = []
+    for name in names:
+        # A share stops at its first exception, so a suite without a
+        # result comes after a failed one.
+        result = results[name]
+        if isinstance(result, BaseException):
+            raise result
+        reports.append(result)
+    return reports
+
+
+def _share_count() -> int:
+    """Number of shares: one per usable CPU, at most one per suite, and
+    one when forking is unavailable or unsafe."""
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        return 1
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    return min(cpus, len(SUITES))
+
+
+def _run_share(names: list[str], cfg: TrialConfig) -> list[tuple[str, object]]:
+    """(suite, report) pairs in order, up to and including the first
+    suite that raises, paired with its exception."""
+    results = []
+    for name in names:
+        try:
+            results.append((name, SUITES[name](cfg)))
+        except Exception as exc:
+            results.append((name, exc))
+            break
+    return results
+
+
+def _fork_share(names: list[str], cfg: TrialConfig) -> tuple[int, int, list[str]]:
+    """Fork a child that runs the suites and writes _run_share's pickled
+    result to a pipe. The child leaves only through os._exit, so it never
+    returns into the caller, runs atexit handlers or flushes stdio."""
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError as exc:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise CoherenceError(f"cannot fork a process for suites {', '.join(names)}: {exc}") from None
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_fd)
+            payload = pickle.dumps(_run_share(names, cfg))
+            with open(write_fd, "wb") as fh:
+                fh.write(payload)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+    return pid, read_fd, names
+
+
+def _collect(pid: int, read_fd: int, names: list[str]) -> list[tuple[str, object]]:
+    """Read a child's results to the end of its pipe, then reap it. A
+    child that did not exit 0, after writing all of its result, gives a
+    CoherenceError on its first suite."""
+    with open(read_fd, "rb") as fh:
+        payload = fh.read()
+    _, status = os.waitpid(pid, 0)
+    if status != 0:
+        error = CoherenceError(f"suites {', '.join(names)} ended without a result (wait status {status})")
+        return [(names[0], error)]
+    return pickle.loads(payload)

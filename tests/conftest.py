@@ -1,5 +1,8 @@
-"""Shared test plumbing: the acceptance summary printed after the run and
-an eigensolver call recorder."""
+"""Shared test plumbing: the acceptance summary printed after the run,
+an eigensolver call recorder and a check that no child process is left
+unreaped."""
+
+import os
 
 import numpy as np
 import pytest
@@ -37,3 +40,14 @@ def eigh_calls(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", counting)
     monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
     return calls
+
+
+@pytest.fixture(scope="session", autouse=True)
+def no_unreaped_children():
+    """Fail the run if a test left a child process that nobody reaped."""
+    yield
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    pytest.fail(f"a test left a child process unreaped (waitpid gave pid {pid})")

@@ -55,6 +55,11 @@ class TestKrausChannel:
         with pytest.raises(DimensionMismatch):
             KrausChannel([np.eye(2), np.eye(3)])
 
+    @pytest.mark.parametrize("build", [KrausChannel, GioChannel])
+    def test_rejects_empty_operators(self, build):
+        with pytest.raises(DimensionMismatch, match="non-empty"):
+            build(np.zeros((2, 0, 0)))
+
     def test_rejects_non_finite(self):
         k = np.eye(2, dtype=complex)
         k[0, 0] = np.nan
@@ -169,6 +174,14 @@ class TestBuiltinChannels:
             diagonal_unitary_mixture([1.5, -0.5], [[0.0, 0.0], [0.0, 1.0]])
         with pytest.raises(BadWeights):
             diagonal_unitary_mixture([1.0], [[0.0, 0.0], [0.0, 1.0]])
+
+    @pytest.mark.parametrize(
+        "build", [identity_channel, dephasing_channel, depolarizing_extension, erasure_extension]
+    )
+    @pytest.mark.parametrize("dim", [0, -2])
+    def test_rejects_nonpositive_dimension(self, build, dim):
+        with pytest.raises(DimensionMismatch, match="dimension must be positive"):
+            build(dim)
 
     def test_random_unital_channel_is_unital(self):
         ch = random_unital_channel(3, 4, seed=31)

@@ -88,6 +88,11 @@ class TestDensityMatrix:
         rho = DensityMatrix.maximally_mixed(4)
         np.testing.assert_allclose(rho.matrix, np.eye(4) / 4)
 
+    @pytest.mark.parametrize("dim", [0, -1])
+    def test_maximally_mixed_rejects_nonpositive_dimension(self, dim):
+        with pytest.raises(DimensionMismatch, match="dimension must be positive"):
+            DensityMatrix.maximally_mixed(dim)
+
     def test_tensor_dimensions(self):
         a = DensityMatrix.maximally_mixed(2)
         b = DensityMatrix.maximally_mixed(3)

@@ -57,6 +57,10 @@ class TestTrialConfig:
     def test_accepts_numpy_integer_seed(self):
         assert TrialConfig(seed=np.uint32(7), dims=(2,)).seed == 7
 
+    def test_rejects_bare_string_generator_list(self):
+        with pytest.raises(ValueError, match="f_list must be a sequence of generator specs"):
+            TrialConfig(f_list="neg_log")
+
     def test_rejects_unknown_generator_early(self):
         with pytest.raises(UnknownGenerator):
             TrialConfig(f_list=("neg_log", "bogus"))
