@@ -11,15 +11,12 @@ from .channels import (
     diagonal_unitary_mixture,
     erasure_extension,
     gio_saturation_check,
-    identity_channel,
-    is_gio,
     is_sio,
     outcome_ensembles,
     petz_recovery,
     random_channel,
     random_gio,
     random_unital_channel,
-    recovery_defect,
 )
 from .coherence import (
     CoherenceResult,
@@ -29,7 +26,6 @@ from .coherence import (
     coherence_table,
     dephase,
     dephasing_distance,
-    is_incoherent,
     max_coherent_state,
     power_coherence,
     relative_entropy_coherence,
@@ -44,7 +40,7 @@ from .divergence import (
     oracle_quasi_relative_entropy,
     quasi_relative_entropy,
 )
-from .generators import GeneratorFunction, lookup, neg_log, power, transpose, tsallis
+from .generators import GeneratorFunction, lookup, neg_log, power, tsallis
 from .io import (
     builtin_channel,
     channel_to_json,

@@ -35,7 +35,6 @@ from .states import (
     _check_dim,
     random_unitary,
     spectral_decompose,
-    trace_norm,
     validate_density,
 )
 
@@ -47,7 +46,6 @@ __all__ = [
     "MeasurementOutcome",
     "SaturationReport",
     "PetzRecoveryMap",
-    "identity_channel",
     "dephasing_channel",
     "depolarizing_extension",
     "erasure_extension",
@@ -57,11 +55,9 @@ __all__ = [
     "random_unital_channel",
     "max_offdiagonal",
     "outcome_ensembles",
-    "is_gio",
     "is_sio",
     "gio_saturation_check",
     "petz_recovery",
-    "recovery_defect",
 ]
 
 COMPLETENESS_TOL = 1e-10
@@ -142,10 +138,6 @@ class KrausChannel:
     def completeness_defect(self) -> float:
         s = np.einsum("kij,kil->jl", self._ops.conj(), self._ops)
         return float(np.linalg.norm(s - np.eye(self.dim), "fro"))
-
-    def is_unital(self) -> bool:
-        """sum K K* equals the identity within COMPLETENESS_TOL."""
-        return self.dual().completeness_defect() <= COMPLETENESS_TOL
 
     def apply_matrix(self, m: np.ndarray) -> np.ndarray:
         """Linear action sum_k K m K* on an arbitrary matrix."""
@@ -319,11 +311,6 @@ class GioChannel(KrausChannel):
         return self._corr * _operand(m, self.dim)
 
 
-def identity_channel(dim: int) -> KrausChannel:
-    _check_dim(dim)
-    return KrausChannel([np.eye(dim, dtype=complex)], label="identity")
-
-
 def dephasing_channel(dim: int) -> GioChannel:
     """Kraus list {|n><n|}; the channel that removes all off-diagonals."""
     _check_dim(dim)
@@ -374,7 +361,7 @@ def diagonal_unitary_mixture(weights, phase_table) -> GioChannel:
     phases = np.asarray(phase_table, dtype=float)
     if w.ndim != 1 or phases.ndim != 2 or phases.shape[0] != w.size:
         raise BadWeights(f"need one phase row per weight, got {w.shape} weights and {phases.shape} phases")
-    if np.any(w <= 0.0):
+    if not np.all(w > 0.0):
         raise BadWeights(f"weights must be strictly positive, smallest is {w.min():.3e}")
     if abs(w.sum() - 1.0) > 1e-10:
         raise BadWeights(f"weights sum to {w.sum()!r}, expected 1")
@@ -416,21 +403,6 @@ def random_unital_channel(dim: int, num_unitaries: int, seed: int) -> KrausChann
         for i in range(num_unitaries)
     ]
     return KrausChannel(ops, label=f"random-unital:{dim}")
-
-
-def is_gio(ch: KrausChannel) -> bool:
-    """True when GioChannel accepts the Kraus operators of ch: every one
-    diagonal within DIAGONAL_TOL, and every incoherent basis state a
-    fixed point within COMPLETENESS_TOL.
-
-    Classifies the supplied Kraus representation, not the channel's
-    equivalence class.
-    """
-    try:
-        GioChannel(ch.kraus_ops)
-    except (NotGio, ChannelValidationError):
-        return False
-    return True
 
 
 def is_sio(ch: KrausChannel, tol: float = 1e-10) -> bool:
@@ -548,14 +520,3 @@ def petz_recovery(ch: KrausChannel, sigma) -> PetzRecoveryMap:
     out = ch.apply_matrix(s)
     out_inv_sqrt = _psd_power(out, -0.5, "channel output of reference")
     return PetzRecoveryMap(sigma_sqrt, out_inv_sqrt, ch.dual())
-
-
-def recovery_defect(ch: KrausChannel, rho: DensityMatrix) -> float:
-    """Trace-norm distance between rho and Dual(ch(rho)), for unital ch.
-
-    Vanishes exactly when a diagonal channel saturates the coherence
-    monotonicity on rho.
-    """
-    _check_pair(ch, rho)
-    roundtrip = ch.dual().apply_matrix(ch.apply_matrix(rho.matrix))
-    return trace_norm(rho.matrix - roundtrip)

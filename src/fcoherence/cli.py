@@ -69,8 +69,11 @@ def _seed(args) -> int:
 
 def _emit(text: str, out: str | None) -> None:
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text if text.endswith("\n") else text + "\n")
+        except OSError as exc:
+            raise FileFormatError(f"cannot write {out}: {exc.strerror or exc}") from exc
     else:
         print(text)
 

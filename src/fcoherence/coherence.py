@@ -22,9 +22,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channels import max_offdiagonal
 from .divergence import f_weighted_sum, spectral_sums
-from .errors import DimensionMismatch, ParamOutOfRange
+from .errors import ParamOutOfRange
 from .generators import GeneratorFunction
 from .states import EPS_ZERO, DensityMatrix, PureState, _check_dim, spectra, trace_norm
 
@@ -37,7 +36,6 @@ __all__ = [
     "coherence_table",
     "relative_entropy_coherence",
     "power_coherence",
-    "is_incoherent",
     "dephasing_distance",
     "max_coherent_state",
 ]
@@ -64,12 +62,8 @@ class PowerCoherence(NamedTuple):
     hat: float
 
 
-def _spectral_data(rho: DensityMatrix) -> tuple[np.ndarray, np.ndarray]:
-    return rho.eigenvalues(), rho.diagonal_probabilities()
-
-
 def _coherence(rho: DensityMatrix, f: GeneratorFunction, numerator: float, variant: str) -> CoherenceResult:
-    evals, diag = _spectral_data(rho)
+    evals, diag = rho.eigenvalues(), rho.diagonal_probabilities()
     value = f_weighted_sum(evals, numerator, f) - f_weighted_sum(diag, numerator, f)
     return CoherenceResult(value, f.name, variant, evals, diag)
 
@@ -113,7 +107,7 @@ def relative_entropy_coherence(rho: DensityMatrix) -> float:
         p = p[p > EPS_ZERO]
         return float(-(p * np.log(p)).sum())
 
-    evals, diag = _spectral_data(rho)
+    evals, diag = rho.eigenvalues(), rho.diagonal_probabilities()
     return shannon(diag) - shannon(evals)
 
 
@@ -130,17 +124,12 @@ def power_coherence(rho: DensityMatrix, alpha: float) -> PowerCoherence:
     alpha = float(alpha)
     if not (0.0 < alpha < 2.0) or alpha == 1.0 or math.isnan(alpha):
         raise ParamOutOfRange(f"alpha must lie in (0, 2) excluding 1, got {alpha!r}")
-    evals, diag = _spectral_data(rho)
+    evals, diag = rho.eigenvalues(), rho.diagonal_probabilities()
     evals = np.where(evals > EPS_ZERO, evals, 0.0)
     diag = np.where(diag > EPS_ZERO, diag, 0.0)
     hat = float((np.power(diag, alpha).sum() - np.power(evals, alpha).sum()) / (1.0 - alpha))
     plain = float(rho.dim ** (alpha - 1.0)) * hat
     return PowerCoherence(plain=plain, hat=hat)
-
-
-def is_incoherent(rho: DensityMatrix, tol: float = 1e-10) -> bool:
-    """True when every off-diagonal entry is at most tol in modulus."""
-    return max_offdiagonal(rho.matrix) <= tol
 
 
 def dephasing_distance(rho: DensityMatrix) -> float:

@@ -20,7 +20,7 @@ divergences while staying out of entropy-style sums.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -32,16 +32,8 @@ __all__ = [
     "neg_log",
     "power",
     "tsallis",
-    "transpose",
     "lookup",
-    "DEFAULT_GRID",
-    "normalization_defect",
-    "convexity_defect",
-    "monotonicity_defect",
 ]
-
-# Log-spaced grid used by the sampled convexity and monotonicity checks.
-DEFAULT_GRID = 2.0 ** np.arange(-20, 21)
 
 
 @dataclass(frozen=True)
@@ -49,8 +41,7 @@ class GeneratorFunction:
     """An operator convex generator with its tail limits.
 
     ``monotone_decreasing`` is a trusted flag supplied analytically by
-    each constructor, not verified numerically at build time; the
-    sampled grid check below probes it pointwise.
+    each constructor, not verified numerically at build time.
     """
 
     name: str
@@ -58,16 +49,9 @@ class GeneratorFunction:
     limit_at_zero: float
     weighted_inf_limit: float
     monotone_decreasing: bool
-    params: tuple = field(default=())
 
     def __call__(self, x):
         return self.fn(np.asarray(x, dtype=float))
-
-    def weighted_limit(self, c: float) -> float:
-        """lim_{x -> 0+} x * f(c/x) for a positive prefactor c."""
-        if c <= 0:
-            raise ParamOutOfRange(f"prefactor must be positive, got {c!r}")
-        return c * self.weighted_inf_limit
 
     def transpose(self) -> "GeneratorFunction":
         """The transposed generator x * f(1/x); swaps the two tail limits."""
@@ -84,7 +68,6 @@ class GeneratorFunction:
             weighted_inf_limit=base.limit_at_zero,
             # x * f(1/x) is generally not monotone even when f is.
             monotone_decreasing=False,
-            params=base.params,
         )
 
 
@@ -120,7 +103,6 @@ def power(p: float) -> GeneratorFunction:
         limit_at_zero=math.inf if p < 0 else 1.0 / c,
         weighted_inf_limit=0.0 if p < 1 else math.inf,
         monotone_decreasing=p < 1,
-        params=(p,),
     )
 
 
@@ -144,13 +126,7 @@ def tsallis(q: float) -> GeneratorFunction:
         limit_at_zero=math.inf if q > 1 else 1.0 / e,
         weighted_inf_limit=0.0,
         monotone_decreasing=True,
-        params=(q,),
     )
-
-
-def transpose(f: GeneratorFunction) -> GeneratorFunction:
-    """Module-level alias for :meth:`GeneratorFunction.transpose`."""
-    return f.transpose()
 
 
 def lookup(spec: str) -> GeneratorFunction:
@@ -169,20 +145,3 @@ def lookup(spec: str) -> GeneratorFunction:
             raise UnknownGenerator(f"cannot parse parameter in {spec!r}") from None
         return power(value) if name == "power" else tsallis(value)
     raise UnknownGenerator(f"no generator named {name!r}")
-
-
-def normalization_defect(f: GeneratorFunction) -> float:
-    """|f(1)|, which must vanish."""
-    return abs(float(f(1.0)))
-
-
-def convexity_defect(f: GeneratorFunction) -> float:
-    """Worst midpoint-convexity violation f((x+y)/2) - (f(x)+f(y))/2 over DEFAULT_GRID pairs."""
-    xx, yy = np.meshgrid(DEFAULT_GRID, DEFAULT_GRID)
-    defect = f((xx + yy) / 2.0) - (f(xx) + f(yy)) / 2.0
-    return float(defect.max())
-
-
-def monotonicity_defect(f: GeneratorFunction) -> float:
-    """Worst increase f(x_{i+1}) - f(x_i) along the ascending DEFAULT_GRID."""
-    return float(np.diff(f(DEFAULT_GRID)).max())

@@ -164,19 +164,6 @@ class SpectralDecomposition:
         object.__setattr__(self, "eigenvalues", _frozen(vals.copy()))
         object.__setattr__(self, "eigenvectors", _frozen(vecs.copy()))
 
-    @property
-    def dim(self) -> int:
-        return self.eigenvalues.shape[0]
-
-    def reconstruct(self) -> np.ndarray:
-        """Rebuild the matrix as V diag(w) V*."""
-        v = self.eigenvectors
-        return (v * self.eigenvalues) @ v.conj().T
-
-    def orthonormality_defect(self) -> float:
-        v = self.eigenvectors
-        return float(np.abs(v.conj().T @ v - np.eye(self.dim)).max())
-
 
 def validate_density(matrix) -> DensityMatrix | list[DensityMatrix]:
     """Check matrix against the density-matrix invariants and clean it up.

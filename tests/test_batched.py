@@ -28,13 +28,13 @@ from fcoherence.channels import KrausChannel
 from fcoherence.coherence import coherence_table
 from fcoherence.divergence import entropy_table
 from fcoherence.errors import DimensionMismatch, UnsupportedLimit
-from fcoherence.generators import lookup, transpose
+from fcoherence.generators import lookup
 from fcoherence.states import EPS_ZERO, spectra
 from fcoherence import verify
 from fcoherence.verify import suite_strong_monotonicity
 
 SPECS = ["neg_log", "power:0.5", "power:1.5", "power:-0.5", "tsallis:0.5", "tsallis:1.5"]
-GENERATORS = [lookup(s) for s in SPECS] + [transpose(lookup(s)) for s in SPECS]
+GENERATORS = [lookup(s) for s in SPECS] + [lookup(s).transpose() for s in SPECS]
 ZERO_TAIL = [f for f in GENERATORS if f.weighted_inf_limit == 0.0]
 DIMS = range(1, 17)
 

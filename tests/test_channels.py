@@ -11,8 +11,6 @@ from fcoherence import (
     diagonal_unitary_mixture,
     erasure_extension,
     gio_saturation_check,
-    identity_channel,
-    is_gio,
     is_sio,
     petz_recovery,
     random_channel,
@@ -20,10 +18,10 @@ from fcoherence import (
     random_gio,
     random_unital_channel,
     random_unitary,
-    recovery_defect,
     trace_norm,
     validate_density,
 )
+from fcoherence.channels import COMPLETENESS_TOL
 from fcoherence.errors import (
     BadWeights,
     ChannelValidationError,
@@ -68,15 +66,15 @@ class TestKrausChannel:
 
     def test_identity_action(self):
         rho = random_density(3, 3, seed=1)
-        out = identity_channel(3).apply(rho)
+        out = KrausChannel([np.eye(3)]).apply(rho)
         np.testing.assert_allclose(out.matrix, rho.matrix, atol=1e-12)
 
     def test_apply_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            identity_channel(2).apply(DensityMatrix.maximally_mixed(3))
+            KrausChannel([np.eye(2)]).apply(DensityMatrix.maximally_mixed(3))
 
     def test_kraus_stack_read_only(self):
-        ch = identity_channel(2)
+        ch = KrausChannel([np.eye(2)])
         with pytest.raises(ValueError):
             ch.kraus_ops[0, 0, 0] = 0.0
 
@@ -94,7 +92,6 @@ class TestKrausChannel:
         # the dual map only preserves trace when the channel is unital,
         # so the constructor check must be relaxed there
         ch = random_channel(2, 3, seed=9)
-        assert not ch.is_unital()
         assert ch.dual().completeness_defect() > 1e-6
 
     def test_selective_outcomes_normalized(self):
@@ -174,9 +171,11 @@ class TestBuiltinChannels:
             diagonal_unitary_mixture([1.5, -0.5], [[0.0, 0.0], [0.0, 1.0]])
         with pytest.raises(BadWeights):
             diagonal_unitary_mixture([1.0], [[0.0, 0.0], [0.0, 1.0]])
+        with pytest.raises(BadWeights):
+            diagonal_unitary_mixture([np.nan, 1.0], [[0.0, 0.0], [0.0, 1.0]])
 
     @pytest.mark.parametrize(
-        "build", [identity_channel, dephasing_channel, depolarizing_extension, erasure_extension]
+        "build", [dephasing_channel, depolarizing_extension, erasure_extension]
     )
     @pytest.mark.parametrize("dim", [0, -2])
     def test_rejects_nonpositive_dimension(self, build, dim):
@@ -185,25 +184,26 @@ class TestBuiltinChannels:
 
     def test_random_unital_channel_is_unital(self):
         ch = random_unital_channel(3, 4, seed=31)
-        assert ch.is_unital()
+        assert ch.dual().completeness_defect() <= COMPLETENESS_TOL
         assert ch.completeness_defect() < 1e-10
 
 
 class TestIncoherenceClassifiers:
     def test_dephasing_is_gio_and_sio(self):
         ch = dephasing_channel(3)
-        assert is_gio(ch)
+        GioChannel(ch.kraus_ops)
         assert is_sio(ch)
 
     def test_random_gio_is_gio_and_sio(self):
         ch = random_gio(3, 3, seed=41)
-        assert is_gio(ch)
+        GioChannel(ch.kraus_ops)
         assert is_sio(ch)
 
     def test_extensions_are_sio_not_gio(self):
         for ch in [depolarizing_extension(2), erasure_extension(2)]:
             assert is_sio(ch), ch.label
-            assert not is_gio(ch), ch.label
+            with pytest.raises(NotGio):
+                GioChannel(ch.kraus_ops)
 
     def test_is_gio_agrees_with_gio_channel_and_file_loading(self, tmp_path):
         from fcoherence.io import load_channel, save_channel
@@ -211,20 +211,19 @@ class TestIncoherenceClassifiers:
         ops = random_gio(3, 2, seed=1).kraus_ops.copy()
         ops[0, 0, 1] = 5e-11
         ch = KrausChannel(ops)
-        assert not is_gio(ch)
         with pytest.raises(NotGio):
             GioChannel(ops)
         path = tmp_path / "ch.json"
         save_channel(ch, str(path))
         assert type(load_channel(str(path))) is KrausChannel
         ops[0, 0, 1] = 5e-13
-        assert is_gio(KrausChannel(ops))
         assert isinstance(GioChannel(ops), GioChannel)
 
     def test_hadamard_is_neither(self):
         ch = hadamard_channel()
         assert not is_sio(ch)
-        assert not is_gio(ch)
+        with pytest.raises(NotGio):
+            GioChannel(ch.kraus_ops)
 
     def test_random_channel_generically_not_sio(self):
         assert not is_sio(random_channel(3, 3, seed=43))
@@ -305,16 +304,22 @@ class TestPetzRecovery:
 
     def test_rejects_singular_reference_image(self):
         with pytest.raises(SingularState):
-            petz_recovery(identity_channel(2), np.diag([1.0, 0.0]))
+            petz_recovery(KrausChannel([np.eye(2)]), np.diag([1.0, 0.0]))
 
     def test_rejects_wrong_reference_shape(self):
         with pytest.raises(DimensionMismatch):
-            petz_recovery(identity_channel(2), np.eye(3))
+            petz_recovery(KrausChannel([np.eye(2)]), np.eye(3))
 
     def test_call_checks_shape(self):
-        rec = petz_recovery(identity_channel(2), np.eye(2))
+        rec = petz_recovery(KrausChannel([np.eye(2)]), np.eye(2))
         with pytest.raises(DimensionMismatch):
             rec(np.eye(3))
+
+
+def recovery_defect(ch, rho):
+    """Trace-norm distance between rho and Dual(ch(rho)); for a diagonal
+    channel it vanishes exactly when the coherence monotonicity saturates."""
+    return trace_norm(rho.matrix - ch.dual().apply_matrix(ch.apply_matrix(rho.matrix)))
 
 
 class TestRecoveryDefect:
@@ -332,9 +337,10 @@ class TestRecoveryDefect:
         )
 
     def test_matches_direct_round_trip(self):
+        # A diagonal channel is the Schur product C o m, its dual conj(C) o m.
         ch = random_gio(3, 2, seed=92)
         rho = random_density(3, 3, seed=93)
-        roundtrip = ch.dual().apply_matrix(ch.apply_matrix(rho.matrix))
+        roundtrip = np.abs(ch.correlation) ** 2 * rho.matrix
         assert recovery_defect(ch, rho) == pytest.approx(
             trace_norm(rho.matrix - roundtrip), abs=1e-12
         )

@@ -11,13 +11,13 @@ from fcoherence import (
     dephasing_distance,
     f_entropy,
     f_entropy_hat,
-    is_incoherent,
     max_coherent_state,
     power_coherence,
     random_density,
     random_pure,
     relative_entropy_coherence,
 )
+from fcoherence.channels import max_offdiagonal
 from fcoherence.errors import DimensionMismatch, ParamOutOfRange
 from fcoherence.generators import lookup, neg_log, power, tsallis
 
@@ -163,16 +163,16 @@ class TestPowerCoherence:
 
 class TestPredicatesAndDistance:
     def test_is_incoherent_on_diagonal(self):
-        assert is_incoherent(DensityMatrix.from_diagonal([0.6, 0.4]))
+        assert max_offdiagonal(DensityMatrix.from_diagonal([0.6, 0.4]).matrix) <= 1e-10
 
     def test_is_incoherent_rejects_plus(self):
-        assert not is_incoherent(plus_state())
+        assert max_offdiagonal(plus_state().matrix) > 1e-10
 
     def test_is_incoherent_tolerance(self):
         mat = np.diag([0.6, 0.4]).astype(complex)
         mat[0, 1] = mat[1, 0] = 1e-12
-        assert is_incoherent(DensityMatrix(mat))
-        assert not is_incoherent(DensityMatrix(mat), tol=1e-13)
+        assert max_offdiagonal(DensityMatrix(mat).matrix) <= 1e-10
+        assert max_offdiagonal(DensityMatrix(mat).matrix) > 1e-13
 
     def test_dephasing_distance_plus(self):
         assert dephasing_distance(plus_state()) == pytest.approx(1.0, abs=1e-12)

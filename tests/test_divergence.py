@@ -20,7 +20,7 @@ from fcoherence import (
 )
 from fcoherence.channels import depolarizing_extension, random_channel
 from fcoherence.errors import DimensionMismatch, SingularState, UnsupportedLimit
-from fcoherence.generators import GeneratorFunction, lookup, neg_log, power, transpose, tsallis
+from fcoherence.generators import GeneratorFunction, lookup, neg_log, power, tsallis
 
 BUILTIN_SPECS = ["neg_log", "power:0.5", "power:1.5", "tsallis:0.5", "tsallis:1.5"]
 
@@ -141,7 +141,7 @@ class TestInvariances:
         for spec in BUILTIN_SPECS:
             f = lookup(spec)
             assert quasi_relative_entropy(a, b, f) == pytest.approx(
-                quasi_relative_entropy(b, a, transpose(f)), abs=1e-10
+                quasi_relative_entropy(b, a, f.transpose()), abs=1e-10
             ), spec
 
     def test_degenerate_spectra_stable(self):
@@ -334,7 +334,7 @@ def rotated(spectrum, seed):
     return DensityMatrix((u * np.asarray(spectrum, dtype=float)) @ u.conj().T)
 
 
-ALL_GENERATORS = [lookup(s) for s in BUILTIN_SPECS] + [transpose(lookup(s)) for s in BUILTIN_SPECS]
+ALL_GENERATORS = [lookup(s) for s in BUILTIN_SPECS] + [lookup(s).transpose() for s in BUILTIN_SPECS]
 
 REFERENCE_PAIRS = {
     "full-rank": lambda: conditioned_pair(5, 31),

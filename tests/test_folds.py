@@ -19,7 +19,6 @@ from fcoherence import (
     TrialConfig,
     depolarizing_extension,
     erasure_extension,
-    is_incoherent,
     load_channel,
     random_channel,
     random_density,
@@ -68,7 +67,7 @@ def test_extension_stack_equals_loop_builder(build, reference, dim):
 
 
 def reference_offdiagonal(m):
-    """The off-diagonal rule as is_incoherent applied it on one matrix."""
+    """Reference off-diagonal rule on one matrix: 0 when d = 1."""
     return np.abs(m - np.diag(np.diagonal(m))).max() if m.shape[0] > 1 else 0.0
 
 
@@ -86,7 +85,6 @@ class TestMaxOffdiagonal:
     def test_dimension_one(self):
         assert max_offdiagonal(np.ones((1, 1))) == 0.0
         assert max_offdiagonal(np.ones((3, 1, 1))) == 0.0
-        assert is_incoherent(DensityMatrix(np.ones((1, 1))))
 
     def test_leaves_its_input_alone(self):
         m = np.full((2, 2), 0.5)

@@ -4,19 +4,11 @@ import numpy as np
 import pytest
 
 from fcoherence.errors import ParamOutOfRange, UnknownGenerator
-from fcoherence.generators import (
-    DEFAULT_GRID,
-    convexity_defect,
-    lookup,
-    monotonicity_defect,
-    neg_log,
-    normalization_defect,
-    power,
-    transpose,
-    tsallis,
-)
+from fcoherence.generators import lookup, neg_log, power, tsallis
 
 BUILTIN_SPECS = ["neg_log", "power:0.5", "power:1.5", "tsallis:0.5", "tsallis:1.5"]
+# Log-spaced grid for the sampled convexity and monotonicity checks.
+GRID = 2.0 ** np.arange(-20, 21)
 
 
 class TestHandValues:
@@ -37,7 +29,7 @@ class TestHandValues:
 
     @pytest.mark.parametrize("spec", BUILTIN_SPECS)
     def test_builtins_vanish_at_one(self, spec):
-        assert normalization_defect(lookup(spec)) == pytest.approx(0.0, abs=1e-12)
+        assert float(lookup(spec)(1.0)) == pytest.approx(0.0, abs=1e-12)
 
     def test_evaluates_arrays(self):
         f = power(0.5)
@@ -83,14 +75,6 @@ class TestTails:
             else:
                 assert float(f(1e-12)) == pytest.approx(f.limit_at_zero, abs=1e-4), spec
 
-    def test_weighted_limit_scales(self):
-        f = tsallis(1.5)
-        assert f.weighted_limit(0.3) == 0.0
-        g = power(1.5)
-        assert g.weighted_limit(0.3) == math.inf
-        with pytest.raises(ParamOutOfRange):
-            f.weighted_limit(0.0)
-
 
 class TestMonotoneFlag:
     @pytest.mark.parametrize(
@@ -108,7 +92,7 @@ class TestMonotoneFlag:
         assert lookup(spec).monotone_decreasing is decreasing
 
     def test_power_three_halves_actually_increases(self):
-        vals = power(1.5)(DEFAULT_GRID)
+        vals = power(1.5)(GRID)
         assert np.all(np.diff(vals) > 0)
 
 
@@ -165,7 +149,7 @@ class TestTranspose:
     def test_pointwise_identity(self, spec):
         f = lookup(spec)
         g = f.transpose()
-        for x in DEFAULT_GRID:
+        for x in GRID:
             assert float(g(x)) == pytest.approx(x * float(f(1.0 / x)), rel=1e-12), (spec, x)
 
     def test_swaps_tails(self):
@@ -176,9 +160,14 @@ class TestTranspose:
 
     def test_double_transpose_round_trips(self):
         f = power(0.5)
-        g = transpose(transpose(f))
-        for x in DEFAULT_GRID:
+        g = f.transpose().transpose()
+        for x in GRID:
             assert float(g(x)) == pytest.approx(float(f(x)), rel=1e-12)
+
+
+def monotonicity_defect(f) -> float:
+    """Worst increase f(x_{i+1}) - f(x_i) along the ascending GRID."""
+    return float(np.diff(f(GRID)).max())
 
 
 class TestGridDiagnostics:
@@ -191,7 +180,10 @@ class TestGridDiagnostics:
 
     @pytest.mark.parametrize("spec", BUILTIN_SPECS)
     def test_convexity_defect_nonpositive(self, spec):
-        assert convexity_defect(lookup(spec)) <= 1e-9
+        # Worst midpoint-convexity violation f((x+y)/2) - (f(x)+f(y))/2 over GRID pairs.
+        f = lookup(spec)
+        xx, yy = np.meshgrid(GRID, GRID)
+        assert float((f((xx + yy) / 2.0) - (f(xx) + f(yy)) / 2.0).max()) <= 1e-9
 
 
 class TestTsallisLimit:

@@ -247,7 +247,8 @@ class TestStateFiles:
         # the parse is exact; only the validation rebuild may perturb entries
         rho = random_density(4, 2, seed=8)
         path = write_state(tmp_path / "r.json", rho)
-        doc = json.loads(open(path).read())
+        with open(path) as fh:
+            doc = json.loads(fh.read())
         raw = np.array(
             [[complex(c[0], c[1]) for c in row] for row in doc["matrix"]]
         )
@@ -471,6 +472,11 @@ class TestCliExitCodes:
     def test_missing_file_is_input_error(self, capsys):
         assert main(["coherence", "/nonexistent.json"]) == 2
         assert "fcoherence:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("target", [".", "missing/out.json"], ids=["directory", "missing-directory"])
+    def test_unwritable_out_is_input_error(self, tmp_path, capsys, target):
+        assert main(["demo", "log-chain", "--out", str(tmp_path / target)]) == 2
+        assert "fcoherence: cannot write" in capsys.readouterr().err
 
     def test_unparseable_flags(self, capsys):
         assert main(["coherence"]) == 2

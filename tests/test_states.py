@@ -132,15 +132,16 @@ class TestSpectralDecompose:
     def test_reconstruction(self):
         rho = random_density(4, 4, seed=7)
         dec = spectral_decompose(rho)
-        np.testing.assert_allclose(dec.reconstruct(), rho.matrix, atol=1e-12)
+        v = dec.eigenvectors
+        np.testing.assert_allclose((v * dec.eigenvalues) @ v.conj().T, rho.matrix, atol=1e-12)
 
     def test_eigenvalues_descending(self):
         dec = spectral_decompose(random_density(5, 5, seed=11))
         assert np.all(np.diff(dec.eigenvalues) <= 1e-15)
 
     def test_eigenvectors_orthonormal(self):
-        dec = spectral_decompose(random_density(5, 3, seed=13))
-        assert dec.orthonormality_defect() < 1e-12
+        v = spectral_decompose(random_density(5, 3, seed=13)).eigenvectors
+        assert np.abs(v.conj().T @ v - np.eye(5)).max() < 1e-12
 
 
 class TestTraceNorm:
@@ -276,6 +277,7 @@ class TestEigenvalueCache:
         for rho in [validate_density(noisy[0])] + validate_density(np.array(noisy)):
             dec = rho._decomposition
             assert dec is not None
-            assert np.abs(dec.reconstruct() - rho.matrix).max() <= 1e-14
-            assert dec.orthonormality_defect() <= 1e-14
+            v = dec.eigenvectors
+            assert np.abs((v * dec.eigenvalues) @ v.conj().T - rho.matrix).max() <= 1e-14
+            assert np.abs(v.conj().T @ v - np.eye(4)).max() <= 1e-14
             assert np.all(np.diff(dec.eigenvalues) <= 0.0) and np.all(dec.eigenvalues >= 0.0)

@@ -6,13 +6,13 @@ import pytest
 
 from fcoherence import (
     DensityMatrix,
+    GioChannel,
     TrialConfig,
     coherence_f,
     coherence_f_hat,
     diagonal_unitary_mixture,
     ensemble_coherence,
     gio_saturation_check,
-    is_gio,
     random_density,
     random_gio,
     run_all,
@@ -157,7 +157,7 @@ class TestMixedStateRepresentationDependence:
         self.f = tsallis(1.5)
 
     def test_channel_is_diagonal_and_complete(self):
-        assert is_gio(self.ch)
+        GioChannel(self.ch.kraus_ops)
         probs = [o.probability for o in self.ch.selective_outcomes(self.rho)]
         assert sum(probs) == pytest.approx(1.0, abs=1e-12)
 
