@@ -33,6 +33,7 @@ from .states import (
     EPS_ZERO,
     DensityMatrix,
     _check_dim,
+    _haar_isometry,
     random_unitary,
     spectral_decompose,
     validate_density,
@@ -129,8 +130,8 @@ class KrausChannel:
 
     @property
     def kraus_ops(self) -> np.ndarray:
-        """Read-only stack of shape (num_kraus, dim, dim)."""
-        return self._ops
+        """Read-only stack of shape (num_kraus, dim, dim); a GioChannel builds it on each call."""
+        return self._kraus_slice(0, self.num_kraus)
 
     def _kraus_slice(self, start: int, stop: int) -> np.ndarray:
         return self._ops[start:stop]
@@ -288,11 +289,6 @@ class GioChannel(KrausChannel):
         """C = coeffs^T conj(coeffs), C_nm = sum_j k_jn conj(k_jm); the channel maps m to C o m."""
         return self._corr
 
-    @property
-    def kraus_ops(self) -> np.ndarray:
-        """Read-only stack of shape (num_kraus, dim, dim), built from the coefficients on each call."""
-        return self._kraus_slice(0, self.num_kraus)
-
     def _kraus_slice(self, start: int, stop: int) -> np.ndarray:
         rows = self._coeffs[start:stop]
         ops = np.zeros((len(rows), self.dim, self.dim), dtype=complex)
@@ -369,11 +365,15 @@ def diagonal_unitary_mixture(weights, phase_table) -> GioChannel:
     return GioChannel.from_coefficients(coeffs, label="diagonal-unitary-mixture")
 
 
+def _check_sizes(dim: int, num_kraus: int) -> None:
+    if dim < 1 or num_kraus < 1:
+        raise DimensionMismatch(f"need positive dimension and Kraus count, got {dim}, {num_kraus}")
+
+
 def random_gio(dim: int, num_kraus: int, seed: int) -> GioChannel:
     """Random diagonal channel: each basis index gets a Haar-random unit
     coefficient vector across the Kraus operators."""
-    if dim < 1 or num_kraus < 1:
-        raise DimensionMismatch(f"need positive dimension and Kraus count, got {dim}, {num_kraus}")
+    _check_sizes(dim, num_kraus)
     # One block, drawn in the order of a column-by-column loop.
     z = np.random.default_rng(seed).standard_normal((dim, 2, num_kraus))
     v = z[:, 0] + 1j * z[:, 1]
@@ -387,15 +387,14 @@ def random_gio(dim: int, num_kraus: int, seed: int) -> GioChannel:
 
 def random_channel(dim: int, num_kraus: int, seed: int) -> KrausChannel:
     """Random channel from a Haar isometry into dim * num_kraus dimensions."""
-    rng = np.random.default_rng(seed)
-    z = rng.standard_normal((dim * num_kraus, dim)) + 1j * rng.standard_normal((dim * num_kraus, dim))
-    q, r = np.linalg.qr(z)
-    q = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+    _check_sizes(dim, num_kraus)
+    q = _haar_isometry(np.random.default_rng(seed), dim * num_kraus, dim)
     return KrausChannel([q[i * dim : (i + 1) * dim, :] for i in range(num_kraus)], label=f"random:{dim}")
 
 
 def random_unital_channel(dim: int, num_unitaries: int, seed: int) -> KrausChannel:
     """Random mixture of Haar unitaries; unital and trace preserving."""
+    _check_sizes(dim, num_unitaries)
     rng = np.random.default_rng(seed)
     w = rng.dirichlet(np.ones(num_unitaries))
     ops = [

@@ -32,7 +32,7 @@ from .errors import (
     UnsupportedLimit,
 )
 from .generators import lookup
-from .io import dumps17, load_channel_or_builtin, load_state, state_to_json
+from .io import _write_text, dumps17, load_channel_or_builtin, load_state, state_to_json
 from .states import DensityMatrix, random_density
 from .verify import DEFAULT_F_SPECS, SUITES, TrialConfig, run_all, sio_counterexample_report
 
@@ -69,11 +69,7 @@ def _seed(args) -> int:
 
 def _emit(text: str, out: str | None) -> None:
     if out:
-        try:
-            with open(out, "w", encoding="utf-8") as fh:
-                fh.write(text if text.endswith("\n") else text + "\n")
-        except OSError as exc:
-            raise FileFormatError(f"cannot write {out}: {exc.strerror or exc}") from exc
+        _write_text(out, text if text.endswith("\n") else text + "\n")
     else:
         print(text)
 
@@ -149,16 +145,12 @@ def _parse_dims(raw: str) -> tuple[int, ...]:
 
 def cmd_verify(args) -> int:
     kwargs = {}
-    if args.dims:
+    if args.dims is not None:
         kwargs["dims"] = _parse_dims(args.dims)
     if args.trials is not None:
         kwargs["trials_per_case"] = args.trials
-    if args.f:
-        f_list = tuple(part.strip() for part in args.f.split(",") if part.strip())
-        if not f_list:
-            _diag("--f must name at least one generator")
-            return EXIT_INPUT
-        kwargs["f_list"] = f_list
+    if args.f is not None:
+        kwargs["f_list"] = tuple(part.strip() for part in args.f.split(",") if part.strip())
     seed = _seed(args)
     try:
         cfg = TrialConfig(seed=seed, **kwargs)

@@ -46,7 +46,7 @@ def dephase(rho: DensityMatrix) -> DensityMatrix:
     return DensityMatrix.from_diagonal(rho.diagonal_probabilities())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CoherenceResult:
     """A coherence value with the spectral data it was computed from."""
 

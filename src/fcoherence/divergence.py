@@ -72,18 +72,11 @@ def _carried(rows: np.ndarray, cols: np.ndarray, carried: np.ndarray):
     return index if index[0].size else None
 
 
-def _need_weighted_tail(f: GeneratorFunction) -> float:
-    w = f.weighted_inf_limit
-    if w is None or math.isnan(w):
-        raise UnsupportedLimit(f"generator {f.name} supplies no weighted tail limit")
-    return w
-
-
-def _need_zero_limit(f: GeneratorFunction) -> float:
-    z = f.limit_at_zero
-    if z is None or math.isnan(z):
-        raise UnsupportedLimit(f"generator {f.name} supplies no limit at zero")
-    return z
+def _need_limit(f: GeneratorFunction, attr: str, what: str) -> float:
+    limit = getattr(f, attr)
+    if limit is None or math.isnan(limit):
+        raise UnsupportedLimit(f"generator {f.name} supplies no {what}")
+    return limit
 
 
 def quasi_relative_entropy(a: DensityMatrix, b: DensityMatrix, f: GeneratorFunction) -> float:
@@ -133,13 +126,13 @@ def divergence_table(pairs, gens) -> np.ndarray:
             total = float(np.sum(lam_ja * f(ratio) * w_both))
             infinite = False
             if tail_block is not None:
-                tail = _need_weighted_tail(f)
+                tail = _need_limit(f, "weighted_inf_limit", "weighted tail limit")
                 if math.isinf(tail):
                     infinite = True
                 elif tail != 0.0:
                     total += float(np.sum(mu[tail_block[0]] * tail * w[tail_block]))
             if zero_block is not None:
-                zero = _need_zero_limit(f)
+                zero = _need_limit(f, "limit_at_zero", "limit at zero")
                 if math.isinf(zero):
                     infinite = True
                 else:
@@ -245,7 +238,7 @@ def _weighted_sums(v: np.ndarray, c: np.ndarray, gens) -> list[np.ndarray]:
         x = c[..., None] / v
         return [np.sum(v * f(x), axis=-1) for f in gens]
     for f in gens:
-        if _need_weighted_tail(f) != 0.0:
+        if _need_limit(f, "weighted_inf_limit", "weighted tail limit") != 0.0:
             raise UnsupportedLimit(
                 f"generator {f.name} has nonzero weighted tail limit, "
                 "cannot evaluate on a vector with zero entries"

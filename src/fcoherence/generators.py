@@ -82,6 +82,22 @@ def neg_log() -> GeneratorFunction:
     )
 
 
+def _power_law(name: str, e: float, s: float) -> GeneratorFunction:
+    """f(x) = (1 - x**e) / (e s), with its limits read off e and s."""
+    c = e * s
+
+    def fn(x):
+        return (1.0 - np.power(x, e)) / c
+
+    return GeneratorFunction(
+        name=name,
+        fn=fn,
+        limit_at_zero=math.inf if e < 0 else 1.0 / c,
+        weighted_inf_limit=0.0 if e < 1 else math.inf,
+        monotone_decreasing=s > 0,
+    )
+
+
 def power(p: float) -> GeneratorFunction:
     """f(x) = (1 - x**p) / (p (1 - p)) for p in (-1, 2), p not in {0, 1}.
 
@@ -92,18 +108,7 @@ def power(p: float) -> GeneratorFunction:
     p = float(p)
     if not (-1.0 < p < 2.0) or p in (0.0, 1.0) or math.isnan(p):
         raise ParamOutOfRange(f"power exponent must lie in (-1, 2) excluding 0 and 1, got {p!r}")
-    c = p * (1.0 - p)
-
-    def fn(x):
-        return (1.0 - np.power(x, p)) / c
-
-    return GeneratorFunction(
-        name=f"power:{p:g}",
-        fn=fn,
-        limit_at_zero=math.inf if p < 0 else 1.0 / c,
-        weighted_inf_limit=0.0 if p < 1 else math.inf,
-        monotone_decreasing=p < 1,
-    )
+    return _power_law(f"power:{p:g}", p, 1.0 - p)
 
 
 def tsallis(q: float) -> GeneratorFunction:
@@ -115,18 +120,7 @@ def tsallis(q: float) -> GeneratorFunction:
     q = float(q)
     if not (0.0 < q < 2.0) or q == 1.0 or math.isnan(q):
         raise ParamOutOfRange(f"tsallis order must lie in (0, 2) excluding 1, got {q!r}")
-    e = 1.0 - q
-
-    def fn(x):
-        return (1.0 - np.power(x, e)) / e
-
-    return GeneratorFunction(
-        name=f"tsallis:{q:g}",
-        fn=fn,
-        limit_at_zero=math.inf if q > 1 else 1.0 / e,
-        weighted_inf_limit=0.0,
-        monotone_decreasing=True,
-    )
+    return _power_law(f"tsallis:{q:g}", 1.0 - q, 1.0)
 
 
 def lookup(spec: str) -> GeneratorFunction:

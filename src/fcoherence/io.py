@@ -16,7 +16,6 @@ matrix is walked cell by cell, to name the offending cell.
 from __future__ import annotations
 
 import json
-import math
 import os
 import re
 from itertools import chain
@@ -50,12 +49,7 @@ __all__ = [
 
 def format_float(x: float) -> str:
     """17 significant digits: enough to round-trip any double exactly."""
-    x = float(x)
-    if math.isinf(x):
-        return '"inf"' if x > 0 else '"-inf"'
-    if math.isnan(x):
-        return '"nan"'
-    return f"{x:.17g}"
+    return _dumps_array(np.asarray(float(x)))
 
 
 def dumps17(obj) -> str:
@@ -137,13 +131,20 @@ def channel_to_json(ch: KrausChannel) -> str:
 
 
 def save_state(rho: DensityMatrix, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(state_to_json(rho))
+    _write_text(path, state_to_json(rho))
 
 
 def save_channel(ch: KrausChannel, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(channel_to_json(ch))
+    _write_text(path, channel_to_json(ch))
+
+
+def _write_text(path: str, text: str) -> None:
+    """Write text to path, raising FileFormatError when it cannot."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise FileFormatError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _is_number(v) -> bool:

@@ -73,7 +73,7 @@ def _as_square(matrix, what: str = "matrix", ndim: int = 2) -> np.ndarray:
     return m
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """A density matrix: Hermitian, positive semidefinite, unit trace.
 
@@ -124,7 +124,7 @@ class DensityMatrix:
         return cls(np.diag(p).astype(complex))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PureState:
     """A normalized state vector."""
 
@@ -151,7 +151,7 @@ class PureState:
         return DensityMatrix(np.outer(a, a.conj()))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectralDecomposition:
     """Eigenvalues (descending) with matching orthonormal column eigenvectors."""
 
@@ -296,8 +296,13 @@ def _wishart(dim: int, rank: int, seed: int) -> np.ndarray:
 
 def random_unitary(dim: int, seed: int) -> np.ndarray:
     """Haar-random unitary via QR of a complex Gaussian matrix."""
-    rng = np.random.default_rng(seed)
-    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    _check_dim(dim)
+    return _haar_isometry(np.random.default_rng(seed), dim, dim)
+
+
+def _haar_isometry(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
+    """Haar-random (rows, cols) isometry from the QR of a complex Gaussian block."""
+    z = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
     q, r = np.linalg.qr(z)
     d = np.diagonal(r)
     return q * (d / np.abs(d))

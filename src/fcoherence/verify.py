@@ -34,6 +34,7 @@ import numpy as np
 from .channels import (
     GioChannel,
     KrausChannel,
+    _upper_pairs,
     diagonal_unitary_mixture,
     gio_saturation_check,
     max_offdiagonal,
@@ -51,7 +52,7 @@ from .coherence import (
     max_coherent_state,
 )
 from .divergence import divergence_table, entropy_table, f_weighted_sum, oracle_divergence_table
-from .errors import CoherenceError, DimensionMismatch
+from .errors import CoherenceError
 from .generators import GeneratorFunction, lookup
 from .states import (
     DensityMatrix,
@@ -391,7 +392,7 @@ def suite_gio_monotonicity(cfg: TrialConfig) -> VerificationReport:
             outputs = validate_density(np.array([ch.correlation for _, ch, _, _ in checks]) * rhos)
             # Quadratic proxy for the expected decrease, summed over the
             # pairs n < m in row-major order.
-            rows, cols = np.triu_indices(d, 1)
+            rows, cols = _upper_pairs(d)
             grams = np.array([ch.coefficients.conj().T @ ch.coefficients for _, ch, _, _ in checks])
             pred = (1.0 - np.abs(grams[:, rows, cols]) ** 2) * np.abs(rhos[:, rows, cols]) ** 2
             pred_max = pred.max(axis=1).tolist() if d > 1 else [0.0] * len(checks)
@@ -605,23 +606,16 @@ class SioCounterexampleReport:
         return asdict(self)
 
 
-def sio_counterexample_report(f_name: str, d: int, rho: DensityMatrix | None = None) -> SioCounterexampleReport:
-    """Evaluate both tensor-extension coherences directly and through
-    the eigenvalue identities.
-
-    Defaults to the uniform-superposition state on dimension d, and
-    raises DimensionMismatch when rho has another dimension.
-    """
-    return _sio_reports([lookup(f_name)], d, rho)[0]
+def sio_counterexample_report(f_name: str, d: int) -> SioCounterexampleReport:
+    """Both tensor-extension coherences of the uniform superposition on
+    dimension d, evaluated directly and through the eigenvalue identities."""
+    return _sio_reports([lookup(f_name)], d)[0]
 
 
-def _sio_reports(gens, d: int, rho: DensityMatrix | None = None) -> list[SioCounterexampleReport]:
+def _sio_reports(gens, d: int) -> list[SioCounterexampleReport]:
     """sio_counterexample_report for each generator, from one pair of
     tensor-extension states and one coherence table."""
-    if rho is None:
-        rho = max_coherent_state(d).as_density()
-    if rho.dim != d:
-        raise DimensionMismatch(f"state dimension {rho.dim} does not match d={d}")
+    rho = max_coherent_state(d).as_density()
     mixed = DensityMatrix.maximally_mixed(d)
     ground = DensityMatrix.from_diagonal([1.0] + [0.0] * (d - 1))
     table = coherence_table([rho.tensor(mixed), rho.tensor(ground)], gens).tolist()

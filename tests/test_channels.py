@@ -182,6 +182,16 @@ class TestBuiltinChannels:
         with pytest.raises(DimensionMismatch, match="dimension must be positive"):
             build(dim)
 
+    @pytest.mark.parametrize("build", [random_gio, random_channel, random_unital_channel])
+    @pytest.mark.parametrize("dim,num_kraus", [(0, 2), (-2, 2), (2, 0), (2, -1)])
+    def test_random_factories_reject_nonpositive_sizes(self, monkeypatch, build, dim, num_kraus):
+        def no_draws(seed):
+            raise AssertionError("drew before checking sizes")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draws)
+        with pytest.raises(DimensionMismatch, match="need positive dimension and Kraus count"):
+            build(dim, num_kraus, 1)
+
     def test_random_unital_channel_is_unital(self):
         ch = random_unital_channel(3, 4, seed=31)
         assert ch.dual().completeness_defect() <= COMPLETENESS_TOL

@@ -48,6 +48,10 @@ class TestFormatFloat:
         assert format_float(-math.inf) == '"-inf"'
         assert format_float(math.nan) == '"nan"'
 
+    @pytest.mark.parametrize("x", [0.0, -0.0, 5e-324, -1.0 / 3.0, 1e16, 2.0**-1074 * 3, np.float32(0.1)])
+    def test_is_the_17_digit_format(self, x):
+        assert format_float(x) == f"{float(x):.17g}"
+
 
 class TestDumps17:
     def test_basic_document(self):
@@ -291,6 +295,14 @@ class TestStateFiles:
         p.write_text('{"dim": 1, "matrix": [[1.0]]}')
         with pytest.raises(FileFormatError):
             load_state(str(p))
+
+    @pytest.mark.parametrize("target", [".", "missing/out.json"], ids=["directory", "missing-directory"])
+    def test_unwritable_path_is_file_format_error(self, tmp_path, target):
+        path = str(tmp_path / target)
+        with pytest.raises(FileFormatError, match="cannot write"):
+            save_state(random_density(2, 2, seed=1), path)
+        with pytest.raises(FileFormatError, match="cannot write"):
+            save_channel(random_gio(2, 2, seed=1), path)
 
     def test_validation_still_applies(self, tmp_path):
         p = tmp_path / "nonherm.json"
@@ -588,7 +600,27 @@ class TestCliExitCodes:
 
     def test_verify_empty_generator_list(self, capsys):
         assert main(["verify", "--f", ",", "--trials", "1", "--dims", "2"]) == 2
-        capsys.readouterr()
+        assert "f_list must name at least one generator" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag,value,message",
+        [
+            ("--f", "", "f_list must name at least one generator"),
+            ("--dims", "", "--dims must be comma-separated integers"),
+        ],
+        ids=["f-empty", "dims-empty"],
+    )
+    def test_verify_empty_flag_is_input_error(self, capsys, monkeypatch, flag, value, message):
+        def no_suites(cfg):
+            raise AssertionError("a suite ran")
+
+        for name in list(cli.SUITES):
+            monkeypatch.setitem(cli.SUITES, name, no_suites)
+        monkeypatch.setattr(cli, "run_all", no_suites)
+        assert main(["verify", flag, value, "--trials", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
 
     def test_verify_only_increasing_generator_trivial_pass(self, capsys):
         code = main(

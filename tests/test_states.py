@@ -4,6 +4,7 @@ import pytest
 from fcoherence import (
     DensityMatrix,
     PureState,
+    coherence_f,
     random_density,
     random_pure,
     random_unitary,
@@ -18,6 +19,7 @@ from fcoherence.errors import (
     StateValidationError,
     TraceNotOne,
 )
+from fcoherence.generators import neg_log
 
 
 class TestValidation:
@@ -197,6 +199,35 @@ class TestRandomFactories:
     def test_random_unitary_is_unitary(self):
         u = random_unitary(4, seed=13)
         np.testing.assert_allclose(u @ u.conj().T, np.eye(4), atol=1e-12)
+
+    @pytest.mark.parametrize("dim", [0, -1])
+    def test_random_unitary_rejects_nonpositive_dimension(self, dim):
+        with pytest.raises(DimensionMismatch, match="dimension must be positive"):
+            random_unitary(dim, seed=1)
+
+
+class TestIdentityEquality:
+    """The array-holding value types compare and hash by identity."""
+
+    def instances(self):
+        rho = random_density(3, 3, seed=2)
+        return [
+            rho,
+            random_pure(3, seed=2),
+            spectral_decompose(rho),
+            coherence_f(rho, neg_log()),
+        ]
+
+    def test_equal_only_to_itself(self):
+        # Both lists are built from the same seeds, so their arrays match.
+        for a, b in zip(self.instances(), self.instances()):
+            assert a == a and not a != a
+            assert a != b and not a == b
+            assert a in [b, a] and b not in [a]
+
+    def test_hashable(self):
+        objs, twins = self.instances(), self.instances()
+        assert len({*objs, *objs, *twins}) == 2 * len(objs)
 
 
 class TestEigenvalueCache:

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from fcoherence import (
-    DensityMatrix,
     GioChannel,
     TrialConfig,
     coherence_f,
@@ -204,10 +203,6 @@ class TestSioCounterexampleReport:
         rep = sio_counterexample_report("tsallis:0.5", 3)
         assert rep.gap > 0.01
         assert rep.cross_check_error <= 1e-10
-
-    def test_rejects_mismatched_state(self):
-        with pytest.raises(DimensionMismatch, match="state dimension 2 does not match d=3"):
-            sio_counterexample_report("neg_log", 3, rho=DensityMatrix.maximally_mixed(2))
 
     def test_rejects_nonpositive_dimension(self):
         with pytest.raises(DimensionMismatch):
