@@ -32,7 +32,7 @@ from .errors import (
     UnsupportedLimit,
 )
 from .generators import lookup
-from .io import _write_text, dumps17, load_channel_or_builtin, load_state, state_to_json
+from .io import _write_text, dumps17, load_channel_or_builtin, load_state
 from .states import DensityMatrix, random_density
 from .verify import DEFAULT_F_SPECS, SUITES, TrialConfig, run_all, sio_counterexample_report
 
@@ -128,11 +128,7 @@ def cmd_channel(args) -> int:
         ]
         _emit(dumps17({"dim": ch.dim, "outcomes": outcomes}), args.out)
     else:
-        out_state = ch.apply(rho)
-        if args.out:
-            _emit(state_to_json(out_state), args.out)
-        else:
-            _emit(dumps17(_state_doc(out_state)), None)
+        _emit(dumps17(_state_doc(ch.apply(rho))), args.out)
     return EXIT_OK
 
 

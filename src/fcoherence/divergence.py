@@ -247,32 +247,22 @@ def _weighted_sums(v: np.ndarray, c: np.ndarray, gens) -> list[np.ndarray]:
     # regroup rows of 8 or more terms, so each row is summed over its
     # compressed positive entries: rows with the same count m of them are
     # summed as one (rows, m) block.
-    shape = v.shape[:-1] if c.ndim == 0 else np.broadcast_shapes(v.shape[:-1], c.shape)
-    if shape != v.shape[:-1]:
-        v = np.broadcast_to(v, shape + v.shape[-1:])
-        pos = v > EPS_ZERO
+    v, pos = np.broadcast_arrays(v, pos, c[..., None])[:2]
     vp = v[pos]
-    x = c / vp if c.ndim == 0 else (c[..., None] / np.where(pos, v, 1.0))[pos]
-    counts = pos.sum(axis=-1).ravel() if pos.ndim > 1 else np.array([vp.size])
-    sizes = set(counts.tolist())
-    out = []
-    if len(sizes) == 1:
-        m = sizes.pop()
-        for f in gens:
-            sums = (vp * f(x)).reshape(counts.size, m).sum(axis=1) if m else np.zeros(counts.size)
-            out.append(sums.reshape(shape))
-        return out
+    x = (c[..., None] / np.where(pos, v, 1.0))[pos]
+    counts = pos.sum(axis=-1).ravel()
     ends = np.cumsum(counts)
     blocks = []
-    for m in sizes - {0}:
+    for m in set(counts.tolist()) - {0}:
         rows = np.flatnonzero(counts == m)
         blocks.append((rows, (ends[rows] - m)[:, None] + np.arange(m)))
+    out = []
     for f in gens:
         terms = vp * f(x)
         sums = np.zeros(counts.size)
         for rows, idx in blocks:
             sums[rows] = terms[idx].sum(axis=1)
-        out.append(sums.reshape(shape))
+        out.append(sums.reshape(v.shape[:-1]))
     return out
 
 

@@ -34,7 +34,6 @@ from .errors import FileFormatError, NotGio
 from .states import DensityMatrix, validate_density
 
 __all__ = [
-    "format_float",
     "dumps17",
     "state_to_json",
     "channel_to_json",
@@ -45,11 +44,6 @@ __all__ = [
     "builtin_channel",
     "load_channel_or_builtin",
 ]
-
-
-def format_float(x: float) -> str:
-    """17 significant digits: enough to round-trip any double exactly."""
-    return _dumps_array(np.asarray(float(x)))
 
 
 def dumps17(obj) -> str:
@@ -64,12 +58,10 @@ def dumps17(obj) -> str:
         return "null"
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return format_float(float(obj))
+    if isinstance(obj, (float, complex, np.floating, np.complexfloating)):
+        return _dumps_array(np.asarray(obj))
     if isinstance(obj, str):
         return json.dumps(obj)
-    if isinstance(obj, complex):
-        return f"[{format_float(obj.real)}, {format_float(obj.imag)}]"
     if isinstance(obj, np.ndarray):
         if obj.dtype.kind in "fc":
             return _dumps_array(obj)

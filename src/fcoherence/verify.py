@@ -151,7 +151,8 @@ class _Worst:
         self.trials = 0
 
     def update(self, violation: float, seed: int) -> None:
-        if violation > self.value:
+        # A larger or NaN violation replaces the value; the first NaN stays.
+        if not violation <= self.value and self.value == self.value:
             self.value = violation
             self.seed = seed
 

@@ -26,7 +26,7 @@ from fcoherence import (
 import fcoherence.cli as cli
 from fcoherence.cli import build_parser, main
 from fcoherence.errors import ChannelValidationError, FileFormatError, NotHermitian
-from fcoherence.io import _parse_complex_matrix, dumps17, format_float
+from fcoherence.io import _parse_complex_matrix, dumps17
 
 
 def plus_state():
@@ -39,18 +39,37 @@ def write_state(path, rho):
 
 
 class TestFormatFloat:
+    """dumps17 writes a float scalar with 17 significant digits."""
+
     @pytest.mark.parametrize("x", [0.0, 1.0, 1.0 / 3.0, 0.1, -2.5e-17, 1e300])
     def test_round_trips_doubles(self, x):
-        assert float(format_float(x)) == x
+        assert float(dumps17(x)) == x
 
     def test_non_finite(self):
-        assert format_float(math.inf) == '"inf"'
-        assert format_float(-math.inf) == '"-inf"'
-        assert format_float(math.nan) == '"nan"'
+        assert dumps17(math.inf) == '"inf"'
+        assert dumps17(-math.inf) == '"-inf"'
+        assert dumps17(math.nan) == '"nan"'
 
     @pytest.mark.parametrize("x", [0.0, -0.0, 5e-324, -1.0 / 3.0, 1e16, 2.0**-1074 * 3, np.float32(0.1)])
     def test_is_the_17_digit_format(self, x):
-        assert format_float(x) == f"{float(x):.17g}"
+        assert dumps17(x) == f"{float(x):.17g}"
+
+    @pytest.mark.parametrize(
+        "x, text",
+        [
+            (np.float32(0.1), "0.10000000149011612"),
+            (np.complex64(1 + 2j), "[1, 2]"),
+            (np.complex64(0.1 - 0.1j), "[0.10000000149011612, -0.10000000149011612]"),
+            (np.complex128(1.5 - 2j), "[1.5, -2]"),
+            (-0.0, "-0"),
+            (5e-324, "4.9406564584124654e-324"),
+            (np.float64(-math.inf), '"-inf"'),
+            (complex(math.inf, math.nan), '["inf", "nan"]'),
+        ],
+        ids=["float32", "complex64", "complex64-inexact", "complex128", "neg-zero", "subnormal", "inf", "nan"],
+    )
+    def test_scalar_bytes(self, x, text):
+        assert dumps17(x) == text
 
 
 class TestDumps17:
@@ -88,7 +107,7 @@ def ref_matrix_lines(matrix, indent):
     rows = []
     for row in np.asarray(matrix):
         cells = ", ".join(
-            f"[{format_float(z.real)}, {format_float(z.imag)}]" for z in row
+            f"[{dumps17(z.real)}, {dumps17(z.imag)}]" for z in row
         )
         rows.append(f"{indent}[{cells}]")
     return ",\n".join(rows)
@@ -461,6 +480,33 @@ class TestCliCommands:
         assert capsys.readouterr().out == ""
         doc = json.loads(target.read_text())
         assert doc["value"] == pytest.approx(math.log(2.0), abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["coherence", "{a}", "--variant", "hat"],
+            ["entropy", "{a}"],
+            ["divergence", "{a}", "{b}"],
+            ["channel", "{ch}", "{a}"],
+            ["channel", "{ch}", "{a}", "--selective"],
+        ],
+        ids=["coherence", "entropy", "divergence", "channel", "channel-selective"],
+    )
+    def test_out_file_equals_stdout(self, tmp_path, capsys, argv):
+        paths = {
+            "a": write_state(tmp_path / "a.json", plus_state()),
+            "b": write_state(tmp_path / "b.json", DensityMatrix.from_diagonal([0.7, 0.3])),
+            "ch": str(tmp_path / "ch.json"),
+        }
+        save_channel(random_gio(2, 2, seed=12), paths["ch"])
+        argv = [arg.format(**paths) for arg in argv]
+        assert main(argv) == 0
+        printed = capsys.readouterr().out
+        target = tmp_path / "out.json"
+        assert main(argv + ["--out", str(target)]) == 0
+        assert capsys.readouterr().out == ""
+        assert target.read_bytes() == printed.encode()
+        assert printed.count("\n") == 1
 
     def test_verify_single_suite(self, capsys):
         code = main(

@@ -17,6 +17,7 @@ from fcoherence import (
     run_all,
     sio_counterexample_report,
 )
+import fcoherence.verify as verify
 from fcoherence.cli import main
 from fcoherence.errors import DimensionMismatch, UnknownGenerator
 from fcoherence.generators import lookup, tsallis
@@ -88,6 +89,43 @@ class TestSuites:
         assert not report.passed
         assert report.worst_case_seed >= 0
         assert report.worst_violation > 1e-18
+
+    def test_first_nan_violation_is_kept(self):
+        worst = verify._Worst()
+        for violation, seed in [(0.5, 1), (math.nan, 2), (math.nan, 3), (7.0, 4), (0.1, 5)]:
+            worst.update(violation, seed)
+        report = worst.report("entropy-bounds", SMALL)
+        assert not report.passed
+        assert math.isnan(report.worst_violation)
+        assert report.worst_case_seed == 2
+        assert '"worst_violation": "nan", "worst_case_seed": 2' in dumps17(report.to_json_dict())
+
+    @pytest.mark.parametrize(
+        ("name", "kernel"),
+        [
+            ("entropy-bounds", "entropy_table"),
+            ("gio-monotonicity", "coherence_table"),
+            ("strong-monotonicity", "coherence_table"),
+            ("faithfulness-bounds", "coherence_table"),
+            ("sio-counterexample", "coherence_table"),
+        ],
+    )
+    def test_nan_kernel_fails_the_suite(self, monkeypatch, name, kernel):
+        real = getattr(verify, kernel)
+        monkeypatch.setattr(verify, kernel, lambda *args: np.full_like(real(*args), np.nan))
+        nan_seeds = []
+        update = verify._Worst.update
+
+        def spy(worst, violation, seed):
+            if math.isnan(violation):
+                nan_seeds.append(seed)
+            update(worst, violation, seed)
+
+        monkeypatch.setattr(verify._Worst, "update", spy)
+        report = SUITES[name](TrialConfig(dims=(2, 3), trials_per_case=6, seed=1))
+        assert not report.passed
+        assert math.isnan(report.worst_violation)
+        assert report.worst_case_seed == nan_seeds[0]
 
     def test_report_serializes(self):
         report = SUITES["sio-counterexample"](TrialConfig(dims=(2,), trials_per_case=1, seed=0))
