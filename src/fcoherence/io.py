@@ -11,6 +11,13 @@ array in one batched step, and the state and channel files are its
 multi-line layout of the same bytes. The reader converts a matrix with
 one ``np.array`` call and one pass over the cell types; only a rejected
 matrix is walked cell by cell, to name the offending cell.
+
+Every file the package writes (``save_state``, ``save_channel`` and each
+CLI ``--out``) is overwritten in place, not truncated first: the new
+bytes go over the old ones and the file is cut to their length only if
+it was longer. The write is not atomic, as ``open(path, "w")`` was not
+either; a write that fails leaves an empty file, not a mix of the old
+and new documents.
 """
 
 from __future__ import annotations
@@ -18,6 +25,7 @@ from __future__ import annotations
 import json
 import os
 import re
+from contextlib import suppress
 from itertools import chain
 from typing import NoReturn
 
@@ -131,10 +139,27 @@ def save_channel(ch: KrausChannel, path: str) -> None:
 
 
 def _write_text(path: str, text: str) -> None:
-    """Write text to path, raising FileFormatError when it cannot."""
+    """Overwrite path in place with the UTF-8 bytes of text, as the
+    module docstring describes, raising FileFormatError when it cannot.
+
+    Only a file longer than the new bytes is truncated: a device or pipe
+    reports size 0, and ftruncate would fail on it.
+    """
+    data = text.encode("utf-8")
     try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+        try:
+            view = memoryview(data)
+            while view:
+                view = view[os.write(fd, view):]
+            if os.fstat(fd).st_size > len(data):
+                os.ftruncate(fd, len(data))
+        except OSError:
+            with suppress(OSError):
+                os.ftruncate(fd, 0)
+            raise
+        finally:
+            os.close(fd)
     except OSError as exc:
         raise FileFormatError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
@@ -192,11 +217,11 @@ def _reject_matrix(raw, dim: int, what: str) -> NoReturn:
 
 
 def _load_json(path: str) -> dict:
-    if not os.path.exists(path):
-        raise FileFormatError(f"no such file: {path}")
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
+    except FileNotFoundError:
+        raise FileFormatError(f"no such file: {path}") from None
     # ValueError covers bad JSON, bad UTF-8 and integers over the
     # interpreter's digit limit; RecursionError covers deep nesting.
     except (OSError, ValueError, RecursionError) as exc:

@@ -631,14 +631,10 @@ def _sio_reports(gens, d: int) -> list[SioCounterexampleReport]:
     reports = []
     for f, (lhs_plain, lhs_hat), (rhs_plain, rhs_hat) in zip(gens, table[0], table[1]):
         sums = f_weighted_sum(rows, np.array(numerators)[:, None], f)
-        ident_lhs_plain, ident_rhs_plain, ident_lhs_hat, ident_rhs_hat = (sums[:, 0] - sums[:, 1]).tolist()
-        cross = max(
-            abs(lhs_plain - ident_lhs_plain),
-            abs(rhs_plain - ident_rhs_plain),
-            abs(lhs_hat - ident_lhs_hat),
-            abs(rhs_hat - ident_rhs_hat),
-        )
-        gap = max(abs(lhs_plain - rhs_plain), abs(lhs_hat - rhs_hat))
+        # np.max, unlike max, keeps a NaN in any position for _Worst to see.
+        values = np.array((lhs_plain, rhs_plain, lhs_hat, rhs_hat))
+        cross = float(np.max(np.abs(values - (sums[:, 0] - sums[:, 1]))))
+        gap = float(np.max(np.abs(values[0::2] - values[1::2])))
         reports.append(
             SioCounterexampleReport(
                 f_name=f.name,

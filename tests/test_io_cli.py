@@ -1,5 +1,9 @@
+import errno
 import json
 import math
+import os
+import re
+import stat
 import subprocess
 import sys
 from types import SimpleNamespace
@@ -24,6 +28,7 @@ from fcoherence import (
     state_to_json,
 )
 import fcoherence.cli as cli
+import fcoherence.io as fio
 from fcoherence.cli import build_parser, main
 from fcoherence.errors import ChannelValidationError, FileFormatError, NotHermitian
 from fcoherence.io import _parse_complex_matrix, dumps17
@@ -285,6 +290,13 @@ class TestStateFiles:
         with pytest.raises(FileFormatError):
             load_state("/nonexistent/state.json")
 
+    def test_missing_file_message(self, tmp_path):
+        broken = tmp_path / "broken.json"
+        broken.symlink_to(tmp_path / "absent.json")
+        for path in (str(tmp_path / "absent.json"), str(broken)):
+            with pytest.raises(FileFormatError, match=f"^no such file: {re.escape(path)}$"):
+                load_state(path)
+
     def test_bad_json(self, tmp_path):
         p = tmp_path / "bad.json"
         p.write_text("{not json")
@@ -330,6 +342,77 @@ class TestStateFiles:
         )
         with pytest.raises(NotHermitian):
             load_state(str(p))
+
+
+class TestInPlaceWriter:
+    """Every file the package writes is overwritten in place."""
+
+    @pytest.mark.parametrize("old_size", [10_000, 3], ids=["longer", "shorter"])
+    def test_existing_file_holds_exactly_the_new_bytes(self, tmp_path, old_size):
+        path = tmp_path / "state.json"
+        path.write_bytes(b"x" * old_size)
+        save_state(plus_state(), str(path))
+        assert path.read_bytes() == state_to_json(plus_state()).encode()
+
+    def test_out_dev_null_exits_zero(self, capsys):
+        assert main(["demo", "log-chain", "--out", os.devnull]) == 0
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+    def test_pipe_receives_the_document(self):
+        r, w = os.pipe()
+        with os.fdopen(r, "rb") as reader:
+            try:
+                save_state(plus_state(), f"/proc/self/fd/{w}")
+            finally:
+                os.close(w)
+            assert reader.read() == state_to_json(plus_state()).encode()
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_full_device_is_file_format_error(self, capsys):
+        with pytest.raises(FileFormatError, match="cannot write /dev/full"):
+            save_state(plus_state(), "/dev/full")
+        assert main(["demo", "log-chain", "--out", "/dev/full"]) == 2
+        assert "fcoherence: cannot write /dev/full" in capsys.readouterr().err
+
+    def test_symlink_writes_through_to_its_target(self, tmp_path):
+        target = tmp_path / "target.json"
+        target.write_bytes(b"x" * 10_000)
+        link = tmp_path / "link.json"
+        link.symlink_to(target)
+        save_channel(random_gio(2, 2, seed=3), str(link))
+        assert link.is_symlink()
+        assert target.read_bytes() == channel_to_json(random_gio(2, 2, seed=3)).encode()
+
+    def test_new_file_mode_matches_open(self, tmp_path):
+        old = os.umask(0o027)
+        try:
+            with open(tmp_path / "ref.json", "w"):
+                pass
+            save_state(plus_state(), str(tmp_path / "new.json"))
+        finally:
+            os.umask(old)
+        mode = stat.S_IMODE(os.stat(tmp_path / "new.json").st_mode)
+        assert mode == stat.S_IMODE(os.stat(tmp_path / "ref.json").st_mode)
+
+    def test_failed_write_leaves_an_empty_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "state.json"
+        path.write_bytes(b"x" * 10_000)
+        real_write = os.write
+        calls = []
+
+        def ten_bytes_then_full(fd, data):
+            calls.append(fd)
+            if len(calls) > 1:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            return real_write(fd, data[:10])
+
+        monkeypatch.setattr(fio.os, "write", ten_bytes_then_full)
+        with pytest.raises(FileFormatError, match="cannot write .*No space left on device"):
+            save_state(plus_state(), str(path))
+        monkeypatch.undo()
+        assert len(calls) == 2
+        assert path.read_bytes() == b""
 
 
 class TestChannelFiles:

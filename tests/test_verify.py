@@ -101,18 +101,34 @@ class TestSuites:
         assert '"worst_violation": "nan", "worst_case_seed": 2' in dumps17(report.to_json_dict())
 
     @pytest.mark.parametrize(
-        ("name", "kernel"),
+        ("name", "kernel", "column"),
         [
-            ("entropy-bounds", "entropy_table"),
-            ("gio-monotonicity", "coherence_table"),
-            ("strong-monotonicity", "coherence_table"),
-            ("faithfulness-bounds", "coherence_table"),
-            ("sio-counterexample", "coherence_table"),
+            ("entropy-bounds", "entropy_table", slice(None)),
+            ("gio-monotonicity", "coherence_table", slice(None)),
+            ("strong-monotonicity", "coherence_table", slice(None)),
+            ("faithfulness-bounds", "coherence_table", slice(None)),
+            ("sio-counterexample", "coherence_table", slice(None)),
+            # NaN only in the hat column, never the first value reduced.
+            ("sio-counterexample", "coherence_table", 1),
+        ],
+        ids=[
+            "entropy-bounds-entropy_table",
+            "gio-monotonicity-coherence_table",
+            "strong-monotonicity-coherence_table",
+            "faithfulness-bounds-coherence_table",
+            "sio-counterexample-coherence_table",
+            "sio-counterexample-coherence_table-hat",
         ],
     )
-    def test_nan_kernel_fails_the_suite(self, monkeypatch, name, kernel):
+    def test_nan_kernel_fails_the_suite(self, monkeypatch, name, kernel, column):
         real = getattr(verify, kernel)
-        monkeypatch.setattr(verify, kernel, lambda *args: np.full_like(real(*args), np.nan))
+
+        def nan_kernel(*args):
+            table = real(*args)
+            table[..., column] = np.nan
+            return table
+
+        monkeypatch.setattr(verify, kernel, nan_kernel)
         nan_seeds = []
         update = verify._Worst.update
 
