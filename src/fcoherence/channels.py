@@ -32,7 +32,9 @@ from .errors import (
 from .states import (
     EPS_ZERO,
     DensityMatrix,
+    _as_square,
     _check_dim,
+    _eigh,
     _haar_isometry,
     random_unitary,
     spectral_decompose,
@@ -164,8 +166,8 @@ class KrausChannel:
 
 
 def _operand(m, dim: int) -> np.ndarray:
-    """m as a complex (dim, dim) array."""
-    m = np.asarray(m, dtype=complex)
+    """m as a finite complex (dim, dim) array."""
+    m = _as_square(m)
     if m.shape != (dim, dim):
         raise DimensionMismatch(f"matrix shape {m.shape} does not match channel dimension {dim}")
     return m
@@ -500,7 +502,7 @@ def _psd_power(m, exponent: float, what: str) -> np.ndarray:
         dec = spectral_decompose(m)
         vals, vecs = dec.eigenvalues, dec.eigenvectors
     else:
-        vals, vecs = np.linalg.eigh((m + m.conj().T) / 2.0)
+        vals, vecs = _eigh((m + m.conj().T) / 2.0)
     if exponent < 0 and vals.min() <= EPS_ZERO:
         raise SingularState(f"{what} has eigenvalue {vals.min():.3e}, full rank required")
     vals = np.clip(vals, EPS_ZERO if exponent < 0 else 0.0, None)

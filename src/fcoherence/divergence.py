@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, SingularState, UnsupportedLimit
 from .generators import GeneratorFunction
-from .states import EPS_ZERO, DensityMatrix, SpectralDecomposition, _decomposed, spectra
+from .states import EPS_ZERO, DensityMatrix, SpectralDecomposition, _decomposed, _eigh, spectra
 
 __all__ = [
     "GROUP_TOL",
@@ -61,15 +61,6 @@ def _grouped(vals_desc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     starts = np.concatenate(([0], np.flatnonzero(vals_desc[:-1] - vals_desc[1:] > GROUP_TOL) + 1))
     sizes = np.diff(starts, append=vals_desc.size)
     return starts, np.add.reduceat(vals_desc, starts) / sizes
-
-
-def _carried(rows: np.ndarray, cols: np.ndarray, carried: np.ndarray):
-    """Row and column indices of the carried entries of the rows x cols
-    block, or None when it has none."""
-    if not (rows.any() and cols.any()):
-        return None
-    index = np.nonzero(rows[:, None] & cols[None, :] & carried)
-    return index if index[0].size else None
 
 
 def _need_limit(f: GeneratorFunction, attr: str, what: str) -> float:
@@ -115,28 +106,30 @@ def divergence_table(pairs, gens) -> np.ndarray:
         mu_pos = mu > EPS_ZERO
         carried = w != 0.0
 
-        kb, ja = np.nonzero(mu_pos[:, None] & lam_pos[None, :] & carried)
+        kb, ja = np.nonzero(mu_pos[:, None] & lam_pos & carried)
         lam_ja, ratio, w_both = lam[ja], mu[kb] / lam[ja], w[kb, ja]
         # Kernel of a against the support of b.
-        tail_block = _carried(mu_pos, ~lam_pos, carried)
+        tail_block = mu_pos[:, None] & ~lam_pos & carried
         # Support of a against the kernel of b.
-        zero_block = _carried(~mu_pos, lam_pos, carried)
+        zero_block = ~mu_pos[:, None] & lam_pos & carried
         # Both groups in the kernel: no contribution.
         for g, f in enumerate(gens):
             total = float(np.sum(lam_ja * f(ratio) * w_both))
             infinite = False
-            if tail_block is not None:
+            if tail_block.any():
                 tail = _need_limit(f, "weighted_inf_limit", "weighted tail limit")
                 if math.isinf(tail):
                     infinite = True
                 elif tail != 0.0:
-                    total += float(np.sum(mu[tail_block[0]] * tail * w[tail_block]))
-            if zero_block is not None:
+                    # A boolean mask takes the block's terms in np.nonzero
+                    # order; np.sum(..., where=) would regroup the sum.
+                    total += float(np.sum((mu[:, None] * tail * w)[tail_block]))
+            if zero_block.any():
                 zero = _need_limit(f, "limit_at_zero", "limit at zero")
                 if math.isinf(zero):
                     infinite = True
                 else:
-                    total += float(np.sum(lam[zero_block[1]] * zero * w[zero_block]))
+                    total += float(np.sum((lam * zero * w)[zero_block]))
             row[g] = math.inf if infinite else total
     return out
 
@@ -192,7 +185,7 @@ def oracle_divergence_table(pairs, gens) -> np.ndarray:
     # Column-stacked vec: X -> B X A^{-1} has matrix (A^{-1})^T kron B.
     sup = (a_inv_t[:, :, None, :, None] * bm[:, None, :, None, :]).reshape(n, d * d, d * d)
     sup = (sup + sup.conj().swapaxes(-1, -2)) / 2.0
-    vals, vecs = np.linalg.eigh(sup)
+    vals, vecs = _eigh(sup)
     vecs_h = vecs.conj().swapaxes(-1, -2)
     a_vec = am.swapaxes(-1, -2).reshape(n, d * d, 1)
     for g, f in enumerate(gens):
@@ -210,9 +203,9 @@ def f_weighted_sum(values, numerator, f: GeneratorFunction):
     array of the broadcast shape. Entries at or below EPS_ZERO contribute
     their limiting value, which is 0 exactly when the generator's
     weighted tail limit is 0; any other tail raises UnsupportedLimit
-    since no finite convention applies. Each row is summed over its
-    positive entries alone and in order, so a row of a stack gives the
-    same bits as the row passed on its own.
+    since no finite convention applies. A NaN entry makes its row's sum
+    NaN. Each row is summed over its positive entries alone and in order,
+    so a row of a stack gives the same bits as the row passed on its own.
     """
     (sums,) = _weighted_sums(np.asarray(values, dtype=float), np.asarray(numerator, dtype=float), [f])
     return float(sums) if sums.ndim == 0 else sums
@@ -226,14 +219,15 @@ def spectral_sums(rows, dim: int, gens) -> np.ndarray:
     """
     rows = np.asarray(rows, dtype=float)
     c = np.array([1.0 / dim, 1.0]).reshape((2,) + (1,) * (rows.ndim - 1))
-    sums = np.stack(_weighted_sums(rows, c, gens), axis=-1)  # (2, ..., len(gens))
-    return np.moveaxis(sums, 0, -1)
+    sums = np.reshape(_weighted_sums(rows, c, gens), (len(gens), 2) + rows.shape[:-1])
+    return np.moveaxis(sums, (0, 1), (-2, -1))
 
 
 def _weighted_sums(v: np.ndarray, c: np.ndarray, gens) -> list[np.ndarray]:
     """f_weighted_sum of the stack v with numerator c, once per generator;
-    the masking is shared by all generators."""
-    pos = v > EPS_ZERO
+    the masking is shared by all generators. A NaN entry counts as
+    positive, so it reaches the sum."""
+    pos = ~(v <= EPS_ZERO)
     if pos.all():
         x = c[..., None] / v
         return [np.sum(v * f(x), axis=-1) for f in gens]

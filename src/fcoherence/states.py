@@ -153,16 +153,14 @@ class PureState:
 
 @dataclass(frozen=True, eq=False)
 class SpectralDecomposition:
-    """Eigenvalues (descending) with matching orthonormal column eigenvectors."""
+    """Eigenvalues (descending) with matching orthonormal column eigenvectors.
+
+    A state's decomposition keeps read-only rows of the stacked eigh that
+    solved it, as given, not copied.
+    """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-
-    def __post_init__(self) -> None:
-        vals = np.asarray(self.eigenvalues, dtype=float)
-        vecs = np.asarray(self.eigenvectors, dtype=complex)
-        object.__setattr__(self, "eigenvalues", _frozen(vals.copy()))
-        object.__setattr__(self, "eigenvectors", _frozen(vecs.copy()))
 
 
 def validate_density(matrix) -> DensityMatrix | list[DensityMatrix]:
@@ -222,9 +220,11 @@ def _eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _store(states, vals: np.ndarray, vecs: np.ndarray) -> None:
-    """Cache on each state its row of a stacked eigh (ascending values)."""
+    """Cache on each state its rows of a stacked eigh (ascending values),
+    reversed and frozen once for the whole stack."""
+    vals, vecs = _frozen(vals[:, ::-1].copy()), _frozen(vecs[..., ::-1].copy())
     for s, w, v in zip(states, vals, vecs):
-        object.__setattr__(s, "_decomposition", SpectralDecomposition(w[::-1], v[:, ::-1]))
+        object.__setattr__(s, "_decomposition", SpectralDecomposition(w, v))
 
 
 def _decomposed(states) -> list["SpectralDecomposition"]:

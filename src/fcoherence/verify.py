@@ -10,8 +10,11 @@ same configuration reproduces the report byte for byte.
 The entropy, divergence, GIO and strong-monotonicity suites run
 case-batched: they draw a chunk of trials first, each from its own
 seeds, then validate, apply and score the chunk as stacks, and reduce
-the checks in trial order. Every stacked step gives each matrix the bytes it would get
-alone, so the reports equal those of a trial-by-trial run.
+the checks in trial order. The strong suite builds the selective
+outcomes of all three of its parts in one product per chunk and scores
+them in one coherence table. Every stacked step gives each matrix the
+bytes it would get alone, so the reports equal those of a
+trial-by-trial run.
 
 ``run_all`` runs the suites on the usable CPUs, one forked process per
 extra CPU, and returns the same reports as running them one after
@@ -87,9 +90,10 @@ DEFAULT_F_SPECS = ("neg_log", "power:0.5", "power:1.5", "tsallis:0.5", "tsallis:
 
 # Equality is asserted below this, strict decrease above it.
 EQUALITY_TOL = 1e-8
-# Largest dimension a suite accepts. A strong-monotonicity trial builds
-# up to d + 2 selective outcomes of 16 d^2 bytes each, 4.3 MB at d = 64,
-# so one trial always fits in STACK_BYTES.
+# Largest dimension a suite accepts. A strong-monotonicity trial holds
+# three states and up to 3d + 4 selective outcomes of them, 3d + 7
+# matrices of 16 d^2 bytes each: 13 MB at d = 64, where a chunk is one
+# trial.
 MAX_DIM = 64
 # Byte budget of one stack of d x d complex matrices in a case-batched
 # suite. A case runs in chunks of consecutive trials sized to it, so
@@ -421,20 +425,19 @@ def suite_gio_monotonicity(cfg: TrialConfig) -> VerificationReport:
     return w.report("gio-monotonicity", cfg)
 
 
-def _outcome_average(outcomes, rows: list, columns) -> list[list[float]]:
-    """sum_k p_k C(rho_k) per variant, for the generators at the given
-    columns of the outcomes' coherence-table rows, a Python sum from 0
-    in outcome order."""
+def _outcome_average(outcomes, rows: list) -> list[list[float]]:
+    """sum_k p_k C(rho_k) per generator and variant, from the outcomes'
+    coherence-table rows, a Python sum from 0 in outcome order."""
     return [
-        [sum(o.probability * row[g][v] for o, row in zip(outcomes, rows)) for v in (0, 1)]
-        for g in columns
+        [sum(o.probability * pair[v] for o, pair in zip(outcomes, column)) for v in (0, 1)]
+        for column in zip(*rows)
     ]
 
 
-def _ensemble_gaps(pairs, gens, columns) -> list:
-    """gaps[i][j][v]: coherence of state i minus its average over the
-    selective outcomes of channel i, under generator gens[columns[i][j]]
-    and variant v.
+def _ensemble_gaps(pairs, gens) -> list:
+    """gaps[i][g][v]: coherence of state i minus its average over the
+    selective outcomes of channel i, under generator gens[g] and
+    variant v.
 
     The outcomes of every (channel, state) pair come from one
     outcome_ensembles call and every value from one coherence table
@@ -445,9 +448,9 @@ def _ensemble_gaps(pairs, gens, columns) -> list:
     table = coherence_table(states, gens).tolist()
     rows = iter(table[len(pairs) :])
     gaps = []
-    for own, outcomes, cols in zip(table, ensembles, columns):
-        average = _outcome_average(outcomes, [next(rows) for _ in outcomes], cols)
-        gaps.append([[own[g][v] - avg[v] for v in (0, 1)] for g, avg in zip(cols, average)])
+    for own, outcomes in zip(table, ensembles):
+        average = _outcome_average(outcomes, [next(rows) for _ in outcomes])
+        gaps.append([[value[v] - avg[v] for v in (0, 1)] for value, avg in zip(own, average)])
     return gaps
 
 
@@ -461,7 +464,7 @@ def ensemble_coherence(ch: KrausChannel, rho: DensityMatrix, f: GeneratorFunctio
         raise ValueError(f"fun must be coherence_f or coherence_f_hat, got {fun!r}")
     outcomes = ch.selective_outcomes(rho)
     rows = coherence_table([o.state for o in outcomes], [f]).tolist()
-    return _outcome_average(outcomes, rows, [0])[0][variants.index(fun)]
+    return _outcome_average(outcomes, rows)[0][variants.index(fun)]
 
 
 def suite_strong_monotonicity(cfg: TrialConfig) -> VerificationReport:
@@ -483,10 +486,9 @@ def suite_strong_monotonicity(cfg: TrialConfig) -> VerificationReport:
     explore_trials = 0
 
     trials = max(1, cfg.trials_per_case // 2)
-    every = range(len(dec))
     for case, d in enumerate(cfg.dims):
-        # A trial's largest stack is one part's outcomes, at most d + 2.
-        for chunk in _chunks(trials, d, d + 2):
+        # A trial scores three states and up to 3d + 4 outcomes of them.
+        for chunk in _chunks(trials, d, 3 * d + 7):
             seeds = [_trial_seeds(cfg.seed, 300 + case, t) for t in chunk]
             pure, mixtures, general = [], [], []
             for t, s in zip(chunk, seeds):
@@ -499,19 +501,17 @@ def suite_strong_monotonicity(cfg: TrialConfig) -> VerificationReport:
                 # scored in dimension <= 2, explored above it.
                 mixed = random_density(d, min(d, max(2, 1 + (t + 1) % d)), s[4])
                 general.append((random_gio(d, 1 + (t + 2) % (d + 1), s[5]), mixed))
+            gaps = _ensemble_gaps(pure + mixtures + general, dec)
+            m = len(chunk)
             # Parts (a) and (b) score one generator per trial, (c) all.
-            own = [[t % len(dec)] for t in chunk]
-            gaps_a = _ensemble_gaps(pure, dec, own)
-            gaps_b = _ensemble_gaps(mixtures, dec, own)
-            gaps_c = _ensemble_gaps(general, dec, [every] * len(chunk))
-            for s, a, b, c in zip(seeds, gaps_a, gaps_b, gaps_c):
+            for t, s, a, b, c in zip(chunk, seeds, gaps, gaps[m:], gaps[2 * m :]):
                 w.trials += 1
-                for gap in a[0]:
+                for gap in a[t % len(dec)]:
                     w.update(-gap, s[0])
-                for gap in b[0]:
+                for gap in b[t % len(dec)]:
                     w.update(abs(gap), s[2])
-                for gaps in c:
-                    for gap in gaps:
+                for variants in c:
+                    for gap in variants:
                         if d <= 2:
                             w.update(-gap, s[4])
                         else:

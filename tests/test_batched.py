@@ -150,6 +150,14 @@ class TestWeightedSumKernel:
         got = f_weighted_sum(np.array([[0.0, 0.0], [0.5, 0.5]]), 0.5, f)
         assert got[0] == 0.0 and got[1] == reference_f_weighted_sum([0.5, 0.5], 0.5, f)
 
+    def test_nan_entry_reaches_the_sum(self):
+        f = lookup("neg_log")
+        assert math.isnan(f_weighted_sum(np.array([np.nan, 0.5]), 1.0, f))
+        rows = np.array([[np.nan, 0.5, 0.0], [0.5, 0.5, 0.0], [np.nan, 0.2, 0.8]])
+        got = f_weighted_sum(rows, 1.0, f)
+        assert math.isnan(got[0]) and math.isnan(got[2])
+        assert got[1] == reference_f_weighted_sum([0.5, 0.5, 0.0], 1.0, f)
+
 
 def reference_coherence_pair(rho, f):
     evals, diag = rho.eigenvalues(), rho.diagonal_probabilities()
@@ -202,6 +210,11 @@ class TestTables:
             with pytest.raises(UnsupportedLimit):
                 table([full, pure], [lookup("neg_log"), f])
 
+    def test_no_generators_give_empty_tables(self):
+        states = states_of_dim(3)
+        assert coherence_table(states, []).shape == (len(states), 0, 2)
+        assert entropy_table(states, []).shape == (len(states), 0, 2)
+
     def test_mixed_dimensions_rejected(self):
         with pytest.raises(DimensionMismatch):
             coherence_table([random_density(2, 2, 1), random_density(3, 3, 1)], ZERO_TAIL)
@@ -251,8 +264,8 @@ class TestEnsembles:
             ensemble_coherence(random_gio(2, 2, seed=1), random_density(2, 2, 1), lookup("neg_log"), f_entropy)
 
     def test_strong_suite_builds_each_ensemble_once(self, monkeypatch):
-        # One stacked outcome build per suite part (a), (b), (c) and case
-        # chunk, together covering every trial's (channel, state) pair.
+        # One stacked outcome build per case chunk, for parts (a), (b) and
+        # (c) together, covering every trial's three (channel, state) pairs.
         builds = []
         real = verify.outcome_ensembles
 
@@ -264,5 +277,5 @@ class TestEnsembles:
         monkeypatch.setattr(KrausChannel, "selective_outcomes", None)  # not used per pair
         report = suite_strong_monotonicity(TrialConfig(dims=(2, 3), trials_per_case=8, seed=1))
         assert report.trials == 8
-        assert builds == [4, 4, 4, 4, 4, 4]
+        assert builds == [12, 12]
         assert sum(builds) == 3 * report.trials

@@ -25,9 +25,11 @@ from fcoherence.channels import COMPLETENESS_TOL
 from fcoherence.errors import (
     BadWeights,
     ChannelValidationError,
+    ConvergenceFailure,
     DimensionMismatch,
     NotGio,
     SingularState,
+    StateValidationError,
 )
 
 
@@ -324,6 +326,30 @@ class TestPetzRecovery:
         rec = petz_recovery(KrausChannel([np.eye(2)]), np.eye(2))
         with pytest.raises(DimensionMismatch):
             rec(np.eye(3))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_operands_are_rejected(self, bad):
+        m = np.eye(2, dtype=complex) / 2.0
+        m[0, 1] = bad
+        ch = random_channel(2, 2, seed=1)
+        rec = petz_recovery(ch, np.eye(2) / 2.0)
+        calls = [
+            lambda: petz_recovery(ch, np.full((2, 2), bad)),
+            lambda: ch.apply_matrix(m),
+            lambda: random_gio(2, 2, seed=1).apply_matrix(m),
+            lambda: rec(m),
+        ]
+        for call in calls:
+            with pytest.raises(StateValidationError, match="non-finite"):
+                call()
+
+    def test_convergence_failure_is_typed(self, monkeypatch):
+        def failing(h):
+            raise np.linalg.LinAlgError("no convergence")
+
+        monkeypatch.setattr(np.linalg, "eigh", failing)
+        with pytest.raises(ConvergenceFailure):
+            petz_recovery(random_channel(2, 2, seed=1), np.eye(2) / 2.0)
 
 
 def recovery_defect(ch, rho):

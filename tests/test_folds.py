@@ -6,6 +6,7 @@ free of names that no longer exist.
 """
 
 import importlib
+import inspect
 import pkgutil
 
 import numpy as np
@@ -30,6 +31,7 @@ from fcoherence import (
 from fcoherence.channels import max_offdiagonal
 from fcoherence.cli import DECREASING_BUILTINS, main
 from fcoherence.errors import ChannelValidationError
+from fcoherence.states import _eigh
 from fcoherence.verify import SUITES
 
 
@@ -184,6 +186,15 @@ def test_every_exported_name_resolves(name):
     module = importlib.import_module(name)
     missing = [attr for attr in getattr(module, "__all__", ()) if not hasattr(module, attr)]
     assert missing == []
+
+
+def test_only_states_calls_the_eigensolver():
+    # states._eigh turns LinAlgError into ConvergenceFailure.
+    sources = {m: inspect.getsource(importlib.import_module(m)) for m in MODULES}
+    assert {m: src.count("linalg.eigh") for m, src in sources.items() if "linalg.eigh" in src} == {
+        "fcoherence.states": 1
+    }
+    assert "np.linalg.eigh" in inspect.getsource(_eigh)
 
 
 def test_export_lists_are_checked():

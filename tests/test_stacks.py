@@ -392,19 +392,27 @@ class TestCaseBatching:
             expected += [(6 * m, 3, 3), (2 * m, 3, 3), (m, 9, 9)]
         assert eigh_calls == expected
 
-    def test_strong_suite_builds_one_outcome_stack_per_part_and_chunk(self, monkeypatch):
-        builds = []
-        real = verify.outcome_ensembles
+    def test_strong_suite_builds_one_outcome_stack_per_chunk(self, monkeypatch):
+        builds, tables = [], []
+        real_outcomes, real_table = verify.outcome_ensembles, verify.coherence_table
 
         def counting(chans, states):
             builds.append(len(chans))
-            return real(chans, states)
+            return real_outcomes(chans, states)
+
+        def counting_table(states, gens):
+            tables.append(len(states))
+            return real_table(states, gens)
 
         monkeypatch.setattr(verify, "outcome_ensembles", counting)
-        monkeypatch.setattr(verify, "STACK_BYTES", 16 * 3 * 3 * (3 + 2) * 2)  # two trials at d = 3
+        monkeypatch.setattr(verify, "coherence_table", counting_table)
+        monkeypatch.setattr(verify, "STACK_BYTES", 16 * 3 * 3 * (3 * 3 + 7) * 2)  # two trials at d = 3
         report = verify.suite_strong_monotonicity(TrialConfig(dims=(3,), trials_per_case=10, seed=1))
         assert report.trials == 5
-        assert builds == [2, 2, 2, 2, 2, 2, 1, 1, 1]
+        # Parts (a), (b) and (c) of each trial in one build and one table.
+        assert builds == [6, 6, 3]
+        assert sum(builds) == 3 * report.trials
+        assert len(tables) == len(builds)
 
     def test_chunks_bound_the_stack(self):
         assert [list(r) for r in verify._chunks(5, 2, 1)] == [list(range(5))]

@@ -20,6 +20,7 @@ from fcoherence.errors import (
     TraceNotOne,
 )
 from fcoherence.generators import neg_log
+from fcoherence.states import spectra
 
 
 class TestValidation:
@@ -144,6 +145,18 @@ class TestSpectralDecompose:
     def test_eigenvectors_orthonormal(self):
         v = spectral_decompose(random_density(5, 3, seed=13)).eigenvectors
         assert np.abs(v.conj().T @ v - np.eye(5)).max() < 1e-12
+
+    def test_read_only_rows_of_one_stack(self):
+        states = [random_density(3, 3, seed=s) for s in range(2)]
+        spectra(states)  # one stacked eigh
+        decs = [spectral_decompose(s) for s in states]
+        for dec in decs:
+            with pytest.raises(ValueError):
+                dec.eigenvalues[0] = 0.0
+            with pytest.raises(ValueError):
+                dec.eigenvectors[0, 0] = 0.0
+        assert decs[0].eigenvalues.base is decs[1].eigenvalues.base is not None
+        assert decs[0].eigenvectors.base is decs[1].eigenvectors.base is not None
 
 
 class TestTraceNorm:
