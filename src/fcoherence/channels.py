@@ -12,7 +12,8 @@ The module also builds the two tensor-extension channels used to probe
 monotonicity beyond the diagonal class: one that replaces a fresh
 ancilla by the maximally mixed state and one that erases the ancilla
 back to its reference state. Both are strictly incoherent, neither is
-diagonal.
+diagonal. Both are stored as the ancilla dimension alone and act on
+the blocks of the state; their dense Kraus stack is built on request.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ from .states import (
 
 __all__ = [
     "COMPLETENESS_TOL",
-    "MAX_EXTENSION_DIM",
     "KrausChannel",
     "GioChannel",
     "MeasurementOutcome",
@@ -65,11 +65,11 @@ __all__ = [
 
 COMPLETENESS_TOL = 1e-10
 DIAGONAL_TOL = 1e-12
-# Largest ancilla dimension d accepted by the tensor-extension channels.
-# They are stored as dense Kraus stacks on a d^2-dimensional space:
-# 16 d^6 bytes for depolarizing_extension (16 MB at d = 10, 65 GB at
-# d = 40), 16 d^5 bytes for erasure_extension.
-MAX_EXTENSION_DIM = 10
+# Largest dense output of a tensor-extension channel with ancilla
+# dimension d, its Kraus stack or its selective outcome states: d^2
+# (depolarizing) or d (erasure) matrices of 16 d^4 bytes. Depolarizing
+# reaches it at d = 10 (16 MB; 65 GB at d = 40).
+EXTENSION_DENSE_BYTES = 1 << 24
 # Largest stack of d x d matrices outcome_ensembles builds at once. Past
 # about 128 KiB every fresh array costs page faults, which at d = 64
 # outweigh what stacking saves.
@@ -139,13 +139,13 @@ class KrausChannel:
         return self._ops[start:stop]
 
     def completeness_defect(self) -> float:
-        s = np.einsum("kij,kil->jl", self._ops.conj(), self._ops)
+        ops = self.kraus_ops
+        s = np.einsum("kij,kil->jl", ops.conj(), ops)
         return float(np.linalg.norm(s - np.eye(self.dim), "fro"))
 
     def apply_matrix(self, m: np.ndarray) -> np.ndarray:
         """Linear action sum_k K m K* on an arbitrary matrix."""
-        m = _operand(m, self.dim)
-        return (self._ops @ m @ self._ops.conj().transpose(0, 2, 1)).sum(axis=0)
+        return _kraus_sum(self._ops, _operand(m, self.dim))
 
     def apply(self, rho: DensityMatrix) -> DensityMatrix:
         """Apply to a state and revalidate the output."""
@@ -163,6 +163,11 @@ class KrausChannel:
     def selective_outcomes(self, rho: DensityMatrix) -> list[MeasurementOutcome]:
         """Per-Kraus outcome list (p_k, K rho K*/p_k), zero-probability outcomes dropped."""
         return outcome_ensembles([self], [rho])[0]
+
+
+def _kraus_sum(ops: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """sum_k K m K* over a (num_kraus, d, d) stack."""
+    return (ops @ m @ ops.conj().transpose(0, 2, 1)).sum(axis=0)
 
 
 def _operand(m, dim: int) -> np.ndarray:
@@ -184,7 +189,8 @@ def outcome_ensembles(channels, states) -> list[list[MeasurementOutcome]]:
     The K rho K* of all pairs are computed as one concatenated stacked
     product, and the outcome states validated as one stack, in blocks of
     at most OUTCOME_BLOCK_BYTES, so each outcome equals, byte for byte,
-    what selective_outcomes gives for its pair alone.
+    what selective_outcomes gives for its pair alone. A tensor-extension
+    channel takes its outcomes from the blocks of its state instead.
     """
     channels, states = list(channels), list(states)
     if len(channels) != len(states):
@@ -195,6 +201,11 @@ def outcome_ensembles(channels, states) -> list[list[MeasurementOutcome]]:
         _check_pair(ch, rho)
     if len({rho.dim for rho in states}) > 1:
         raise DimensionMismatch("outcome ensembles need pairs of one dimension")
+    blockwise = [isinstance(ch, _AncillaExtension) for ch in channels]
+    if any(blockwise):
+        rest = [(ch, rho) for ch, rho, b in zip(channels, states, blockwise) if not b]
+        dense = iter(outcome_ensembles([ch for ch, _ in rest], [rho for _, rho in rest]))
+        return [ch._outcomes(rho) if b else next(dense) for ch, rho, b in zip(channels, states, blockwise)]
     counts = [ch.num_kraus for ch in channels]
     begin = np.cumsum([0] + counts).tolist()
     owner = np.repeat(np.arange(len(states)), counts)
@@ -315,12 +326,67 @@ def dephasing_channel(dim: int) -> GioChannel:
     return GioChannel.from_coefficients(np.eye(dim), label="dephase")
 
 
-def _check_extension_dim(dim: int) -> None:
-    _check_dim(dim)
-    if dim > MAX_EXTENSION_DIM:
-        raise DimensionMismatch(
-            f"extension channels support ancilla dimension at most {MAX_EXTENSION_DIM}, got {dim}"
-        )
+class _AncillaExtension(KrausChannel):
+    """id (x) Phi on a d^2 space, Phi the full depolarization of the second
+    factor or its erasure to |0><0|, stored as d and the kind. With
+    rho^(j) = (I (x) <j|) rho (I (x) |j>) and p_j = tr rho^(j), rho maps to
+    tr_B(rho) (x) I/d or tr_B(rho) (x) |0><0|, and selective outcome (i, j)
+    is (p_j/d, rho^(j)/p_j (x) |i><i|) or (p_j, rho^(j)/p_j (x) |0><0|).
+    """
+
+    def __init__(self, dim: int, erase: bool):
+        _check_dim(dim)
+        self._d, self._erase = dim, erase
+        self.label = f"{'erase' if erase else 'depol'}-ext:{dim}"
+
+    @property
+    def dim(self) -> int:
+        return self._d**2
+
+    @property
+    def num_kraus(self) -> int:
+        return self._d if self._erase else self._d**2
+
+    def _check_dense(self, count: int, what: str) -> None:
+        need = 16 * count * self.dim**2
+        if need > EXTENSION_DENSE_BYTES:
+            raise DimensionMismatch(f"{self.label}: {count} {what} need {need} bytes, at most {EXTENSION_DENSE_BYTES}")
+
+    def _kraus_slice(self, start: int, stop: int) -> np.ndarray:
+        """Rows of I (x) |i><j| / sqrt(d), row i * d + j, or of I (x) |0><j|, row j."""
+        self._check_dense(stop - start, "Kraus operators")
+        d = self._d
+        units = np.eye(self.num_kraus, d * d)[start:stop].reshape(-1, d, d)
+        ops = np.kron(np.eye(d), units if self._erase else units / np.sqrt(d)).astype(complex)
+        ops.setflags(write=False)
+        return ops
+
+    def _extended(self, block: np.ndarray, ancilla) -> np.ndarray:
+        """block (x) |i><i|, summed over the ancilla index or indices i."""
+        d = self._d
+        out = np.zeros((d, d, d, d), dtype=complex)
+        out[:, ancilla, :, ancilla] = block
+        return out.reshape(self.dim, self.dim)
+
+    def apply_matrix(self, m: np.ndarray) -> np.ndarray:
+        d = self._d
+        reduced = np.trace(_operand(m, self.dim).reshape(d, d, d, d), axis1=1, axis2=3)
+        return self._extended(reduced, 0) if self._erase else self._extended(reduced / d, np.arange(d))
+
+    def _outcomes(self, rho: DensityMatrix) -> list[MeasurementOutcome]:
+        """Selective outcomes, the states rho^(j)/p_j validated as one stack."""
+        self._check_dense(self.num_kraus, "selective outcome states")
+        d = self._d
+        blocks = np.moveaxis(np.diagonal(rho.matrix.reshape(d, d, d, d), axis1=1, axis2=3), -1, 0)
+        p = np.trace(blocks, axis1=1, axis2=2).real
+        probs = p if self._erase else p / d
+        kept = np.flatnonzero(probs > EPS_ZERO)
+        states = validate_density(blocks[kept] / p[kept, None, None])
+        return [
+            MeasurementOutcome(probs[j].item(), DensityMatrix(self._extended(s.matrix, i)))
+            for i in range(1 if self._erase else d)
+            for j, s in zip(kept, states)
+        ]
 
 
 def depolarizing_extension(dim: int) -> KrausChannel:
@@ -331,10 +397,7 @@ def depolarizing_extension(dim: int) -> KrausChannel:
     product basis but not diagonal, and maps rho (x) |0><0| to
     rho (x) I/dim.
     """
-    _check_extension_dim(dim)
-    # Row i * dim + j of the unit stack is |i><j|.
-    units = np.eye(dim * dim).reshape(dim * dim, dim, dim)
-    return KrausChannel(np.kron(np.eye(dim), units / np.sqrt(dim)), label=f"depol-ext:{dim}")
+    return _AncillaExtension(dim, erase=False)
 
 
 def erasure_extension(dim: int) -> KrausChannel:
@@ -343,10 +406,7 @@ def erasure_extension(dim: int) -> KrausChannel:
     Kraus operators I (x) |0><j|. Strictly incoherent, not diagonal, and
     maps rho (x) I/dim back to rho (x) |0><0|.
     """
-    _check_extension_dim(dim)
-    # Row j of the unit stack is |0><j|.
-    units = np.eye(dim, dim * dim).reshape(dim, dim, dim)
-    return KrausChannel(np.kron(np.eye(dim), units), label=f"erase-ext:{dim}")
+    return _AncillaExtension(dim, erase=True)
 
 
 def diagonal_unitary_mixture(weights, phase_table) -> GioChannel:
@@ -390,8 +450,13 @@ def random_gio(dim: int, num_kraus: int, seed: int) -> GioChannel:
 def random_channel(dim: int, num_kraus: int, seed: int) -> KrausChannel:
     """Random channel from a Haar isometry into dim * num_kraus dimensions."""
     _check_sizes(dim, num_kraus)
-    q = _haar_isometry(np.random.default_rng(seed), dim * num_kraus, dim)
-    return KrausChannel([q[i * dim : (i + 1) * dim, :] for i in range(num_kraus)], label=f"random:{dim}")
+    return KrausChannel(_haar_kraus(dim, num_kraus, seed), label=f"random:{dim}")
+
+
+def _haar_kraus(dim: int, num_kraus: int, seed: int) -> np.ndarray:
+    """The Kraus stack of random_channel(dim, num_kraus, seed): the
+    (num_kraus, dim, dim) blocks of its Haar isometry, unchecked."""
+    return _haar_isometry(np.random.default_rng(seed), dim * num_kraus, dim).reshape(num_kraus, dim, dim)
 
 
 def random_unital_channel(dim: int, num_unitaries: int, seed: int) -> KrausChannel:

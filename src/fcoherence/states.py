@@ -7,7 +7,10 @@ floating-point noise up to the documented tolerances and is cleaned up
 
 Each state is eigendecomposed at most once: ``validate_density`` seeds
 its cached decomposition from the eigh that cleans the matrix, and a
-stacked eigh solves any other state on first use.
+stacked eigh solves any other state on first use. Every eigensolve goes
+through ``_eigh``, which reads an exactly diagonal matrix past d = 32,
+such as a dephased state, off its diagonal without LAPACK and with the
+same bits.
 """
 
 from __future__ import annotations
@@ -212,11 +215,78 @@ def _first_above(defects: np.ndarray, tol: float) -> float:
     return defects[defects > tol][0]
 
 
+# zheevd rescales a matrix whose largest entry lies outside [2^-485,
+# 2^485] (LAPACK's rmin and rmax), which moves its eigenvalues in the
+# last bits.
+_UNSCALED = (2.0**-485, 2.0**485)
+# Up to d = 32, where zheevd's tridiagonal reduction is unblocked, eigh
+# solves a diagonal matrix in about 20 us, less than the numpy calls that
+# read it off take; past it, eigh takes 50 us and more (60 us at d = 36,
+# 180 us at d = 64).
+_UNBLOCKED_DIM = 32
+
+
 def _eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The eigh of a complex (d, d) matrix or (n, d, d) stack, bit for
+    bit, raising ConvergenceFailure where eigh fails.
+
+    Past d = _UNBLOCKED_DIM, an exactly diagonal matrix is its own
+    decomposition and skips LAPACK: its real diagonal in ascending order
+    and the matching unit columns. The rest of a stack goes to one eigh.
+    """
+    stack = m.reshape((-1,) + m.shape[-2:])
+    n, d = stack.shape[0], stack.shape[-1]
+    easy = _plain_diagonals(stack) if d > _UNBLOCKED_DIM else None
+    some = easy is not None and bool(easy.any())
     try:
-        return np.linalg.eigh(m)
+        solved = None if some and easy.all() else np.linalg.eigh(stack[~easy] if some else m)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(str(exc)) from exc
+    if not some:
+        return solved
+    vals, vecs = np.empty((n, d)), np.zeros_like(stack)
+    if solved is not None:
+        vals[~easy], vecs[~easy] = solved
+    w = np.diagonal(stack[easy], axis1=-2, axis2=-1).real
+    order = _selection_order(w)
+    vals[easy] = np.take_along_axis(w, order, axis=1)
+    vecs[np.flatnonzero(easy)[:, None], order, np.arange(d)] = 1.0
+    return vals.reshape(m.shape[:-1]), vecs.reshape(m.shape)
+
+
+def _plain_diagonals(stack: np.ndarray) -> np.ndarray:
+    """Which matrices of an (n, d, d) stack are exactly diagonal, with no
+    -0.0 on the diagonal and no entries zheevd would rescale: LAPACK may
+    change the bits of those."""
+    n, d = stack.shape[0], stack.shape[-1]
+    # Entries 1.. of a flattened matrix, in rows of d + 1: the first d
+    # columns are the off-diagonal entries.
+    easy = ~stack.reshape(n, -1)[:, 1:].reshape(n, d - 1, d + 1)[:, :, :d].any(axis=(1, 2))
+    w = np.diagonal(stack, axis1=-2, axis2=-1).real
+    top = np.abs(w).max(axis=1)
+    easy &= (top == 0.0) | ((top >= _UNSCALED[0]) & (top <= _UNSCALED[1]))
+    return easy & ~(np.signbit(w) & (w == 0.0)).any(axis=1)
+
+
+def _selection_order(w: np.ndarray) -> np.ndarray:
+    """Per row of w, the indices that sort it ascending, with ties in the
+    order of LAPACK's selection sort: step i swaps the first smallest of
+    entries i.. into place i.
+
+    That sort takes the copies of the smallest value in their order, so
+    it differs from the stable argsort only where a larger value is
+    tied; those rows are sorted step by step.
+    """
+    order = np.argsort(w, axis=1, kind="stable")
+    s = np.take_along_axis(w, order, axis=1)
+    for r in np.flatnonzero(((s[:, 1:] == s[:, :-1]) & (s[:, 1:] > s[:, :1])).any(axis=1)):
+        vals, idx = w[r].tolist(), list(range(w.shape[1]))
+        for i in range(len(vals) - 1):
+            k = min(range(i, len(vals)), key=vals.__getitem__)
+            vals[i], vals[k] = vals[k], vals[i]
+            idx[i], idx[k] = idx[k], idx[i]
+        order[r] = idx
+    return order
 
 
 def _store(states, vals: np.ndarray, vecs: np.ndarray) -> None:

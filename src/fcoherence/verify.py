@@ -37,13 +37,14 @@ import numpy as np
 from .channels import (
     GioChannel,
     KrausChannel,
+    _haar_kraus,
+    _kraus_sum,
     _upper_pairs,
     diagonal_unitary_mixture,
     gio_saturation_check,
     max_offdiagonal,
     outcome_ensembles,
     random_gio,
-    random_channel,
     random_unital_channel,
 )
 from .coherence import (
@@ -305,7 +306,7 @@ def suite_divergence_oracle(cfg: TrialConfig) -> VerificationReport:
         # A trial's largest stack is its six drawn states or its
         # d^2 x d^2 superoperator, whichever holds more.
         for chunk in _chunks(trials, d, max(6, d * d)):
-            seeds, ab, ab2, lams, mixes, channels = [], [], [], [], [], []
+            seeds, ab, ab2, lams, mixes, kraus = [], [], [], [], [], []
             for t in chunk:
                 s = _trial_seeds(cfg.seed, 100 + case, t)
                 a = _draw_conditioned(d, s[0])
@@ -323,10 +324,10 @@ def suite_divergence_oracle(cfg: TrialConfig) -> VerificationReport:
                         DensityMatrix(lam * b.matrix + (1.0 - lam) * b2.matrix),
                     )
                 )
-                channels.append(random_channel(d, 2 + t % 2, s[2]))
+                kraus.append(_haar_kraus(d, 2 + t % 2, s[2]))
             _decomposed([x for pairs in (ab, ab2, mixes) for pair in pairs for x in pair])
             outputs = validate_density(
-                np.array([ch.apply_matrix(x.matrix) for ch, pair in zip(channels, ab) for x in pair])
+                np.array([_kraus_sum(ops, x.matrix) for ops, pair in zip(kraus, ab) for x in pair])
             )
             processed = list(zip(outputs[0::2], outputs[1::2]))
             oracle = oracle_divergence_table(ab, fs).tolist()

@@ -12,6 +12,7 @@ from fcoherence import (
     erasure_extension,
     gio_saturation_check,
     is_sio,
+    outcome_ensembles,
     petz_recovery,
     random_channel,
     random_density,
@@ -425,6 +426,9 @@ class TestApplyMatrixForms:
 
 
 class TestExtensionSizeGuard:
+    """The extensions store d alone; their dense Kraus stack and selective
+    outcome list are refused past channels.EXTENSION_DENSE_BYTES."""
+
     @pytest.mark.parametrize("build", [depolarizing_extension, erasure_extension])
     def test_rejects_before_allocating(self, build, monkeypatch):
         from fcoherence import channels
@@ -433,13 +437,80 @@ class TestExtensionSizeGuard:
             def __getattr__(self, name):
                 raise AssertionError(f"numpy.{name} touched before the size guard")
 
+        # 11 and 17 are the first ancilla dimensions past the bound.
+        d = 11 if build is depolarizing_extension else 17
+        rho = DensityMatrix.maximally_mixed(d * d)
         monkeypatch.setattr(channels, "np", NoNumpy())
+        for ch in (build(d), build(10**6)):
+            with pytest.raises(DimensionMismatch, match="at most"):
+                ch.kraus_ops
         with pytest.raises(DimensionMismatch, match="at most"):
-            build(channels.MAX_EXTENSION_DIM + 1)
-        with pytest.raises(DimensionMismatch):
-            build(10**6)
+            build(d).selective_outcomes(rho)
 
-    def test_limit_itself_is_accepted(self):
-        from fcoherence.channels import MAX_EXTENSION_DIM
+    def test_limit_itself_is_accepted(self, monkeypatch):
+        from fcoherence import channels
 
-        assert erasure_extension(MAX_EXTENSION_DIM).dim == MAX_EXTENSION_DIM**2
+        rho = random_density(9, 9, seed=1)
+        for build, count in ((depolarizing_extension, 9), (erasure_extension, 3)):
+            ch = build(3)
+            monkeypatch.setattr(channels, "EXTENSION_DENSE_BYTES", 16 * count * 9 * 9)
+            assert ch.kraus_ops.shape == (count, 9, 9)
+            assert len(ch.selective_outcomes(rho)) == count
+            monkeypatch.setattr(channels, "EXTENSION_DENSE_BYTES", 16 * count * 9 * 9 - 1)
+            for dense in (lambda: ch.kraus_ops, lambda: ch.selective_outcomes(rho)):
+                with pytest.raises(DimensionMismatch, match="at most"):
+                    dense()
+
+
+def partial_trace_extension(rho: np.ndarray, d: int, erase: bool) -> np.ndarray:
+    """tr_B(rho) (x) |0><0| or tr_B(rho) (x) I/d, by einsum and kron."""
+    reduced = np.einsum("iaja->ij", rho.reshape(d, d, d, d))
+    return np.kron(reduced, np.diag(np.eye(d)[0]) if erase else np.eye(d) / d)
+
+
+class TestBlockExtensions:
+    @pytest.mark.parametrize("build", [depolarizing_extension, erasure_extension])
+    def test_large_ancilla_matches_partial_trace(self, build):
+        d = 32
+        rho = random_density(d * d, 8, seed=3)
+        got = build(d).apply_matrix(rho.matrix)
+        assert np.abs(got - partial_trace_extension(rho.matrix, d, build is erasure_extension)).max() <= 1e-12
+
+    @pytest.mark.parametrize("d", range(2, 9))
+    @pytest.mark.parametrize("build", [depolarizing_extension, erasure_extension])
+    def test_block_form_matches_dense_kraus_route(self, build, d):
+        ch = build(d)
+        dense = KrausChannel(ch.kraus_ops)
+        for rank in (1, d, d * d):
+            rho = random_density(d * d, rank, seed=d + rank)
+            assert np.abs(ch.apply_matrix(rho.matrix) - dense.apply_matrix(rho.matrix)).max() <= 1e-15
+            assert np.abs(ch.apply(rho).matrix - dense.apply(rho).matrix).max() <= 1e-15
+            got, want = ch.selective_outcomes(rho), dense.selective_outcomes(rho)
+            blocks = [b for b in dense.kraus_ops @ rho.matrix @ dense.kraus_ops.conj().transpose(0, 2, 1)
+                      if np.trace(b).real > 1e-12]
+            assert len(got) == len(want) == len(blocks)
+            for g, w, b in zip(got, want, blocks):
+                exact = b / np.trace(b).real
+                assert abs(g.probability - w.probability) <= 1e-15
+                # Each route cleans its outcome through an eigensolve, the
+                # dense one of a d^2 x d^2 matrix, and each stays within
+                # 1e-15 of the exact state; they differ by up to 1.1e-15.
+                assert np.abs(g.state.matrix - exact).max() <= 1e-15
+                assert np.abs(g.state.matrix - w.state.matrix).max() <= 2e-15
+
+    def test_outcome_ensembles_equal_selective_outcomes_byte_for_byte(self):
+        rho = random_density(9, 5, seed=4)
+        chans = [depolarizing_extension(3), random_gio(9, 2, seed=5), erasure_extension(3), random_channel(9, 2, seed=6)]
+        chans.append(depolarizing_extension(3))
+        for ch, ensemble in zip(chans, outcome_ensembles(chans, [rho] * len(chans))):
+            alone = ch.selective_outcomes(rho)
+            assert [o.probability for o in ensemble] == [o.probability for o in alone]
+            assert all(a.state.matrix.tobytes() == b.state.matrix.tobytes() for a, b in zip(ensemble, alone))
+
+    def test_zero_probability_blocks_are_dropped(self):
+        ground = DensityMatrix.from_diagonal([1.0, 0.0, 0.0])
+        rho = random_density(3, 3, seed=7).tensor(ground)
+        for build, count in ((depolarizing_extension, 3), (erasure_extension, 1)):
+            outcomes = build(3).selective_outcomes(rho)
+            assert len(outcomes) == count
+            assert sum(o.probability for o in outcomes) == pytest.approx(1.0, abs=1e-15)

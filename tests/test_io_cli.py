@@ -696,9 +696,14 @@ class TestCliExitCodes:
         assert "fcoherence:" in capsys.readouterr().err
 
     def test_oversized_extension_is_typed_error(self, tmp_path, capsys):
-        path = write_state(tmp_path / "s.json", DensityMatrix.maximally_mixed(4))
-        assert main(["channel", "depol-ext:40", path]) == 5
+        # Its outcome list would take 16 * 11^6 bytes, past EXTENSION_DENSE_BYTES;
+        # the plain application stays at the state's own size.
+        path = write_state(tmp_path / "s.json", DensityMatrix.maximally_mixed(121))
+        assert main(["channel", "depol-ext:11", path, "--selective"]) == 5
         assert "at most" in capsys.readouterr().err
+        assert main(["channel", "depol-ext:11", path, "--out", str(tmp_path / "out.json")]) == 0
+        assert main(["channel", "depol-ext:40", path]) == 5
+        assert "does not match" in capsys.readouterr().err
 
     def test_verify_zero_trials(self, capsys):
         assert main(["verify", "--trials", "0"]) == 2

@@ -365,8 +365,9 @@ class TestCaseBatching:
     def test_chunked_case_gives_the_unsplit_report(self, name, per_trial, monkeypatch):
         cfg = TrialConfig(dims=(2, 3, 4), trials_per_case=14, seed=11)
         whole = verify.SUITES[name](cfg)
-        # Budget for three trials of the largest dimension, one at a time below.
-        per = per_trial or 4 + 2
+        # Budget for three trials of the largest dimension; the strong
+        # suite counts 3d + 7 matrices per trial.
+        per = per_trial or 3 * 4 + 7
         monkeypatch.setattr(verify, "STACK_BYTES", 3 * 16 * 4 * 4 * per)
         assert len(list(verify._chunks(cfg.trials_per_case, 4, per))) > 1
         assert verify.SUITES[name](cfg) == whole

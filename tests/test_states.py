@@ -20,7 +20,7 @@ from fcoherence.errors import (
     TraceNotOne,
 )
 from fcoherence.generators import neg_log
-from fcoherence.states import spectra
+from fcoherence.states import _UNBLOCKED_DIM, _eigh, spectra
 
 
 class TestValidation:
@@ -325,3 +325,88 @@ class TestEigenvalueCache:
             assert np.abs((v * dec.eigenvalues) @ v.conj().T - rho.matrix).max() <= 1e-14
             assert np.abs(v.conj().T @ v - np.eye(4)).max() <= 1e-14
             assert np.all(np.diff(dec.eigenvalues) <= 0.0) and np.all(dec.eigenvalues >= 0.0)
+
+
+def diagonal_stack(d, seed):
+    """Diagonal complex matrices of dimension d: distinct, tied, with zeros
+    and negatives, with complex diagonals (eigh reads the real part) and
+    -0.0 imaginary parts, and with ties above the smallest value, where
+    LAPACK's selection sort is not stable."""
+    rng = np.random.default_rng(seed)
+    rows = [
+        rng.standard_normal(d),
+        rng.integers(-2, 3, d) * 0.25,
+        np.where(rng.random(d) < 0.4, 0.0, rng.random(d)),
+        rng.choice([0.1, 0.2, 0.3, 0.0, -0.7], d),
+        np.full(d, 1.0 / d),
+        rng.dirichlet(np.ones(d)),
+    ]
+    imag = [0.0 * rows[0], rng.standard_normal(d), np.full(d, -0.0), 0.0 * rows[0], 0.0 * rows[0], np.full(d, -0.0)]
+    out = np.zeros((len(rows), d, d), dtype=complex)
+    idx = np.arange(d)
+    out[:, idx, idx] = np.array(rows) + 1j * np.array(imag)
+    return out
+
+
+def assert_eigh_bytes(m):
+    got, want = _eigh(m), np.linalg.eigh(m)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.shape == w.shape
+        assert g.tobytes() == w.tobytes()
+
+
+class TestDiagonalEigh:
+    """Past d = 32, states._eigh gives an exactly diagonal matrix the bits
+    of eigh without calling it; up to d = 32 eigh is the cheaper route."""
+
+    @pytest.mark.parametrize("d", list(range(1, 41)) + [63, 64, 100, 128, 129, 200, 256, 300])
+    def test_diagonal_stack_equals_eigh(self, d, eigh_calls):
+        stack = diagonal_stack(d, d)
+        expected = [np.linalg.eigh(m) for m in stack]
+        eigh_calls.clear()
+        vals, vecs = _eigh(stack)
+        assert eigh_calls == ([] if d > _UNBLOCKED_DIM else [stack.shape])
+        for (w, v), row, col in zip(expected, vals, vecs):
+            assert row.tobytes() == w.tobytes() and col.tobytes() == v.tobytes()
+        assert_eigh_bytes(stack[3])
+
+    def test_tie_above_the_minimum_keeps_lapack_order(self):
+        # Step 0 swaps 0 into place and moves the first 1 behind the second.
+        m = np.diag([1.0, 1.0, 0.0] + [2.0] * 31).astype(complex)
+        vals, vecs = _eigh(m)
+        assert np.argmax(np.abs(vecs), axis=0)[:3].tolist() == [2, 1, 0]
+        assert_eigh_bytes(m)
+
+    @pytest.mark.parametrize("d", [3, 40, 64])
+    def test_mixed_stack_solves_only_the_dense_rows(self, d, eigh_calls):
+        diag = diagonal_stack(d, 7)[:2]
+        dense = np.array([random_density(d, d, seed=s).matrix for s in (1, 2)])
+        stack = np.array([diag[0], dense[0], diag[1], dense[1]])
+        expected = [np.linalg.eigh(m) for m in stack]
+        eigh_calls.clear()
+        vals, vecs = _eigh(stack)
+        assert eigh_calls == ([(2, d, d)] if d > _UNBLOCKED_DIM else [(4, d, d)])
+        for (w, v), row, col in zip(expected, vals, vecs):
+            assert row.tobytes() == w.tobytes() and col.tobytes() == v.tobytes()
+
+    @pytest.mark.parametrize("d", [40, 64])
+    def test_values_lapack_would_change_go_to_eigh(self, d, eigh_calls):
+        rng = np.random.default_rng(d)
+        cases = [
+            np.diag(rng.standard_normal(d) * 1e-150),  # zheevd rescales it
+            np.diag(rng.standard_normal(d) * 1e150),
+            np.diag(np.r_[-0.0, rng.random(d - 1)]),  # LAPACK may drop the sign
+        ]
+        for m in cases:
+            eigh_calls.clear()
+            assert_eigh_bytes(m.astype(complex))
+            assert len(eigh_calls) == 2
+
+    def test_validation_and_cache_use_the_rule(self, eigh_calls):
+        p = np.random.default_rng(1).dirichlet(np.ones(40))
+        p[::3] = 0.0
+        rho = DensityMatrix.from_diagonal(p / p.sum())
+        validated = validate_density(np.diag(np.full(40, 1.0 / 40)))
+        assert spectral_decompose(rho).eigenvalues.tolist() == sorted(rho.diagonal_probabilities(), reverse=True)
+        assert validated.eigenvalues().tolist() == [1.0 / 40] * 40
+        assert eigh_calls == []
