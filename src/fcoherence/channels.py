@@ -347,16 +347,18 @@ class _AncillaExtension(KrausChannel):
     def num_kraus(self) -> int:
         return self._d if self._erase else self._d**2
 
-    def _check_dense(self, count: int, what: str) -> None:
-        need = 16 * count * self.dim**2
+    def _check_dense(self, what: str) -> None:
+        """Refuse num_kraus dense matrices (the Kraus stack, or the most outcomes) past the bound."""
+        need = 16 * self.num_kraus * self.dim**2
         if need > EXTENSION_DENSE_BYTES:
-            raise DimensionMismatch(f"{self.label}: {count} {what} need {need} bytes, at most {EXTENSION_DENSE_BYTES}")
+            raise DimensionMismatch(f"{self.label}: {what} need {need} bytes, at most {EXTENSION_DENSE_BYTES}")
 
-    def _kraus_slice(self, start: int, stop: int) -> np.ndarray:
-        """Rows of I (x) |i><j| / sqrt(d), row i * d + j, or of I (x) |0><j|, row j."""
-        self._check_dense(stop - start, "Kraus operators")
+    @property
+    def kraus_ops(self) -> np.ndarray:
+        """I (x) |i><j| / sqrt(d), row i * d + j, or I (x) |0><j|, row j."""
+        self._check_dense("Kraus operators")
         d = self._d
-        units = np.eye(self.num_kraus, d * d)[start:stop].reshape(-1, d, d)
+        units = np.eye(self.num_kraus, d * d).reshape(-1, d, d)
         ops = np.kron(np.eye(d), units if self._erase else units / np.sqrt(d)).astype(complex)
         ops.setflags(write=False)
         return ops
@@ -375,7 +377,7 @@ class _AncillaExtension(KrausChannel):
 
     def _outcomes(self, rho: DensityMatrix) -> list[MeasurementOutcome]:
         """Selective outcomes, the states rho^(j)/p_j validated as one stack."""
-        self._check_dense(self.num_kraus, "selective outcome states")
+        self._check_dense("selective outcome states")
         d = self._d
         blocks = np.moveaxis(np.diagonal(rho.matrix.reshape(d, d, d, d), axis1=1, axis2=3), -1, 0)
         p = np.trace(blocks, axis1=1, axis2=2).real

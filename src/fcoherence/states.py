@@ -10,7 +10,7 @@ its cached decomposition from the eigh that cleans the matrix, and a
 stacked eigh solves any other state on first use. Every eigensolve goes
 through ``_eigh``, which reads an exactly diagonal matrix past d = 32,
 such as a dephased state, off its diagonal without LAPACK and with the
-same bits.
+bits that the LAPACK build numpy ships gives it.
 """
 
 from __future__ import annotations
@@ -233,6 +233,10 @@ def _eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Past d = _UNBLOCKED_DIM, an exactly diagonal matrix is its own
     decomposition and skips LAPACK: its real diagonal in ascending order
     and the matching unit columns. The rest of a stack goes to one eigh.
+    That the two agree bit for bit was checked against reference-LAPACK
+    zheevd as numpy's scipy-openblas 0.3.31 build ships it, and holds for
+    that build only; tests/test_states.py::TestDiagonalEigh compares them
+    and fails on a LAPACK that gives other bits.
     """
     stack = m.reshape((-1,) + m.shape[-2:])
     n, d = stack.shape[0], stack.shape[-1]
@@ -248,7 +252,7 @@ def _eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if solved is not None:
         vals[~easy], vecs[~easy] = solved
     w = np.diagonal(stack[easy], axis1=-2, axis2=-1).real
-    order = _selection_order(w)
+    order = np.argsort(w, axis=1, kind="stable")
     vals[easy] = np.take_along_axis(w, order, axis=1)
     vecs[np.flatnonzero(easy)[:, None], order, np.arange(d)] = 1.0
     return vals.reshape(m.shape[:-1]), vecs.reshape(m.shape)
@@ -256,8 +260,14 @@ def _eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _plain_diagonals(stack: np.ndarray) -> np.ndarray:
     """Which matrices of an (n, d, d) stack are exactly diagonal, with no
-    -0.0 on the diagonal and no entries zheevd would rescale: LAPACK may
-    change the bits of those."""
+    -0.0 on the diagonal, no entries zheevd would rescale (LAPACK may
+    change the bits of those) and no tie above the smallest value.
+
+    zheevd's last step is a selection sort, which swaps the first
+    smallest of entries i.. into place i. It keeps tied copies of the
+    smallest value in their order, as a stable argsort does, but may
+    reorder a tie above it.
+    """
     n, d = stack.shape[0], stack.shape[-1]
     # Entries 1.. of a flattened matrix, in rows of d + 1: the first d
     # columns are the off-diagonal entries.
@@ -265,28 +275,9 @@ def _plain_diagonals(stack: np.ndarray) -> np.ndarray:
     w = np.diagonal(stack, axis1=-2, axis2=-1).real
     top = np.abs(w).max(axis=1)
     easy &= (top == 0.0) | ((top >= _UNSCALED[0]) & (top <= _UNSCALED[1]))
+    s = np.sort(w, axis=1)
+    easy &= ~((s[:, 1:] == s[:, :-1]) & (s[:, 1:] > s[:, :1])).any(axis=1)
     return easy & ~(np.signbit(w) & (w == 0.0)).any(axis=1)
-
-
-def _selection_order(w: np.ndarray) -> np.ndarray:
-    """Per row of w, the indices that sort it ascending, with ties in the
-    order of LAPACK's selection sort: step i swaps the first smallest of
-    entries i.. into place i.
-
-    That sort takes the copies of the smallest value in their order, so
-    it differs from the stable argsort only where a larger value is
-    tied; those rows are sorted step by step.
-    """
-    order = np.argsort(w, axis=1, kind="stable")
-    s = np.take_along_axis(w, order, axis=1)
-    for r in np.flatnonzero(((s[:, 1:] == s[:, :-1]) & (s[:, 1:] > s[:, :1])).any(axis=1)):
-        vals, idx = w[r].tolist(), list(range(w.shape[1]))
-        for i in range(len(vals) - 1):
-            k = min(range(i, len(vals)), key=vals.__getitem__)
-            vals[i], vals[k] = vals[k], vals[i]
-            idx[i], idx[k] = idx[k], idx[i]
-        order[r] = idx
-    return order
 
 
 def _store(states, vals: np.ndarray, vecs: np.ndarray) -> None:

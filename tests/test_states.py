@@ -327,11 +327,15 @@ class TestEigenvalueCache:
             assert np.all(np.diff(dec.eigenvalues) <= 0.0) and np.all(dec.eigenvalues >= 0.0)
 
 
+# The rows of diagonal_stack that past d = 32 hold a tie above their
+# smallest value, where LAPACK's selection sort is not stable.
+TIED_ROWS = [1, 3]
+
+
 def diagonal_stack(d, seed):
     """Diagonal complex matrices of dimension d: distinct, tied, with zeros
     and negatives, with complex diagonals (eigh reads the real part) and
-    -0.0 imaginary parts, and with ties above the smallest value, where
-    LAPACK's selection sort is not stable."""
+    -0.0 imaginary parts, and with ties above the smallest value."""
     rng = np.random.default_rng(seed)
     rows = [
         rng.standard_normal(d),
@@ -341,7 +345,7 @@ def diagonal_stack(d, seed):
         np.full(d, 1.0 / d),
         rng.dirichlet(np.ones(d)),
     ]
-    imag = [0.0 * rows[0], rng.standard_normal(d), np.full(d, -0.0), 0.0 * rows[0], 0.0 * rows[0], np.full(d, -0.0)]
+    imag = [rng.standard_normal(d), rng.standard_normal(d), np.full(d, -0.0), 0.0 * rows[0], 0.0 * rows[0], np.full(d, -0.0)]
     out = np.zeros((len(rows), d, d), dtype=complex)
     idx = np.arange(d)
     out[:, idx, idx] = np.array(rows) + 1j * np.array(imag)
@@ -357,7 +361,9 @@ def assert_eigh_bytes(m):
 
 class TestDiagonalEigh:
     """Past d = 32, states._eigh gives an exactly diagonal matrix the bits
-    of eigh without calling it; up to d = 32 eigh is the cheaper route."""
+    of eigh without calling it; up to d = 32 eigh is the cheaper route.
+    These byte checks are what catch a LAPACK build that orders or signs
+    its diagonal results otherwise."""
 
     @pytest.mark.parametrize("d", list(range(1, 41)) + [63, 64, 100, 128, 129, 200, 256, 300])
     def test_diagonal_stack_equals_eigh(self, d, eigh_calls):
@@ -365,21 +371,22 @@ class TestDiagonalEigh:
         expected = [np.linalg.eigh(m) for m in stack]
         eigh_calls.clear()
         vals, vecs = _eigh(stack)
-        assert eigh_calls == ([] if d > _UNBLOCKED_DIM else [stack.shape])
+        assert eigh_calls == ([(len(TIED_ROWS), d, d)] if d > _UNBLOCKED_DIM else [stack.shape])
         for (w, v), row, col in zip(expected, vals, vecs):
             assert row.tobytes() == w.tobytes() and col.tobytes() == v.tobytes()
         assert_eigh_bytes(stack[3])
 
-    def test_tie_above_the_minimum_keeps_lapack_order(self):
+    def test_tie_above_the_minimum_goes_to_eigh(self, eigh_calls):
         # Step 0 swaps 0 into place and moves the first 1 behind the second.
         m = np.diag([1.0, 1.0, 0.0] + [2.0] * 31).astype(complex)
         vals, vecs = _eigh(m)
+        assert eigh_calls == [(34, 34)]
         assert np.argmax(np.abs(vecs), axis=0)[:3].tolist() == [2, 1, 0]
         assert_eigh_bytes(m)
 
     @pytest.mark.parametrize("d", [3, 40, 64])
     def test_mixed_stack_solves_only_the_dense_rows(self, d, eigh_calls):
-        diag = diagonal_stack(d, 7)[:2]
+        diag = diagonal_stack(d, 7)[[0, 2]]
         dense = np.array([random_density(d, d, seed=s).matrix for s in (1, 2)])
         stack = np.array([diag[0], dense[0], diag[1], dense[1]])
         expected = [np.linalg.eigh(m) for m in stack]
