@@ -25,7 +25,7 @@ import numpy as np
 from .divergence import f_weighted_sum, spectral_sums
 from .errors import ParamOutOfRange
 from .generators import GeneratorFunction
-from .states import EPS_ZERO, DensityMatrix, PureState, _check_dim, spectra, trace_norm
+from .states import EPS_ZERO, DensityMatrix, PureState, _check_dim, _eigh, spectra
 
 __all__ = [
     "CoherenceResult",
@@ -133,8 +133,19 @@ def power_coherence(rho: DensityMatrix, alpha: float) -> PowerCoherence:
 
 
 def dephasing_distance(rho: DensityMatrix) -> float:
-    """Trace-norm distance between rho and its dephased version."""
-    return trace_norm(rho.matrix - np.diag(np.diagonal(rho.matrix)))
+    """Trace-norm distance between rho and its dephased version: the sum
+    of |eigenvalues| of the Hermitian rho - dephase(rho), exactly 0 on a
+    diagonal state."""
+    return float(_dephasing_distances(rho.matrix[None])[0])
+
+
+def _dephasing_distances(matrices: np.ndarray) -> np.ndarray:
+    """dephasing_distance of each matrix of an (n, d, d) stack, from one
+    stacked eigensolve."""
+    off = np.array(matrices, dtype=complex)
+    diagonal = np.arange(off.shape[-1])
+    off[:, diagonal, diagonal] = 0.0
+    return np.abs(_eigh(off)[0]).sum(axis=-1)
 
 
 def max_coherent_state(dim: int) -> PureState:

@@ -59,7 +59,7 @@ GROUP_TOL = 1e-12
 def _grouped(vals_desc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Start index and mean eigenvalue of each spectral group."""
     starts = np.concatenate(([0], np.flatnonzero(vals_desc[:-1] - vals_desc[1:] > GROUP_TOL) + 1))
-    sizes = np.diff(starts, append=vals_desc.size)
+    sizes = np.append(starts[1:], vals_desc.size) - starts
     return starts, np.add.reduceat(vals_desc, starts) / sizes
 
 
@@ -112,11 +112,12 @@ def divergence_table(pairs, gens) -> np.ndarray:
         tail_block = mu_pos[:, None] & ~lam_pos & carried
         # Support of a against the kernel of b.
         zero_block = ~mu_pos[:, None] & lam_pos & carried
+        has_tail, has_zero = tail_block.any(), zero_block.any()
         # Both groups in the kernel: no contribution.
         for g, f in enumerate(gens):
-            total = float(np.sum(lam_ja * f(ratio) * w_both))
+            total = float((lam_ja * f(ratio) * w_both).sum())
             infinite = False
-            if tail_block.any():
+            if has_tail:
                 tail = _need_limit(f, "weighted_inf_limit", "weighted tail limit")
                 if math.isinf(tail):
                     infinite = True
@@ -124,7 +125,7 @@ def divergence_table(pairs, gens) -> np.ndarray:
                     # A boolean mask takes the block's terms in np.nonzero
                     # order; np.sum(..., where=) would regroup the sum.
                     total += float(np.sum((mu[:, None] * tail * w)[tail_block]))
-            if zero_block.any():
+            if has_zero:
                 zero = _need_limit(f, "limit_at_zero", "limit at zero")
                 if math.isinf(zero):
                     infinite = True

@@ -7,18 +7,9 @@ violation stays at or below the configured tolerance. All randomness is
 derived from (master seed, case index, trial index), so a rerun with the
 same configuration reproduces the report byte for byte.
 
-The entropy, divergence, GIO and strong-monotonicity suites run
-case-batched: they draw a chunk of trials first, each from its own
-seeds, then validate, apply and score the chunk as stacks, and reduce
-the checks in trial order. The strong suite builds the selective
-outcomes of all three of its parts in one product per chunk and scores
-them in one coherence table. Every stacked step gives each matrix the
-bytes it would get alone, so the reports equal those of a
-trial-by-trial run.
-
-``run_all`` runs the suites on the usable CPUs, one forked process per
-extra CPU, and returns the same reports as running them one after
-another.
+The checks reach one reduction in trial and check order. The five
+suites that draw share one chunk driver; each stacked step gives a
+matrix the bytes it gets alone, so reports equal a trial-by-trial run.
 """
 
 from __future__ import annotations
@@ -30,7 +21,7 @@ import os
 import pickle
 import signal
 import threading
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -48,11 +39,11 @@ from .channels import (
     random_unital_channel,
 )
 from .coherence import (
+    _dephasing_distances,
     coherence_f,
     coherence_f_hat,
     coherence_table,
     dephase,
-    dephasing_distance,
     max_coherent_state,
 )
 from .divergence import divergence_table, entropy_table, f_weighted_sum, oracle_divergence_table
@@ -93,8 +84,7 @@ DEFAULT_F_SPECS = ("neg_log", "power:0.5", "power:1.5", "tsallis:0.5", "tsallis:
 EQUALITY_TOL = 1e-8
 # Largest dimension a suite accepts. A strong-monotonicity trial holds
 # three states and up to 3d + 4 selective outcomes of them, 3d + 7
-# matrices of 16 d^2 bytes each: 13 MB at d = 64, where a chunk is one
-# trial.
+# matrices of 16 d^2 bytes each: 13 MB at d = 64, one trial a chunk.
 MAX_DIM = 64
 # Byte budget of one stack of d x d complex matrices in a case-batched
 # suite. A case runs in chunks of consecutive trials sized to it, so
@@ -147,35 +137,24 @@ class VerificationReport:
         return asdict(self)
 
 
-class _Worst:
-    """Tracks the largest violation and the seed that produced it."""
-
-    def __init__(self) -> None:
-        self.value = 0.0
-        self.seed = -1
-        self.trials = 0
-
-    def update(self, violation: float, seed: int) -> None:
-        # A larger or NaN violation replaces the value; the first NaN stays.
-        if not violation <= self.value and self.value == self.value:
-            self.value = violation
-            self.seed = seed
-
-    def report(self, suite: str, cfg: TrialConfig, notes: str = "") -> VerificationReport:
-        return VerificationReport(
-            suite=suite,
-            passed=self.value <= cfg.tol_violation,
-            trials=self.trials,
-            worst_violation=self.value,
-            worst_case_seed=self.seed,
-            tol_violation=cfg.tol_violation,
-            notes=notes,
-        )
+def _reduce(values, seeds, worst=(0.0, -1)) -> tuple[float, int]:
+    """The worst (value, seed) of worst and the checks after it: the first
+    NaN, else the first strictly greater value, with values and seeds
+    broadcast and read in C order. A worst value <= 0 gives (0.0, -1)."""
+    values, seeds = np.broadcast_arrays(np.asarray(values, dtype=float), seeds)
+    values = np.concatenate(([worst[0]], values.ravel()))
+    i = int(np.argmax(values))  # the first NaN, else the first maximum
+    return worst if i == 0 else (float(values[i]), int(seeds.ravel()[i - 1]))
 
 
-def _trial_seeds(master: int, case: int, trial: int, n: int = 6) -> list[int]:
-    state = np.random.SeedSequence((master, case, trial)).generate_state(n)
-    return [int(x) for x in state]
+def _report(suite: str, cfg: TrialConfig, gens: list, note: str, blocks) -> VerificationReport:
+    """Reduce a suite's (values, seeds, trials) blocks; none run without gens."""
+    worst, trials = (0.0, -1), 0
+    if gens:
+        for values, seeds, n in blocks:
+            worst = _reduce(values, seeds, worst)
+            trials += n
+    return VerificationReport(suite, worst[0] <= cfg.tol_violation, trials, *worst, cfg.tol_violation, note)
 
 
 def _chunks(trials: int, d: int, per_trial: int):
@@ -185,13 +164,35 @@ def _chunks(trials: int, d: int, per_trial: int):
     return (range(start, min(start + size, trials)) for start in range(0, trials, size))
 
 
+def _drive(cfg: TrialConfig, dims, offset: int, trials: int, per_trial, draw, score, head=None):
+    """(values, seeds, trials) blocks of a drawing suite. Case k, at d =
+    dims[k], gives head(d) against the master seed, then chunks of trials
+    of per_trial(d) matrices. Trial t draws draw(d, t, s) with s from
+    SeedSequence((master, offset + k, t)). score(d, t, *fields), one tuple
+    per draw field, returns (values, slot) parts: a row per trial, seed s[slot]."""
+    for case, d in enumerate(dims):
+        if head:
+            yield head(d), cfg.seed, 0
+        for chunk in _chunks(trials, d, per_trial(d)):
+            seeds = [np.random.SeedSequence((cfg.seed, offset + case, t)).generate_state(6) for t in chunk]
+            seeds = np.array(seeds, dtype=np.int64)
+            parts = score(d, np.array(chunk), *zip(*(draw(d, t, s) for t, s in zip(chunk, seeds.tolist()))))
+            values = np.hstack([v for v, _ in parts])
+            slots = np.hstack([np.broadcast_to(slot, v.shape) for v, slot in parts])
+            yield values, np.take_along_axis(seeds, slots, axis=1), len(chunk)
+
+
 def _resolve(cfg: TrialConfig) -> tuple[list[GeneratorFunction], list[GeneratorFunction], str]:
     """Split the configured generators into all and monotone-decreasing."""
     fs = [lookup(s) for s in cfg.f_list]
     dec = [f for f in fs if f.monotone_decreasing]
     skipped = [f.name for f in fs if not f.monotone_decreasing]
-    note = f"skipped non-decreasing generators: {', '.join(skipped)}" if skipped else ""
-    return fs, dec, note
+    return fs, dec, f"skipped non-decreasing generators: {', '.join(skipped)}" if skipped else ""
+
+
+def _bounds(d: int, gens) -> np.ndarray:
+    """(f(1/d), -f(d)) per generator, the plain and hat maxima in dimension d."""
+    return np.array([(f(1.0 / d), -f(d)) for f in gens], dtype=float)
 
 
 def _draw_state(d: int, trial: int, seed: int) -> DensityMatrix:
@@ -208,14 +209,8 @@ def _random_unitary_mixture(d: int, k: int, seed: int) -> GioChannel:
 
 
 def _draw_conditioned(d: int, seed: int) -> DensityMatrix:
-    """Full-rank state with smallest eigenvalue at least 0.2 / d.
-
-    Raw Wishart draws can have eigenvalues near 1e-5; any route through
-    the inverse then loses eight digits to conditioning alone. Blending
-    with the maximally mixed state keeps both evaluation paths
-    comparable at the 1e-10 level while staying a random full-rank
-    ensemble.
-    """
+    """Full-rank state with smallest eigenvalue at least 0.2 / d, where
+    routes through the inverse stay comparable at the 1e-10 level."""
     return DensityMatrix(0.8 * _wishart(d, d, seed) + 0.2 * np.eye(d) / d)
 
 
@@ -223,68 +218,42 @@ def suite_entropy_bounds(cfg: TrialConfig) -> VerificationReport:
     """Range, extremal, concavity, unitarity and unital-monotonicity
     checks for both entropy functionals, decreasing generators only."""
     _, dec, note = _resolve(cfg)
-    w = _Worst()
-    if not dec:
-        return w.report("entropy-bounds", cfg, note)
-    for case, d in enumerate(cfg.dims):
-        tops = [float(f(1.0 / d)) for f in dec]
-        bottoms = [-float(f(d)) for f in dec]
-        mm = entropy_table([DensityMatrix.maximally_mixed(d)], dec)[0].tolist()
-        for (ent, ent_hat), top, bottom in zip(mm, tops, bottoms):
-            w.update(abs(ent - top), cfg.seed)
-            w.update(abs(ent_hat - bottom), cfg.seed)
-        # A trial scores at most three states.
-        for chunk in _chunks(cfg.trials_per_case, d, 3):
-            drawn = []
-            unital = []  # unital-channel outputs, validated as one stack
-            for t in chunk:
-                s = _trial_seeds(cfg.seed, case, t)
-                rho = _draw_state(d, t, s[0])
-                lam = 0.0
-                if t % 3 == 0:
-                    # Concavity on a random two-state mixture.
-                    other = random_density(d, 1 + (t // 3) % d, s[1])
-                    lam = 0.5 + 0.4 * math.sin(float(t))
-                    extra = [other, DensityMatrix(lam * rho.matrix + (1.0 - lam) * other.matrix)]
-                elif t % 3 == 1:
-                    # Unitary invariance.
-                    u = random_unitary(d, s[2])
-                    extra = [DensityMatrix(u @ rho.matrix @ u.conj().T)]
-                else:
-                    # Non-decrease under a random unital channel.
-                    unital.append(random_unital_channel(d, 2 + t % 2, s[3]).apply_matrix(rho.matrix))
-                    extra = []
-                drawn.append((t, s, rho, lam, extra))
-            outputs = iter(validate_density(np.array(unital)) if unital else ())
-            states = []
-            for t, _, rho, _, extra in drawn:
-                if t % 3 == 2:
-                    extra.append(next(outputs))
-                states += [rho] + extra
-            rows = iter(entropy_table(states, dec).tolist())
-            for t, s, _, lam, extra in drawn:
-                own_row = next(rows)
-                extra_rows = [next(rows) for _ in extra]
-                w.trials += 1
-                for (ent, ent_hat), top, bottom in zip(own_row, tops, bottoms):
-                    w.update(-ent, s[0])
-                    w.update(ent - top, s[0])
-                    w.update(-ent_hat, s[0])
-                    w.update(ent_hat - bottom, s[0])
-                    if t % 3 == 0:  # pure
-                        w.update(abs(ent), s[0])
-                        w.update(abs(ent_hat), s[0])
-                fi = t % len(dec)
-                own = own_row[fi]
-                for v in (0, 1):
-                    if t % 3 == 0:
-                        other_ent, mix_ent = extra_rows[0][fi][v], extra_rows[1][fi][v]
-                        w.update(lam * own[v] + (1.0 - lam) * other_ent - mix_ent, s[1])
-                    elif t % 3 == 1:
-                        w.update(abs(own[v] - extra_rows[0][fi][v]), s[2])
-                    else:
-                        w.update(own[v] - extra_rows[0][fi][v], s[3])
-    return w.report("entropy-bounds", cfg, note)
+
+    def head(d):
+        return np.abs(entropy_table([DensityMatrix.maximally_mixed(d)], dec)[0] - _bounds(d, dec))
+
+    def draw(d, t, s):
+        rho = _draw_state(d, t, s[0])
+        if t % 3 == 0:
+            # Concavity on a random two-state mixture.
+            other = random_density(d, 1 + (t // 3) % d, s[1])
+            lam = 0.5 + 0.4 * math.sin(float(t))
+            return rho, lam, other, DensityMatrix(lam * rho.matrix + (1.0 - lam) * other.matrix)
+        if t % 3 == 1:
+            # Unitary invariance.
+            u = random_unitary(d, s[2])
+            return rho, 0.0, DensityMatrix(u @ rho.matrix @ u.conj().T), None
+        # Non-decrease under a random unital channel.
+        return rho, 0.0, random_unital_channel(d, 2 + t % 2, s[3]).apply_matrix(rho.matrix), None
+
+    def score(d, t, rhos, lams, partners, mixtures):
+        m, kind = len(t), t % 3
+        outputs = iter(validate_density(np.reshape([x for x, k in zip(partners, kind) if k == 2], (-1, d, d))))
+        partners = [next(outputs) if k == 2 else x for x, k in zip(partners, kind)]
+        table = entropy_table([*rhos, *partners, *(x for x in mixtures if x is not None)], dec)
+        own, partner, mixture = table[:m], table[m : 2 * m], np.zeros((m, len(dec), 2))
+        mixture[kind == 0] = table[2 * m :]
+        # Per generator -ent, ent - top, -hat, hat - bottom; |ent|, |hat| if pure.
+        ranges = np.stack((-own, own - _bounds(d, dec)), axis=-1).reshape(m, -1, 4)
+        zeros = np.where((kind == 0)[:, None, None], np.abs(own), 0.0)
+        rows, fi, kind = np.arange(m), t % len(dec), kind[:, None]
+        own, partner, mixture, lam = own[rows, fi], partner[rows, fi], mixture[rows, fi], np.array(lams)
+        concave = lam[:, None] * own + (1.0 - lam[:, None]) * partner - mixture
+        paired = np.select([kind == 0, kind == 1], [concave, np.abs(own - partner)], own - partner)
+        return [(np.concatenate((ranges, zeros), axis=-1).reshape(m, -1), 0), (paired, 1 + kind)]
+
+    blocks = _drive(cfg, cfg.dims, 0, cfg.trials_per_case, lambda d: 3, draw, score, head)
+    return _report("entropy-bounds", cfg, dec, note, blocks)
 
 
 def suite_divergence_oracle(cfg: TrialConfig) -> VerificationReport:
@@ -293,72 +262,45 @@ def suite_divergence_oracle(cfg: TrialConfig) -> VerificationReport:
 
     Trial t checks every generator on (a, b) against the oracle, for
     positivity and for the self-distance zero, then f = f_list[t % n]
-    for transpose symmetry, data processing and joint convexity. The
-    trials of a chunk that share f are scored in one table row of
-    generators, f's transpose included.
+    for transpose symmetry, data processing and joint convexity.
     """
     fs, _, _ = _resolve(cfg)
-    w = _Worst()
-    dims = [d for d in cfg.dims if d <= 4] or [2]
-    trials = max(1, cfg.trials_per_case // 5)
     n = len(fs)
-    for case, d in enumerate(dims):
-        # A trial's largest stack is its six drawn states or its
-        # d^2 x d^2 superoperator, whichever holds more.
-        for chunk in _chunks(trials, d, max(6, d * d)):
-            seeds, ab, ab2, lams, mixes, kraus = [], [], [], [], [], []
-            for t in chunk:
-                s = _trial_seeds(cfg.seed, 100 + case, t)
-                a = _draw_conditioned(d, s[0])
-                b = _draw_conditioned(d, s[1])
-                a2 = random_density(d, d, s[3])
-                b2 = random_density(d, d, s[4])
-                lam = 0.5 + 0.35 * math.cos(float(t))
-                seeds.append(s)
-                ab.append((a, b))
-                ab2.append((a2, b2))
-                lams.append(lam)
-                mixes.append(
-                    (
-                        DensityMatrix(lam * a.matrix + (1.0 - lam) * a2.matrix),
-                        DensityMatrix(lam * b.matrix + (1.0 - lam) * b2.matrix),
-                    )
-                )
-                kraus.append(_haar_kraus(d, 2 + t % 2, s[2]))
-            _decomposed([x for pairs in (ab, ab2, mixes) for pair in pairs for x in pair])
-            outputs = validate_density(
-                np.array([_kraus_sum(ops, x.matrix) for ops, pair in zip(kraus, ab) for x in pair])
-            )
-            processed = list(zip(outputs[0::2], outputs[1::2]))
-            oracle = oracle_divergence_table(ab, fs).tolist()
-            selfs = divergence_table([(a, a) for a, _ in ab], fs).tolist()
-            # Per trial: (a, b) under every generator and f's transpose;
-            # (b, a), the channel outputs, the mixtures and (a2, b2) under f.
-            direct, others = [None] * len(chunk), [None] * len(chunk)
-            for r in sorted({t % n for t in chunk}):
-                rows = [i for i, t in enumerate(chunk) if t % n == r]
-                table = divergence_table([ab[i] for i in rows], fs + [fs[r].transpose()]).tolist()
-                extra = [pair for i in rows for pair in (ab[i][::-1], processed[i], mixes[i], ab2[i])]
-                values = divergence_table(extra, [fs[r]]).reshape(len(rows), 4).tolist()
-                for i, row, vals in zip(rows, table, values):
-                    direct[i], others[i] = row, vals
-            for t, s, lam, row, oracle_row, self_row, (ba, after, mixed, other) in zip(
-                chunk, seeds, lams, direct, oracle, selfs, others
-            ):
-                w.trials += 1
-                for value, oracle_value, self_value in zip(row[:n], oracle_row, self_row):
-                    w.update(abs(value - oracle_value), s[0])
-                    # Positivity and the self-distance zero.
-                    w.update(-value, s[0])
-                    w.update(abs(self_value), s[0])
-                before = row[t % n]
-                # Transposed generator swaps the arguments.
-                w.update(abs(row[n] - ba), s[0])
-                # Data processing under a random channel.
-                w.update(after - before, s[2])
-                # Joint convexity on a two-component mixture.
-                w.update(mixed - (lam * before + (1.0 - lam) * other), s[3])
-    return w.report("divergence-oracle", cfg)
+
+    def draw(d, t, s):
+        a, b = _draw_conditioned(d, s[0]), _draw_conditioned(d, s[1])
+        a2, b2 = random_density(d, d, s[3]), random_density(d, d, s[4])
+        lam = 0.5 + 0.35 * math.cos(float(t))
+        mixed = tuple(DensityMatrix(lam * x.matrix + (1.0 - lam) * y.matrix) for x, y in ((a, a2), (b, b2)))
+        return (a, b), (a2, b2), mixed, lam, _haar_kraus(d, 2 + t % 2, s[2])
+
+    def score(d, t, ab, ab2, mixes, lams, kraus):
+        m = len(t)
+        _decomposed([x for pairs in (ab, ab2, mixes) for pair in pairs for x in pair])
+        outputs = [_kraus_sum(ops, x.matrix) for ops, pair in zip(kraus, ab) for x in pair]
+        outputs = validate_density(np.array(outputs))
+        oracle = oracle_divergence_table(ab, fs)
+        selfs = divergence_table([(a, a) for a, _ in ab], fs)
+        direct = divergence_table(ab, fs + [f.transpose() for f in fs])
+        # (b, a), the channel outputs, the mixtures and (a2, b2) per trial.
+        others = zip(ab, zip(outputs[0::2], outputs[1::2]), mixes, ab2)
+        others = [pair for (a, b), *rest in others for pair in ((b, a), *rest)]
+        others = divergence_table(others, fs).reshape(m, 4, n)
+        values = direct[:, :n]
+        checks = np.stack((np.abs(values - oracle), -values, np.abs(selfs)), axis=-1).reshape(m, -1)
+        rows, fi = np.arange(m), t % n
+        before, lam = values[rows, fi], np.array(lams)
+        ba, after, mixed, other = others[rows, :, fi].T
+        # Transpose symmetry, data processing and joint convexity under f.
+        convex = mixed - (lam * before + (1.0 - lam) * other)
+        paired = np.stack((np.abs(direct[rows, n + fi] - ba), after - before, convex), axis=1)
+        return [(checks, 0), (paired, [0, 2, 3])]
+
+    # A trial's largest stack is its six drawn states or its d^2 x d^2
+    # superoperator, whichever holds more.
+    dims = [d for d in cfg.dims if d <= 4] or [2]
+    blocks = _drive(cfg, dims, 100, max(1, cfg.trials_per_case // 5), lambda d: max(6, d * d), draw, score)
+    return _report("divergence-oracle", cfg, fs, "", blocks)
 
 
 def suite_gio_monotonicity(cfg: TrialConfig) -> VerificationReport:
@@ -371,88 +313,60 @@ def suite_gio_monotonicity(cfg: TrialConfig) -> VerificationReport:
     floating-point noise alone would swamp the absolute tolerances.
     Pure and rank-deficient states are scored only against the
     decreasing generators, whose coherences stay finite and well
-    conditioned there. The classifier cross-check is
-    asserted only when a quadratic proxy for the expected decrease puts
-    the trial clearly on one side of the equality threshold, so a draw
-    sitting exactly on the classification boundary cannot produce a
-    spurious failure; generic draws are essentially always decided.
+    conditioned there. The classifier cross-check is asserted only when a
+    quadratic proxy for the expected decrease puts the trial clearly on
+    one side of the equality threshold, so a draw sitting exactly on the
+    classification boundary cannot produce a spurious failure; generic
+    draws are essentially always decided.
     """
     fs, dec, _ = _resolve(cfg)
-    w = _Worst()
-    for case, d in enumerate(cfg.dims):
-        # A trial checks at most two states: their matrices, correlation
-        # matrices and outputs.
-        for chunk in _chunks(cfg.trials_per_case, d, 6):
-            checks = []  # (state, channel, seed, generators)
-            for t in chunk:
-                s = _trial_seeds(cfg.seed, 200 + case, t)
-                if t % 5 == 4:
-                    ch: GioChannel = _random_unitary_mixture(d, 2 + t % d, s[1])
-                else:
-                    ch = random_gio(d, 1 + t % (d + 1), s[1])
-                w.trials += 1
-                checks.append((_draw_conditioned(d, s[0]), ch, s[0], fs))
-                if t % 3 == 0:
-                    checks.append((_draw_state(d, t // 3, s[2]), ch, s[2], dec))
-            rhos = np.array([rho.matrix for rho, _, _, _ in checks])
-            outputs = validate_density(np.array([ch.correlation for _, ch, _, _ in checks]) * rhos)
-            # Quadratic proxy for the expected decrease, summed over the
-            # pairs n < m in row-major order.
-            rows, cols = _upper_pairs(d)
-            grams = np.array([ch.coefficients.conj().T @ ch.coefficients for _, ch, _, _ in checks])
-            pred = (1.0 - np.abs(grams[:, rows, cols]) ** 2) * np.abs(rhos[:, rows, cols]) ** 2
-            pred_max = pred.max(axis=1).tolist() if d > 1 else [0.0] * len(checks)
-            pred_sum = pred.sum(axis=1).tolist()
-            scores = [None] * len(checks)  # (before, after) table rows
-            for gens in (fs, dec):
-                group = [i for i, c in enumerate(checks) if c[3] is gens]
-                if group and gens:
-                    states = [checks[i][0] for i in group] + [outputs[i] for i in group]
-                    table = coherence_table(states, gens).tolist()
-                    for j, i in enumerate(group):
-                        scores[i] = (table[j], table[len(group) + j])
-            for (rho, ch, seed, _), score, top, total in zip(checks, scores, pred_max, pred_sum):
-                if score is None:
-                    continue
-                sat = gio_saturation_check(ch, rho).saturates
-                for pair_before, pair_after in zip(*score):
-                    for lhs, rhs in zip(pair_before, pair_after):
-                        decrease = lhs - rhs
-                        w.update(-decrease, seed)
-                        if sat and total <= 1e-12:
-                            w.update(abs(decrease) - EQUALITY_TOL, seed)
-                        elif not sat and top >= 1e-7:
-                            w.update(EQUALITY_TOL - decrease, seed)
-    return w.report("gio-monotonicity", cfg)
+
+    def draw(d, t, s):
+        ch = random_gio(d, 1 + t % (d + 1), s[1]) if t % 5 < 4 else _random_unitary_mixture(d, 2 + t % d, s[1])
+        return ch, _draw_conditioned(d, s[0]), _draw_state(d, t // 3, s[2]) if t % 3 == 0 else None
+
+    def score(d, t, chans, conditioned, extras):
+        m, second = len(t), t % 3 == 0
+        checks = [*zip(chans, conditioned), *((ch, rho) for ch, rho in zip(chans, extras) if rho is not None)]
+        rhos = np.array([rho.matrix for _, rho in checks])
+        outputs = validate_density(np.array([ch.correlation for ch, _ in checks]) * rhos)
+        # Quadratic proxy for the expected decrease, over the pairs n < m.
+        rows, cols = _upper_pairs(d)
+        grams = np.array([ch.coefficients.conj().T @ ch.coefficients for ch, _ in checks])
+        pred = (1.0 - np.abs(grams[:, rows, cols]) ** 2) * np.abs(rhos[:, rows, cols]) ** 2
+        sat = np.array([gio_saturation_check(ch, rho).saturates for ch, rho in checks])
+        equal = (sat & (pred.sum(axis=1) <= 1e-12))[:, None, None]
+        strict = (~sat & (pred.max(axis=1, initial=0.0) >= 1e-7))[:, None, None]
+
+        def decreases(part, gens):
+            # Per generator and variant: -decrease, then the check the proxy decides.
+            states = [rho for _, rho in checks[part]] + outputs[part]
+            table = coherence_table(states, gens)
+            decrease = table[: len(states) // 2] - table[len(states) // 2 :]
+            strictly = np.where(strict[part], EQUALITY_TOL - decrease, 0.0)
+            bound = np.where(equal[part], np.abs(decrease) - EQUALITY_TOL, strictly)
+            return np.stack((-decrease, bound), axis=-1).reshape(len(decrease), -1)
+
+        extra = np.zeros((m, 4 * len(dec)))
+        if dec and second.any():
+            extra[second] = decreases(slice(m, None), dec)
+        return [(decreases(slice(m), fs), 0), (extra, 2)]
+
+    blocks = _drive(cfg, cfg.dims, 200, cfg.trials_per_case, lambda d: 6, draw, score)
+    return _report("gio-monotonicity", cfg, fs, "", blocks)
 
 
-def _outcome_average(outcomes, rows: list) -> list[list[float]]:
-    """sum_k p_k C(rho_k) per generator and variant, from the outcomes'
-    coherence-table rows, a Python sum from 0 in outcome order."""
-    return [
-        [sum(o.probability * pair[v] for o, pair in zip(outcomes, column)) for v in (0, 1)]
-        for column in zip(*rows)
-    ]
-
-
-def _ensemble_gaps(pairs, gens) -> list:
-    """gaps[i][g][v]: coherence of state i minus its average over the
-    selective outcomes of channel i, under generator gens[g] and
-    variant v.
-
-    The outcomes of every (channel, state) pair come from one
-    outcome_ensembles call and every value from one coherence table
-    over the states and their outcomes.
-    """
+def _outcome_averages(pairs, gens) -> tuple[np.ndarray, np.ndarray]:
+    """The coherence table of each (channel, state) pair's state, and its
+    average sum_k p_k C(rho_k) over the channel's selective outcomes, a
+    sum from 0 in outcome order; one outcome_ensembles call, one table."""
     ensembles = outcome_ensembles([ch for ch, _ in pairs], [rho for _, rho in pairs])
-    states = [rho for _, rho in pairs] + [o.state for outcomes in ensembles for o in outcomes]
-    table = coherence_table(states, gens).tolist()
-    rows = iter(table[len(pairs) :])
-    gaps = []
-    for own, outcomes in zip(table, ensembles):
-        average = _outcome_average(outcomes, [next(rows) for _ in outcomes])
-        gaps.append([[value[v] - avg[v] for v in (0, 1)] for value, avg in zip(own, average)])
-    return gaps
+    outcomes = [o for ensemble in ensembles for o in ensemble]
+    table = coherence_table([rho for _, rho in pairs] + [o.state for o in outcomes], gens)
+    weighted = np.array([o.probability for o in outcomes])[:, None, None] * table[len(pairs) :]
+    averages = np.zeros((len(pairs), len(gens), 2))
+    np.add.at(averages, np.repeat(np.arange(len(pairs)), [len(e) for e in ensembles]), weighted)
+    return table[: len(pairs)], averages
 
 
 def ensemble_coherence(ch: KrausChannel, rho: DensityMatrix, f: GeneratorFunction, fun) -> float:
@@ -463,9 +377,7 @@ def ensemble_coherence(ch: KrausChannel, rho: DensityMatrix, f: GeneratorFunctio
     variants = (coherence_f, coherence_f_hat)  # the columns of a coherence table
     if fun not in variants:
         raise ValueError(f"fun must be coherence_f or coherence_f_hat, got {fun!r}")
-    outcomes = ch.selective_outcomes(rho)
-    rows = coherence_table([o.state for o in outcomes], [f]).tolist()
-    return _outcome_average(outcomes, rows)[0][variants.index(fun)]
+    return float(_outcome_averages([(ch, rho)], [f])[1][0, 0, variants.index(fun)])
 
 
 def suite_strong_monotonicity(cfg: TrialConfig) -> VerificationReport:
@@ -480,108 +392,77 @@ def suite_strong_monotonicity(cfg: TrialConfig) -> VerificationReport:
     channel in dimension <= 3 equals some diagonal-unitary mixture
     (whose own outcome ensemble saturates)."""
     _, dec, note = _resolve(cfg)
-    w = _Worst()
-    if not dec:
-        return w.report("strong-monotonicity", cfg, note)
-    explore_worst = 0.0
-    explore_trials = 0
+    explored = [(0.0, -1), 0]  # worst unscored violation, number of checks
 
-    trials = max(1, cfg.trials_per_case // 2)
-    for case, d in enumerate(cfg.dims):
-        # A trial scores three states and up to 3d + 4 outcomes of them.
-        for chunk in _chunks(trials, d, 3 * d + 7):
-            seeds = [_trial_seeds(cfg.seed, 300 + case, t) for t in chunk]
-            pure, mixtures, general = [], [], []
-            for t, s in zip(chunk, seeds):
-                # (a) pure states, random diagonal channels, any dimension.
-                pure.append((random_gio(d, 1 + t % (d + 1), s[1]), random_pure(d, s[0]).as_density()))
-                # (b) diagonal-unitary mixtures saturate on any state.
-                mix = _random_unitary_mixture(d, 2 + t % (d + 1), s[3])
-                mixtures.append((mix, _draw_state(d, t + 1, s[2])))
-                # (c) mixed states under general diagonal representations:
-                # scored in dimension <= 2, explored above it.
-                mixed = random_density(d, min(d, max(2, 1 + (t + 1) % d)), s[4])
-                general.append((random_gio(d, 1 + (t + 2) % (d + 1), s[5]), mixed))
-            gaps = _ensemble_gaps(pure + mixtures + general, dec)
-            m = len(chunk)
-            # Parts (a) and (b) score one generator per trial, (c) all.
-            for t, s, a, b, c in zip(chunk, seeds, gaps, gaps[m:], gaps[2 * m :]):
-                w.trials += 1
-                for gap in a[t % len(dec)]:
-                    w.update(-gap, s[0])
-                for gap in b[t % len(dec)]:
-                    w.update(abs(gap), s[2])
-                for variants in c:
-                    for gap in variants:
-                        if d <= 2:
-                            w.update(-gap, s[4])
-                        else:
-                            explore_trials += 1
-                            explore_worst = max(explore_worst, -gap)
-    if explore_trials:
-        extra = (
-            f"exploration (mixed states, dim >= 3, general diagonal representations): "
-            f"{explore_trials} checks, worst violation {explore_worst:.6e}, not scored"
+    def draw(d, t, s):
+        return (
+            # (a) pure states, random diagonal channels, any dimension.
+            (random_gio(d, 1 + t % (d + 1), s[1]), random_pure(d, s[0]).as_density()),
+            # (b) diagonal-unitary mixtures saturate on any state.
+            (_random_unitary_mixture(d, 2 + t % (d + 1), s[3]), _draw_state(d, t + 1, s[2])),
+            # (c) mixed states, general diagonal channels: scored for d <= 2.
+            (random_gio(d, 1 + (t + 2) % (d + 1), s[5]), random_density(d, min(d, max(2, 1 + (t + 1) % d)), s[4])),
         )
-        note = f"{note}; {extra}" if note else extra
-    return w.report("strong-monotonicity", cfg, note)
+
+    def score(d, t, pure, mixtures, general):
+        own, averages = _outcome_averages(pure + mixtures + general, dec)
+        a, b, c = (own - averages).reshape(3, len(t), len(dec), 2)
+        # Parts (a) and (b) score one generator per trial, (c) all.
+        rows, fi = np.arange(len(t)), t % len(dec)
+        parts = [(-a[rows, fi], 0), (np.abs(b[rows, fi]), 2)]
+        if d <= 2:
+            return parts + [(-c.reshape(len(t), -1), 4)]
+        explored[:] = _reduce(-c, -1, explored[0]), explored[1] + c.size
+        return parts
+
+    blocks = _drive(cfg, cfg.dims, 300, max(1, cfg.trials_per_case // 2), lambda d: 3 * d + 7, draw, score)
+    report = _report("strong-monotonicity", cfg, dec, note, blocks)
+    (worst, _), checks = explored
+    explore = "exploration (mixed states, dim >= 3, general diagonal representations)"
+    extra = f"{explore}: {checks} checks, worst violation {worst:.6e}, not scored"
+    return replace(report, notes="; ".join(filter(None, (note, extra)))) if checks else report
 
 
 def suite_faithfulness_and_bounds(cfg: TrialConfig) -> VerificationReport:
     """Zero on incoherent states, strictly positive away from them,
     upper bounds, and the extremal state attaining them."""
     _, dec, note = _resolve(cfg)
-    w = _Worst()
-    if not dec:
-        return w.report("faithfulness-bounds", cfg, note)
-    per_kind = max(1, cfg.trials_per_case // (2 * max(1, len(cfg.dims))))
-    for case, d in enumerate(cfg.dims):
-        plain_max = [float(f(1.0 / d)) for f in dec]
-        hat_max = [-float(f(d)) for f in dec]
-        mcs = coherence_table([max_coherent_state(d).as_density()], dec)[0].tolist()
-        for (plain, hat), top, hat_top in zip(mcs, plain_max, hat_max):
-            w.update(abs(plain - top), cfg.seed)
-            w.update(abs(hat - hat_top), cfg.seed)
-        for t in range(per_kind):
-            s = _trial_seeds(cfg.seed, 400 + case, t)
-            w.trials += 1
-            # Incoherent draw: coherence must vanish, distance must vanish.
-            rng = np.random.default_rng(s[0])
-            diag = DensityMatrix.from_diagonal(rng.dirichlet(np.ones(d)))
-            # Coherent draw: rejection-sample until an off-diagonal is large.
-            rho = None
-            for attempt in range(64):
-                cand = _draw_state(d, t + attempt, s[1] + attempt)
-                if max_offdiagonal(cand.matrix) >= 0.1:
-                    rho = cand
-                    break
-            table = coherence_table([diag] if rho is None else [diag, rho], dec).tolist()
-            for plain, hat in table[0]:
-                w.update(abs(plain), s[0])
-                w.update(abs(hat), s[0])
-            w.update(dephasing_distance(diag), s[0])
-            if rho is None:
-                continue
-            dist = dephasing_distance(rho)
-            for (plain, hat), top, hat_top in zip(table[1], plain_max, hat_max):
-                # Faithfulness both ways at the configured tolerance.
-                if (plain <= cfg.tol_violation) != (dist <= cfg.tol_violation):
-                    w.update(1.0, s[1])
-                if (hat <= cfg.tol_violation) != (dist <= cfg.tol_violation):
-                    w.update(1.0, s[1])
-                w.update(-plain, s[1])
-                w.update(-hat, s[1])
-                w.update(plain - top, s[1])
-                w.update(hat - hat_top, s[1])
-            # Pure-state coherence equals the dephased state's entropy.
-            if t % 3 == 0:
-                psi = random_pure(d, s[2]).as_density()
-                f = dec[t % len(dec)]
-                coh = coherence_table([psi], [f])[0, 0].tolist()
-                ent = entropy_table([dephase(psi)], [f])[0, 0].tolist()
-                for v in (0, 1):
-                    w.update(abs(coh[v] - ent[v]), s[2])
-    return w.report("faithfulness-bounds", cfg, note)
+
+    def head(d):
+        return np.abs(coherence_table([max_coherent_state(d).as_density()], dec)[0] - _bounds(d, dec))
+
+    def draw(d, t, s):
+        # Incoherent draw: coherence must vanish, distance must vanish.
+        diag = DensityMatrix.from_diagonal(np.random.default_rng(s[0]).dirichlet(np.ones(d)))
+        # Coherent draw: rejection-sample until an off-diagonal is large.
+        candidates = (_draw_state(d, t + k, s[1] + k) for k in range(64))
+        rho = next((c for c in candidates if max_offdiagonal(c.matrix) >= 0.1), None)
+        # Pure-state coherence equals the dephased state's entropy.
+        psi = random_pure(d, s[2]).as_density() if t % 3 == 0 and rho is not None else None
+        return diag, rho, psi
+
+    def score(d, t, diags, rhos, psis):
+        m = len(t)
+        coherent, pure = (np.array([x is not None for x in xs]) for xs in (rhos, psis))
+        rhos, psis = [rho for rho in rhos if rho is not None], [psi for psi in psis if psi is not None]
+        table = coherence_table([*diags, *rhos, *psis], dec)
+        dist = _dephasing_distances(np.array([x.matrix for x in (*diags, *rhos)]))
+        zero = np.hstack((np.abs(table[:m]).reshape(m, -1), dist[:m, None]))
+        # Faithfulness both ways at the tolerance, positivity, upper bounds.
+        own, tol = table[m : m + len(rhos)], cfg.tol_violation
+        unfaithful = (own <= tol) != (dist[m:, None, None] <= tol)
+        bounded = np.zeros((m, len(dec), 6))
+        bounded[coherent] = np.concatenate((unfaithful, -own, own - _bounds(d, dec)), axis=-1)
+        dephased = np.zeros((m, 2))
+        if psis:
+            gaps = np.abs(table[m + len(rhos) :] - entropy_table([dephase(psi) for psi in psis], dec))
+            dephased[pure] = gaps[np.arange(len(psis)), t[pure] % len(dec)]
+        return [(zero, 0), (bounded.reshape(m, -1), 1), (dephased, 2)]
+
+    trials = max(1, cfg.trials_per_case // (2 * len(cfg.dims)))
+    # A trial tabulates up to four states and two distance matrices.
+    blocks = _drive(cfg, cfg.dims, 400, trials, lambda d: 6, draw, score, head)
+    return _report("faithfulness-bounds", cfg, dec, note, blocks)
 
 
 @dataclass(frozen=True)
@@ -621,7 +502,6 @@ def _sio_reports(gens, d: int) -> list[SioCounterexampleReport]:
     mixed = DensityMatrix.maximally_mixed(d)
     ground = DensityMatrix.from_diagonal([1.0] + [0.0] * (d - 1))
     table = coherence_table([rho.tensor(mixed), rho.tensor(ground)], gens).tolist()
-
     numerators = [
         1.0 / d,         # rho (x) I/d keeps the d-scaled value
         1.0 / (d * d),   # rho (x) ground at dimension d^2
@@ -632,22 +512,11 @@ def _sio_reports(gens, d: int) -> list[SioCounterexampleReport]:
     reports = []
     for f, (lhs_plain, lhs_hat), (rhs_plain, rhs_hat) in zip(gens, table[0], table[1]):
         sums = f_weighted_sum(rows, np.array(numerators)[:, None], f)
-        # np.max, unlike max, keeps a NaN in any position for _Worst to see.
+        # np.max, unlike max, keeps a NaN in any position for _reduce to see.
         values = np.array((lhs_plain, rhs_plain, lhs_hat, rhs_hat))
         cross = float(np.max(np.abs(values - (sums[:, 0] - sums[:, 1]))))
         gap = float(np.max(np.abs(values[0::2] - values[1::2])))
-        reports.append(
-            SioCounterexampleReport(
-                f_name=f.name,
-                dim=d,
-                lhs_plain=lhs_plain,
-                rhs_plain=rhs_plain,
-                lhs_hat=lhs_hat,
-                rhs_hat=rhs_hat,
-                gap=gap,
-                cross_check_error=cross,
-            )
-        )
+        reports.append(SioCounterexampleReport(f.name, d, lhs_plain, rhs_plain, lhs_hat, rhs_hat, gap, cross))
     return reports
 
 
@@ -655,20 +524,15 @@ def suite_sio_counterexample(cfg: TrialConfig) -> VerificationReport:
     """The separation witness: no gap for neg_log, a large gap for every
     other decreasing generator, identities consistent throughout."""
     _, dec, note = _resolve(cfg)
-    w = _Worst()
-    if not dec:
-        return w.report("sio-counterexample", cfg, note)
+
+    def block(d):
+        reports = _sio_reports(dec, d)
+        gaps = [rep.gap if rep.f_name == "neg_log" else 10.0 * cfg.tol_violation - rep.gap for rep in reports]
+        return [[rep.cross_check_error, gap] for rep, gap in zip(reports, gaps)], cfg.seed, len(reports)
+
     # The witness needs an ancilla of dimension at least 2.
     dims = sorted(set(d for d in cfg.dims if 2 <= d <= 3)) or [2]
-    for d in dims:
-        for rep in _sio_reports(dec, d):
-            w.trials += 1
-            w.update(rep.cross_check_error, cfg.seed)
-            if rep.f_name == "neg_log":
-                w.update(rep.gap, cfg.seed)
-            else:
-                w.update(10.0 * cfg.tol_violation - rep.gap, cfg.seed)
-    return w.report("sio-counterexample", cfg, note)
+    return _report("sio-counterexample", cfg, dec, note, map(block, dims))
 
 
 SUITES = {
@@ -712,15 +576,12 @@ def run_all(cfg: TrialConfig) -> list[VerificationReport]:
             with contextlib.suppress(OSError):
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
-    reports = []
     for name in names:
         # A share stops at its first exception, so a suite without a
         # result comes after a failed one.
-        result = results[name]
-        if isinstance(result, BaseException):
-            raise result
-        reports.append(result)
-    return reports
+        if isinstance(results[name], BaseException):
+            raise results[name]
+    return [results[name] for name in names]
 
 
 def _share_count() -> int:

@@ -16,8 +16,10 @@ from fcoherence import (
     random_density,
     random_pure,
     relative_entropy_coherence,
+    trace_norm,
 )
 from fcoherence.channels import max_offdiagonal
+from fcoherence.coherence import _dephasing_distances
 from fcoherence.errors import DimensionMismatch, ParamOutOfRange
 from fcoherence.generators import lookup, neg_log, power, tsallis
 
@@ -181,6 +183,24 @@ class TestPredicatesAndDistance:
         assert dephasing_distance(DensityMatrix.from_diagonal([0.6, 0.4])) == pytest.approx(
             0.0, abs=1e-15
         )
+
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_dephasing_distance_is_the_trace_norm(self, d):
+        for rank, seed in ((1, 3 * d), (d, 3 * d + 1), (max(1, d - 1), 3 * d + 2)):
+            rho = random_density(d, rank, seed)
+            off = rho.matrix - np.diag(np.diagonal(rho.matrix))
+            assert dephasing_distance(rho) == pytest.approx(trace_norm(off), abs=1e-12)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 5, 8, 33, 40])
+    def test_dephasing_distance_is_exactly_zero_on_diagonal_states(self, d):
+        probs = np.random.default_rng(d).dirichlet(np.ones(d))
+        assert dephasing_distance(DensityMatrix.from_diagonal(probs)) == 0.0
+        assert dephasing_distance(dephase(random_density(d, d, d))) == 0.0
+
+    def test_dephasing_distances_of_a_stack_equal_the_single_ones(self):
+        states = [random_density(4, 1 + k % 4, 50 + k) for k in range(6)]
+        stacked = _dephasing_distances(np.array([s.matrix for s in states]))
+        assert stacked.tolist() == [dephasing_distance(s) for s in states]
 
 
 class TestMaxCoherentState:

@@ -357,20 +357,33 @@ CHUNKED = [
     ("entropy-bounds", 3),
     ("gio-monotonicity", 6),
     ("strong-monotonicity", None),
+    ("faithfulness-bounds", 6),
 ]
 
 
 class TestCaseBatching:
     @pytest.mark.parametrize("name,per_trial", CHUNKED)
     def test_chunked_case_gives_the_unsplit_report(self, name, per_trial, monkeypatch):
-        cfg = TrialConfig(dims=(2, 3, 4), trials_per_case=14, seed=11)
+        # faithfulness-bounds runs trials_per_case // 6 trials per case
+        # here, the others at least 7.
+        cfg = TrialConfig(dims=(2, 3, 4), trials_per_case=24, seed=11)
         whole = verify.SUITES[name](cfg)
         # Budget for three trials of the largest dimension; the strong
         # suite counts 3d + 7 matrices per trial.
         per = per_trial or 3 * 4 + 7
         monkeypatch.setattr(verify, "STACK_BYTES", 3 * 16 * 4 * 4 * per)
-        assert len(list(verify._chunks(cfg.trials_per_case, 4, per))) > 1
+        sizes = []
+        chunks = verify._chunks
+
+        def recorded(trials, d, per_trial):
+            ranges = list(chunks(trials, d, per_trial))
+            sizes.append((d, [len(r) for r in ranges]))
+            return ranges
+
+        monkeypatch.setattr(verify, "_chunks", recorded)
         assert verify.SUITES[name](cfg) == whole
+        at_four = dict(sizes)[4]
+        assert at_four[0] == 3 and len(at_four) > 1
 
     def test_chunked_divergence_oracle_gives_the_unsplit_report(self, monkeypatch):
         # 14 trials per case; five generators, so chunks of three split
@@ -414,6 +427,33 @@ class TestCaseBatching:
         assert builds == [6, 6, 3]
         assert sum(builds) == 3 * report.trials
         assert len(tables) == len(builds)
+
+    def test_faithfulness_suite_makes_one_table_per_chunk(self, monkeypatch, eigh_calls):
+        tables, chunks = [], []
+        real_table, real_chunks = verify.coherence_table, verify._chunks
+
+        def counting_table(states, gens):
+            tables.append(len(states))
+            return real_table(states, gens)
+
+        def counting_chunks(trials, d, per_trial):
+            ranges = list(real_chunks(trials, d, per_trial))
+            chunks.extend(len(r) for r in ranges)
+            return ranges
+
+        monkeypatch.setattr(verify, "coherence_table", counting_table)
+        monkeypatch.setattr(verify, "_chunks", counting_chunks)
+        monkeypatch.setattr(verify, "STACK_BYTES", 16 * 3 * 3 * 6 * 4)  # four trials at d = 3
+        report = verify.suite_faithfulness_and_bounds(TrialConfig(dims=(3,), trials_per_case=20, seed=1))
+        assert report.trials == 10 and chunks == [4, 4, 2]
+        # The maximally coherent state's table, then one per chunk: its
+        # incoherent, coherent and pure states.
+        assert tables == [1, 4 + 4 + 2, 4 + 4 + 1, 2 + 2 + 1]  # pure draws at t = 0, 3, 6, 9
+        # Per chunk, one stacked solve each: the table's states, the
+        # distances of its incoherent and coherent draws, and the
+        # dephased pure states.
+        solves = [(tables[0],)] + [(n, 2 * m, n - 2 * m) for n, m in zip(tables[1:], chunks)]
+        assert eigh_calls == [(n, 3, 3) for row in solves for n in row]
 
     def test_chunks_bound_the_stack(self):
         assert [list(r) for r in verify._chunks(5, 2, 1)] == [list(range(5))]

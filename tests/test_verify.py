@@ -91,10 +91,8 @@ class TestSuites:
         assert report.worst_violation > 1e-18
 
     def test_first_nan_violation_is_kept(self):
-        worst = verify._Worst()
-        for violation, seed in [(0.5, 1), (math.nan, 2), (math.nan, 3), (7.0, 4), (0.1, 5)]:
-            worst.update(violation, seed)
-        report = worst.report("entropy-bounds", SMALL)
+        block = ([0.5, math.nan, math.nan, 7.0, 0.1], [1, 2, 3, 4, 5], 0)
+        report = verify._report("entropy-bounds", SMALL, [lookup("neg_log")], "", [block])
         assert not report.passed
         assert math.isnan(report.worst_violation)
         assert report.worst_case_seed == 2
@@ -130,14 +128,14 @@ class TestSuites:
 
         monkeypatch.setattr(verify, kernel, nan_kernel)
         nan_seeds = []
-        update = verify._Worst.update
+        reduce = verify._reduce
 
-        def spy(worst, violation, seed):
-            if math.isnan(violation):
-                nan_seeds.append(seed)
-            update(worst, violation, seed)
+        def spy(values, seeds, worst=(0.0, -1)):
+            flat, flat_seeds = np.broadcast_arrays(np.asarray(values, dtype=float), seeds)
+            nan_seeds.extend(flat_seeds[np.isnan(flat)].tolist())
+            return reduce(values, seeds, worst)
 
-        monkeypatch.setattr(verify._Worst, "update", spy)
+        monkeypatch.setattr(verify, "_reduce", spy)
         report = SUITES[name](TrialConfig(dims=(2, 3), trials_per_case=6, seed=1))
         assert not report.passed
         assert math.isnan(report.worst_violation)
@@ -164,9 +162,105 @@ class TestSuites:
         assert "not scored" in report.notes
         assert "exploration" in report.notes
 
+    def test_exploration_reports_a_nan_gap(self, monkeypatch):
+        real = verify.coherence_table
+
+        def nan_general(states, gens):
+            table = real(states, gens)
+            table[6:9] = np.nan  # the part (c) states of the chunk's three trials
+            return table
+
+        monkeypatch.setattr(verify, "coherence_table", nan_general)
+        report = verify.suite_strong_monotonicity(TrialConfig(dims=(3,), trials_per_case=6, seed=1))
+        assert report.passed  # explored, not scored
+        assert report.notes.endswith("24 checks, worst violation nan, not scored")
+
     def test_non_decreasing_generator_noted(self):
         report = SUITES["entropy-bounds"](TrialConfig(dims=(2,), trials_per_case=3, seed=0))
         assert "power:1.5" in report.notes
+
+
+class ReferenceWorst:
+    """The reduction as one update per check, kept as the reference for
+    _reduce: a larger or NaN violation replaces the value, and the first
+    NaN stays."""
+
+    def __init__(self) -> None:
+        self.value = 0.0
+        self.seed = -1
+
+    def update(self, violation: float, seed: int) -> None:
+        if not violation <= self.value and self.value == self.value:
+            self.value = violation
+            self.seed = seed
+
+
+REDUCE_CASES = {
+    "nan-first": [math.nan, 1.0, 2.0, math.nan],
+    "nan-late": [0.1, 3.0, 2.0, math.nan, 5.0, math.nan],
+    "equal-maxima": [0.5, 2.0, 1.0, 2.0, 2.0],
+    "negative-zero": [-0.0, 0.0, -0.0],
+    "infinities": [-math.inf, 1.0, math.inf, 2.0, math.inf],
+    "all-at-most-zero": [-1e-300, -0.0, -math.inf, 0.0, -5.0],
+    "empty": [],
+}
+
+
+def splits(n: int):
+    """Every way to cut range(n) into consecutive blocks, as block ends."""
+    for mask in range(2 ** max(n - 1, 0)):
+        yield [i + 1 for i in range(n - 1) if mask >> i & 1] + [n]
+
+
+def fold(values, seeds, ends):
+    worst, start = (0.0, -1), 0
+    for end in ends:
+        worst = verify._reduce(values[start:end], seeds[start:end], worst)
+        start = end
+    return worst
+
+
+def reference(values, seeds):
+    ref = ReferenceWorst()
+    for value, seed in zip(values, seeds):
+        ref.update(value, seed)
+    return ref.value, ref.seed
+
+
+class TestReduce:
+    @pytest.mark.parametrize("values", REDUCE_CASES.values(), ids=list(REDUCE_CASES))
+    def test_matches_the_update_loop_in_every_split(self, values):
+        seeds = list(range(10, 10 + len(values)))
+        expected = reference(values, seeds)
+        for ends in splits(len(values)):
+            worst = fold(np.array(values), np.array(seeds), ends)
+            # repr tells NaN, -0.0 and 0.0 apart
+            assert (repr(worst[0]), worst[1]) == (repr(expected[0]), expected[1]), ends
+
+    def test_matches_the_update_loop_on_random_blocks(self):
+        rng = np.random.default_rng(7)
+        alphabet = np.array([math.nan, -math.inf, math.inf, -0.0, 0.0, -1.0, 1e-16, 1.0, 2.0])
+        for _ in range(300):
+            values = rng.choice(alphabet, size=rng.integers(0, 12), p=[0.02] + [0.98 / 8] * 8)
+            seeds = rng.integers(0, 2**32, size=values.size)
+            ends = sorted(set(rng.integers(0, values.size + 1, size=3).tolist()) | {values.size})
+            expected = reference(values.tolist(), seeds.tolist())
+            worst = fold(values, seeds, ends)
+            assert (repr(worst[0]), worst[1]) == (repr(expected[0]), expected[1])
+
+    def test_block_is_read_trial_by_trial(self):
+        values = np.array([[0.0, 3.0, 1.0], [3.0, math.nan, 2.0]])
+        seeds = np.array([[1, 2, 3], [4, 5, 6]])
+        expected = reference(values.ravel().tolist(), seeds.ravel().tolist())
+        assert repr(verify._reduce(values, seeds)) == repr(expected)
+        # Equal maxima: the first trial's wins, not the first column's.
+        assert verify._reduce([[0.0, 2.0], [2.0, 0.0]], [[1, 2], [3, 4]]) == (2.0, 2)
+        # A scalar seed serves the whole block.
+        assert verify._reduce([[1.0, 4.0]], 9) == (4.0, 9)
+
+    def test_worst_at_most_zero_reports_no_seed(self):
+        worst = verify._reduce([-0.0, -1.0, -math.inf], [1, 2, 3])
+        assert worst == (0.0, -1) and math.copysign(1.0, worst[0]) == 1.0
 
 
 class TestEnsembleCoherence:
@@ -290,44 +384,31 @@ class TestDimensionOne:
             assert report.passed, report.suite
 
 
-GOLDEN = Path(__file__).parent / "data" / "verify_all_seed1_trials10.jsonl"
+GOLDEN = {
+    # The values carry 17 significant digits, so a change in summation
+    # order or in the BLAS build can move the last digits; any such
+    # change has to be regenerated here and explained.
+    "verify_all_seed1_trials10.jsonl": "--suite all --seed 1 --trials 10",
+    # Reaches d = 6 and the d >= 3 exploration branch.
+    "verify_all_seed2_trials60_dims2-6.jsonl": "--suite all --seed 2 --trials 60 --dims 2,3,4,5,6",
+    # 40 trials per case, so each generator serves several trials.
+    "verify_oracle_seed3_trials200_dims2-4.jsonl": (
+        "--suite divergence-oracle --seed 3 --trials 200 --dims 2,3,4"
+    ),
+    # No decreasing generator: four suites report the skip note alone.
+    "verify_all_seed4_trials12_power1.5.jsonl": "--suite all --seed 4 --trials 12 --f power:1.5",
+    # d = 1, the sio suite's fallback dimension, and the skip note joined
+    # to the exploration note.
+    "verify_all_seed5_trials12_dims1-3.jsonl": (
+        "--suite all --seed 5 --trials 12 --dims 1,3 --f neg_log,power:1.5,tsallis:1.5"
+    ),
+}
 
 
-def test_verify_stdout_matches_golden_file(tmp_path, capsys):
-    """`fcoherence verify --suite all --seed 1 --trials 10`, byte for byte.
-
-    The values carry 17 significant digits, so a change in summation
-    order or in the BLAS build can move the last digits; any such change
-    has to be regenerated here and explained.
-    """
+@pytest.mark.parametrize("name", GOLDEN)
+def test_verify_stdout_matches_golden_file(name, tmp_path, capsys):
+    """`fcoherence verify` with the file's arguments, byte for byte."""
     out = tmp_path / "verify.jsonl"
-    assert main(["verify", "--suite", "all", "--seed", "1", "--trials", "10", "--out", str(out)]) == 0
+    assert main(["verify", *GOLDEN[name].split(), "--out", str(out)]) == 0
     capsys.readouterr()
-    assert out.read_bytes() == GOLDEN.read_bytes()
-
-
-GOLDEN_DIMS_2_6 = Path(__file__).parent / "data" / "verify_all_seed2_trials60_dims2-6.jsonl"
-
-
-def test_verify_stdout_matches_golden_file_dims_2_to_6(tmp_path, capsys):
-    """`fcoherence verify --suite all --seed 2 --trials 60 --dims 2,3,4,5,6`,
-    byte for byte: reaches d = 6 and the d >= 3 exploration branch."""
-    out = tmp_path / "verify.jsonl"
-    argv = ["verify", "--suite", "all", "--seed", "2", "--trials", "60", "--dims", "2,3,4,5,6"]
-    assert main(argv + ["--out", str(out)]) == 0
-    capsys.readouterr()
-    assert out.read_bytes() == GOLDEN_DIMS_2_6.read_bytes()
-
-
-GOLDEN_ORACLE = Path(__file__).parent / "data" / "verify_oracle_seed3_trials200_dims2-4.jsonl"
-
-
-def test_verify_stdout_matches_golden_file_divergence_oracle(tmp_path, capsys):
-    """`fcoherence verify --suite divergence-oracle --seed 3 --trials 200
-    --dims 2,3,4`, byte for byte: 40 trials per case, so every generator
-    row holds several trials."""
-    out = tmp_path / "verify.jsonl"
-    argv = ["verify", "--suite", "divergence-oracle", "--seed", "3", "--trials", "200", "--dims", "2,3,4"]
-    assert main(argv + ["--out", str(out)]) == 0
-    capsys.readouterr()
-    assert out.read_bytes() == GOLDEN_ORACLE.read_bytes()
+    assert out.read_bytes() == (Path(__file__).parent / "data" / name).read_bytes()
