@@ -36,8 +36,12 @@ from .states import (
     _as_square,
     _check_dim,
     _eigh,
-    _haar_isometry,
-    random_unitary,
+    _generators,
+    _groups,
+    _haar,
+    _normalized,
+    _normals,
+    _per_row,
     spectral_decompose,
     validate_density,
 )
@@ -166,8 +170,8 @@ class KrausChannel:
 
 
 def _kraus_sum(ops: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """sum_k K m K* over a (num_kraus, d, d) stack."""
-    return (ops @ m @ ops.conj().transpose(0, 2, 1)).sum(axis=0)
+    """sum_k K m K* over a (..., num_kraus, d, d) stack, for each (..., d, d) m."""
+    return (ops @ m[..., None, :, :] @ ops.conj().swapaxes(-1, -2)).sum(axis=-3)
 
 
 def _operand(m, dim: int) -> np.ndarray:
@@ -261,28 +265,16 @@ class GioChannel(KrausChannel):
         offdiag = max_offdiagonal(ops)
         if offdiag > DIAGONAL_TOL:
             raise NotGio(f"Kraus operator has off-diagonal entry of modulus {offdiag:.3e}")
-        self._set_table(np.diagonal(ops, axis1=1, axis2=2).copy(), label)
+        _set_tables([self], np.array(np.diagonal(ops, axis1=1, axis2=2))[None], label)
 
     @classmethod
     def from_coefficients(cls, coefficients, label: str | None = None) -> "GioChannel":
         """Channel with Kraus operators diag(coefficients[j]), from a
         (num_kraus, dim) table."""
-        ch = cls.__new__(cls)
-        ch._set_table(np.array(coefficients, dtype=complex), label)
-        return ch
-
-    def _set_table(self, coeffs: np.ndarray, label: str | None) -> None:
+        coeffs = np.array(coefficients, dtype=complex)
         if coeffs.ndim != 2 or coeffs.size == 0:
             raise DimensionMismatch(f"coefficient table must be a non-empty matrix, got shape {coeffs.shape}")
-        if not np.isfinite(coeffs).all():
-            raise ChannelValidationError("coefficient table contains non-finite entries")
-        coeffs.setflags(write=False)
-        self._coeffs = coeffs
-        self.label = label
-        self._check_complete()
-        corr = coeffs.T @ coeffs.conj()
-        corr.setflags(write=False)
-        self._corr = corr
+        return _gio_list([coeffs], label)[0]
 
     @property
     def dim(self) -> int:
@@ -312,12 +304,35 @@ class GioChannel(KrausChannel):
 
     def completeness_defect(self) -> float:
         """Frobenius distance of sum K*K = diag(column norms squared) from the identity."""
-        c = self._coeffs
-        return float(np.linalg.norm((c.real**2 + c.imag**2).sum(axis=0) - 1.0))
+        return float(np.linalg.norm(_column_defects(self._coeffs)))
 
     def apply_matrix(self, m: np.ndarray) -> np.ndarray:
         """Schur product C o m."""
         return self._corr * _operand(m, self.dim)
+
+
+def _set_tables(chans: list, coeffs: np.ndarray, label: str | None) -> None:
+    """Give each channel its row of an (n, num_kraus, dim) coefficient stack,
+    read-only, with its correlation matrix, after checking the stack."""
+    if not np.isfinite(coeffs).all():
+        raise ChannelValidationError("coefficient table contains non-finite entries")
+    coeffs.setflags(write=False)
+    # np.linalg.norm of each row of defects: the root of its BLAS dot.
+    defects = _column_defects(coeffs)[:, None, :]
+    defects = np.sqrt(defects @ defects.swapaxes(-1, -2))[:, 0, 0]
+    if (defects > COMPLETENESS_TOL).any():
+        defect = defects[defects > COMPLETENESS_TOL][0]
+        raise ChannelValidationError(f"sum K*K deviates from identity by {defect:.3e} (Frobenius)")
+    corr = coeffs.swapaxes(-1, -2) @ coeffs.conj()
+    corr.setflags(write=False)
+    for ch, c, cr in zip(chans, coeffs, corr):
+        ch._coeffs, ch.label, ch._corr = c, label, cr
+
+
+def _column_defects(coeffs: np.ndarray) -> np.ndarray:
+    """Squared column norms minus 1 of each (num_kraus, dim) table of a
+    (..., num_kraus, dim) stack: the diagonal of sum K*K - I."""
+    return (coeffs.real**2 + coeffs.imag**2).sum(axis=-2) - 1.0
 
 
 def dephasing_channel(dim: int) -> GioChannel:
@@ -371,9 +386,23 @@ class _AncillaExtension(KrausChannel):
         return out.reshape(self.dim, self.dim)
 
     def apply_matrix(self, m: np.ndarray) -> np.ndarray:
+        return self._extend(self._reduced(_operand(m, self.dim)))
+
+    def apply(self, rho: DensityMatrix) -> DensityMatrix:
+        """Apply to a state. The output shares the spectrum of tr_B(rho),
+        up to the factor 1/d, so the d x d reduced state is validated and
+        then extended; the output has no cached decomposition."""
+        _check_pair(self, rho)
+        return DensityMatrix(self._extend(validate_density(self._reduced(rho.matrix)).matrix))
+
+    def _reduced(self, m: np.ndarray) -> np.ndarray:
+        """tr_B m of a d^2 x d^2 matrix."""
         d = self._d
-        reduced = np.trace(_operand(m, self.dim).reshape(d, d, d, d), axis1=1, axis2=3)
-        return self._extended(reduced, 0) if self._erase else self._extended(reduced / d, np.arange(d))
+        return np.trace(m.reshape(d, d, d, d), axis1=1, axis2=3)
+
+    def _extend(self, reduced: np.ndarray) -> np.ndarray:
+        """reduced (x) |0><0|, or reduced (x) I/d."""
+        return self._extended(reduced, 0) if self._erase else self._extended(reduced / self._d, np.arange(self._d))
 
     def _outcomes(self, rho: DensityMatrix) -> list[MeasurementOutcome]:
         """Selective outcomes, the states rho^(j)/p_j validated as one stack."""
@@ -421,12 +450,42 @@ def diagonal_unitary_mixture(weights, phase_table) -> GioChannel:
     phases = np.asarray(phase_table, dtype=float)
     if w.ndim != 1 or phases.ndim != 2 or phases.shape[0] != w.size:
         raise BadWeights(f"need one phase row per weight, got {w.shape} weights and {phases.shape} phases")
-    if not np.all(w > 0.0):
-        raise BadWeights(f"weights must be strictly positive, smallest is {w.min():.3e}")
-    if abs(w.sum() - 1.0) > 1e-10:
-        raise BadWeights(f"weights sum to {w.sum()!r}, expected 1")
-    coeffs = np.sqrt(w)[:, None] * np.exp(1j * phases)
-    return GioChannel.from_coefficients(coeffs, label="diagonal-unitary-mixture")
+    return GioChannel.from_coefficients(_mixture_tables([w], [phases])[0], label="diagonal-unitary-mixture")
+
+
+def _mixture_tables(weights: list, phases: list) -> list[np.ndarray]:
+    """The coefficient tables sqrt(w_j) exp(i phases[j]) of a list of
+    weight vectors and their phase tables, each weight vector checked. The
+    algebra is elementwise, so it runs once on all rows concatenated."""
+    for w in weights:
+        if not np.all(w > 0.0):
+            raise BadWeights(f"weights must be strictly positive, smallest is {w.min():.3e}")
+        if abs(w.sum() - 1.0) > 1e-10:
+            raise BadWeights(f"weights sum to {w.sum()!r}, expected 1")
+    coeffs = np.sqrt(np.concatenate(weights))[:, None] * np.exp(1j * np.concatenate(phases))
+    return np.split(coeffs, np.cumsum([len(w) for w in weights])[:-1])
+
+
+def _unitary_mixture_tables(dim: int, sizes, seeds) -> list[np.ndarray]:
+    """Row i: the coefficient table of a mixture of sizes[i] diagonal
+    unitaries drawn by the Generator of seeds[i], Dirichlet weights, then
+    uniform phases."""
+    seeds, sizes = _per_row(sizes, seeds)
+    if not len(seeds):
+        return []
+    rngs = _generators(seeds)
+    weights = [rng.dirichlet(np.ones(k)) for rng, k in zip(rngs, sizes.tolist())]
+    phases = [rng.uniform(0.0, 2.0 * np.pi, size=(k, dim)) for rng, k in zip(rngs, sizes.tolist())]
+    return _mixture_tables(weights, phases)
+
+
+def _gio_list(tables: list, label: str | None = None) -> list[GioChannel]:
+    """One GioChannel per table of a list of (num_kraus, dim) tables of one
+    dim, built as one stack per num_kraus."""
+    chans = [GioChannel.__new__(GioChannel) for _ in tables]
+    for _, rows in _groups(np.array([len(t) for t in tables], dtype=int)):
+        _set_tables([chans[i] for i in rows], np.array([tables[i] for i in rows], dtype=complex), label)
+    return chans
 
 
 def _check_sizes(dim: int, num_kraus: int) -> None:
@@ -437,40 +496,62 @@ def _check_sizes(dim: int, num_kraus: int) -> None:
 def random_gio(dim: int, num_kraus: int, seed: int) -> GioChannel:
     """Random diagonal channel: each basis index gets a Haar-random unit
     coefficient vector across the Kraus operators."""
-    _check_sizes(dim, num_kraus)
-    # One block, drawn in the order of a column-by-column loop.
-    z = np.random.default_rng(seed).standard_normal((dim, 2, num_kraus))
-    v = z[:, 0] + 1j * z[:, 1]
-    # np.linalg.norm of one complex vector is the root of two BLAS dots
-    # over its strided real and imaginary views; the stacked row-by-column
-    # products on the same views run the same dots.
-    re, im = v.real, v.imag
-    norms = np.sqrt(re[:, None, :] @ re[:, :, None] + im[:, None, :] @ im[:, :, None])[:, 0]
-    return GioChannel.from_coefficients((v / norms).T, label=f"random-gio:{dim}")
+    return _gio_list(_gio_tables(dim, num_kraus, [seed]), f"random-gio:{dim}")[0]
+
+
+def _gio_tables(dim: int, num_kraus, seeds) -> list[np.ndarray]:
+    """The (k, dim) coefficient tables of random_gio(dim, k, s) for each
+    Kraus count k (one per seed, or one for all) and seed s, normalized as
+    one stack per count."""
+    seeds, num_kraus = _per_row(num_kraus, seeds)
+    tables = [None] * len(seeds)
+    for k, rows in _groups(num_kraus):
+        _check_sizes(dim, k)
+        # Per seed one block, drawn in the order of a column-by-column loop.
+        z = _normals(seeds[rows], (dim, 2, k))
+        v = _normalized(z[:, :, 0] + 1j * z[:, :, 1])
+        for i, table in zip(rows.tolist(), np.ascontiguousarray(v.swapaxes(-1, -2))):
+            tables[i] = table
+    return tables
 
 
 def random_channel(dim: int, num_kraus: int, seed: int) -> KrausChannel:
     """Random channel from a Haar isometry into dim * num_kraus dimensions."""
     _check_sizes(dim, num_kraus)
-    return KrausChannel(_haar_kraus(dim, num_kraus, seed), label=f"random:{dim}")
+    return KrausChannel(_haar_kraus(dim, num_kraus, [seed])[0], label=f"random:{dim}")
 
 
-def _haar_kraus(dim: int, num_kraus: int, seed: int) -> np.ndarray:
-    """The Kraus stack of random_channel(dim, num_kraus, seed): the
-    (num_kraus, dim, dim) blocks of its Haar isometry, unchecked."""
-    return _haar_isometry(np.random.default_rng(seed), dim * num_kraus, dim).reshape(num_kraus, dim, dim)
+def _haar_kraus(dim: int, num_kraus, seeds) -> list[np.ndarray]:
+    """The Kraus stacks of random_channel(dim, k, s) for each Kraus count
+    k (one per seed, or one for all) and seed s: the (k, dim, dim) blocks
+    of their Haar isometries, unchecked, one QR per count."""
+    seeds, num_kraus = _per_row(num_kraus, seeds)
+    out = [None] * len(seeds)
+    for k, rows in _groups(num_kraus):
+        for i, ops in zip(rows.tolist(), _haar(dim * k, dim, seeds[rows]).reshape(-1, k, dim, dim)):
+            out[i] = ops
+    return out
 
 
 def random_unital_channel(dim: int, num_unitaries: int, seed: int) -> KrausChannel:
     """Random mixture of Haar unitaries; unital and trace preserving."""
     _check_sizes(dim, num_unitaries)
-    rng = np.random.default_rng(seed)
-    w = rng.dirichlet(np.ones(num_unitaries))
-    ops = [
-        np.sqrt(w[i]) * random_unitary(dim, int(rng.integers(0, 2**31 - 1)))
-        for i in range(num_unitaries)
-    ]
-    return KrausChannel(ops, label=f"random-unital:{dim}")
+    return KrausChannel(_unital_kraus(dim, num_unitaries, [seed])[0], label=f"random-unital:{dim}")
+
+
+def _unital_kraus(dim: int, num_unitaries, seeds) -> list[np.ndarray]:
+    """The (k, dim, dim) Kraus stacks of random_unital_channel(dim, k, s)
+    for each count k (one per seed, or one for all) and seed s: Dirichlet
+    weights, then one seed per Haar unitary, from each seed's Generator;
+    all the unitaries come from one QR."""
+    seeds, counts = _per_row(num_unitaries, seeds)
+    if not len(seeds):
+        return []
+    rngs, counts = _generators(seeds), counts.tolist()
+    weights = [rng.dirichlet(np.ones(k)) for rng, k in zip(rngs, counts)]
+    inner = [int(rng.integers(0, 2**31 - 1)) for rng, k in zip(rngs, counts) for _ in range(k)]
+    ops = np.sqrt(np.concatenate(weights))[:, None, None] * _haar(dim, dim, inner)
+    return np.split(ops, np.cumsum(counts)[:-1])
 
 
 def is_sio(ch: KrausChannel, tol: float = 1e-10) -> bool:
@@ -526,19 +607,36 @@ def gio_saturation_check(ch: KrausChannel, rho: DensityMatrix, tol: float = 1e-6
     _check_pair(ch, rho)
     coeffs = (ch if isinstance(ch, GioChannel) else GioChannel(ch.kraus_ops)).coefficients
     gram = coeffs.conj().T @ coeffs  # gram[n, m] = <k_n, k_m>
-    # The first smallest overlap below 1 among the coupled pairs is the worst.
-    rows, cols = _upper_pairs(rho.dim)
-    coupled = np.abs(rho.matrix[rows, cols]) > tol
-    overlap_sq = np.abs(gram[rows, cols][coupled]) ** 2
-    worst = int(np.argmin(overlap_sq)) if overlap_sq.size else -1
-    if worst < 0 or not overlap_sq[worst] < 1.0:
+    (worst,), (worst_value,) = _worst_overlaps(gram[None], rho.matrix[None], tol)
+    if worst < 0 or not worst_value < 1.0:
         return SaturationReport(True, None, 1.0, 0.0)
-    n, m = int(rows[coupled][worst]), int(cols[coupled][worst])
-    worst_value = float(overlap_sq[worst])
+    rows, cols = _upper_pairs(rho.dim)
+    n, m = int(rows[worst]), int(cols[worst])
     # ||k_n - <k_m, k_n> k_m|| measures failure of k_n = alpha k_m.
     residual = coeffs[:, n] - gram[m, n] * coeffs[:, m]
     defect = float(np.linalg.norm(residual))
-    return SaturationReport(worst_value >= 1.0 - tol, (n, m), worst_value, defect)
+    return SaturationReport(bool(_saturated(worst, worst_value, tol)), (n, m), float(worst_value), defect)
+
+
+def _worst_overlaps(grams: np.ndarray, matrices: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """For each (Gram matrix, state matrix) pair of two (n, d, d) stacks:
+    the position in _upper_pairs(d) of the first smallest squared overlap
+    |gram_nm|^2 among the pairs n < m with |matrix_nm| > tol (a NaN counts
+    as smallest), and that overlap; -1 and 1.0 where no pair is coupled."""
+    n, (rows, cols) = len(grams), _upper_pairs(grams.shape[-1])
+    if not rows.size:
+        return np.full(n, -1), np.ones(n)
+    coupled = np.abs(matrices[:, rows, cols]) > tol
+    overlap = np.where(coupled, np.abs(grams[:, rows, cols]) ** 2, np.inf)
+    worst = overlap.argmin(axis=1)
+    none = ~coupled.any(axis=1)
+    return np.where(none, -1, worst), np.where(none, 1.0, overlap[np.arange(n), worst])
+
+
+def _saturated(worst, worst_value, tol: float):
+    """The saturation verdict of _worst_overlaps: no coupled pair, or the
+    worst overlap not below 1 (or NaN), or within tol of 1."""
+    return (worst < 0) | ~(worst_value < 1.0) | (worst_value >= 1.0 - tol)
 
 
 class PetzRecoveryMap:

@@ -30,7 +30,8 @@ class DimensionMismatch(CoherenceError):
 
 
 class ParamOutOfRange(CoherenceError):
-    """A generator-function parameter lies outside its valid range."""
+    """A parameter, such as a generator parameter or a seed, lies outside
+    its valid range."""
 
 
 class UnknownGenerator(CoherenceError):

@@ -11,10 +11,18 @@ stacked eigh solves any other state on first use. Every eigensolve goes
 through ``_eigh``, which reads an exactly diagonal matrix past d = 32,
 such as a dephased state, off its diagonal without LAPACK and with the
 bits that the LAPACK build numpy ships gives it.
+
+The seeded draws are stacked: a draw takes a sequence of seeds, creates
+one ``np.random.default_rng(seed)`` per seed, takes each Generator's raw
+Gaussian blocks in the order of the one-seed draw, and then runs the
+algebra (Wishart product, normalisation, QR and phase fix) once per
+stack of one shape. Each row has the bytes of its one-seed draw, and the
+public draws are the one-seed calls.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +32,7 @@ from .errors import (
     DimensionMismatch,
     NotHermitian,
     NotPositive,
+    ParamOutOfRange,
     StateValidationError,
     TraceNotOne,
 )
@@ -204,10 +213,19 @@ def validate_density(matrix) -> DensityMatrix | list[DensityMatrix]:
         raise NotPositive(f"most negative eigenvalue {lowest:.3e} exceeds {TOL_PSD:.1e}")
     clipped = np.clip(vals, 0.0, 1.0)
     clipped /= clipped.sum(axis=-1, keepdims=True)
-    cleaned = (vecs * clipped[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
-    states = [DensityMatrix(c) for c in cleaned]
+    states = _views((vecs * clipped[..., None, :]) @ vecs.conj().swapaxes(-1, -2))
     _store(states, clipped, vecs)
     return states if m.ndim == 3 else states[0]
+
+
+def _views(stack: np.ndarray) -> list[DensityMatrix]:
+    """The states whose matrices are the rows of a finite (n, d, d) complex
+    stack that nothing else writes to, frozen in place: each is the state
+    DensityMatrix gives its row, with no check or copy of its own."""
+    states = [DensityMatrix.__new__(DensityMatrix) for _ in stack]
+    for rho, m in zip(states, _frozen(np.ascontiguousarray(stack))):
+        object.__setattr__(rho, "matrix", m)
+    return states
 
 
 def _first_above(defects: np.ndarray, tol: float) -> float:
@@ -330,40 +348,109 @@ def trace_norm(matrix) -> float:
     return float(s.sum())
 
 
+def _generators(seeds) -> list[np.random.Generator]:
+    """One np.random.default_rng(seed) per seed, each checked to be an
+    integer other than bool and at least 0."""
+    seeds = seeds.tolist() if isinstance(seeds, np.ndarray) else list(seeds)
+    for s in seeds:
+        if type(s) is not int and (not isinstance(s, numbers.Integral) or isinstance(s, bool)) or s < 0:
+            raise ParamOutOfRange(f"seed must be a non-negative integer, got {s!r}")
+    return [np.random.default_rng(s) for s in seeds]
+
+
+def _groups(keys: np.ndarray):
+    """(key, rows) for each distinct key in order of first appearance,
+    rows the indices that carry it."""
+    for key in dict.fromkeys(keys.tolist()):
+        yield key, (keys == key).nonzero()[0]
+
+
+def _per_row(value, seeds) -> tuple[np.ndarray, np.ndarray]:
+    """seeds as an array, and value, one per seed or one for all, as an
+    array of the same length."""
+    seeds, value = np.asarray(seeds), np.asarray(value)
+    if seeds.ndim != 1:
+        raise ParamOutOfRange(f"seed must be a non-negative integer, got {seeds[0]!r}")
+    return seeds, value if value.ndim else np.full(seeds.shape, value)
+
+
+def _normals(seeds, shape: tuple) -> np.ndarray:
+    """An (n, *shape) array whose row i holds the standard normals that the
+    Generator of seeds[i] draws in C order."""
+    rngs = _generators(seeds)
+    z = np.empty((len(rngs), *shape))
+    for rng, row in zip(rngs, z):
+        rng.standard_normal(out=row)
+    return z
+
+
+def _complex_normals(seeds, shape: tuple) -> np.ndarray:
+    """Row i: re + 1j * im, with re and then im two blocks of the given
+    shape drawn in turn by the Generator of seeds[i]."""
+    z = _normals(seeds, (2, *shape))
+    return z[:, 0] + 1j * z[:, 1]
+
+
+def _normalized(v: np.ndarray) -> np.ndarray:
+    """Each vector along the last axis of v divided by its np.linalg.norm.
+
+    np.linalg.norm of one complex vector is the root of two BLAS dots
+    over its strided real and imaginary views; the stacked row-by-column
+    products on the same views run the same dots.
+    """
+    re, im = v.real[..., None, :], v.imag[..., None, :]
+    return v / np.sqrt(re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2))[..., 0]
+
+
+def _pure_vectors(dim: int, seeds) -> np.ndarray:
+    """The amplitudes of random_pure(dim, s) for each seed s, as an (n, dim) array."""
+    _check_dim(dim)
+    return _normalized(_complex_normals(seeds, (dim,)))
+
+
+def _projectors(v: np.ndarray) -> np.ndarray:
+    """The (n, d, d) projectors onto the rows of an (n, d) array, each as
+    PureState.as_density builds it."""
+    return v[:, :, None] * v.conj()[:, None, :]
+
+
+def _wisharts(dim: int, ranks, seeds) -> np.ndarray:
+    """The matrices of random_density(dim, r, s) for each rank r (one per
+    seed, or one for all) and seed s, as an (n, dim, dim) array, with one
+    Wishart product per distinct rank."""
+    _check_dim(dim)
+    seeds, ranks = _per_row(ranks, seeds)
+    out = np.empty((len(seeds), dim, dim), dtype=complex)
+    for rank, rows in _groups(ranks):
+        if not 1 <= rank <= dim:
+            raise DimensionMismatch(f"rank must lie in [1, {dim}], got {rank}")
+        g = _complex_normals(seeds[rows], (dim, rank))
+        m = g @ g.conj().swapaxes(-1, -2)
+        m = (m + m.conj().swapaxes(-1, -2)) / 2.0
+        out[rows] = m / np.trace(m, axis1=-2, axis2=-1).real[:, None, None]
+    return out
+
+
+def _haar(rows: int, cols: int, seeds) -> np.ndarray:
+    """Haar-random (rows, cols) isometries, one per seed, from one stacked
+    QR of complex Gaussian blocks, with the phases of R's diagonal moved
+    into Q."""
+    q, r = np.linalg.qr(_complex_normals(seeds, (rows, cols)))
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[:, None, :]
+
+
 def random_pure(dim: int, seed: int) -> PureState:
     """Haar-random pure state: normalized complex Gaussian vector."""
-    _check_dim(dim)
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return PureState(v / np.linalg.norm(v))
+    return PureState(_pure_vectors(dim, [seed])[0])
 
 
 def random_density(dim: int, rank: int, seed: int) -> DensityMatrix:
     """Random density matrix G G* / Tr(G G*) with G of shape (dim, rank)."""
-    return DensityMatrix(_wishart(dim, rank, seed))
-
-
-def _wishart(dim: int, rank: int, seed: int) -> np.ndarray:
-    """The matrix of random_density(dim, rank, seed), as a plain array."""
-    _check_dim(dim)
-    if not 1 <= rank <= dim:
-        raise DimensionMismatch(f"rank must lie in [1, {dim}], got {rank}")
-    rng = np.random.default_rng(seed)
-    g = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
-    m = g @ g.conj().T
-    m = (m + m.conj().T) / 2.0
-    return m / np.real(np.trace(m))
+    return DensityMatrix(_wisharts(dim, rank, [seed])[0])
 
 
 def random_unitary(dim: int, seed: int) -> np.ndarray:
     """Haar-random unitary via QR of a complex Gaussian matrix."""
     _check_dim(dim)
-    return _haar_isometry(np.random.default_rng(seed), dim, dim)
-
-
-def _haar_isometry(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
-    """Haar-random (rows, cols) isometry from the QR of a complex Gaussian block."""
-    z = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
-    q, r = np.linalg.qr(z)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
+    return _haar(dim, dim, [seed])[0]

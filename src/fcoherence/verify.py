@@ -8,8 +8,11 @@ derived from (master seed, case index, trial index), so a rerun with the
 same configuration reproduces the report byte for byte.
 
 The checks reach one reduction in trial and check order. The five
-suites that draw share one chunk driver; each stacked step gives a
-matrix the bytes it gets alone, so reports equal a trial-by-trial run.
+suites that draw share one chunk driver, which hands a suite's draw step
+a whole chunk of trials with their seeds. The draw step draws the chunk
+as stacks, one Generator per seed and the algebra once per stack of one
+shape; every stacked step gives a matrix the bytes it gets alone, so
+reports equal a trial-by-trial run.
 """
 
 from __future__ import annotations
@@ -28,15 +31,17 @@ import numpy as np
 from .channels import (
     GioChannel,
     KrausChannel,
+    _gio_list,
+    _gio_tables,
     _haar_kraus,
     _kraus_sum,
+    _saturated,
+    _unital_kraus,
+    _unitary_mixture_tables,
     _upper_pairs,
-    diagonal_unitary_mixture,
-    gio_saturation_check,
+    _worst_overlaps,
     max_offdiagonal,
     outcome_ensembles,
-    random_gio,
-    random_unital_channel,
 )
 from .coherence import (
     _dephasing_distances,
@@ -52,10 +57,13 @@ from .generators import GeneratorFunction, lookup
 from .states import (
     DensityMatrix,
     _decomposed,
-    _wishart,
-    random_density,
-    random_pure,
-    random_unitary,
+    _generators,
+    _groups,
+    _haar,
+    _projectors,
+    _pure_vectors,
+    _views,
+    _wisharts,
     validate_density,
 )
 
@@ -141,7 +149,9 @@ def _reduce(values, seeds, worst=(0.0, -1)) -> tuple[float, int]:
     """The worst (value, seed) of worst and the checks after it: the first
     NaN, else the first strictly greater value, with values and seeds
     broadcast and read in C order. A worst value <= 0 gives (0.0, -1)."""
-    values, seeds = np.broadcast_arrays(np.asarray(values, dtype=float), seeds)
+    values, seeds = np.asarray(values, dtype=float), np.asarray(seeds)
+    if seeds.shape != values.shape:
+        values, seeds = np.broadcast_arrays(values, seeds)
     values = np.concatenate(([worst[0]], values.ravel()))
     i = int(np.argmax(values))  # the first NaN, else the first maximum
     return worst if i == 0 else (float(values[i]), int(seeds.ravel()[i - 1]))
@@ -167,18 +177,19 @@ def _chunks(trials: int, d: int, per_trial: int):
 def _drive(cfg: TrialConfig, dims, offset: int, trials: int, per_trial, draw, score, head=None):
     """(values, seeds, trials) blocks of a drawing suite. Case k, at d =
     dims[k], gives head(d) against the master seed, then chunks of trials
-    of per_trial(d) matrices. Trial t draws draw(d, t, s) with s from
-    SeedSequence((master, offset + k, t)). score(d, t, *fields), one tuple
-    per draw field, returns (values, slot) parts: a row per trial, seed s[slot]."""
+    of per_trial(d) matrices. A chunk's trials t, with seeds s whose row i
+    comes from SeedSequence((master, offset + k, t[i])), draw their fields
+    as stacks with draw(d, t, s). score(d, t, *fields) returns (values,
+    slot) parts: a row per trial, seed s[:, slot]."""
     for case, d in enumerate(dims):
         if head:
             yield head(d), cfg.seed, 0
         for chunk in _chunks(trials, d, per_trial(d)):
             seeds = [np.random.SeedSequence((cfg.seed, offset + case, t)).generate_state(6) for t in chunk]
-            seeds = np.array(seeds, dtype=np.int64)
-            parts = score(d, np.array(chunk), *zip(*(draw(d, t, s) for t, s in zip(chunk, seeds.tolist()))))
+            seeds, t = np.array(seeds, dtype=np.int64), np.array(chunk)
+            parts = score(d, t, *draw(d, t, seeds))
             values = np.hstack([v for v, _ in parts])
-            slots = np.hstack([np.broadcast_to(slot, v.shape) for v, slot in parts])
+            slots = np.hstack([np.zeros(v.shape, dtype=int) + slot for v, slot in parts])
             yield values, np.take_along_axis(seeds, slots, axis=1), len(chunk)
 
 
@@ -195,23 +206,49 @@ def _bounds(d: int, gens) -> np.ndarray:
     return np.array([(f(1.0 / d), -f(d)) for f in gens], dtype=float)
 
 
-def _draw_state(d: int, trial: int, seed: int) -> DensityMatrix:
-    """Alternate pure states and mixed states of cycling rank."""
-    if trial % 3 == 0:
-        return random_pure(d, seed).as_density()
-    return random_density(d, 1 + trial % d, seed)
+def _cycling(d: int, trials: np.ndarray) -> np.ndarray:
+    """The ranks of the states that trials draw: pure (rank 0) at trials
+    divisible by 3, else mixed of rank 1 + trial % d."""
+    return np.where(trials % 3 == 0, 0, 1 + trials % d)
 
 
-def _random_unitary_mixture(d: int, k: int, seed: int) -> GioChannel:
-    """Mixture of k diagonal unitaries: Dirichlet weights, then uniform phases."""
-    rng = np.random.default_rng(seed)
-    return diagonal_unitary_mixture(rng.dirichlet(np.ones(k)), rng.uniform(0.0, 2.0 * math.pi, size=(k, d)))
+def _draw_states(d: int, ranks: np.ndarray, seeds: np.ndarray) -> np.ndarray:
+    """Row i: a Haar-random pure state for ranks[i] = 0, else a random
+    density matrix of that rank, drawn from seeds[i]."""
+    pure = ranks == 0
+    states = np.empty((len(ranks), d, d), dtype=complex)
+    if pure.any():
+        states[pure] = _projectors(_pure_vectors(d, seeds[pure]))
+    if not pure.all():
+        states[~pure] = _wisharts(d, ranks[~pure], seeds[~pure])
+    return states
 
 
-def _draw_conditioned(d: int, seed: int) -> DensityMatrix:
-    """Full-rank state with smallest eigenvalue at least 0.2 / d, where
-    routes through the inverse stay comparable at the 1e-10 level."""
-    return DensityMatrix(0.8 * _wishart(d, d, seed) + 0.2 * np.eye(d) / d)
+def _conditioned(full_rank: np.ndarray) -> np.ndarray:
+    """Full-rank states mixed with the maximally mixed state, smallest
+    eigenvalue at least 0.2 / d, where routes through the inverse stay
+    comparable at the 1e-10 level."""
+    d = full_rank.shape[-1]
+    return 0.8 * full_rank + 0.2 * np.eye(d) / d
+
+
+def _diagonal_channels(d: int, kinds: np.ndarray, seeds: np.ndarray) -> list[GioChannel]:
+    """Row i: random_gio(d, k, seeds[i]) for kinds[i] = k > 0, else a
+    mixture of -k diagonal unitaries with Dirichlet weights, then uniform
+    phases, from seeds[i]; built as one stack per Kraus count."""
+    gio = kinds > 0
+    mixtures, gios = _unitary_mixture_tables(d, -kinds[~gio], seeds[~gio]), _gio_tables(d, kinds[gio], seeds[gio])
+    tables = iter(mixtures), iter(gios)
+    return _gio_list([next(tables[g]) for g in gio.tolist()])
+
+
+def _kraus_sums(kraus: list, states: np.ndarray) -> np.ndarray:
+    """sum_k K rho K* for each state rho and its Kraus stack, as one
+    stacked product per Kraus count."""
+    out = np.empty_like(states)
+    for _, rows in _groups(np.array([len(ops) for ops in kraus], dtype=int)):
+        out[rows] = _kraus_sum(np.array([kraus[i] for i in rows]), states[rows])
+    return out
 
 
 def suite_entropy_bounds(cfg: TrialConfig) -> VerificationReport:
@@ -223,36 +260,42 @@ def suite_entropy_bounds(cfg: TrialConfig) -> VerificationReport:
         return np.abs(entropy_table([DensityMatrix.maximally_mixed(d)], dec)[0] - _bounds(d, dec))
 
     def draw(d, t, s):
-        rho = _draw_state(d, t, s[0])
-        if t % 3 == 0:
-            # Concavity on a random two-state mixture.
-            other = random_density(d, 1 + (t // 3) % d, s[1])
-            lam = 0.5 + 0.4 * math.sin(float(t))
-            return rho, lam, other, DensityMatrix(lam * rho.matrix + (1.0 - lam) * other.matrix)
-        if t % 3 == 1:
-            # Unitary invariance.
-            u = random_unitary(d, s[2])
-            return rho, 0.0, DensityMatrix(u @ rho.matrix @ u.conj().T), None
-        # Non-decrease under a random unital channel.
-        return rho, 0.0, random_unital_channel(d, 2 + t % 2, s[3]).apply_matrix(rho.matrix), None
-
-    def score(d, t, rhos, lams, partners, mixtures):
         m, kind = len(t), t % 3
-        outputs = iter(validate_density(np.reshape([x for x, k in zip(partners, kind) if k == 2], (-1, d, d))))
-        partners = [next(outputs) if k == 2 else x for x, k in zip(partners, kind)]
-        table = entropy_table([*rhos, *partners, *(x for x in mixtures if x is not None)], dec)
+        mixed, rotated, mapped = (kind == k for k in range(3))
+        # Each trial's state, then the partners of the concavity trials.
+        ranks = np.concatenate((_cycling(d, t), 1 + (t[mixed] // 3) % d))
+        states = _draw_states(d, ranks, np.concatenate((s[:, 0], s[mixed, 1])))
+        rhos, partners = states[:m], np.empty((m, d, d), dtype=complex)
+        lam = 0.5 + 0.4 * np.array([math.sin(x) for x in t.tolist()])
+        # Concavity on a random two-state mixture.
+        partners[mixed] = states[m:]
+        mixtures = lam[mixed, None, None] * rhos[mixed] + (1.0 - lam[mixed, None, None]) * partners[mixed]
+        # Unitary invariance.
+        u = _haar(d, d, s[rotated, 2])
+        partners[rotated] = u @ rhos[rotated] @ u.conj().swapaxes(-1, -2)
+        # Non-decrease under a random unital channel.
+        partners[mapped] = _kraus_sums(_unital_kraus(d, 2 + t[mapped] % 2, s[mapped, 3]), rhos[mapped])
+        return rhos, lam, partners, mixtures
+
+    def score(d, t, rhos, lam, partners, mixtures):
+        m, kind = len(t), t % 3
+        outputs = iter(validate_density(partners[kind == 2]))
+        partners = [next(outputs) if k == 2 else x for x, k in zip(_views(partners), kind)]
+        table = entropy_table([*_views(rhos), *partners, *_views(mixtures)], dec)
         own, partner, mixture = table[:m], table[m : 2 * m], np.zeros((m, len(dec), 2))
         mixture[kind == 0] = table[2 * m :]
         # Per generator -ent, ent - top, -hat, hat - bottom; |ent|, |hat| if pure.
         ranges = np.stack((-own, own - _bounds(d, dec)), axis=-1).reshape(m, -1, 4)
         zeros = np.where((kind == 0)[:, None, None], np.abs(own), 0.0)
         rows, fi, kind = np.arange(m), t % len(dec), kind[:, None]
-        own, partner, mixture, lam = own[rows, fi], partner[rows, fi], mixture[rows, fi], np.array(lams)
+        own, partner, mixture = own[rows, fi], partner[rows, fi], mixture[rows, fi]
         concave = lam[:, None] * own + (1.0 - lam[:, None]) * partner - mixture
         paired = np.select([kind == 0, kind == 1], [concave, np.abs(own - partner)], own - partner)
         return [(np.concatenate((ranges, zeros), axis=-1).reshape(m, -1), 0), (paired, 1 + kind)]
 
-    blocks = _drive(cfg, cfg.dims, 0, cfg.trials_per_case, lambda d: 3, draw, score, head)
+    # A trial holds three states and, drawing a unital channel, up to
+    # three Haar unitaries with the two products of each.
+    blocks = _drive(cfg, cfg.dims, 0, cfg.trials_per_case, lambda d: 12, draw, score, head)
     return _report("entropy-bounds", cfg, dec, note, blocks)
 
 
@@ -268,17 +311,20 @@ def suite_divergence_oracle(cfg: TrialConfig) -> VerificationReport:
     n = len(fs)
 
     def draw(d, t, s):
-        a, b = _draw_conditioned(d, s[0]), _draw_conditioned(d, s[1])
-        a2, b2 = random_density(d, d, s[3]), random_density(d, d, s[4])
-        lam = 0.5 + 0.35 * math.cos(float(t))
-        mixed = tuple(DensityMatrix(lam * x.matrix + (1.0 - lam) * y.matrix) for x, y in ((a, a2), (b, b2)))
-        return (a, b), (a2, b2), mixed, lam, _haar_kraus(d, 2 + t % 2, s[2])
+        m = len(t)
+        full = _wisharts(d, d, s[:, [0, 1, 3, 4]].T.ravel()).reshape(4, m, d, d)
+        a, b, a2, b2 = _conditioned(full[0]), _conditioned(full[1]), full[2], full[3]
+        lam = 0.5 + 0.35 * np.array([math.cos(x) for x in t.tolist()])[:, None, None]
+        mixed = lam * a + (1.0 - lam) * a2, lam * b + (1.0 - lam) * b2
+        kraus = _haar_kraus(d, 2 + t % 2, s[:, 2])
+        outputs = np.stack((_kraus_sums(kraus, a), _kraus_sums(kraus, b)), axis=1)
+        ab, ab2, mixes = (list(zip(_views(x), _views(y))) for x, y in ((a, b), (a2, b2), mixed))
+        return ab, ab2, mixes, lam[:, 0, 0], outputs.reshape(-1, d, d)
 
-    def score(d, t, ab, ab2, mixes, lams, kraus):
+    def score(d, t, ab, ab2, mixes, lam, outputs):
         m = len(t)
         _decomposed([x for pairs in (ab, ab2, mixes) for pair in pairs for x in pair])
-        outputs = [_kraus_sum(ops, x.matrix) for ops, pair in zip(kraus, ab) for x in pair]
-        outputs = validate_density(np.array(outputs))
+        outputs = validate_density(outputs)
         oracle = oracle_divergence_table(ab, fs)
         selfs = divergence_table([(a, a) for a, _ in ab], fs)
         direct = divergence_table(ab, fs + [f.transpose() for f in fs])
@@ -289,17 +335,18 @@ def suite_divergence_oracle(cfg: TrialConfig) -> VerificationReport:
         values = direct[:, :n]
         checks = np.stack((np.abs(values - oracle), -values, np.abs(selfs)), axis=-1).reshape(m, -1)
         rows, fi = np.arange(m), t % n
-        before, lam = values[rows, fi], np.array(lams)
+        before = values[rows, fi]
         ba, after, mixed, other = others[rows, :, fi].T
         # Transpose symmetry, data processing and joint convexity under f.
         convex = mixed - (lam * before + (1.0 - lam) * other)
         paired = np.stack((np.abs(direct[rows, n + fi] - ba), after - before, convex), axis=1)
         return [(checks, 0), (paired, [0, 2, 3])]
 
-    # A trial's largest stack is its six drawn states or its d^2 x d^2
-    # superoperator, whichever holds more.
+    # A trial's largest stacks are its eight states, its channel's three
+    # Kraus operators and the two products of each with both channel
+    # inputs, or its d^2 x d^2 superoperator, whichever hold more.
     dims = [d for d in cfg.dims if d <= 4] or [2]
-    blocks = _drive(cfg, dims, 100, max(1, cfg.trials_per_case // 5), lambda d: max(6, d * d), draw, score)
+    blocks = _drive(cfg, dims, 100, max(1, cfg.trials_per_case // 5), lambda d: max(23, d * d), draw, score)
     return _report("divergence-oracle", cfg, fs, "", blocks)
 
 
@@ -322,19 +369,23 @@ def suite_gio_monotonicity(cfg: TrialConfig) -> VerificationReport:
     fs, dec, _ = _resolve(cfg)
 
     def draw(d, t, s):
-        ch = random_gio(d, 1 + t % (d + 1), s[1]) if t % 5 < 4 else _random_unitary_mixture(d, 2 + t % d, s[1])
-        return ch, _draw_conditioned(d, s[0]), _draw_state(d, t // 3, s[2]) if t % 3 == 0 else None
+        m, second = len(t), t % 3 == 0
+        chans = _diagonal_channels(d, np.where(t % 5 < 4, 1 + t % (d + 1), -(2 + t % d)), s[:, 1])
+        ranks = np.concatenate((np.full(m, d), _cycling(d, t[second] // 3)))
+        states = _draw_states(d, ranks, np.concatenate((s[:, 0], s[second, 2])))
+        return chans, _conditioned(states[:m]), states[m:]
 
     def score(d, t, chans, conditioned, extras):
         m, second = len(t), t % 3 == 0
-        checks = [*zip(chans, conditioned), *((ch, rho) for ch, rho in zip(chans, extras) if rho is not None)]
-        rhos = np.array([rho.matrix for _, rho in checks])
+        rhos = np.concatenate((conditioned, extras))
+        checks = list(zip(chans + [ch for ch, x in zip(chans, second) if x], _views(rhos)))
         outputs = validate_density(np.array([ch.correlation for ch, _ in checks]) * rhos)
         # Quadratic proxy for the expected decrease, over the pairs n < m.
         rows, cols = _upper_pairs(d)
         grams = np.array([ch.coefficients.conj().T @ ch.coefficients for ch, _ in checks])
         pred = (1.0 - np.abs(grams[:, rows, cols]) ** 2) * np.abs(rhos[:, rows, cols]) ** 2
-        sat = np.array([gio_saturation_check(ch, rho).saturates for ch, rho in checks])
+        # gio_saturation_check's verdict on each check, at its default tol.
+        sat = _saturated(*_worst_overlaps(grams, rhos, 1e-6), 1e-6)
         equal = (sat & (pred.sum(axis=1) <= 1e-12))[:, None, None]
         strict = (~sat & (pred.max(axis=1, initial=0.0) >= 1e-7))[:, None, None]
 
@@ -352,7 +403,10 @@ def suite_gio_monotonicity(cfg: TrialConfig) -> VerificationReport:
             extra[second] = decreases(slice(m, None), dec)
         return [(decreases(slice(m), fs), 0), (extra, 2)]
 
-    blocks = _drive(cfg, cfg.dims, 200, cfg.trials_per_case, lambda d: 6, draw, score)
+    # A trial makes up to two checks, each with its state, the channel's
+    # correlation and Gram matrices, their product, and the output with its
+    # eigenvectors.
+    blocks = _drive(cfg, cfg.dims, 200, cfg.trials_per_case, lambda d: 12, draw, score)
     return _report("gio-monotonicity", cfg, fs, "", blocks)
 
 
@@ -395,17 +449,18 @@ def suite_strong_monotonicity(cfg: TrialConfig) -> VerificationReport:
     explored = [(0.0, -1), 0]  # worst unscored violation, number of checks
 
     def draw(d, t, s):
-        return (
-            # (a) pure states, random diagonal channels, any dimension.
-            (random_gio(d, 1 + t % (d + 1), s[1]), random_pure(d, s[0]).as_density()),
-            # (b) diagonal-unitary mixtures saturate on any state.
-            (_random_unitary_mixture(d, 2 + t % (d + 1), s[3]), _draw_state(d, t + 1, s[2])),
-            # (c) mixed states, general diagonal channels: scored for d <= 2.
-            (random_gio(d, 1 + (t + 2) % (d + 1), s[5]), random_density(d, min(d, max(2, 1 + (t + 1) % d)), s[4])),
-        )
+        m = len(t)
+        # (a) pure states, random diagonal channels, any dimension.
+        # (b) diagonal-unitary mixtures saturate on any state.
+        # (c) mixed states, general diagonal channels: scored for d <= 2.
+        kinds = np.concatenate((1 + t % (d + 1), -(2 + t % (d + 1)), 1 + (t + 2) % (d + 1)))
+        ranks = np.minimum(d, np.maximum(2, 1 + (t + 1) % d))
+        ranks = np.concatenate((np.zeros(m, dtype=int), _cycling(d, t + 1), ranks))
+        chans = _diagonal_channels(d, kinds, s[:, [1, 3, 5]].T.ravel())
+        return chans, _draw_states(d, ranks, s[:, [0, 2, 4]].T.ravel())
 
-    def score(d, t, pure, mixtures, general):
-        own, averages = _outcome_averages(pure + mixtures + general, dec)
+    def score(d, t, chans, states):
+        own, averages = _outcome_averages(list(zip(chans, _views(states))), dec)
         a, b, c = (own - averages).reshape(3, len(t), len(dec), 2)
         # Parts (a) and (b) score one generator per trial, (c) all.
         rows, fi = np.arange(len(t)), t % len(dec)
@@ -415,7 +470,9 @@ def suite_strong_monotonicity(cfg: TrialConfig) -> VerificationReport:
         explored[:] = _reduce(-c, -1, explored[0]), explored[1] + c.size
         return parts
 
-    blocks = _drive(cfg, cfg.dims, 300, max(1, cfg.trials_per_case // 2), lambda d: 3 * d + 7, draw, score)
+    # A trial holds three states with their eigenvectors, three channel
+    # correlation matrices and up to 3d + 4 selective outcomes.
+    blocks = _drive(cfg, cfg.dims, 300, max(1, cfg.trials_per_case // 2), lambda d: 3 * d + 13, draw, score)
     report = _report("strong-monotonicity", cfg, dec, note, blocks)
     (worst, _), checks = explored
     explore = "exploration (mixed states, dim >= 3, general diagonal representations)"
@@ -433,18 +490,25 @@ def suite_faithfulness_and_bounds(cfg: TrialConfig) -> VerificationReport:
 
     def draw(d, t, s):
         # Incoherent draw: coherence must vanish, distance must vanish.
-        diag = DensityMatrix.from_diagonal(np.random.default_rng(s[0]).dirichlet(np.ones(d)))
-        # Coherent draw: rejection-sample until an off-diagonal is large.
-        candidates = (_draw_state(d, t + k, s[1] + k) for k in range(64))
-        rho = next((c for c in candidates if max_offdiagonal(c.matrix) >= 0.1), None)
+        diags = [DensityMatrix.from_diagonal(rng.dirichlet(np.ones(d))) for rng in _generators(s[:, 0])]
+        # Coherent draw: rejection-sample until an off-diagonal is large,
+        # which a 1 x 1 state has none of.
+        rhos, pending = np.empty((len(t), d, d), dtype=complex), np.arange(len(t) if d > 1 else 0)
+        for k in range(64):
+            if not pending.size:
+                break
+            candidates = _draw_states(d, _cycling(d, t[pending] + k), s[pending, 1] + k)
+            large = np.array([max_offdiagonal(c) >= 0.1 for c in candidates], dtype=bool)
+            rhos[pending[large]], pending = candidates[large], pending[~large]
+        coherent = np.full(len(t), d > 1)
+        coherent[pending] = False
         # Pure-state coherence equals the dephased state's entropy.
-        psi = random_pure(d, s[2]).as_density() if t % 3 == 0 and rho is not None else None
-        return diag, rho, psi
+        pure = (t % 3 == 0) & coherent
+        return diags, coherent, rhos[coherent], _projectors(_pure_vectors(d, s[pure, 2]))
 
-    def score(d, t, diags, rhos, psis):
-        m = len(t)
-        coherent, pure = (np.array([x is not None for x in xs]) for xs in (rhos, psis))
-        rhos, psis = [rho for rho in rhos if rho is not None], [psi for psi in psis if psi is not None]
+    def score(d, t, diags, coherent, rhos, psis):
+        m, pure = len(t), (t % 3 == 0) & coherent
+        rhos, psis = _views(rhos), _views(psis)
         table = coherence_table([*diags, *rhos, *psis], dec)
         dist = _dephasing_distances(np.array([x.matrix for x in (*diags, *rhos)]))
         zero = np.hstack((np.abs(table[:m]).reshape(m, -1), dist[:m, None]))
@@ -460,8 +524,9 @@ def suite_faithfulness_and_bounds(cfg: TrialConfig) -> VerificationReport:
         return [(zero, 0), (bounded.reshape(m, -1), 1), (dephased, 2)]
 
     trials = max(1, cfg.trials_per_case // (2 * len(cfg.dims)))
-    # A trial tabulates up to four states and two distance matrices.
-    blocks = _drive(cfg, cfg.dims, 400, trials, lambda d: 6, draw, score, head)
+    # A trial draws up to three states as stacks, then tabulates up to
+    # four states and two distance matrices.
+    blocks = _drive(cfg, cfg.dims, 400, trials, lambda d: 9, draw, score, head)
     return _report("faithfulness-bounds", cfg, dec, note, blocks)
 
 

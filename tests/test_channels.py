@@ -498,6 +498,34 @@ class TestBlockExtensions:
                 assert np.abs(g.state.matrix - exact).max() <= 1e-15
                 assert np.abs(g.state.matrix - w.state.matrix).max() <= 2e-15
 
+    @pytest.mark.parametrize("build", [depolarizing_extension, erasure_extension])
+    def test_apply_validates_the_reduced_state_only(self, build, monkeypatch):
+        from fcoherence import states
+
+        shapes, real = [], states._eigh
+
+        def spy(m):
+            shapes.append(np.shape(m))
+            return real(m)
+
+        monkeypatch.setattr(states, "_eigh", spy)
+        d = 32
+        rho = random_density(d * d, 8, seed=3)
+        out = build(d).apply(rho)
+        assert shapes == [(1, d, d)]
+        assert out._decomposition is None
+        assert np.abs(out.matrix - partial_trace_extension(rho.matrix, d, build is erasure_extension)).max() <= 1e-12
+
+    @pytest.mark.parametrize("d", range(2, 9))
+    @pytest.mark.parametrize("build", [depolarizing_extension, erasure_extension])
+    def test_apply_matches_the_dense_route(self, build, d):
+        dense = KrausChannel(build(d).kraus_ops)
+        for rank in (1, d, d * d):
+            rho = random_density(d * d, rank, seed=d + rank)
+            got = build(d).apply(rho)
+            assert np.abs(got.matrix - dense.apply(rho).matrix).max() <= 1e-15
+            assert abs(np.trace(got.matrix) - 1.0) <= 1e-15
+
     def test_outcome_ensembles_equal_selective_outcomes_byte_for_byte(self):
         rho = random_density(9, 5, seed=4)
         chans = [depolarizing_extension(3), random_gio(9, 2, seed=5), erasure_extension(3), random_channel(9, 2, seed=6)]

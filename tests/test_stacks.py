@@ -30,7 +30,7 @@ from fcoherence import (
     random_unital_channel,
     validate_density,
 )
-from fcoherence import verify
+from fcoherence import channels, states, verify
 from fcoherence.channels import COMPLETENESS_TOL, KrausChannel, SaturationReport
 from fcoherence.cli import main
 from fcoherence.errors import (
@@ -53,6 +53,47 @@ def seed_random_gio_stack(dim, num_kraus, seed):
         v = rng.standard_normal(num_kraus) + 1j * rng.standard_normal(num_kraus)
         coeffs[:, n] = v / np.linalg.norm(v)
     return np.stack([np.diag(coeffs[j]) for j in range(num_kraus)])
+
+
+def seed_wishart(dim, rank, seed):
+    """The one-seed Wishart draw: G G* / Tr(G G*), hermitised."""
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
+    m = g @ g.conj().T
+    m = (m + m.conj().T) / 2.0
+    return m / np.real(np.trace(m))
+
+
+def seed_pure(dim, seed):
+    """The one-seed pure-state draw: a normalized complex Gaussian vector."""
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    return v / np.linalg.norm(v)
+
+
+def seed_isometry(rng, rows, cols):
+    """The one-block Haar isometry: QR, then R's diagonal phases into Q."""
+    z = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+    q, r = np.linalg.qr(z)
+    d = np.diagonal(r)
+    return q * (d / np.abs(d))
+
+
+def seed_unital_kraus(dim, num_unitaries, seed):
+    """The one-seed unital draw: Dirichlet weights, then one seed per unitary."""
+    rng = np.random.default_rng(seed)
+    w = rng.dirichlet(np.ones(num_unitaries))
+    return np.array([
+        np.sqrt(w[i]) * seed_isometry(np.random.default_rng(int(rng.integers(0, 2**31 - 1))), dim, dim)
+        for i in range(num_unitaries)
+    ])
+
+
+def seed_mixture_table(dim, size, seed):
+    """The one-seed diagonal-unitary mixture: Dirichlet weights, then phases."""
+    rng = np.random.default_rng(seed)
+    w = rng.dirichlet(np.ones(size))
+    return np.sqrt(w)[:, None] * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, size=(size, dim)))
 
 
 def seed_validate_density(matrix):
@@ -149,6 +190,141 @@ class TestRandomGio:
             for seed in range(5):
                 ops = random_gio(dim, num_kraus, seed).kraus_ops
                 assert ops.tobytes() == seed_random_gio_stack(dim, num_kraus, seed).tobytes()
+
+
+STACK_SEEDS = [[7], [0, 1, 5, 2**32 - 1, 123456789, 9, 2**40 + 3, 17, 4, 2**31, 88, 3]]
+
+
+class TestStackedDraws:
+    """Every row of a stacked draw has the bytes of the one-seed draw, for
+    stacks that mix ranks or Kraus counts, so rows of one shape are drawn
+    and solved together and the others apart."""
+
+    @pytest.mark.parametrize("seeds", STACK_SEEDS)
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_wisharts(self, d, seeds):
+        ranks = [1 + i % d for i in range(len(seeds))]
+        for rank in range(1, d + 1):
+            got = states._wisharts(d, rank, seeds)
+            assert all(g.tobytes() == seed_wishart(d, rank, s).tobytes() for g, s in zip(got, seeds))
+        got = states._wisharts(d, ranks, seeds)
+        assert all(g.tobytes() == seed_wishart(d, r, s).tobytes() for g, r, s in zip(got, ranks, seeds))
+
+    @pytest.mark.parametrize("seeds", STACK_SEEDS)
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_pure_states_and_their_projectors(self, d, seeds):
+        v = states._pure_vectors(d, seeds)
+        for row, projector, s in zip(v, states._projectors(v), seeds):
+            assert row.tobytes() == seed_pure(d, s).tobytes() == random_pure(d, s).amplitudes.tobytes()
+            assert projector.tobytes() == np.outer(row, row.conj()).tobytes()
+
+    @pytest.mark.parametrize("seeds", STACK_SEEDS)
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_haar_unitaries_and_kraus_isometries(self, d, seeds):
+        got = states._haar(d, d, seeds)
+        assert all(g.tobytes() == seed_isometry(np.random.default_rng(s), d, d).tobytes() for g, s in zip(got, seeds))
+        counts = [1 + i % 3 for i in range(len(seeds))]
+        for ops, k, s in zip(channels._haar_kraus(d, counts, seeds), counts, seeds):
+            want = seed_isometry(np.random.default_rng(s), d * k, d).reshape(k, d, d)
+            assert ops.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("seeds", STACK_SEEDS)
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_diagonal_channel_tables(self, d, seeds):
+        counts = np.array([1 + i % 3 for i in range(len(seeds))])
+        for table, k, s in zip(channels._gio_tables(d, counts, seeds), counts, seeds):
+            want = np.diagonal(seed_random_gio_stack(d, k, s), axis1=1, axis2=2)
+            assert table.tobytes() == np.ascontiguousarray(want).tobytes()
+        kinds = np.where(np.arange(len(seeds)) % 2 == 0, counts, -counts)
+        chans = verify._diagonal_channels(d, kinds, np.array(seeds, dtype=object))
+        for ch, k, s in zip(chans, kinds.tolist(), seeds):
+            want = random_gio(d, k, s) if k > 0 else GioChannel.from_coefficients(seed_mixture_table(d, -k, s))
+            assert ch.coefficients.tobytes() == want.coefficients.tobytes()
+            assert ch.correlation.tobytes() == want.correlation.tobytes()
+
+    @pytest.mark.parametrize("seeds", STACK_SEEDS)
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_unital_channels_and_their_action(self, d, seeds):
+        counts = [1 + i % 3 for i in range(len(seeds))]
+        kraus = channels._unital_kraus(d, counts, seeds)
+        rhos = np.array([seed_wishart(d, d, 1000 + s % 1000) for s in seeds])
+        applied = verify._kraus_sums(kraus, rhos)
+        for ops, out, rho, k, s in zip(kraus, applied, rhos, counts, seeds):
+            want = seed_unital_kraus(d, k, s)
+            assert ops.tobytes() == want.tobytes()
+            assert out.tobytes() == (want @ rho @ want.conj().transpose(0, 2, 1)).sum(axis=0).tobytes()
+            assert out.tobytes() == random_unital_channel(d, k, s).apply_matrix(rho).tobytes()
+
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_cycling_states(self, d):
+        trials = np.arange(12)
+        seeds = np.array(STACK_SEEDS[1], dtype=object)
+        got = verify._draw_states(d, verify._cycling(d, trials), seeds)
+        for g, t, s in zip(got, trials.tolist(), seeds.tolist()):
+            want = np.outer(seed_pure(d, s), seed_pure(d, s).conj()) if t % 3 == 0 else seed_wishart(d, 1 + t % d, s)
+            assert g.tobytes() == want.tobytes()
+
+
+class TestDrawCounts:
+    """Per chunk, one QR per isometry shape and one Wishart call, however
+    many trials the chunk holds."""
+
+    @pytest.fixture
+    def qr_calls(self, monkeypatch):
+        calls, real = [], np.linalg.qr
+
+        def counting(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "qr", counting)
+        return calls
+
+    @pytest.fixture
+    def wishart_calls(self, monkeypatch):
+        calls, real = [], verify._wisharts
+
+        def counting(d, ranks, seeds):
+            calls.append(len(seeds))
+            return real(d, ranks, seeds)
+
+        monkeypatch.setattr(verify, "_wisharts", counting)
+        return calls
+
+    @pytest.mark.parametrize("trials", [6, 12])
+    def test_entropy_suite(self, trials, qr_calls, wishart_calls):
+        verify.suite_entropy_bounds(TrialConfig(dims=(3,), trials_per_case=trials, seed=1))
+        # The unitaries of the invariance trials, then the unitaries of the
+        # unital channels (two or three a trial), each one stacked QR.
+        rotated, mapped = [t for t in range(trials) if t % 3 == 1], [t for t in range(trials) if t % 3 == 2]
+        assert qr_calls == [(len(rotated), 3, 3), (sum(2 + t % 2 for t in mapped), 3, 3)]
+        # The mixed states of the trials and the concavity partners.
+        assert wishart_calls == [sum(t % 3 != 0 for t in range(trials)) + trials // 3]
+
+    def test_oracle_suite(self, qr_calls, wishart_calls):
+        verify.suite_divergence_oracle(TrialConfig(dims=(3,), trials_per_case=40, seed=1))
+        # Eight trials: one QR per Kraus count, two and three.
+        assert qr_calls == [(4, 6, 3), (4, 9, 3)]
+        assert wishart_calls == [4 * 8]
+
+    @pytest.mark.parametrize("name", ["gio-monotonicity", "strong-monotonicity"])
+    def test_channel_suites(self, name, qr_calls, wishart_calls):
+        verify.SUITES[name](TrialConfig(dims=(3,), trials_per_case=12, seed=1))
+        assert qr_calls == [] and len(wishart_calls) == 1
+
+    def test_faithfulness_suite_draws_nothing_coherent_at_dimension_one(self, monkeypatch):
+        generators, real = [], np.random.default_rng
+
+        def counting(seed):
+            generators.append(seed)
+            return real(seed)
+
+        monkeypatch.setattr(np.random, "default_rng", counting)
+        report = verify.suite_faithfulness_and_bounds(TrialConfig(dims=(1,), trials_per_case=16, seed=1))
+        # A 1 x 1 state has no off-diagonal entry, so no candidate is drawn:
+        # one Generator a trial, for its incoherent state.
+        assert report.passed and report.trials == 8
+        assert len(generators) == report.trials
 
 
 class TestCoefficientTable:
@@ -354,10 +530,10 @@ class TestVectorisedPredicates:
 
 
 CHUNKED = [
-    ("entropy-bounds", 3),
-    ("gio-monotonicity", 6),
+    ("entropy-bounds", 12),
+    ("gio-monotonicity", 12),
     ("strong-monotonicity", None),
-    ("faithfulness-bounds", 6),
+    ("faithfulness-bounds", 9),
 ]
 
 
@@ -369,8 +545,8 @@ class TestCaseBatching:
         cfg = TrialConfig(dims=(2, 3, 4), trials_per_case=24, seed=11)
         whole = verify.SUITES[name](cfg)
         # Budget for three trials of the largest dimension; the strong
-        # suite counts 3d + 7 matrices per trial.
-        per = per_trial or 3 * 4 + 7
+        # suite counts 3d + 13 matrices per trial.
+        per = per_trial or 3 * 4 + 13
         monkeypatch.setattr(verify, "STACK_BYTES", 3 * 16 * 4 * 4 * per)
         sizes = []
         chunks = verify._chunks
@@ -390,15 +566,15 @@ class TestCaseBatching:
         # the trials that share a generator row.
         cfg = TrialConfig(dims=(2, 3, 4), trials_per_case=70, seed=11)
         whole = verify.suite_divergence_oracle(cfg)
-        monkeypatch.setattr(verify, "STACK_BYTES", 3 * 16 * 4 * 4 * 16)
-        assert [len(r) for r in verify._chunks(14, 4, 16)] == [3, 3, 3, 3, 2]
+        monkeypatch.setattr(verify, "STACK_BYTES", 3 * 16 * 4 * 4 * 23)
+        assert [len(r) for r in verify._chunks(14, 4, 23)] == [3, 3, 3, 3, 2]
         assert verify.suite_divergence_oracle(cfg) == whole
 
     def test_divergence_oracle_solves_once_per_chunk(self, monkeypatch, eigh_calls):
         """Per chunk of m trials at d = 3: one stacked eigh of the 6m drawn
         states, one of the 2m channel outputs and one of the m
         superoperators, however many generators are configured."""
-        monkeypatch.setattr(verify, "STACK_BYTES", 16 * 9 * 9 * 3)  # three trials at d = 3
+        monkeypatch.setattr(verify, "STACK_BYTES", 16 * 3 * 3 * 23 * 3)  # three trials at d = 3
         report = verify.suite_divergence_oracle(TrialConfig(dims=(3,), trials_per_case=35, seed=2))
         assert report.trials == 7
         expected = []
@@ -420,7 +596,7 @@ class TestCaseBatching:
 
         monkeypatch.setattr(verify, "outcome_ensembles", counting)
         monkeypatch.setattr(verify, "coherence_table", counting_table)
-        monkeypatch.setattr(verify, "STACK_BYTES", 16 * 3 * 3 * (3 * 3 + 7) * 2)  # two trials at d = 3
+        monkeypatch.setattr(verify, "STACK_BYTES", 16 * 3 * 3 * (3 * 3 + 13) * 2)  # two trials at d = 3
         report = verify.suite_strong_monotonicity(TrialConfig(dims=(3,), trials_per_case=10, seed=1))
         assert report.trials == 5
         # Parts (a), (b) and (c) of each trial in one build and one table.
@@ -443,7 +619,7 @@ class TestCaseBatching:
 
         monkeypatch.setattr(verify, "coherence_table", counting_table)
         monkeypatch.setattr(verify, "_chunks", counting_chunks)
-        monkeypatch.setattr(verify, "STACK_BYTES", 16 * 3 * 3 * 6 * 4)  # four trials at d = 3
+        monkeypatch.setattr(verify, "STACK_BYTES", 16 * 3 * 3 * 9 * 4)  # four trials at d = 3
         report = verify.suite_faithfulness_and_bounds(TrialConfig(dims=(3,), trials_per_case=20, seed=1))
         assert report.trials == 10 and chunks == [4, 4, 2]
         # The maximally coherent state's table, then one per chunk: its

@@ -12,10 +12,12 @@ from fcoherence import (
     trace_norm,
     validate_density,
 )
+from fcoherence.channels import random_channel, random_gio, random_unital_channel
 from fcoherence.errors import (
     DimensionMismatch,
     NotHermitian,
     NotPositive,
+    ParamOutOfRange,
     StateValidationError,
     TraceNotOne,
 )
@@ -417,3 +419,30 @@ class TestDiagonalEigh:
         assert spectral_decompose(rho).eigenvalues.tolist() == sorted(rho.diagonal_probabilities(), reverse=True)
         assert validated.eigenvalues().tolist() == [1.0 / 40] * 40
         assert eigh_calls == []
+
+
+PUBLIC_DRAWS = [
+    lambda seed: random_density(3, 3, seed),
+    lambda seed: random_pure(3, seed),
+    lambda seed: random_unitary(3, seed),
+    lambda seed: random_gio(3, 2, seed),
+    lambda seed: random_unital_channel(3, 2, seed),
+    lambda seed: random_channel(3, 2, seed),
+]
+DRAW_NAMES = [
+    "random_density", "random_pure", "random_unitary", "random_gio", "random_unital_channel", "random_channel",
+]
+
+
+class TestSeeds:
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, None, "1", np.array([1, 2])])
+    @pytest.mark.parametrize("draw", PUBLIC_DRAWS, ids=DRAW_NAMES)
+    def test_bad_seed_is_a_typed_error(self, draw, seed):
+        with pytest.raises(ParamOutOfRange, match="seed must be a non-negative integer"):
+            draw(seed)
+
+    @pytest.mark.parametrize("draw", PUBLIC_DRAWS, ids=DRAW_NAMES)
+    def test_large_and_numpy_seeds_are_accepted(self, draw):
+        draw(2**70)
+        draw(np.uint64(2**64 - 1))
+        draw(np.int64(0))
