@@ -369,9 +369,7 @@ def _per_row(value, seeds) -> tuple[np.ndarray, np.ndarray]:
     """seeds as an array, and value, one per seed or one for all, as an
     array of the same length."""
     seeds, value = np.asarray(seeds), np.asarray(value)
-    if seeds.ndim != 1:
-        raise ParamOutOfRange(f"seed must be a non-negative integer, got {seeds[0]!r}")
-    return seeds, value if value.ndim else np.full(seeds.shape, value)
+    return seeds, value if value.ndim else np.full(len(seeds), value)
 
 
 def _normals(seeds, shape: tuple) -> np.ndarray:
