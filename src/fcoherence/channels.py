@@ -39,6 +39,7 @@ from .states import (
     _generators,
     _groups,
     _haar,
+    _is_int,
     _normalized,
     _normals,
     _per_row,
@@ -489,6 +490,8 @@ def _gio_list(tables: list, label: str | None = None) -> list[GioChannel]:
 
 
 def _check_sizes(dim: int, num_kraus: int) -> None:
+    if not (_is_int(dim) and _is_int(num_kraus)):
+        raise DimensionMismatch(f"need integer dimension and Kraus count, got {dim!r}, {num_kraus!r}")
     if dim < 1 or num_kraus < 1:
         raise DimensionMismatch(f"need positive dimension and Kraus count, got {dim}, {num_kraus}")
 

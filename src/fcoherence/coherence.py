@@ -94,6 +94,8 @@ def coherence_table(states, gens) -> np.ndarray:
     len(gens), 2) with the plain value in [..., 0] and the hat value in
     [..., 1], equal bit for bit to the single-state functions.
     """
+    if not len(states):
+        return np.zeros((0, len(gens), 2))
     evals = spectra(states)
     diag = np.clip(np.array([s.matrix.diagonal().real for s in states]), 0.0, None)
     sums = spectral_sums(np.array((evals, diag)), evals.shape[-1], gens)

@@ -290,6 +290,8 @@ def entropy_table(states, gens) -> np.ndarray:
     f_entropy_hat value in [..., 1], equal bit for bit to the
     single-state functions.
     """
+    if not len(states):
+        return np.zeros((0, len(gens), 2))
     vals = spectra(states)
     d = vals.shape[-1]
     sums = spectral_sums(vals, d, gens)

@@ -39,7 +39,7 @@ from .channels import (
     erasure_extension,
 )
 from .errors import FileFormatError, NotGio
-from .states import DensityMatrix, validate_density
+from .states import DensityMatrix, _is_int, validate_density
 
 __all__ = [
     "dumps17",
@@ -171,7 +171,7 @@ def _is_number(v) -> bool:
 
 def _parse_dim(doc: dict, path: str) -> int:
     dim = doc["dim"]
-    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
+    if not _is_int(dim) or dim < 1:
         raise FileFormatError(f"{path}: 'dim' must be a positive integer")
     return dim
 

@@ -6,11 +6,12 @@ floating-point noise up to the documented tolerances and is cleaned up
 (eigenvalues clipped to [0, 1], trace renormalized) on acceptance.
 
 Each state is eigendecomposed at most once: ``validate_density`` seeds
-its cached decomposition from the eigh that cleans the matrix, and a
-stacked eigh solves any other state on first use. Every eigensolve goes
-through ``_eigh``, which reads an exactly diagonal matrix past d = 32,
-such as a dephased state, off its diagonal without LAPACK and with the
-bits that the LAPACK build numpy ships gives it.
+its cached decomposition from the eigh that cleans the matrix, the
+diagonal factories (``from_diagonal``, through it ``dephase``, and
+``maximally_mixed``) store their sorted diagonal and unit columns
+without an eigensolve, and a stacked eigh solves any other state on
+first use. Every eigensolve goes through ``_eigh``, which maps a LAPACK
+failure to ConvergenceFailure.
 
 The seeded draws are stacked: a draw takes a sequence of seeds, creates
 one ``np.random.default_rng(seed)`` per seed, takes each Generator's raw
@@ -69,7 +70,15 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _is_int(x) -> bool:
+    """An integer other than bool: a Python int or any numbers.Integral,
+    numpy's integers included."""
+    return type(x) is int or isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
 def _check_dim(dim: int) -> None:
+    if not _is_int(dim):
+        raise DimensionMismatch(f"dimension must be an integer, got {dim!r}")
     if dim < 1:
         raise DimensionMismatch(f"dimension must be positive, got {dim}")
 
@@ -119,11 +128,22 @@ class DensityMatrix:
 
     @classmethod
     def maximally_mixed(cls, dim: int) -> "DensityMatrix":
+        """I / dim, with its decomposition as from_diagonal gives it."""
         _check_dim(dim)
-        return cls(np.eye(dim, dtype=complex) / dim)
+        return cls._diagonal(np.full(dim, 1.0 / dim))
 
     @classmethod
     def from_diagonal(cls, probabilities) -> "DensityMatrix":
+        """The diagonal state of these probabilities, tiny negatives
+        clipped to 0 and the sum renormalised to 1.
+
+        The state carries its decomposition, so it is never solved: the
+        probabilities in stable ascending order, its exact eigenvalues and
+        the bits eigh gives its matrix, with the matching unit columns.
+        Where a value above the smallest is tied, the unit columns of the
+        tie keep the stable order, which eigh's closing selection sort may
+        not.
+        """
         p = np.asarray(probabilities, dtype=float)
         if p.ndim != 1 or p.size == 0:
             raise DimensionMismatch("probabilities must be a non-empty vector")
@@ -132,8 +152,17 @@ class DensityMatrix:
         total = float(np.clip(p, 0.0, None).sum())
         if abs(total - 1.0) > TOL_TRACE:
             raise TraceNotOne(f"probabilities sum to {total!r}")
-        p = np.clip(p, 0.0, None) / total
-        return cls(np.diag(p).astype(complex))
+        return cls._diagonal(np.clip(p, 0.0, None) / total)
+
+    @classmethod
+    def _diagonal(cls, p: np.ndarray) -> "DensityMatrix":
+        """The state diag(p), its decomposition stored as an eigh would be."""
+        rho = cls(np.diag(p).astype(complex))
+        order = np.argsort(p, kind="stable")
+        vecs = np.zeros((1, p.size, p.size), dtype=complex)
+        vecs[0, order, np.arange(p.size)] = 1.0
+        _store([rho], p[order][None], vecs)
+        return rho
 
 
 @dataclass(frozen=True, eq=False)
@@ -168,7 +197,8 @@ class SpectralDecomposition:
     """Eigenvalues (descending) with matching orthonormal column eigenvectors.
 
     A state's decomposition keeps read-only rows of the stacked eigh that
-    solved it, as given, not copied.
+    solved it, as given, not copied; a diagonal factory's state keeps its
+    sorted diagonal and unit columns.
     """
 
     eigenvalues: np.ndarray
@@ -233,69 +263,13 @@ def _first_above(defects: np.ndarray, tol: float) -> float:
     return defects[defects > tol][0]
 
 
-# zheevd rescales a matrix whose largest entry lies outside [2^-485,
-# 2^485] (LAPACK's rmin and rmax), which moves its eigenvalues in the
-# last bits.
-_UNSCALED = (2.0**-485, 2.0**485)
-# Up to d = 32, where zheevd's tridiagonal reduction is unblocked, eigh
-# solves a diagonal matrix in about 20 us, less than the numpy calls that
-# read it off take; past it, eigh takes 50 us and more (60 us at d = 36,
-# 180 us at d = 64).
-_UNBLOCKED_DIM = 32
-
-
 def _eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The eigh of a complex (d, d) matrix or (n, d, d) stack, bit for
-    bit, raising ConvergenceFailure where eigh fails.
-
-    Past d = _UNBLOCKED_DIM, an exactly diagonal matrix is its own
-    decomposition and skips LAPACK: its real diagonal in ascending order
-    and the matching unit columns. The rest of a stack goes to one eigh.
-    That the two agree bit for bit was checked against reference-LAPACK
-    zheevd as numpy's scipy-openblas 0.3.31 build ships it, and holds for
-    that build only; tests/test_states.py::TestDiagonalEigh compares them
-    and fails on a LAPACK that gives other bits.
-    """
-    stack = m.reshape((-1,) + m.shape[-2:])
-    n, d = stack.shape[0], stack.shape[-1]
-    easy = _plain_diagonals(stack) if d > _UNBLOCKED_DIM else None
-    some = easy is not None and bool(easy.any())
+    """The eigh of a complex (d, d) matrix or (n, d, d) stack, raising
+    ConvergenceFailure where LAPACK fails."""
     try:
-        solved = None if some and easy.all() else np.linalg.eigh(stack[~easy] if some else m)
+        return np.linalg.eigh(m)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(str(exc)) from exc
-    if not some:
-        return solved
-    vals, vecs = np.empty((n, d)), np.zeros_like(stack)
-    if solved is not None:
-        vals[~easy], vecs[~easy] = solved
-    w = np.diagonal(stack[easy], axis1=-2, axis2=-1).real
-    order = np.argsort(w, axis=1, kind="stable")
-    vals[easy] = np.take_along_axis(w, order, axis=1)
-    vecs[np.flatnonzero(easy)[:, None], order, np.arange(d)] = 1.0
-    return vals.reshape(m.shape[:-1]), vecs.reshape(m.shape)
-
-
-def _plain_diagonals(stack: np.ndarray) -> np.ndarray:
-    """Which matrices of an (n, d, d) stack are exactly diagonal, with no
-    -0.0 on the diagonal, no entries zheevd would rescale (LAPACK may
-    change the bits of those) and no tie above the smallest value.
-
-    zheevd's last step is a selection sort, which swaps the first
-    smallest of entries i.. into place i. It keeps tied copies of the
-    smallest value in their order, as a stable argsort does, but may
-    reorder a tie above it.
-    """
-    n, d = stack.shape[0], stack.shape[-1]
-    # Entries 1.. of a flattened matrix, in rows of d + 1: the first d
-    # columns are the off-diagonal entries.
-    easy = ~stack.reshape(n, -1)[:, 1:].reshape(n, d - 1, d + 1)[:, :, :d].any(axis=(1, 2))
-    w = np.diagonal(stack, axis1=-2, axis2=-1).real
-    top = np.abs(w).max(axis=1)
-    easy &= (top == 0.0) | ((top >= _UNSCALED[0]) & (top <= _UNSCALED[1]))
-    s = np.sort(w, axis=1)
-    easy &= ~((s[:, 1:] == s[:, :-1]) & (s[:, 1:] > s[:, :1])).any(axis=1)
-    return easy & ~(np.signbit(w) & (w == 0.0)).any(axis=1)
 
 
 def _store(states, vals: np.ndarray, vecs: np.ndarray) -> None:
@@ -353,7 +327,7 @@ def _generators(seeds) -> list[np.random.Generator]:
     integer other than bool and at least 0."""
     seeds = seeds.tolist() if isinstance(seeds, np.ndarray) else list(seeds)
     for s in seeds:
-        if type(s) is not int and (not isinstance(s, numbers.Integral) or isinstance(s, bool)) or s < 0:
+        if not _is_int(s) or s < 0:
             raise ParamOutOfRange(f"seed must be a non-negative integer, got {s!r}")
     return [np.random.default_rng(s) for s in seeds]
 
@@ -420,8 +394,8 @@ def _wisharts(dim: int, ranks, seeds) -> np.ndarray:
     seeds, ranks = _per_row(ranks, seeds)
     out = np.empty((len(seeds), dim, dim), dtype=complex)
     for rank, rows in _groups(ranks):
-        if not 1 <= rank <= dim:
-            raise DimensionMismatch(f"rank must lie in [1, {dim}], got {rank}")
+        if not (_is_int(rank) and 1 <= rank <= dim):
+            raise DimensionMismatch(f"rank must be an integer in [1, {dim}], got {rank!r}")
         g = _complex_normals(seeds[rows], (dim, rank))
         m = g @ g.conj().swapaxes(-1, -2)
         m = (m + m.conj().swapaxes(-1, -2)) / 2.0

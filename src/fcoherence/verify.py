@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import contextlib
 import math
-import numbers
 import os
 import pickle
 import signal
@@ -60,6 +59,7 @@ from .states import (
     _generators,
     _groups,
     _haar,
+    _is_int,
     _projectors,
     _pure_vectors,
     _views,
@@ -125,10 +125,6 @@ class TrialConfig:
             raise ValueError("f_list must name at least one generator")
         for spec in self.f_list:
             lookup(spec)  # fail fast on unknown generators
-
-
-def _is_int(x) -> bool:
-    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
 
 
 @dataclass(frozen=True)
@@ -518,9 +514,8 @@ def suite_faithfulness_and_bounds(cfg: TrialConfig) -> VerificationReport:
         bounded = np.zeros((m, len(dec), 6))
         bounded[coherent] = np.concatenate((unfaithful, -own, own - _bounds(d, dec)), axis=-1)
         dephased = np.zeros((m, 2))
-        if psis:
-            gaps = np.abs(table[m + len(rhos) :] - entropy_table([dephase(psi) for psi in psis], dec))
-            dephased[pure] = gaps[np.arange(len(psis)), t[pure] % len(dec)]
+        gaps = np.abs(table[m + len(rhos) :] - entropy_table([dephase(psi) for psi in psis], dec))
+        dephased[pure] = gaps[np.arange(len(psis)), t[pure] % len(dec)]
         return [(zero, 0), (bounded.reshape(m, -1), 1), (dephased, 2)]
 
     trials = max(1, cfg.trials_per_case // (2 * len(cfg.dims)))

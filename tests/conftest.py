@@ -1,11 +1,29 @@
-"""Shared test plumbing: the acceptance summary printed after the run,
-an eigensolver call recorder and a check that no child process is left
-unreaped."""
+"""Shared test plumbing: the hypothesis settings profile, the acceptance
+summary printed after the run, an eigensolver call recorder and a check
+that no child process is left unreaped."""
 
 import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
+
+# Property tests draw the same examples on every run and keep no example
+# database.
+settings.register_profile("fcoherence", derandomize=True, database=None, deadline=None)
+settings.load_profile("fcoherence")
+
+
+def pytest_configure(config):
+    """Hypothesis still caches the literals it reads from the source, so
+    its home is a directory removed after the run, not .hypothesis/ in the
+    checkout."""
+    home = tempfile.TemporaryDirectory(prefix="fcoherence-hypothesis-")
+    set_hypothesis_home_dir(home.name)
+    config.add_cleanup(home.cleanup)
+
 
 ACCEPTANCE_LINES: dict[int, str] = {}
 

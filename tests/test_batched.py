@@ -215,19 +215,29 @@ class TestTables:
         assert coherence_table(states, []).shape == (len(states), 0, 2)
         assert entropy_table(states, []).shape == (len(states), 0, 2)
 
+    @pytest.mark.parametrize("k", [0, 1, 5])
+    def test_no_states_give_empty_tables(self, k):
+        gens = ZERO_TAIL[:k]
+        assert len(gens) == k
+        for table in (coherence_table, entropy_table):
+            out = table([], gens)
+            assert out.shape == (0, k, 2) and out.dtype == float
+
     def test_mixed_dimensions_rejected(self):
-        with pytest.raises(DimensionMismatch):
-            coherence_table([random_density(2, 2, 1), random_density(3, 3, 1)], ZERO_TAIL)
-        with pytest.raises(DimensionMismatch):
-            entropy_table([], ZERO_TAIL)
+        mixed = [random_density(2, 2, 1), random_density(3, 3, 1)]
+        for table in (coherence_table, entropy_table):
+            with pytest.raises(DimensionMismatch):
+                table(mixed, ZERO_TAIL)
 
     def test_spectra_solve_once_and_fill_the_cache(self, eigh_calls):
         states = states_of_dim(5)
         solo = [np.linalg.eigh(s.matrix)[0][::-1] for s in states]
+        # The maximally mixed and diagonal states come with their spectra.
+        unsolved = sum(s._decomposition is None for s in states)
         eigh_calls.clear()
         first = spectra(states)
         again = spectra(states)
-        assert eigh_calls == [(len(states), 5, 5)]
+        assert unsolved == len(states) - 3 and eigh_calls == [(unsolved, 5, 5)]
         for rho, row, ref in zip(states, first, solo):
             assert row.tobytes() == ref.tobytes() == rho.eigenvalues().tobytes()
         assert again.tobytes() == first.tobytes()
@@ -239,10 +249,11 @@ class TestTables:
         validated = validate_density(np.array([s.matrix for s in raw]))
         seeded = [s.eigenvalues() for s in validated]
         mixed = [s for pair in zip(validated, raw) for s in pair]
+        unsolved = sum(s._decomposition is None for s in raw)
         eigh_calls.clear()
         rows = spectra(mixed)
         spectra(mixed)
-        assert eigh_calls == [(len(raw), 4, 4)]
+        assert unsolved == len(raw) - 3 and eigh_calls == [(unsolved, 4, 4)]
         assert rows[0::2].tobytes() == np.array(seeded).tobytes()
         assert rows[1::2].tobytes() == np.array(solo).tobytes()
 

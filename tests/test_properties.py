@@ -1,0 +1,96 @@
+"""Property-based checks of the paper's invariants at d = 2..6, drawn by
+hypothesis under the derandomized profile of conftest.py."""
+
+import os
+import tempfile
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fcoherence import DensityMatrix, random_density, validate_density
+from fcoherence.channels import random_channel, random_gio, random_unital_channel
+from fcoherence.coherence import coherence_table
+from fcoherence.generators import lookup, tsallis
+from fcoherence.io import channel_to_json, load_channel, load_state, save_channel, save_state
+from fcoherence.verify import DEFAULT_F_SPECS
+
+DECREASING = [f for f in map(lookup, DEFAULT_F_SPECS) if f.monotone_decreasing]
+
+dims = st.integers(2, 6)
+seeds = st.integers(0, 2**32 - 1)
+
+
+@st.composite
+def states(draw, full_rank=False):
+    """A random density matrix of dimension 2..6 and any rank, or of full
+    rank mixed with I/d so that its smallest eigenvalue is at least 0.2/d."""
+    d = draw(dims)
+    rank = d if full_rank else draw(st.integers(1, d))
+    m = random_density(d, rank, draw(seeds)).matrix
+    return validate_density(0.8 * m + 0.2 * np.eye(d) / d if full_rank else m)
+
+
+@settings(max_examples=60)
+@given(states())
+def test_coherence_is_non_negative(rho):
+    assert coherence_table([rho], DECREASING).min() >= -1e-9
+
+
+@settings(max_examples=60)
+@given(states(), st.data())
+def test_diagonal_unitaries_leave_coherence_unchanged(rho, data):
+    phases = data.draw(st.lists(st.floats(0.0, 2 * np.pi), min_size=rho.dim, max_size=rho.dim))
+    u = np.exp(1j * np.array(phases))
+    rotated = validate_density(u[:, None] * rho.matrix * u.conj()[None, :])
+    table = coherence_table([rho, rotated], DECREASING)
+    assert np.abs(table[0] - table[1]).max() <= 1e-10
+
+
+@settings(max_examples=60)
+@given(states(full_rank=True), st.integers(1, 3), seeds)
+def test_gio_channels_do_not_increase_coherence(rho, k, seed):
+    out = random_gio(rho.dim, k, seed).apply(rho)
+    table = coherence_table([rho, out], DECREASING)
+    assert (table[1] - table[0]).max() <= 1e-9
+
+
+@settings(max_examples=60)
+@given(states(), st.floats(0.05, 1.95).filter(lambda q: abs(q - 1.0) > 1e-3))
+def test_tsallis_plain_is_the_scaled_hat(rho, q):
+    plain, hat = coherence_table([rho], [tsallis(q)])[0, 0]
+    assert abs(plain - rho.dim ** (q - 1.0) * hat) <= 1e-12 * max(1.0, abs(hat))
+
+
+@settings(max_examples=100)
+@given(st.lists(st.sampled_from([0.0, 1e-300, 1e-20, 0.1, 0.25, 0.5]) | st.floats(0.0, 1.0), min_size=2, max_size=6))
+def test_from_diagonal_spectrum_is_eighs(weights):
+    p = np.array(weights)
+    if p.sum() == 0.0:
+        p[0] = 1.0
+    rho = DensityMatrix.from_diagonal(p / p.sum())
+    assert rho._decomposition.eigenvalues.tobytes() == np.linalg.eigh(rho.matrix)[0][::-1].tobytes()
+
+
+@settings(max_examples=30)
+@given(states())
+def test_state_files_round_trip(rho):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "rho.json")
+        save_state(rho, path)
+        back = load_state(path)
+    assert np.abs(back.matrix - rho.matrix).max() <= 1e-14
+
+
+CHANNELS = [random_gio, random_channel, random_unital_channel]
+
+
+@settings(max_examples=30)
+@given(st.sampled_from(CHANNELS), dims, st.integers(1, 3), seeds)
+def test_channel_files_round_trip_byte_for_byte(make, d, k, seed):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "ch.json")
+        save_channel(make(d, k, seed), path)
+        with open(path, "rb") as fh:
+            first = fh.read()
+        assert channel_to_json(load_channel(path)).encode() == first

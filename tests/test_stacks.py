@@ -625,10 +625,11 @@ class TestCaseBatching:
         # The maximally coherent state's table, then one per chunk: its
         # incoherent, coherent and pure states.
         assert tables == [1, 4 + 4 + 2, 4 + 4 + 1, 2 + 2 + 1]  # pure draws at t = 0, 3, 6, 9
-        # Per chunk, one stacked solve each: the table's states, the
-        # distances of its incoherent and coherent draws, and the
-        # dephased pure states.
-        solves = [(tables[0],)] + [(n, 2 * m, n - 2 * m) for n, m in zip(tables[1:], chunks)]
+        # Per chunk, one stacked solve each: the table's coherent and pure
+        # states (the incoherent draws and the dephased pure states come
+        # with their spectra), and the distances of its incoherent and
+        # coherent draws.
+        solves = [(tables[0],)] + [(n - m, 2 * m) for n, m in zip(tables[1:], chunks)]
         assert eigh_calls == [(n, 3, 3) for row in solves for n in row]
 
     def test_chunks_bound_the_stack(self):

@@ -12,7 +12,15 @@ from fcoherence import (
     trace_norm,
     validate_density,
 )
-from fcoherence.channels import random_channel, random_gio, random_unital_channel
+from fcoherence.channels import (
+    dephasing_channel,
+    depolarizing_extension,
+    erasure_extension,
+    random_channel,
+    random_gio,
+    random_unital_channel,
+)
+from fcoherence.coherence import max_coherent_state
 from fcoherence.errors import (
     DimensionMismatch,
     NotHermitian,
@@ -22,7 +30,7 @@ from fcoherence.errors import (
     TraceNotOne,
 )
 from fcoherence.generators import neg_log
-from fcoherence.states import _UNBLOCKED_DIM, _eigh, spectra
+from fcoherence.states import spectra
 
 
 class TestValidation:
@@ -329,96 +337,62 @@ class TestEigenvalueCache:
             assert np.all(np.diff(dec.eigenvalues) <= 0.0) and np.all(dec.eigenvalues >= 0.0)
 
 
-# The rows of diagonal_stack that past d = 32 hold a tie above their
-# smallest value, where LAPACK's selection sort is not stable.
-TIED_ROWS = [1, 3]
-
-
-def diagonal_stack(d, seed):
-    """Diagonal complex matrices of dimension d: distinct, tied, with zeros
-    and negatives, with complex diagonals (eigh reads the real part) and
-    -0.0 imaginary parts, and with ties above the smallest value."""
-    rng = np.random.default_rng(seed)
+def diagonal_cases(d):
+    """Probability vectors of dimension d: distinct, with exact zeros, with
+    tiny entries, and rounded so that values tie."""
+    rng = np.random.default_rng(d)
     rows = [
-        rng.standard_normal(d),
-        rng.integers(-2, 3, d) * 0.25,
-        np.where(rng.random(d) < 0.4, 0.0, rng.random(d)),
-        rng.choice([0.1, 0.2, 0.3, 0.0, -0.7], d),
-        np.full(d, 1.0 / d),
         rng.dirichlet(np.ones(d)),
+        np.where(rng.random(d) < 0.4, 0.0, rng.random(d) + 0.1),
+        np.where(rng.random(d) < 0.3, 1e-300, rng.random(d)),
+        np.where(rng.random(d) < 0.3, 1e-20, rng.random(d)),
+        np.round(rng.dirichlet(np.ones(d)), 2) + 0.01,
+        rng.choice([0.0, 0.1, 0.2, 0.3], d) + np.eye(1, d).ravel(),
     ]
-    imag = [rng.standard_normal(d), rng.standard_normal(d), np.full(d, -0.0), 0.0 * rows[0], 0.0 * rows[0], np.full(d, -0.0)]
-    out = np.zeros((len(rows), d, d), dtype=complex)
-    idx = np.arange(d)
-    out[:, idx, idx] = np.array(rows) + 1j * np.array(imag)
-    return out
+    return [p / p.sum() for p in rows]
 
 
-def assert_eigh_bytes(m):
-    got, want = _eigh(m), np.linalg.eigh(m)
-    for g, w in zip(got, want):
-        assert g.dtype == w.dtype and g.shape == w.shape
-        assert g.tobytes() == w.tobytes()
+def tied_above_the_smallest(p):
+    s = np.sort(p)
+    return bool(((s[1:] == s[:-1]) & (s[1:] > s[0])).any())
 
 
-class TestDiagonalEigh:
-    """Past d = 32, states._eigh gives an exactly diagonal matrix the bits
-    of eigh without calling it; up to d = 32 eigh is the cheaper route.
-    These byte checks are what catch a LAPACK build that orders or signs
-    its diagonal results otherwise."""
+class TestDiagonalFactories:
+    """from_diagonal, maximally_mixed and dephase store their decomposition
+    when they build the state, with the bits eigh gives its matrix."""
 
-    @pytest.mark.parametrize("d", list(range(1, 41)) + [63, 64, 100, 128, 129, 200, 256, 300])
-    def test_diagonal_stack_equals_eigh(self, d, eigh_calls):
-        stack = diagonal_stack(d, d)
-        expected = [np.linalg.eigh(m) for m in stack]
-        eigh_calls.clear()
-        vals, vecs = _eigh(stack)
-        assert eigh_calls == ([(len(TIED_ROWS), d, d)] if d > _UNBLOCKED_DIM else [stack.shape])
-        for (w, v), row, col in zip(expected, vals, vecs):
-            assert row.tobytes() == w.tobytes() and col.tobytes() == v.tobytes()
-        assert_eigh_bytes(stack[3])
-
-    def test_tie_above_the_minimum_goes_to_eigh(self, eigh_calls):
-        # Step 0 swaps 0 into place and moves the first 1 behind the second.
-        m = np.diag([1.0, 1.0, 0.0] + [2.0] * 31).astype(complex)
-        vals, vecs = _eigh(m)
-        assert eigh_calls == [(34, 34)]
-        assert np.argmax(np.abs(vecs), axis=0)[:3].tolist() == [2, 1, 0]
-        assert_eigh_bytes(m)
-
-    @pytest.mark.parametrize("d", [3, 40, 64])
-    def test_mixed_stack_solves_only_the_dense_rows(self, d, eigh_calls):
-        diag = diagonal_stack(d, 7)[[0, 2]]
-        dense = np.array([random_density(d, d, seed=s).matrix for s in (1, 2)])
-        stack = np.array([diag[0], dense[0], diag[1], dense[1]])
-        expected = [np.linalg.eigh(m) for m in stack]
-        eigh_calls.clear()
-        vals, vecs = _eigh(stack)
-        assert eigh_calls == ([(2, d, d)] if d > _UNBLOCKED_DIM else [(4, d, d)])
-        for (w, v), row, col in zip(expected, vals, vecs):
-            assert row.tobytes() == w.tobytes() and col.tobytes() == v.tobytes()
-
-    @pytest.mark.parametrize("d", [40, 64])
-    def test_values_lapack_would_change_go_to_eigh(self, d, eigh_calls):
-        rng = np.random.default_rng(d)
-        cases = [
-            np.diag(rng.standard_normal(d) * 1e-150),  # zheevd rescales it
-            np.diag(rng.standard_normal(d) * 1e150),
-            np.diag(np.r_[-0.0, rng.random(d - 1)]),  # LAPACK may drop the sign
-        ]
-        for m in cases:
-            eigh_calls.clear()
-            assert_eigh_bytes(m.astype(complex))
-            assert len(eigh_calls) == 2
-
-    def test_validation_and_cache_use_the_rule(self, eigh_calls):
-        p = np.random.default_rng(1).dirichlet(np.ones(40))
-        p[::3] = 0.0
-        rho = DensityMatrix.from_diagonal(p / p.sum())
-        validated = validate_density(np.diag(np.full(40, 1.0 / 40)))
-        assert spectral_decompose(rho).eigenvalues.tolist() == sorted(rho.diagonal_probabilities(), reverse=True)
-        assert validated.eigenvalues().tolist() == [1.0 / 40] * 40
+    @pytest.mark.parametrize("d", list(range(1, 65)) + [128, 256])
+    def test_decomposition_equals_eigh(self, d, eigh_calls):
+        states = [DensityMatrix.from_diagonal(p) for p in diagonal_cases(d)] + [DensityMatrix.maximally_mixed(d)]
         assert eigh_calls == []
+        for rho in states:
+            dec = rho._decomposition
+            w, v = np.linalg.eigh(rho.matrix)
+            assert dec.eigenvalues.tobytes() == w[::-1].tobytes()
+            if not tied_above_the_smallest(rho.diagonal_probabilities()):
+                assert dec.eigenvectors.tobytes() == v[:, ::-1].tobytes()
+            assert spectral_decompose(rho) is dec
+
+    def test_tie_above_the_smallest_keeps_the_stable_order(self):
+        p = np.array([1.0, 1.0, 0.0] + [2.0] * 31)
+        rho = DensityMatrix.from_diagonal(p / p.sum())
+        w, v = np.linalg.eigh(rho.matrix)
+        ascending = rho._decomposition.eigenvectors[:, ::-1]
+        assert rho._decomposition.eigenvalues.tobytes() == w[::-1].tobytes()
+        # eigh's selection sort moves the first 1 behind the second.
+        assert np.argmax(np.abs(v), axis=0)[:3].tolist() == [2, 1, 0]
+        assert np.argmax(np.abs(ascending), axis=0).tolist() == [2, 0, 1] + list(range(3, 34))
+
+    @pytest.mark.parametrize("d", [64, 128, 256])
+    def test_dephased_reference_needs_no_eigensolve(self, d, eigh_calls):
+        from fcoherence import coherence_f_hat, dephase, quasi_relative_entropy
+
+        f = neg_log()
+        rho = validate_density(random_density(d, d, seed=d).matrix)
+        eigh_calls.clear()
+        value = quasi_relative_entropy(rho, dephase(rho), f)
+        assert eigh_calls == []
+        assert value == pytest.approx(coherence_f_hat(rho, f).value, abs=1e-12)
 
 
 PUBLIC_DRAWS = [
@@ -432,6 +406,39 @@ PUBLIC_DRAWS = [
 DRAW_NAMES = [
     "random_density", "random_pure", "random_unitary", "random_gio", "random_unital_channel", "random_channel",
 ]
+
+
+SIZED = {
+    "random_pure": lambda n: random_pure(n, 1),
+    "random_density-dim": lambda n: random_density(n, 1, 1),
+    "random_density-rank": lambda n: random_density(3, n, 1),
+    "random_unitary": lambda n: random_unitary(n, 1),
+    "random_gio-dim": lambda n: random_gio(n, 2, 1),
+    "random_gio-kraus": lambda n: random_gio(3, n, 1),
+    "random_channel-dim": lambda n: random_channel(n, 2, 1),
+    "random_channel-kraus": lambda n: random_channel(3, n, 1),
+    "random_unital_channel-dim": lambda n: random_unital_channel(n, 2, 1),
+    "random_unital_channel-kraus": lambda n: random_unital_channel(3, n, 1),
+    "maximally_mixed": DensityMatrix.maximally_mixed,
+    "max_coherent_state": max_coherent_state,
+    "dephasing_channel": dephasing_channel,
+    "depolarizing_extension": depolarizing_extension,
+    "erasure_extension": erasure_extension,
+}
+
+
+class TestSizes:
+    """Every size is an integer other than bool, at least 1."""
+
+    @pytest.mark.parametrize("size", [2.5, True, "3", np.float64(2.0)], ids=repr)
+    @pytest.mark.parametrize("build", SIZED.values(), ids=SIZED.keys())
+    def test_non_integer_size_is_a_typed_error(self, build, size):
+        with pytest.raises(DimensionMismatch, match="integer"):
+            build(size)
+
+    @pytest.mark.parametrize("build", SIZED.values(), ids=SIZED.keys())
+    def test_numpy_integer_sizes_are_accepted(self, build):
+        assert type(build(np.int64(2))) is type(build(2))
 
 
 class TestSeeds:

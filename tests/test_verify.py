@@ -402,6 +402,9 @@ GOLDEN = {
     "verify_all_seed5_trials12_dims1-3.jsonl": (
         "--suite all --seed 5 --trials 12 --dims 1,3 --f neg_log,power:1.5,tsallis:1.5"
     ),
+    # Past d = 32, where the states are large enough to reach LAPACK's
+    # blocked routines and the dephased states need no eigensolve.
+    "verify_all_seed3_trials4_dims1-33-64.jsonl": "--suite all --seed 3 --trials 4 --dims 1,33,64",
 }
 
 
