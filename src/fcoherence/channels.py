@@ -12,13 +12,14 @@ The module also builds the two tensor-extension channels used to probe
 monotonicity beyond the diagonal class: one that replaces a fresh
 ancilla by the maximally mixed state and one that erases the ancilla
 back to its reference state. Both are strictly incoherent, neither is
-diagonal. Both are stored as the ancilla dimension alone and act on
-the blocks of the state; their dense Kraus stack is built on request.
+diagonal. Both are one replacement channel, stored as the ancilla
+dimension and the number of basis states whose uniform mixture replaces
+the ancilla, and act on the blocks of the state; their dense Kraus
+stack is built on request.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +37,7 @@ from .states import (
     _as_square,
     _check_dim,
     _eigh,
+    _first_above,
     _generators,
     _groups,
     _haar,
@@ -75,9 +77,9 @@ DIAGONAL_TOL = 1e-12
 # (depolarizing) or d (erasure) matrices of 16 d^4 bytes. Depolarizing
 # reaches it at d = 10 (16 MB; 65 GB at d = 40).
 EXTENSION_DENSE_BYTES = 1 << 24
-# Largest stack of d x d matrices outcome_ensembles builds at once. Past
-# about 128 KiB every fresh array costs page faults, which at d = 64
-# outweigh what stacking saves.
+# Largest stack of d x d matrices outcome_ensembles builds at once, a
+# bound on memory: without it the strong-monotonicity suite at d = 64
+# peaked at 170-178 MB instead of 67 MB, with the same output and no faster.
 OUTCOME_BLOCK_BYTES = 1 << 16
 
 
@@ -118,22 +120,10 @@ class KrausChannel:
 
     def __init__(self, kraus_ops, label: str | None = None, *, require_trace_preserving: bool = True):
         self._ops = _kraus_stack(kraus_ops)
+        self.num_kraus, self.dim = self._ops.shape[:2]
         self.label = label
-        if require_trace_preserving:
-            self._check_complete()
-
-    def _check_complete(self) -> None:
-        defect = self.completeness_defect()
-        if defect > COMPLETENESS_TOL:
+        if require_trace_preserving and (defect := self.completeness_defect()) > COMPLETENESS_TOL:
             raise ChannelValidationError(f"sum K*K deviates from identity by {defect:.3e} (Frobenius)")
-
-    @property
-    def dim(self) -> int:
-        return self._ops.shape[1]
-
-    @property
-    def num_kraus(self) -> int:
-        return self._ops.shape[0]
 
     @property
     def kraus_ops(self) -> np.ndarray:
@@ -240,14 +230,15 @@ def outcome_ensembles(channels, states) -> list[list[MeasurementOutcome]]:
 
 
 def max_offdiagonal(matrices) -> float:
-    """Largest off-diagonal modulus in a (..., d, d) array; 0 when d = 1.
+    """Largest off-diagonal modulus in a (..., d, d) array; 0 when d = 1
+    or the array is empty.
 
     GioChannel accepts a Kraus stack when this is at most DIAGONAL_TOL.
     """
     off = np.abs(matrices)
     idx = np.arange(off.shape[-1])
     off[..., idx, idx] = 0.0
-    return float(off.max())
+    return float(off.max(initial=0.0))
 
 
 class GioChannel(KrausChannel):
@@ -278,14 +269,6 @@ class GioChannel(KrausChannel):
         return _gio_list([coeffs], label)[0]
 
     @property
-    def dim(self) -> int:
-        return self._coeffs.shape[1]
-
-    @property
-    def num_kraus(self) -> int:
-        return self._coeffs.shape[0]
-
-    @property
     def coefficients(self) -> np.ndarray:
         """Table of shape (num_kraus, dim); column n is the action on |n><n|."""
         return self._coeffs
@@ -304,8 +287,9 @@ class GioChannel(KrausChannel):
         return ops
 
     def completeness_defect(self) -> float:
-        """Frobenius distance of sum K*K = diag(column norms squared) from the identity."""
-        return float(np.linalg.norm(_column_defects(self._coeffs)))
+        """Frobenius distance of sum K*K = diag(column norms squared) from
+        the identity, as the constructor computed it."""
+        return self._defect
 
     def apply_matrix(self, m: np.ndarray) -> np.ndarray:
         """Schur product C o m."""
@@ -314,26 +298,23 @@ class GioChannel(KrausChannel):
 
 def _set_tables(chans: list, coeffs: np.ndarray, label: str | None) -> None:
     """Give each channel its row of an (n, num_kraus, dim) coefficient stack,
-    read-only, with its correlation matrix, after checking the stack."""
+    read-only, with its shape, correlation matrix and completeness defect,
+    after checking the stack."""
     if not np.isfinite(coeffs).all():
         raise ChannelValidationError("coefficient table contains non-finite entries")
     coeffs.setflags(write=False)
-    # np.linalg.norm of each row of defects: the root of its BLAS dot.
-    defects = _column_defects(coeffs)[:, None, :]
+    # Per table the diagonal of sum K*K - I, and np.linalg.norm of it: the
+    # root of its BLAS dot.
+    defects = ((coeffs.real**2 + coeffs.imag**2).sum(axis=-2) - 1.0)[:, None, :]
     defects = np.sqrt(defects @ defects.swapaxes(-1, -2))[:, 0, 0]
     if (defects > COMPLETENESS_TOL).any():
-        defect = defects[defects > COMPLETENESS_TOL][0]
+        defect = _first_above(defects, COMPLETENESS_TOL)
         raise ChannelValidationError(f"sum K*K deviates from identity by {defect:.3e} (Frobenius)")
     corr = coeffs.swapaxes(-1, -2) @ coeffs.conj()
     corr.setflags(write=False)
-    for ch, c, cr in zip(chans, coeffs, corr):
-        ch._coeffs, ch.label, ch._corr = c, label, cr
-
-
-def _column_defects(coeffs: np.ndarray) -> np.ndarray:
-    """Squared column norms minus 1 of each (num_kraus, dim) table of a
-    (..., num_kraus, dim) stack: the diagonal of sum K*K - I."""
-    return (coeffs.real**2 + coeffs.imag**2).sum(axis=-2) - 1.0
+    for ch, c, cr, defect in zip(chans, coeffs, corr, defects.tolist()):
+        ch._coeffs, ch._corr, ch._defect, ch.label = c, cr, defect, label
+        ch.num_kraus, ch.dim = coeffs.shape[1:]
 
 
 def dephasing_channel(dim: int) -> GioChannel:
@@ -343,25 +324,19 @@ def dephasing_channel(dim: int) -> GioChannel:
 
 
 class _AncillaExtension(KrausChannel):
-    """id (x) Phi on a d^2 space, Phi the full depolarization of the second
-    factor or its erasure to |0><0|, stored as d and the kind. With
-    rho^(j) = (I (x) <j|) rho (I (x) |j>) and p_j = tr rho^(j), rho maps to
-    tr_B(rho) (x) I/d or tr_B(rho) (x) |0><0|, and selective outcome (i, j)
-    is (p_j/d, rho^(j)/p_j (x) |i><i|) or (p_j, rho^(j)/p_j (x) |0><0|).
+    """id (x) Phi on a d^2 space, Phi replacing the second factor by the
+    uniform mixture I_n/n of its first n basis states (n = d, the full
+    depolarization, or n = 1, the erasure to |0><0|), stored as d and n.
+    With rho^(j) = (I (x) <j|) rho (I (x) |j>) and p_j = tr rho^(j), rho
+    maps to tr_B(rho) (x) I_n/n, and selective outcome (i, j), i < n, is
+    (p_j/n, rho^(j)/p_j (x) |i><i|).
     """
 
-    def __init__(self, dim: int, erase: bool):
+    def __init__(self, dim: int, outputs: int, name: str):
         _check_dim(dim)
-        self._d, self._erase = dim, erase
-        self.label = f"{'erase' if erase else 'depol'}-ext:{dim}"
-
-    @property
-    def dim(self) -> int:
-        return self._d**2
-
-    @property
-    def num_kraus(self) -> int:
-        return self._d if self._erase else self._d**2
+        self._d, self._n = dim, outputs
+        self.num_kraus, self.dim = outputs * dim, dim * dim
+        self.label = f"{name}-ext:{dim}"
 
     def _check_dense(self, what: str) -> None:
         """Refuse num_kraus dense matrices (the Kraus stack, or the most outcomes) past the bound."""
@@ -371,11 +346,11 @@ class _AncillaExtension(KrausChannel):
 
     @property
     def kraus_ops(self) -> np.ndarray:
-        """I (x) |i><j| / sqrt(d), row i * d + j, or I (x) |0><j|, row j."""
+        """I (x) |i><j| / sqrt(n), row i * d + j."""
         self._check_dense("Kraus operators")
         d = self._d
         units = np.eye(self.num_kraus, d * d).reshape(-1, d, d)
-        ops = np.kron(np.eye(d), units if self._erase else units / np.sqrt(d)).astype(complex)
+        ops = np.kron(np.eye(d), units / np.sqrt(self._n)).astype(complex)
         ops.setflags(write=False)
         return ops
 
@@ -387,23 +362,20 @@ class _AncillaExtension(KrausChannel):
         return out.reshape(self.dim, self.dim)
 
     def apply_matrix(self, m: np.ndarray) -> np.ndarray:
-        return self._extend(self._reduced(_operand(m, self.dim)))
+        return self._extended(self._reduced(_operand(m, self.dim)) / self._n, np.arange(self._n))
 
     def apply(self, rho: DensityMatrix) -> DensityMatrix:
         """Apply to a state. The output shares the spectrum of tr_B(rho),
-        up to the factor 1/d, so the d x d reduced state is validated and
+        up to the factor 1/n, so the d x d reduced state is validated and
         then extended; the output has no cached decomposition."""
         _check_pair(self, rho)
-        return DensityMatrix(self._extend(validate_density(self._reduced(rho.matrix)).matrix))
+        reduced = validate_density(self._reduced(rho.matrix)).matrix
+        return DensityMatrix(self._extended(reduced / self._n, np.arange(self._n)))
 
     def _reduced(self, m: np.ndarray) -> np.ndarray:
         """tr_B m of a d^2 x d^2 matrix."""
         d = self._d
         return np.trace(m.reshape(d, d, d, d), axis1=1, axis2=3)
-
-    def _extend(self, reduced: np.ndarray) -> np.ndarray:
-        """reduced (x) |0><0|, or reduced (x) I/d."""
-        return self._extended(reduced, 0) if self._erase else self._extended(reduced / self._d, np.arange(self._d))
 
     def _outcomes(self, rho: DensityMatrix) -> list[MeasurementOutcome]:
         """Selective outcomes, the states rho^(j)/p_j validated as one stack."""
@@ -411,12 +383,12 @@ class _AncillaExtension(KrausChannel):
         d = self._d
         blocks = np.moveaxis(np.diagonal(rho.matrix.reshape(d, d, d, d), axis1=1, axis2=3), -1, 0)
         p = np.trace(blocks, axis1=1, axis2=2).real
-        probs = p if self._erase else p / d
+        probs = p / self._n
         kept = np.flatnonzero(probs > EPS_ZERO)
         states = validate_density(blocks[kept] / p[kept, None, None])
         return [
             MeasurementOutcome(probs[j].item(), DensityMatrix(self._extended(s.matrix, i)))
-            for i in range(1 if self._erase else d)
+            for i in range(self._n)
             for j, s in zip(kept, states)
         ]
 
@@ -429,7 +401,7 @@ def depolarizing_extension(dim: int) -> KrausChannel:
     product basis but not diagonal, and maps rho (x) |0><0| to
     rho (x) I/dim.
     """
-    return _AncillaExtension(dim, erase=False)
+    return _AncillaExtension(dim, dim, "depol")
 
 
 def erasure_extension(dim: int) -> KrausChannel:
@@ -438,7 +410,7 @@ def erasure_extension(dim: int) -> KrausChannel:
     Kraus operators I (x) |0><j|. Strictly incoherent, not diagonal, and
     maps rho (x) I/dim back to rho (x) |0><0|.
     """
-    return _AncillaExtension(dim, erase=True)
+    return _AncillaExtension(dim, 1, "erase")
 
 
 def diagonal_unitary_mixture(weights, phase_table) -> GioChannel:
@@ -574,15 +546,6 @@ def is_sio(ch: KrausChannel, tol: float = 1e-10) -> bool:
     return bool(worst <= tol)
 
 
-@functools.lru_cache(maxsize=64)
-def _upper_pairs(dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only index arrays of the pairs n < m, in row-major order."""
-    rows, cols = np.triu_indices(dim, 1)
-    rows.setflags(write=False)
-    cols.setflags(write=False)
-    return rows, cols
-
-
 @dataclass(frozen=True)
 class SaturationReport:
     """Outcome of the equality test for a diagonal channel on one state.
@@ -608,12 +571,13 @@ def gio_saturation_check(ch: KrausChannel, rho: DensityMatrix, tol: float = 1e-6
     channel is not diagonal.
     """
     _check_pair(ch, rho)
-    coeffs = (ch if isinstance(ch, GioChannel) else GioChannel(ch.kraus_ops)).coefficients
-    gram = coeffs.conj().T @ coeffs  # gram[n, m] = <k_n, k_m>
+    ch = ch if isinstance(ch, GioChannel) else GioChannel(ch.kraus_ops)
+    # The Gram matrix coeffs^H coeffs, gram[n, m] = <k_n, k_m>, in value.
+    coeffs, gram = ch.coefficients, ch.correlation.conj()
     (worst,), (worst_value,) = _worst_overlaps(gram[None], rho.matrix[None], tol)
     if worst < 0 or not worst_value < 1.0:
         return SaturationReport(True, None, 1.0, 0.0)
-    rows, cols = _upper_pairs(rho.dim)
+    rows, cols = np.triu_indices(rho.dim, 1)
     n, m = int(rows[worst]), int(cols[worst])
     # ||k_n - <k_m, k_n> k_m|| measures failure of k_n = alpha k_m.
     residual = coeffs[:, n] - gram[m, n] * coeffs[:, m]
@@ -623,10 +587,12 @@ def gio_saturation_check(ch: KrausChannel, rho: DensityMatrix, tol: float = 1e-6
 
 def _worst_overlaps(grams: np.ndarray, matrices: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
     """For each (Gram matrix, state matrix) pair of two (n, d, d) stacks:
-    the position in _upper_pairs(d) of the first smallest squared overlap
-    |gram_nm|^2 among the pairs n < m with |matrix_nm| > tol (a NaN counts
-    as smallest), and that overlap; -1 and 1.0 where no pair is coupled."""
-    n, (rows, cols) = len(grams), _upper_pairs(grams.shape[-1])
+    the position in np.triu_indices(d, 1) of the first smallest squared
+    overlap |gram_nm|^2 among the pairs n < m with |matrix_nm| > tol (a NaN
+    counts as smallest), and that overlap; -1 and 1.0 where no pair is
+    coupled. Only moduli are read, so a correlation stack, the conjugate
+    of the Gram stack, serves as well."""
+    n, (rows, cols) = len(grams), np.triu_indices(grams.shape[-1], 1)
     if not rows.size:
         return np.full(n, -1), np.ones(n)
     coupled = np.abs(matrices[:, rows, cols]) > tol

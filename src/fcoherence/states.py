@@ -152,12 +152,17 @@ class DensityMatrix:
         total = float(np.clip(p, 0.0, None).sum())
         if abs(total - 1.0) > TOL_TRACE:
             raise TraceNotOne(f"probabilities sum to {total!r}")
+        if not np.isfinite(p).all():
+            raise StateValidationError("density matrix contains non-finite entries")
         return cls._diagonal(np.clip(p, 0.0, None) / total)
 
     @classmethod
     def _diagonal(cls, p: np.ndarray) -> "DensityMatrix":
-        """The state diag(p), its decomposition stored as an eigh would be."""
-        rho = cls(np.diag(p).astype(complex))
+        """The state diag(p) of finite p, built in place and adopted with
+        no copy, its decomposition stored as an eigh would be."""
+        m = np.zeros((p.size, p.size), dtype=complex)
+        np.fill_diagonal(m, p)
+        (rho,) = _views(m[None])
         order = np.argsort(p, kind="stable")
         vecs = np.zeros((1, p.size, p.size), dtype=complex)
         vecs[0, order, np.arange(p.size)] = 1.0
@@ -299,15 +304,16 @@ def spectral_decompose(rho: DensityMatrix) -> SpectralDecomposition:
 
 
 def spectra(states) -> np.ndarray:
-    """Descending eigenvalues of states of one dimension, as an (n, d) array.
+    """Descending eigenvalues of states of one dimension, as an (n, d)
+    array; (0, 0) for no states.
 
     The states without a cached decomposition are solved in one stacked
     eigh and keep the result.
     """
     dims = {s.dim for s in states}
-    if len(dims) != 1:
+    if len(dims) > 1:
         raise DimensionMismatch(f"need states of one dimension, got dimensions {sorted(dims)}")
-    return np.array([dec.eigenvalues for dec in _decomposed(states)])
+    return np.array([dec.eigenvalues for dec in _decomposed(states)]) if dims else np.zeros((0, 0))
 
 
 def trace_norm(matrix) -> float:

@@ -37,7 +37,6 @@ from .channels import (
     _saturated,
     _unital_kraus,
     _unitary_mixture_tables,
-    _upper_pairs,
     _worst_overlaps,
     max_offdiagonal,
     outcome_ensembles,
@@ -375,13 +374,14 @@ def suite_gio_monotonicity(cfg: TrialConfig) -> VerificationReport:
         m, second = len(t), t % 3 == 0
         rhos = np.concatenate((conditioned, extras))
         checks = list(zip(chans + [ch for ch, x in zip(chans, second) if x], _views(rhos)))
-        outputs = validate_density(np.array([ch.correlation for ch, _ in checks]) * rhos)
-        # Quadratic proxy for the expected decrease, over the pairs n < m.
-        rows, cols = _upper_pairs(d)
-        grams = np.array([ch.coefficients.conj().T @ ch.coefficients for ch, _ in checks])
-        pred = (1.0 - np.abs(grams[:, rows, cols]) ** 2) * np.abs(rhos[:, rows, cols]) ** 2
+        corrs = np.array([ch.correlation for ch, _ in checks])
+        outputs = validate_density(corrs * rhos)
+        # Quadratic proxy for the expected decrease, over the pairs n < m;
+        # it reads moduli only, so the correlations stand in for the Grams.
+        rows, cols = np.triu_indices(d, 1)
+        pred = (1.0 - np.abs(corrs[:, rows, cols]) ** 2) * np.abs(rhos[:, rows, cols]) ** 2
         # gio_saturation_check's verdict on each check, at its default tol.
-        sat = _saturated(*_worst_overlaps(grams, rhos, 1e-6), 1e-6)
+        sat = _saturated(*_worst_overlaps(corrs, rhos, 1e-6), 1e-6)
         equal = (sat & (pred.sum(axis=1) <= 1e-12))[:, None, None]
         strict = (~sat & (pred.max(axis=1, initial=0.0) >= 1e-7))[:, None, None]
 
@@ -400,9 +400,9 @@ def suite_gio_monotonicity(cfg: TrialConfig) -> VerificationReport:
         return [(decreases(slice(m), fs), 0), (extra, 2)]
 
     # A trial makes up to two checks, each with its state, the channel's
-    # correlation and Gram matrices, their product, and the output with its
+    # correlation matrix, their product, and the output with its
     # eigenvectors.
-    blocks = _drive(cfg, cfg.dims, 200, cfg.trials_per_case, lambda d: 12, draw, score)
+    blocks = _drive(cfg, cfg.dims, 200, cfg.trials_per_case, lambda d: 10, draw, score)
     return _report("gio-monotonicity", cfg, fs, "", blocks)
 
 

@@ -225,9 +225,13 @@ class TestTables:
 
     def test_mixed_dimensions_rejected(self):
         mixed = [random_density(2, 2, 1), random_density(3, 3, 1)]
-        for table in (coherence_table, entropy_table):
+        for table in (coherence_table, entropy_table, lambda states, _: spectra(states)):
             with pytest.raises(DimensionMismatch):
                 table(mixed, ZERO_TAIL)
+
+    def test_no_states_give_an_empty_spectrum(self):
+        out = spectra([])
+        assert out.shape == (0, 0) and out.dtype == float
 
     def test_spectra_solve_once_and_fill_the_cache(self, eigh_calls):
         states = states_of_dim(5)

@@ -22,7 +22,7 @@ from fcoherence import (
     trace_norm,
     validate_density,
 )
-from fcoherence.channels import COMPLETENESS_TOL
+from fcoherence.channels import COMPLETENESS_TOL, _gio_list
 from fcoherence.errors import (
     BadWeights,
     ChannelValidationError,
@@ -140,6 +140,46 @@ class TestGioChannel:
         ch = random_gio(3, 2, seed=8)
         rho = DensityMatrix.from_diagonal([0.5, 0.3, 0.2])
         np.testing.assert_allclose(ch.apply(rho).matrix, rho.matrix, atol=1e-12)
+
+    @pytest.mark.parametrize("d", [*range(1, 9), 17, 33, 64])
+    def test_correlation_conjugate_is_the_gram_byte_for_byte(self, d):
+        # gio_saturation_check and the gio-monotonicity suite read the Gram
+        # matrix coeffs^H coeffs as the conjugate of the stored correlation.
+        # They read the off-diagonal entries and moduli only; on the diagonal
+        # the zero imaginary parts may differ in sign, which adding 0.0 clears.
+        off = ~np.eye(d, dtype=bool)
+        for k in [*range(1, 9), 65]:
+            ch = random_gio(d, k, seed=100 * d + k)
+            gram = ch.coefficients.conj().T @ ch.coefficients
+            assert ch.correlation.conj()[off].tobytes() == gram[off].tobytes()
+            assert (ch.correlation.conj() + 0.0).tobytes() == (gram + 0.0).tobytes()
+
+    def test_completeness_defect_is_the_norm_of_the_column_defects(self):
+        tables = [random_gio(3, k, seed=k).coefficients for k in (1, 2, 4, 2, 65)]
+        tables.append(np.array([[1.0, 0.6, 1.0], [1e-6, 0.8, 0.0]]))
+        for table, stacked in zip(tables, _gio_list(tables)):
+            columns = (table.real**2 + table.imag**2).sum(axis=0) - 1.0
+            alone = GioChannel.from_coefficients(table)
+            assert alone.completeness_defect() == stacked.completeness_defect() == float(np.linalg.norm(columns))
+
+    def test_first_incomplete_table_is_named(self):
+        # One stack of three one-row tables, the last two incomplete.
+        bad = [np.array([[1.0, 1.0 + 1e-8]]), np.array([[1.0 + 1e-6, 1.0]])]
+        with pytest.raises(ChannelValidationError, match="by 2.000e-08 "):
+            _gio_list([np.ones((1, 2)), *bad])
+        with pytest.raises(ChannelValidationError, match="by 2.000e-06 "):
+            _gio_list([np.ones((1, 2)), *bad[::-1]])
+
+    def test_shape_is_recorded_by_each_constructor(self):
+        kraus = random_channel(3, 2, seed=1)
+        assert (kraus.num_kraus, kraus.dim) == (2, 3) == kraus.kraus_ops.shape[:2]
+        assert (kraus.dual().num_kraus, kraus.dual().dim) == (2, 3)
+        stacked = _gio_list([np.eye(4), random_gio(4, 3, seed=3).coefficients])
+        for ch in (GioChannel(random_gio(4, 3, seed=2).kraus_ops), random_gio(4, 3, seed=2), *stacked):
+            assert (ch.num_kraus, ch.dim) == ch.coefficients.shape == ch.kraus_ops.shape[:2]
+        for d in (1, 2, 3):
+            assert (depolarizing_extension(d).num_kraus, depolarizing_extension(d).dim) == (d * d, d * d)
+            assert (erasure_extension(d).num_kraus, erasure_extension(d).dim) == (d, d * d)
 
 
 class TestBuiltinChannels:

@@ -88,6 +88,10 @@ class TestMaxOffdiagonal:
         assert max_offdiagonal(np.ones((1, 1))) == 0.0
         assert max_offdiagonal(np.ones((3, 1, 1))) == 0.0
 
+    def test_empty_stack(self):
+        assert max_offdiagonal(np.ones((0, 3, 3))) == 0.0
+        assert max_offdiagonal(np.ones((2, 0, 4, 4))) == 0.0
+
     def test_leaves_its_input_alone(self):
         m = np.full((2, 2), 0.5)
         max_offdiagonal(m)

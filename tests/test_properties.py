@@ -9,8 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fcoherence import DensityMatrix, random_density, validate_density
-from fcoherence.channels import random_channel, random_gio, random_unital_channel
-from fcoherence.coherence import coherence_table
+from fcoherence.channels import (
+    depolarizing_extension,
+    erasure_extension,
+    max_offdiagonal,
+    random_channel,
+    random_gio,
+    random_unital_channel,
+)
+from fcoherence.coherence import coherence_table, dephase
 from fcoherence.generators import lookup, tsallis
 from fcoherence.io import channel_to_json, load_channel, load_state, save_channel, save_state
 from fcoherence.verify import DEFAULT_F_SPECS
@@ -94,3 +101,34 @@ def test_channel_files_round_trip_byte_for_byte(make, d, k, seed):
         with open(path, "rb") as fh:
             first = fh.read()
         assert channel_to_json(load_channel(path)).encode() == first
+
+
+@settings(max_examples=60)
+@given(states())
+def test_coherence_is_faithful(rho):
+    table = coherence_table([rho, dephase(rho)], DECREASING)
+    assert np.abs(table[1]).max() <= 1e-12
+    if max_offdiagonal(rho.matrix) >= 0.1:
+        assert table[0].min() > 0.0
+
+
+@st.composite
+def channel_and_state(draw):
+    """A random_gio channel at d = 2..6, or an ancilla extension with
+    ancilla dimension 2 or 3, and a random state of any rank on its space."""
+    make = draw(st.sampled_from([random_gio, depolarizing_extension, erasure_extension]))
+    if make is random_gio:
+        ch = random_gio(draw(dims), draw(st.integers(1, 4)), draw(seeds))
+    else:
+        ch = make(draw(st.integers(2, 3)))
+    return ch, random_density(ch.dim, draw(st.integers(1, ch.dim)), draw(seeds))
+
+
+@settings(max_examples=60)
+@given(channel_and_state())
+def test_selective_outcomes_average_to_the_output(pair):
+    ch, rho = pair
+    outcomes = ch.selective_outcomes(rho)
+    assert abs(sum(o.probability for o in outcomes) - 1.0) <= 1e-14
+    average = sum(o.probability * o.state.matrix for o in outcomes)
+    assert np.abs(average - ch.apply(rho).matrix).max() <= 1e-14

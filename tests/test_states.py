@@ -97,6 +97,18 @@ class TestDensityMatrix:
         with pytest.raises(NotPositive):
             DensityMatrix.from_diagonal([1.2, -0.2])
 
+    def test_from_diagonal_rejects_non_finite_entries(self):
+        with pytest.raises(StateValidationError, match="^density matrix contains non-finite entries$"):
+            DensityMatrix.from_diagonal([1.0, np.nan])
+        for p in ([1.0, np.inf], [np.inf, 0.0, 0.0]):
+            with pytest.raises(TraceNotOne):
+                DensityMatrix.from_diagonal(p)
+
+    def test_diagonal_factories_freeze_their_matrix(self):
+        for rho in (DensityMatrix.from_diagonal([0.25, 0.75]), DensityMatrix.maximally_mixed(3)):
+            assert not rho.matrix.flags.writeable
+            assert rho.matrix.dtype == complex and rho.matrix.shape == (rho.dim, rho.dim)
+
     def test_maximally_mixed(self):
         rho = DensityMatrix.maximally_mixed(4)
         np.testing.assert_allclose(rho.matrix, np.eye(4) / 4)

@@ -388,6 +388,8 @@ GOLDEN = {
     # The values carry 17 significant digits, so a change in summation
     # order or in the BLAS build can move the last digits; any such
     # change has to be regenerated here and explained.
+    # The default configuration; its sha256 is a5a3b5da...f2af2cd.
+    "verify_all_seed1_default.jsonl": "--suite all --seed 1",
     "verify_all_seed1_trials10.jsonl": "--suite all --seed 1 --trials 10",
     # Reaches d = 6 and the d >= 3 exploration branch.
     "verify_all_seed2_trials60_dims2-6.jsonl": "--suite all --seed 2 --trials 60 --dims 2,3,4,5,6",
