@@ -45,6 +45,7 @@ from .states import (
     _normalized,
     _normals,
     _per_row,
+    _views,
     spectral_decompose,
     validate_density,
 )
@@ -367,10 +368,12 @@ class _AncillaExtension(KrausChannel):
     def apply(self, rho: DensityMatrix) -> DensityMatrix:
         """Apply to a state. The output shares the spectrum of tr_B(rho),
         up to the factor 1/n, so the d x d reduced state is validated and
-        then extended; the output has no cached decomposition."""
+        then extended, and the fresh output adopted with no scan or copy;
+        it has no cached decomposition."""
         _check_pair(self, rho)
         reduced = validate_density(self._reduced(rho.matrix)).matrix
-        return DensityMatrix(self._extended(reduced / self._n, np.arange(self._n)))
+        (out,) = _views(self._extended(reduced / self._n, np.arange(self._n))[None])
+        return out
 
     def _reduced(self, m: np.ndarray) -> np.ndarray:
         """tr_B m of a d^2 x d^2 matrix."""
@@ -378,7 +381,8 @@ class _AncillaExtension(KrausChannel):
         return np.trace(m.reshape(d, d, d, d), axis1=1, axis2=3)
 
     def _outcomes(self, rho: DensityMatrix) -> list[MeasurementOutcome]:
-        """Selective outcomes, the states rho^(j)/p_j validated as one stack."""
+        """Selective outcomes, the states rho^(j)/p_j validated as one stack
+        and each extended output adopted with no scan or copy."""
         self._check_dense("selective outcome states")
         d = self._d
         blocks = np.moveaxis(np.diagonal(rho.matrix.reshape(d, d, d, d), axis1=1, axis2=3), -1, 0)
@@ -387,7 +391,7 @@ class _AncillaExtension(KrausChannel):
         kept = np.flatnonzero(probs > EPS_ZERO)
         states = validate_density(blocks[kept] / p[kept, None, None])
         return [
-            MeasurementOutcome(probs[j].item(), DensityMatrix(self._extended(s.matrix, i)))
+            MeasurementOutcome(probs[j].item(), _views(self._extended(s.matrix, i)[None])[0])
             for i in range(self._n)
             for j, s in zip(kept, states)
         ]

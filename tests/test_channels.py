@@ -556,6 +556,25 @@ class TestBlockExtensions:
         assert out._decomposition is None
         assert np.abs(out.matrix - partial_trace_extension(rho.matrix, d, build is erasure_extension)).max() <= 1e-12
 
+    @pytest.mark.parametrize("build", [depolarizing_extension, erasure_extension])
+    def test_outputs_are_adopted_without_a_copy(self, build, monkeypatch):
+        """The d^2 x d^2 outputs of apply and selective_outcomes are built
+        fresh, so they skip DensityMatrix's scan and copy and come frozen."""
+        calls, real = [], DensityMatrix.__post_init__
+
+        def counting(rho):
+            calls.append(np.shape(rho.matrix))
+            real(rho)
+
+        d = 3
+        rho = random_density(d * d, d * d, seed=8)
+        monkeypatch.setattr(DensityMatrix, "__post_init__", counting)
+        ch = build(d)
+        outputs = [ch.apply(rho)] + [o.state for o in ch.selective_outcomes(rho)]
+        assert calls == []
+        assert len(outputs) == 1 + (d * d if build is depolarizing_extension else d)
+        assert not any(out.matrix.flags.writeable for out in outputs)
+
     @pytest.mark.parametrize("d", range(2, 9))
     @pytest.mark.parametrize("build", [depolarizing_extension, erasure_extension])
     def test_apply_matches_the_dense_route(self, build, d):

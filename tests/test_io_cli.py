@@ -894,6 +894,55 @@ class TestDemos:
         assert main(argv) == 2
         assert "QCOH_SEED must be a non-negative integer" in capsys.readouterr().err
 
+    def test_failing_demo_exits_6_and_says_so(self, capsys, monkeypatch):
+        monkeypatch.setitem(cli.DEMOS, "log-chain", lambda seed: ([{"check": "log-chain", "pass": False}], False))
+        assert main(["demo", "log-chain"]) == 6
+        captured = capsys.readouterr()
+        assert captured.out == '{"check": "log-chain", "pass": false}\n'
+        assert captured.err == "fcoherence: demo log-chain: checks failed\n"
+
+
+class TestStdoutWriteFailure:
+    """A standard output that takes no bytes gives exit 2 and one line on
+    standard error, not a traceback."""
+
+    @staticmethod
+    def run(stdout, argv):
+        return subprocess.run(
+            [sys.executable, "-m", "fcoherence", *argv], stdout=stdout, stderr=subprocess.PIPE, text=True
+        )
+
+    @pytest.fixture(params=["short", "long"])
+    def argv(self, request, tmp_path):
+        if request.param == "short":
+            return ["demo", "max-coherent"]
+        # About 100 kB of output, past any stdio buffer.
+        return ["channel", "dephase:64", write_state(tmp_path / "s.json", random_density(64, 64, seed=1))]
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_full_device(self, argv):
+        with open("/dev/full", "w") as full:
+            proc = self.run(full, argv)
+        assert (proc.returncode, proc.stderr) == (2, "fcoherence: cannot write standard output: No space left on device\n")
+
+    def test_pipe_with_closed_read_end(self, argv):
+        r, w = os.pipe()
+        os.close(r)
+        try:
+            proc = self.run(w, argv)
+        finally:
+            os.close(w)
+        assert (proc.returncode, proc.stderr) == (2, "fcoherence: cannot write standard output: Broken pipe\n")
+
+    def test_in_process_write_error_is_input_error(self, capsys, monkeypatch):
+        class Full:
+            def write(self, text):
+                raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(sys, "stdout", Full())
+        assert main(["demo", "max-coherent"]) == 2
+        assert capsys.readouterr().err == "fcoherence: cannot write standard output: No space left on device\n"
+
 
 class TestModuleEntry:
     def test_python_dash_m(self):

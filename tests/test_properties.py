@@ -18,6 +18,7 @@ from fcoherence.channels import (
     random_unital_channel,
 )
 from fcoherence.coherence import coherence_table, dephase
+from fcoherence.divergence import divergence_table
 from fcoherence.generators import lookup, tsallis
 from fcoherence.io import channel_to_json, load_channel, load_state, save_channel, save_state
 from fcoherence.verify import DEFAULT_F_SPECS
@@ -30,12 +31,17 @@ seeds = st.integers(0, 2**32 - 1)
 
 @st.composite
 def states(draw, full_rank=False):
-    """A random density matrix of dimension 2..6 and any rank, or of full
-    rank mixed with I/d so that its smallest eigenvalue is at least 0.2/d."""
+    """A random density matrix of dimension 2..6 and any rank, or a
+    conditioned one of full rank."""
     d = draw(dims)
-    rank = d if full_rank else draw(st.integers(1, d))
-    m = random_density(d, rank, draw(seeds)).matrix
-    return validate_density(0.8 * m + 0.2 * np.eye(d) / d if full_rank else m)
+    if full_rank:
+        return conditioned(d, draw(seeds))
+    return validate_density(random_density(d, draw(st.integers(1, d)), draw(seeds)).matrix)
+
+
+def conditioned(d, seed):
+    """A full-rank state mixed with I/d, its smallest eigenvalue at least 0.2/d."""
+    return validate_density(0.8 * random_density(d, d, seed).matrix + 0.2 * np.eye(d) / d)
 
 
 @settings(max_examples=60)
@@ -132,3 +138,16 @@ def test_selective_outcomes_average_to_the_output(pair):
     assert abs(sum(o.probability for o in outcomes) - 1.0) <= 1e-14
     average = sum(o.probability * o.state.matrix for o in outcomes)
     assert np.abs(average - ch.apply(rho).matrix).max() <= 1e-14
+
+
+@settings(max_examples=60)
+@given(dims, seeds, seeds, st.integers(1, 4), seeds)
+def test_channels_do_not_increase_divergence(d, seed_a, seed_b, k, seed):
+    """Data processing: S_f(Phi(a) || Phi(b)) <= S_f(a || b) for every
+    default generator, a and b of full rank and Phi a random channel."""
+    a, b = conditioned(d, seed_a), conditioned(d, seed_b)
+    ch = random_channel(d, k, seed)
+    gens = [lookup(spec) for spec in DEFAULT_F_SPECS]
+    before = divergence_table([(a, b)], gens)
+    after = divergence_table([(ch.apply(a), ch.apply(b))], gens)
+    assert (after - before).max() <= 1e-9
