@@ -11,7 +11,10 @@ f = neg_log the two coincide with the relative entropy of coherence.
 
 ``coherence_table`` scores many states under many generators at once:
 one stacked eigensolve for the states without a cached decomposition, one
-diagonal extraction, and one ``f_weighted_sum`` per generator.
+diagonal extraction, and one generator call per generator. The
+single-state measures read their state's (spectrum, diagonal) row pair
+through the table's reader, ``states._rows``, and make one kernel call
+on it.
 """
 
 from __future__ import annotations
@@ -22,10 +25,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .divergence import f_weighted_sum, spectral_sums
+from .divergence import _weighted_sums, spectral_sums
 from .errors import ParamOutOfRange
-from .generators import GeneratorFunction
-from .states import EPS_ZERO, DensityMatrix, PureState, _check_dim, _eigh, spectra
+from .generators import GeneratorFunction, _is_real
+from .states import EPS_ZERO, DensityMatrix, PureState, _check_dim, _decomposed, _eigh, _rows
 
 __all__ = [
     "CoherenceResult",
@@ -63,9 +66,9 @@ class PowerCoherence(NamedTuple):
 
 
 def _coherence(rho: DensityMatrix, f: GeneratorFunction, numerator: float, variant: str) -> CoherenceResult:
-    evals, diag = rho.eigenvalues(), rho.diagonal_probabilities()
-    value = f_weighted_sum(evals, numerator, f) - f_weighted_sum(diag, numerator, f)
-    return CoherenceResult(value, f.name, variant, evals, diag)
+    rows = _rows((rho,))[:, 0]
+    (sums,) = _weighted_sums(rows, np.float64(numerator), [f])
+    return CoherenceResult(float(sums[0] - sums[1]), f.name, variant, *rows)
 
 
 def coherence_f(rho: DensityMatrix, f: GeneratorFunction) -> CoherenceResult:
@@ -96,9 +99,8 @@ def coherence_table(states, gens) -> np.ndarray:
     """
     if not len(states):
         return np.zeros((0, len(gens), 2))
-    evals = spectra(states)
-    diag = np.clip(np.array([s.matrix.diagonal().real for s in states]), 0.0, None)
-    sums = spectral_sums(np.array((evals, diag)), evals.shape[-1], gens)
+    rows = _rows(states)
+    sums = spectral_sums(rows, rows.shape[-1], gens)
     return sums[0] - sums[1]
 
 
@@ -109,8 +111,7 @@ def relative_entropy_coherence(rho: DensityMatrix) -> float:
         p = p[p > EPS_ZERO]
         return float(-(p * np.log(p)).sum())
 
-    evals, diag = rho.eigenvalues(), rho.diagonal_probabilities()
-    return shannon(diag) - shannon(evals)
+    return shannon(rho.diagonal_probabilities()) - shannon(_decomposed((rho,))[0].eigenvalues)
 
 
 def power_coherence(rho: DensityMatrix, alpha: float) -> PowerCoherence:
@@ -123,14 +124,13 @@ def power_coherence(rho: DensityMatrix, alpha: float) -> PowerCoherence:
     (1 - x**(1-alpha)) / (1 - alpha), and the scaling identity between
     the two variants is enforced by construction.
     """
-    alpha = float(alpha)
-    if not (0.0 < alpha < 2.0) or alpha == 1.0 or math.isnan(alpha):
+    a = float(alpha) if _is_real(alpha) else math.nan
+    if not (0.0 < a < 2.0) or a == 1.0:
         raise ParamOutOfRange(f"alpha must lie in (0, 2) excluding 1, got {alpha!r}")
-    evals, diag = rho.eigenvalues(), rho.diagonal_probabilities()
-    evals = np.where(evals > EPS_ZERO, evals, 0.0)
-    diag = np.where(diag > EPS_ZERO, diag, 0.0)
-    hat = float((np.power(diag, alpha).sum() - np.power(evals, alpha).sum()) / (1.0 - alpha))
-    plain = float(rho.dim ** (alpha - 1.0)) * hat
+    rows = _rows((rho,))[:, 0]
+    evals_sum, diag_sum = np.add.reduce(np.power(np.where(rows > EPS_ZERO, rows, 0.0), a), axis=-1)
+    hat = float((diag_sum - evals_sum) / (1.0 - a))
+    plain = float(rho.dim ** (a - 1.0)) * hat
     return PowerCoherence(plain=plain, hat=hat)
 
 

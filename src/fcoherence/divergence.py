@@ -17,7 +17,10 @@ grouping and support masks once and evaluates every generator on them.
 ``f_weighted_sum`` is the kernel of every entropy and coherence value:
 it works on a (..., d) stack of spectra or diagonals, so one generator
 call serves many states, and ``spectral_sums`` runs it for a list of
-generators with both numerators 1/d and 1.
+generators with both numerators 1/d and 1. Both, and the single-state
+entropies and coherences, make one call of the private
+``_weighted_sums`` that does the work; a single-state entry reads its
+state's cached spectrum without a copy.
 
 ``oracle_divergence_table`` evaluates the same quantity through an
 independent route, building the dim^2 x dim^2 matrix of the modular-type
@@ -227,11 +230,11 @@ def spectral_sums(rows, dim: int, gens) -> np.ndarray:
 def _weighted_sums(v: np.ndarray, c: np.ndarray, gens) -> list[np.ndarray]:
     """f_weighted_sum of the stack v with numerator c, once per generator;
     the masking is shared by all generators. A NaN entry counts as
-    positive, so it reaches the sum."""
-    pos = ~(v <= EPS_ZERO)
-    if pos.all():
+    positive (np.fmin skips it in the test for zero entries), so it
+    reaches the sum."""
+    if not np.fmin.reduce(v, axis=None, initial=np.inf) <= EPS_ZERO:
         x = c[..., None] / v
-        return [np.sum(v * f(x), axis=-1) for f in gens]
+        return [np.add.reduce(v * f(x), axis=-1) for f in gens]
     for f in gens:
         if _need_limit(f, "weighted_inf_limit", "weighted tail limit") != 0.0:
             raise UnsupportedLimit(
@@ -242,7 +245,7 @@ def _weighted_sums(v: np.ndarray, c: np.ndarray, gens) -> list[np.ndarray]:
     # regroup rows of 8 or more terms, so each row is summed over its
     # compressed positive entries: rows with the same count m of them are
     # summed as one (rows, m) block.
-    v, pos = np.broadcast_arrays(v, pos, c[..., None])[:2]
+    v, pos = np.broadcast_arrays(v, ~(v <= EPS_ZERO), c[..., None])[:2]
     vp = v[pos]
     x = (c[..., None] / np.where(pos, v, 1.0))[pos]
     counts = pos.sum(axis=-1).ravel()
@@ -268,8 +271,8 @@ def f_entropy(rho: DensityMatrix, f: GeneratorFunction) -> float:
     for operator monotone decreasing generators.
     """
     d = rho.dim
-    vals = rho.eigenvalues()
-    return float(f(1.0 / d)) - f_weighted_sum(vals, 1.0 / d, f)
+    (sums,) = _weighted_sums(_decomposed((rho,))[0].eigenvalues, np.float64(1.0 / d), [f])
+    return float(f(1.0 / d)) - float(sums)
 
 
 def f_entropy_hat(rho: DensityMatrix, f: GeneratorFunction) -> float:
@@ -278,8 +281,8 @@ def f_entropy_hat(rho: DensityMatrix, f: GeneratorFunction) -> float:
     Zero on pure states, maximal (= -f(d)) on the maximally mixed state
     for operator monotone decreasing generators.
     """
-    vals = rho.eigenvalues()
-    return -f_weighted_sum(vals, 1.0, f)
+    (sums,) = _weighted_sums(_decomposed((rho,))[0].eigenvalues, np.float64(1.0), [f])
+    return -float(sums)
 
 
 def entropy_table(states, gens) -> np.ndarray:

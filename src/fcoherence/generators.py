@@ -20,6 +20,7 @@ divergences while staying out of entropy-style sums.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -34,6 +35,19 @@ __all__ = [
     "tsallis",
     "lookup",
 ]
+
+
+def _is_real(x) -> bool:
+    """A real number other than bool that converts to a float: any
+    numbers.Real, numpy's floats and integers included, short of an
+    integer too large for a float."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Real):
+        return False
+    try:
+        float(x)
+    except OverflowError:
+        return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -105,10 +119,10 @@ def power(p: float) -> GeneratorFunction:
     weighted tail limit diverges, so such generators are rejected by
     zero-eigenvalue entropy paths instead of being silently zeroed.
     """
-    p = float(p)
-    if not (-1.0 < p < 2.0) or p in (0.0, 1.0) or math.isnan(p):
+    x = float(p) if _is_real(p) else math.nan
+    if not (-1.0 < x < 2.0) or x in (0.0, 1.0):
         raise ParamOutOfRange(f"power exponent must lie in (-1, 2) excluding 0 and 1, got {p!r}")
-    return _power_law(f"power:{p:g}", p, 1.0 - p)
+    return _power_law(f"power:{x:g}", x, 1.0 - x)
 
 
 def tsallis(q: float) -> GeneratorFunction:
@@ -117,14 +131,16 @@ def tsallis(q: float) -> GeneratorFunction:
     Operator monotone decreasing on the whole parameter range; approaches
     -ln(x) as q -> 1.
     """
-    q = float(q)
-    if not (0.0 < q < 2.0) or q == 1.0 or math.isnan(q):
+    x = float(q) if _is_real(q) else math.nan
+    if not (0.0 < x < 2.0) or x == 1.0:
         raise ParamOutOfRange(f"tsallis order must lie in (0, 2) excluding 1, got {q!r}")
-    return _power_law(f"tsallis:{q:g}", 1.0 - q, 1.0)
+    return _power_law(f"tsallis:{x:g}", 1.0 - x, 1.0)
 
 
 def lookup(spec: str) -> GeneratorFunction:
     """Resolve a spec string: "neg_log", "power:P" or "tsallis:Q"."""
+    if not isinstance(spec, str):
+        raise UnknownGenerator(f"generator spec must be a string, got {spec!r}")
     name, _, param = spec.partition(":")
     if name == "neg_log":
         if param:

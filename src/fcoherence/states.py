@@ -116,7 +116,7 @@ class DensityMatrix:
 
     def diagonal_probabilities(self) -> np.ndarray:
         """Diagonal entries as a real vector, tiny negatives clipped to 0."""
-        return np.clip(np.real(np.diagonal(self.matrix)), 0.0, None)
+        return np.maximum(self.matrix.diagonal().real, 0.0)
 
     def eigenvalues(self) -> np.ndarray:
         """Eigenvalues in descending order, as a fresh writable array."""
@@ -314,6 +314,15 @@ def spectra(states) -> np.ndarray:
     if len(dims) > 1:
         raise DimensionMismatch(f"need states of one dimension, got dimensions {sorted(dims)}")
     return np.array([dec.eigenvalues for dec in _decomposed(states)]) if dims else np.zeros((0, 0))
+
+
+def _rows(states) -> np.ndarray:
+    """The (2, n, d) stack of the spectra, as ``spectra`` gives them, and
+    the diagonals, as ``diagonal_probabilities`` gives them, of n >= 1
+    states of one dimension: a fresh writable array."""
+    rows = np.array((spectra(states), [s.matrix.diagonal().real for s in states]))
+    np.maximum(rows[1], 0.0, out=rows[1])
+    return rows
 
 
 def trace_norm(matrix) -> float:

@@ -61,6 +61,7 @@ from .states import (
     _is_int,
     _projectors,
     _pure_vectors,
+    _rows,
     _views,
     _wisharts,
     validate_density,
@@ -568,7 +569,7 @@ def _sio_reports(gens, d: int) -> list[SioCounterexampleReport]:
         float(d),        # eigenvalues diluted by 1/d
         1.0,             # unscaled value survives the ground ancilla
     ]
-    rows = np.array((rho.eigenvalues(), rho.diagonal_probabilities()))
+    rows = _rows((rho,))[:, 0]
     reports = []
     for f, (lhs_plain, lhs_hat), (rhs_plain, rhs_hat) in zip(gens, table[0], table[1]):
         sums = f_weighted_sum(rows, np.array(numerators)[:, None], f)

@@ -19,11 +19,14 @@ from fcoherence import (
     f_entropy,
     f_entropy_hat,
     f_weighted_sum,
+    power_coherence,
     random_density,
     random_gio,
     random_pure,
+    relative_entropy_coherence,
     validate_density,
 )
+from fcoherence import coherence, divergence
 from fcoherence.channels import KrausChannel
 from fcoherence.coherence import coherence_table
 from fcoherence.divergence import entropy_table
@@ -37,6 +40,9 @@ SPECS = ["neg_log", "power:0.5", "power:1.5", "power:-0.5", "tsallis:0.5", "tsal
 GENERATORS = [lookup(s) for s in SPECS] + [lookup(s).transpose() for s in SPECS]
 ZERO_TAIL = [f for f in GENERATORS if f.weighted_inf_limit == 0.0]
 DIMS = range(1, 17)
+# The single-state entries against the tables, also where rows pass
+# numpy's blocked pairwise summation (128 terms) and the benchmark's sizes.
+ENTRY_DIMS = [*DIMS, 64, 256]
 
 
 def reference_f_weighted_sum(values, numerator, f):
@@ -176,7 +182,7 @@ def reference_entropy_pair(rho, f):
 
 
 class TestTables:
-    @pytest.mark.parametrize("d", DIMS)
+    @pytest.mark.parametrize("d", ENTRY_DIMS)
     def test_coherence_table_matches_single_state(self, d):
         states = states_of_dim(d)
         table = coherence_table(states, ZERO_TAIL)
@@ -187,7 +193,7 @@ class TestTables:
                 assert plain == coherence_f(rho, f).value
                 assert hat == coherence_f_hat(rho, f).value
 
-    @pytest.mark.parametrize("d", DIMS)
+    @pytest.mark.parametrize("d", ENTRY_DIMS)
     def test_entropy_table_matches_single_state(self, d):
         states = states_of_dim(d)
         table = entropy_table(states, ZERO_TAIL)
@@ -260,6 +266,75 @@ class TestTables:
         assert unsolved == len(raw) - 3 and eigh_calls == [(unsolved, 4, 4)]
         assert rows[0::2].tobytes() == np.array(seeded).tobytes()
         assert rows[1::2].tobytes() == np.array(solo).tobytes()
+
+
+def reference_power_pair(rho, alpha):
+    """power_coherence as two one-vector sums: mask, power, sum each."""
+    evals, diag = rho.eigenvalues(), rho.diagonal_probabilities()
+    evals = np.where(evals > EPS_ZERO, evals, 0.0)
+    diag = np.where(diag > EPS_ZERO, diag, 0.0)
+    hat = float((np.power(diag, alpha).sum() - np.power(evals, alpha).sum()) / (1.0 - alpha))
+    return float(rho.dim ** (alpha - 1.0)) * hat, hat
+
+
+def reference_relative_entropy_coherence(rho):
+    def shannon(p):
+        p = p[p > EPS_ZERO]
+        return float(-(p * np.log(p)).sum())
+
+    return shannon(rho.diagonal_probabilities()) - shannon(rho.eigenvalues())
+
+
+def bits(values):
+    return [np.float64(v).tobytes() for v in values]
+
+
+class TestSingleStateEntries:
+    @pytest.mark.parametrize("d", ENTRY_DIMS)
+    def test_power_and_relative_entropy_match_the_vector_formulas(self, d):
+        for rho in states_of_dim(d):
+            for alpha in (0.3, 0.5, 1.5, 1.9):
+                assert bits(power_coherence(rho, alpha)) == bits(reference_power_pair(rho, alpha))
+            assert bits([relative_entropy_coherence(rho)]) == bits([reference_relative_entropy_coherence(rho)])
+
+    @pytest.mark.parametrize("rank", [5, 2])
+    def test_one_kernel_call_and_no_eigensolve(self, monkeypatch, eigh_calls, rank):
+        rho = validate_density(random_density(5, rank, seed=9).matrix)
+        calls = []
+        real = divergence._weighted_sums
+
+        def counting(v, c, gens):
+            calls.append(np.shape(v))
+            return real(v, c, gens)
+
+        def copied(self):
+            raise AssertionError("DensityMatrix.eigenvalues() called")
+
+        for module in (divergence, coherence):
+            monkeypatch.setattr(module, "_weighted_sums", counting)
+        monkeypatch.setattr(DensityMatrix, "eigenvalues", copied)
+        eigh_calls.clear()
+        f = lookup("neg_log")
+        for fn, shape in ((coherence_f, (2, 5)), (coherence_f_hat, (2, 5)), (f_entropy, (5,)), (f_entropy_hat, (5,))):
+            calls.clear()
+            fn(rho, f)
+            assert calls == [shape], fn.__name__
+        assert eigh_calls == []
+
+    def test_result_rows_are_fresh_and_writable(self):
+        rho = validate_density(random_density(4, 3, seed=3).matrix)
+        cached = rho._decomposition.eigenvalues
+        kept = cached.copy(), rho.matrix.copy()
+        for fn in (coherence_f, coherence_f_hat):
+            res = fn(rho, lookup("neg_log"))
+            assert res.eigenvalues.tobytes() == cached.tobytes()
+            assert res.diagonal.tobytes() == rho.diagonal_probabilities().tobytes()
+            for row in (res.eigenvalues, res.diagonal):
+                assert row.flags.writeable
+                assert not np.shares_memory(row, cached) and not np.shares_memory(row, rho.matrix)
+                row[:] = -1.0
+        assert cached.tobytes() == kept[0].tobytes() and rho.matrix.tobytes() == kept[1].tobytes()
+        assert coherence_f(rho, lookup("neg_log")).eigenvalues.tobytes() == kept[0].tobytes()
 
 
 class TestEnsembles:

@@ -1,4 +1,6 @@
 import math
+import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -157,10 +159,23 @@ class TestPowerCoherence:
         pc = power_coherence(rho, 1.5)
         assert pc.hat == pytest.approx(coherence_f_hat(rho, tsallis(1.5)).value, abs=1e-10)
 
-    @pytest.mark.parametrize("alpha", [0.0, 1.0, 2.0, -0.5, 2.5])
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 2.0, -0.5, 2.5, math.nan])
     def test_rejects_out_of_range(self, alpha):
         with pytest.raises(ParamOutOfRange):
             power_coherence(DensityMatrix.maximally_mixed(2), alpha)
+
+    @pytest.mark.parametrize(
+        "alpha", [10**400, None, 1j, "x", "0.5", [0.5], True],
+        ids=["huge_int", "None", "complex", "str", "numeric_str", "list", "True"],
+    )
+    def test_rejects_what_is_not_a_real_number(self, alpha):
+        with pytest.raises(ParamOutOfRange, match=re.escape(repr(alpha))):
+            power_coherence(DensityMatrix.maximally_mixed(2), alpha)
+
+    def test_accepts_numpy_and_fraction_alpha(self):
+        rho = random_density(3, 3, seed=7)
+        for alpha in (np.float64(0.5), np.float32(0.5), Fraction(1, 2)):
+            assert power_coherence(rho, alpha) == power_coherence(rho, 0.5)
 
 
 class TestPredicatesAndDistance:

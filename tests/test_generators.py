@@ -1,4 +1,6 @@
 import math
+import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -96,6 +98,12 @@ class TestMonotoneFlag:
         assert np.all(np.diff(vals) > 0)
 
 
+# Parameters that are not real numbers: the predicate takes numbers.Real
+# other than bool, short of an int too large for a float.
+NOT_REAL = [10**400, -(10**400), None, 1j, "x", "0.5", [0.5], True, False]
+NOT_REAL_IDS = ["huge_int", "huge_negative_int", "None", "complex", "str", "numeric_str", "list", "True", "False"]
+
+
 class TestParamValidation:
     @pytest.mark.parametrize("p", [-1.0, 0.0, 1.0, 2.0, 2.5, -3.0, math.nan])
     def test_power_rejects(self, p):
@@ -114,6 +122,18 @@ class TestParamValidation:
     @pytest.mark.parametrize("q", [0.01, 0.5, 1.5, 1.99])
     def test_tsallis_accepts_interior(self, q):
         tsallis(q)
+
+    @pytest.mark.parametrize("make", [power, tsallis])
+    @pytest.mark.parametrize("value", NOT_REAL, ids=NOT_REAL_IDS)
+    def test_rejects_what_is_not_a_real_number(self, make, value):
+        # ParamOutOfRange naming the value, not the error float() of it raises.
+        with pytest.raises(ParamOutOfRange, match=re.escape(repr(value))):
+            make(value)
+
+    @pytest.mark.parametrize("value", [0.5, np.float64(0.5), np.float32(0.5), Fraction(1, 2)], ids=repr)
+    def test_accepts_every_real_type(self, value):
+        assert power(value).name == "power:0.5"
+        assert tsallis(value).name == "tsallis:0.5"
 
 
 class TestLookup:
@@ -142,6 +162,11 @@ class TestLookup:
     def test_neg_log_rejects_parameter(self):
         with pytest.raises(UnknownGenerator):
             lookup("neg_log:0.3")
+
+    @pytest.mark.parametrize("spec", [None, 0.5, b"neg_log", ["neg_log"]], ids=repr)
+    def test_non_string_spec(self, spec):
+        with pytest.raises(UnknownGenerator, match=re.escape(repr(spec))):
+            lookup(spec)
 
 
 class TestTranspose:
