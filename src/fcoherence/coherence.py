@@ -11,10 +11,10 @@ f = neg_log the two coincide with the relative entropy of coherence.
 
 ``coherence_table`` scores many states under many generators at once:
 one stacked eigensolve for the states without a cached decomposition, one
-diagonal extraction, and one generator call per generator. The
-single-state measures read their state's (spectrum, diagonal) row pair
-through the table's reader, ``states._rows``, and make one kernel call
-on it.
+diagonal extraction, and one generator call per generator; it reads
+the (spectrum, diagonal) row pairs through ``states._rows``, as
+``power_coherence`` does. The single-state measures make one
+``f_weighted_sum`` call on the spectrum and one on the diagonal.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .divergence import _weighted_sums, spectral_sums
+from .divergence import f_weighted_sum, spectral_sums
 from .errors import ParamOutOfRange
 from .generators import GeneratorFunction, _is_real
 from .states import EPS_ZERO, DensityMatrix, PureState, _check_dim, _decomposed, _eigh, _rows
@@ -66,9 +66,9 @@ class PowerCoherence(NamedTuple):
 
 
 def _coherence(rho: DensityMatrix, f: GeneratorFunction, numerator: float, variant: str) -> CoherenceResult:
-    rows = _rows((rho,))[:, 0]
-    (sums,) = _weighted_sums(rows, np.float64(numerator), [f])
-    return CoherenceResult(float(sums[0] - sums[1]), f.name, variant, *rows)
+    evals, diag = rho.eigenvalues(), rho.diagonal_probabilities()
+    value = f_weighted_sum(evals, numerator, f) - f_weighted_sum(diag, numerator, f)
+    return CoherenceResult(value, f.name, variant, evals, diag)
 
 
 def coherence_f(rho: DensityMatrix, f: GeneratorFunction) -> CoherenceResult:
@@ -124,13 +124,15 @@ def power_coherence(rho: DensityMatrix, alpha: float) -> PowerCoherence:
     (1 - x**(1-alpha)) / (1 - alpha), and the scaling identity between
     the two variants is enforced by construction.
     """
-    a = float(alpha) if _is_real(alpha) else math.nan
-    if not (0.0 < a < 2.0) or a == 1.0:
+    if not _is_real(alpha):
+        raise ParamOutOfRange(f"alpha must be a real number, got {alpha!r}")
+    alpha = float(alpha)
+    if not (0.0 < alpha < 2.0) or alpha == 1.0:
         raise ParamOutOfRange(f"alpha must lie in (0, 2) excluding 1, got {alpha!r}")
     rows = _rows((rho,))[:, 0]
-    evals_sum, diag_sum = np.add.reduce(np.power(np.where(rows > EPS_ZERO, rows, 0.0), a), axis=-1)
-    hat = float((diag_sum - evals_sum) / (1.0 - a))
-    plain = float(rho.dim ** (a - 1.0)) * hat
+    evals_sum, diag_sum = np.add.reduce(np.power(np.where(rows > EPS_ZERO, rows, 0.0), alpha), axis=-1)
+    hat = float((diag_sum - evals_sum) / (1.0 - alpha))
+    plain = float(rho.dim ** (alpha - 1.0)) * hat
     return PowerCoherence(plain=plain, hat=hat)
 
 

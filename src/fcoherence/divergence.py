@@ -18,9 +18,8 @@ grouping and support masks once and evaluates every generator on them.
 it works on a (..., d) stack of spectra or diagonals, so one generator
 call serves many states, and ``spectral_sums`` runs it for a list of
 generators with both numerators 1/d and 1. Both, and the single-state
-entropies and coherences, make one call of the private
-``_weighted_sums`` that does the work; a single-state entry reads its
-state's cached spectrum without a copy.
+entropies, make one call of the private ``_weighted_sums`` that does
+the work; an entropy reads its state's cached spectrum without a copy.
 
 ``oracle_divergence_table`` evaluates the same quantity through an
 independent route, building the dim^2 x dim^2 matrix of the modular-type

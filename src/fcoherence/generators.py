@@ -40,7 +40,8 @@ __all__ = [
 def _is_real(x) -> bool:
     """A real number other than bool that converts to a float: any
     numbers.Real, numpy's floats and integers included, short of an
-    integer too large for a float."""
+    integer too large for a float. A string, a Decimal or a 0-d array
+    is not one."""
     if isinstance(x, bool) or not isinstance(x, numbers.Real):
         return False
     try:
@@ -119,10 +120,12 @@ def power(p: float) -> GeneratorFunction:
     weighted tail limit diverges, so such generators are rejected by
     zero-eigenvalue entropy paths instead of being silently zeroed.
     """
-    x = float(p) if _is_real(p) else math.nan
-    if not (-1.0 < x < 2.0) or x in (0.0, 1.0):
+    if not _is_real(p):
+        raise ParamOutOfRange(f"power exponent must be a real number, got {p!r}")
+    p = float(p)
+    if not (-1.0 < p < 2.0) or p in (0.0, 1.0):
         raise ParamOutOfRange(f"power exponent must lie in (-1, 2) excluding 0 and 1, got {p!r}")
-    return _power_law(f"power:{x:g}", x, 1.0 - x)
+    return _power_law(f"power:{p:g}", p, 1.0 - p)
 
 
 def tsallis(q: float) -> GeneratorFunction:
@@ -131,10 +134,12 @@ def tsallis(q: float) -> GeneratorFunction:
     Operator monotone decreasing on the whole parameter range; approaches
     -ln(x) as q -> 1.
     """
-    x = float(q) if _is_real(q) else math.nan
-    if not (0.0 < x < 2.0) or x == 1.0:
+    if not _is_real(q):
+        raise ParamOutOfRange(f"tsallis order must be a real number, got {q!r}")
+    q = float(q)
+    if not (0.0 < q < 2.0) or q == 1.0:
         raise ParamOutOfRange(f"tsallis order must lie in (0, 2) excluding 1, got {q!r}")
-    return _power_law(f"tsallis:{x:g}", 1.0 - x, 1.0)
+    return _power_law(f"tsallis:{q:g}", 1.0 - q, 1.0)
 
 
 def lookup(spec: str) -> GeneratorFunction:

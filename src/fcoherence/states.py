@@ -120,7 +120,7 @@ class DensityMatrix:
 
     def eigenvalues(self) -> np.ndarray:
         """Eigenvalues in descending order, as a fresh writable array."""
-        return _decomposed((self,))[0].eigenvalues.copy()
+        return (self._decomposition or _decomposed((self,))[0]).eigenvalues.copy()
 
     def tensor(self, other: "DensityMatrix") -> "DensityMatrix":
         """Kronecker product with another state."""

@@ -1,5 +1,6 @@
 import math
 import re
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -165,11 +166,11 @@ class TestPowerCoherence:
             power_coherence(DensityMatrix.maximally_mixed(2), alpha)
 
     @pytest.mark.parametrize(
-        "alpha", [10**400, None, 1j, "x", "0.5", [0.5], True],
-        ids=["huge_int", "None", "complex", "str", "numeric_str", "list", "True"],
+        "alpha", [10**400, None, 1j, "x", "0.5", [0.5], True, np.array(0.5), Decimal("0.5")],
+        ids=["huge_int", "None", "complex", "str", "numeric_str", "list", "True", "0d_array", "Decimal"],
     )
     def test_rejects_what_is_not_a_real_number(self, alpha):
-        with pytest.raises(ParamOutOfRange, match=re.escape(repr(alpha))):
+        with pytest.raises(ParamOutOfRange, match=re.escape(f"alpha must be a real number, got {alpha!r}")):
             power_coherence(DensityMatrix.maximally_mixed(2), alpha)
 
     def test_accepts_numpy_and_fraction_alpha(self):

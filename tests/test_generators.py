@@ -1,5 +1,6 @@
 import math
 import re
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -99,9 +100,11 @@ class TestMonotoneFlag:
 
 
 # Parameters that are not real numbers: the predicate takes numbers.Real
-# other than bool, short of an int too large for a float.
-NOT_REAL = [10**400, -(10**400), None, 1j, "x", "0.5", [0.5], True, False]
-NOT_REAL_IDS = ["huge_int", "huge_negative_int", "None", "complex", "str", "numeric_str", "list", "True", "False"]
+# other than bool, short of an int too large for a float. A 0-d array and
+# a Decimal are not numbers.Real, so they are rejected too.
+NOT_REAL = [10**400, -(10**400), None, 1j, "x", "0.5", [0.5], True, False, np.array(0.5), Decimal("0.5")]
+NOT_REAL_IDS = ["huge_int", "huge_negative_int", "None", "complex", "str", "numeric_str", "list", "True", "False",
+                "0d_array", "Decimal"]
 
 
 class TestParamValidation:
@@ -127,8 +130,13 @@ class TestParamValidation:
     @pytest.mark.parametrize("value", NOT_REAL, ids=NOT_REAL_IDS)
     def test_rejects_what_is_not_a_real_number(self, make, value):
         # ParamOutOfRange naming the value, not the error float() of it raises.
-        with pytest.raises(ParamOutOfRange, match=re.escape(repr(value))):
+        with pytest.raises(ParamOutOfRange, match=re.escape(f"must be a real number, got {value!r}")):
             make(value)
+
+    @pytest.mark.parametrize("make", [power, tsallis])
+    def test_real_out_of_range_names_the_range(self, make):
+        with pytest.raises(ParamOutOfRange, match=re.escape("must lie in")):
+            make(np.float64(2.5))
 
     @pytest.mark.parametrize("value", [0.5, np.float64(0.5), np.float32(0.5), Fraction(1, 2)], ids=repr)
     def test_accepts_every_real_type(self, value):
