@@ -427,6 +427,8 @@ def diagonal_unitary_mixture(weights, phase_table) -> GioChannel:
     phases = np.asarray(phase_table, dtype=float)
     if w.ndim != 1 or phases.ndim != 2 or phases.shape[0] != w.size:
         raise BadWeights(f"need one phase row per weight, got {w.shape} weights and {phases.shape} phases")
+    if not np.isfinite(phases).all():  # before exp(1j * inf) can warn
+        raise ChannelValidationError("coefficient table contains non-finite entries")
     return GioChannel.from_coefficients(_mixture_tables([w], [phases])[0], label="diagonal-unitary-mixture")
 
 

@@ -8,11 +8,11 @@ derived from (master seed, case index, trial index), so a rerun with the
 same configuration reproduces the report byte for byte.
 
 The checks reach one reduction in trial and check order. The five
-suites that draw share one chunk driver, which hands a suite's draw step
-a whole chunk of trials with their seeds. The draw step draws the chunk
-as stacks, one Generator per seed and the algebra once per stack of one
-shape; every stacked step gives a matrix the bytes it gets alone, so
-reports equal a trial-by-trial run.
+suites that draw share one chunk driver, which hands a suite's chunk
+function a whole chunk of trials with their seeds. The chunk function
+draws the chunk as stacks, one Generator per seed and the algebra once
+per stack of one shape, and scores the stacks; every stacked step gives
+a matrix the bytes it gets alone, so reports equal a trial-by-trial run.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ from .coherence import (
 )
 from .divergence import divergence_table, entropy_table, f_weighted_sum, oracle_divergence_table
 from .errors import CoherenceError
-from .generators import GeneratorFunction, lookup
+from .generators import GeneratorFunction, _is_real, lookup
 from .states import (
     DensityMatrix,
     _decomposed,
@@ -117,8 +117,9 @@ class TrialConfig:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
         if not _is_int(self.trials_per_case) or self.trials_per_case < 1:
             raise ValueError(f"trials_per_case must be an integer of at least 1, got {self.trials_per_case!r}")
-        if isinstance(self.tol_violation, bool) or not 0.0 < self.tol_violation < math.inf:
+        if not _is_real(self.tol_violation) or not 0.0 < self.tol_violation < math.inf:
             raise ValueError(f"tol_violation must be positive and finite, got {self.tol_violation!r}")
+        object.__setattr__(self, "tol_violation", float(self.tol_violation))  # reports carry a float
         if isinstance(self.f_list, str):
             raise ValueError(f"f_list must be a sequence of generator specs, got the string {self.f_list!r}")
         if not self.f_list:
@@ -170,23 +171,23 @@ def _chunks(trials: int, d: int, per_trial: int):
     return (range(start, min(start + size, trials)) for start in range(0, trials, size))
 
 
-def _drive(cfg: TrialConfig, dims, offset: int, trials: int, per_trial, draw, score, head=None):
+def _drive(cfg: TrialConfig, dims, offset: int, trials: int, per_trial, chunk, head=None):
     """(values, seeds, trials) blocks of a drawing suite. Case k, at d =
     dims[k], gives head(d) against the master seed, then chunks of trials
     of per_trial(d) matrices. A chunk's trials t, with seeds s whose row i
-    comes from SeedSequence((master, offset + k, t[i])), draw their fields
-    as stacks with draw(d, t, s). score(d, t, *fields) returns (values,
-    slot) parts: a row per trial, seed s[:, slot]."""
+    comes from SeedSequence((master, offset + k, t[i])), go to chunk(d, t,
+    s), which draws them as stacks and returns (values, slot) parts: a row
+    per trial, seed s[:, slot]."""
     for case, d in enumerate(dims):
         if head:
             yield head(d), cfg.seed, 0
-        for chunk in _chunks(trials, d, per_trial(d)):
-            seeds = [np.random.SeedSequence((cfg.seed, offset + case, t)).generate_state(6) for t in chunk]
-            seeds, t = np.array(seeds, dtype=np.int64), np.array(chunk)
-            parts = score(d, t, *draw(d, t, seeds))
+        for span in _chunks(trials, d, per_trial(d)):
+            seeds = [np.random.SeedSequence((cfg.seed, offset + case, t)).generate_state(6) for t in span]
+            seeds = np.array(seeds, dtype=np.int64)
+            parts = chunk(d, np.array(span), seeds)
             values = np.hstack([v for v, _ in parts])
             slots = np.hstack([np.zeros(v.shape, dtype=int) + slot for v, slot in parts])
-            yield values, np.take_along_axis(seeds, slots, axis=1), len(chunk)
+            yield values, np.take_along_axis(seeds, slots, axis=1), len(span)
 
 
 def _resolve(cfg: TrialConfig) -> tuple[list[GeneratorFunction], list[GeneratorFunction], str]:
@@ -255,7 +256,7 @@ def suite_entropy_bounds(cfg: TrialConfig) -> VerificationReport:
     def head(d):
         return np.abs(entropy_table([DensityMatrix.maximally_mixed(d)], dec)[0] - _bounds(d, dec))
 
-    def draw(d, t, s):
+    def chunk(d, t, s):
         m, kind = len(t), t % 3
         mixed, rotated, mapped = (kind == k for k in range(3))
         # Each trial's state, then the partners of the concavity trials.
@@ -271,18 +272,14 @@ def suite_entropy_bounds(cfg: TrialConfig) -> VerificationReport:
         partners[rotated] = u @ rhos[rotated] @ u.conj().swapaxes(-1, -2)
         # Non-decrease under a random unital channel.
         partners[mapped] = _kraus_sums(_unital_kraus(d, 2 + t[mapped] % 2, s[mapped, 3]), rhos[mapped])
-        return rhos, lam, partners, mixtures
-
-    def score(d, t, rhos, lam, partners, mixtures):
-        m, kind = len(t), t % 3
-        outputs = iter(validate_density(partners[kind == 2]))
+        outputs = iter(validate_density(partners[mapped]))
         partners = [next(outputs) if k == 2 else x for x, k in zip(_views(partners), kind)]
         table = entropy_table([*_views(rhos), *partners, *_views(mixtures)], dec)
         own, partner, mixture = table[:m], table[m : 2 * m], np.zeros((m, len(dec), 2))
-        mixture[kind == 0] = table[2 * m :]
+        mixture[mixed] = table[2 * m :]
         # Per generator -ent, ent - top, -hat, hat - bottom; |ent|, |hat| if pure.
         ranges = np.stack((-own, own - _bounds(d, dec)), axis=-1).reshape(m, -1, 4)
-        zeros = np.where((kind == 0)[:, None, None], np.abs(own), 0.0)
+        zeros = np.where(mixed[:, None, None], np.abs(own), 0.0)
         rows, fi, kind = np.arange(m), t % len(dec), kind[:, None]
         own, partner, mixture = own[rows, fi], partner[rows, fi], mixture[rows, fi]
         concave = lam[:, None] * own + (1.0 - lam[:, None]) * partner - mixture
@@ -291,7 +288,7 @@ def suite_entropy_bounds(cfg: TrialConfig) -> VerificationReport:
 
     # A trial holds three states and, drawing a unital channel, up to
     # three Haar unitaries with the two products of each.
-    blocks = _drive(cfg, cfg.dims, 0, cfg.trials_per_case, lambda d: 12, draw, score, head)
+    blocks = _drive(cfg, cfg.dims, 0, cfg.trials_per_case, lambda d: 12, chunk, head)
     return _report("entropy-bounds", cfg, dec, note, blocks)
 
 
@@ -306,7 +303,7 @@ def suite_divergence_oracle(cfg: TrialConfig) -> VerificationReport:
     fs, _, _ = _resolve(cfg)
     n = len(fs)
 
-    def draw(d, t, s):
+    def chunk(d, t, s):
         m = len(t)
         full = _wisharts(d, d, s[:, [0, 1, 3, 4]].T.ravel()).reshape(4, m, d, d)
         a, b, a2, b2 = _conditioned(full[0]), _conditioned(full[1]), full[2], full[3]
@@ -315,12 +312,8 @@ def suite_divergence_oracle(cfg: TrialConfig) -> VerificationReport:
         kraus = _haar_kraus(d, 2 + t % 2, s[:, 2])
         outputs = np.stack((_kraus_sums(kraus, a), _kraus_sums(kraus, b)), axis=1)
         ab, ab2, mixes = (list(zip(_views(x), _views(y))) for x, y in ((a, b), (a2, b2), mixed))
-        return ab, ab2, mixes, lam[:, 0, 0], outputs.reshape(-1, d, d)
-
-    def score(d, t, ab, ab2, mixes, lam, outputs):
-        m = len(t)
         _decomposed([x for pairs in (ab, ab2, mixes) for pair in pairs for x in pair])
-        outputs = validate_density(outputs)
+        outputs = validate_density(outputs.reshape(-1, d, d))
         oracle = oracle_divergence_table(ab, fs)
         selfs = divergence_table([(a, a) for a, _ in ab], fs)
         direct = divergence_table(ab, fs + [f.transpose() for f in fs])
@@ -334,7 +327,7 @@ def suite_divergence_oracle(cfg: TrialConfig) -> VerificationReport:
         before = values[rows, fi]
         ba, after, mixed, other = others[rows, :, fi].T
         # Transpose symmetry, data processing and joint convexity under f.
-        convex = mixed - (lam * before + (1.0 - lam) * other)
+        convex = mixed - (lam[:, 0, 0] * before + (1.0 - lam[:, 0, 0]) * other)
         paired = np.stack((np.abs(direct[rows, n + fi] - ba), after - before, convex), axis=1)
         return [(checks, 0), (paired, [0, 2, 3])]
 
@@ -342,7 +335,7 @@ def suite_divergence_oracle(cfg: TrialConfig) -> VerificationReport:
     # Kraus operators and the two products of each with both channel
     # inputs, or its d^2 x d^2 superoperator, whichever hold more.
     dims = [d for d in cfg.dims if d <= 4] or [2]
-    blocks = _drive(cfg, dims, 100, max(1, cfg.trials_per_case // 5), lambda d: max(23, d * d), draw, score)
+    blocks = _drive(cfg, dims, 100, max(1, cfg.trials_per_case // 5), lambda d: max(23, d * d), chunk)
     return _report("divergence-oracle", cfg, fs, "", blocks)
 
 
@@ -364,16 +357,12 @@ def suite_gio_monotonicity(cfg: TrialConfig) -> VerificationReport:
     """
     fs, dec, _ = _resolve(cfg)
 
-    def draw(d, t, s):
+    def chunk(d, t, s):
         m, second = len(t), t % 3 == 0
         chans = _diagonal_channels(d, np.where(t % 5 < 4, 1 + t % (d + 1), -(2 + t % d)), s[:, 1])
         ranks = np.concatenate((np.full(m, d), _cycling(d, t[second] // 3)))
-        states = _draw_states(d, ranks, np.concatenate((s[:, 0], s[second, 2])))
-        return chans, _conditioned(states[:m]), states[m:]
-
-    def score(d, t, chans, conditioned, extras):
-        m, second = len(t), t % 3 == 0
-        rhos = np.concatenate((conditioned, extras))
+        rhos = _draw_states(d, ranks, np.concatenate((s[:, 0], s[second, 2])))
+        rhos[:m] = _conditioned(rhos[:m])
         checks = list(zip(chans + [ch for ch, x in zip(chans, second) if x], _views(rhos)))
         corrs = np.array([ch.correlation for ch, _ in checks])
         outputs = validate_density(corrs * rhos)
@@ -403,7 +392,7 @@ def suite_gio_monotonicity(cfg: TrialConfig) -> VerificationReport:
     # A trial makes up to two checks, each with its state, the channel's
     # correlation matrix, their product, and the output with its
     # eigenvectors.
-    blocks = _drive(cfg, cfg.dims, 200, cfg.trials_per_case, lambda d: 10, draw, score)
+    blocks = _drive(cfg, cfg.dims, 200, cfg.trials_per_case, lambda d: 10, chunk)
     return _report("gio-monotonicity", cfg, fs, "", blocks)
 
 
@@ -445,7 +434,7 @@ def suite_strong_monotonicity(cfg: TrialConfig) -> VerificationReport:
     _, dec, note = _resolve(cfg)
     explored = [(0.0, -1), 0]  # worst unscored violation, number of checks
 
-    def draw(d, t, s):
+    def chunk(d, t, s):
         m = len(t)
         # (a) pure states, random diagonal channels, any dimension.
         # (b) diagonal-unitary mixtures saturate on any state.
@@ -454,22 +443,20 @@ def suite_strong_monotonicity(cfg: TrialConfig) -> VerificationReport:
         ranks = np.minimum(d, np.maximum(2, 1 + (t + 1) % d))
         ranks = np.concatenate((np.zeros(m, dtype=int), _cycling(d, t + 1), ranks))
         chans = _diagonal_channels(d, kinds, s[:, [1, 3, 5]].T.ravel())
-        return chans, _draw_states(d, ranks, s[:, [0, 2, 4]].T.ravel())
-
-    def score(d, t, chans, states):
+        states = _draw_states(d, ranks, s[:, [0, 2, 4]].T.ravel())
         own, averages = _outcome_averages(list(zip(chans, _views(states))), dec)
-        a, b, c = (own - averages).reshape(3, len(t), len(dec), 2)
+        a, b, c = (own - averages).reshape(3, m, len(dec), 2)
         # Parts (a) and (b) score one generator per trial, (c) all.
-        rows, fi = np.arange(len(t)), t % len(dec)
+        rows, fi = np.arange(m), t % len(dec)
         parts = [(-a[rows, fi], 0), (np.abs(b[rows, fi]), 2)]
         if d <= 2:
-            return parts + [(-c.reshape(len(t), -1), 4)]
+            return parts + [(-c.reshape(m, -1), 4)]
         explored[:] = _reduce(-c, -1, explored[0]), explored[1] + c.size
         return parts
 
     # A trial holds three states with their eigenvectors, three channel
     # correlation matrices and up to 3d + 4 selective outcomes.
-    blocks = _drive(cfg, cfg.dims, 300, max(1, cfg.trials_per_case // 2), lambda d: 3 * d + 13, draw, score)
+    blocks = _drive(cfg, cfg.dims, 300, max(1, cfg.trials_per_case // 2), lambda d: 3 * d + 13, chunk)
     report = _report("strong-monotonicity", cfg, dec, note, blocks)
     (worst, _), checks = explored
     explore = "exploration (mixed states, dim >= 3, general diagonal representations)"
@@ -485,27 +472,24 @@ def suite_faithfulness_and_bounds(cfg: TrialConfig) -> VerificationReport:
     def head(d):
         return np.abs(coherence_table([max_coherent_state(d).as_density()], dec)[0] - _bounds(d, dec))
 
-    def draw(d, t, s):
+    def chunk(d, t, s):
+        m = len(t)
         # Incoherent draw: coherence must vanish, distance must vanish.
         diags = [DensityMatrix.from_diagonal(rng.dirichlet(np.ones(d))) for rng in _generators(s[:, 0])]
         # Coherent draw: rejection-sample until an off-diagonal is large,
         # which a 1 x 1 state has none of.
-        rhos, pending = np.empty((len(t), d, d), dtype=complex), np.arange(len(t) if d > 1 else 0)
+        rhos, pending = np.empty((m, d, d), dtype=complex), np.arange(m if d > 1 else 0)
         for k in range(64):
             if not pending.size:
                 break
             candidates = _draw_states(d, _cycling(d, t[pending] + k), s[pending, 1] + k)
             large = np.array([max_offdiagonal(c) >= 0.1 for c in candidates], dtype=bool)
             rhos[pending[large]], pending = candidates[large], pending[~large]
-        coherent = np.full(len(t), d > 1)
+        coherent = np.full(m, d > 1)
         coherent[pending] = False
         # Pure-state coherence equals the dephased state's entropy.
         pure = (t % 3 == 0) & coherent
-        return diags, coherent, rhos[coherent], _projectors(_pure_vectors(d, s[pure, 2]))
-
-    def score(d, t, diags, coherent, rhos, psis):
-        m, pure = len(t), (t % 3 == 0) & coherent
-        rhos, psis = _views(rhos), _views(psis)
+        rhos, psis = _views(rhos[coherent]), _views(_projectors(_pure_vectors(d, s[pure, 2])))
         table = coherence_table([*diags, *rhos, *psis], dec)
         dist = _dephasing_distances(np.array([x.matrix for x in (*diags, *rhos)]))
         zero = np.hstack((np.abs(table[:m]).reshape(m, -1), dist[:m, None]))
@@ -522,7 +506,7 @@ def suite_faithfulness_and_bounds(cfg: TrialConfig) -> VerificationReport:
     trials = max(1, cfg.trials_per_case // (2 * len(cfg.dims)))
     # A trial draws up to three states as stacks, then tabulates up to
     # four states and two distance matrices.
-    blocks = _drive(cfg, cfg.dims, 400, trials, lambda d: 9, draw, score, head)
+    blocks = _drive(cfg, cfg.dims, 400, trials, lambda d: 9, chunk, head)
     return _report("faithfulness-bounds", cfg, dec, note, blocks)
 
 

@@ -217,6 +217,15 @@ class TestBuiltinChannels:
         with pytest.raises(BadWeights):
             diagonal_unitary_mixture([np.nan, 1.0], [[0.0, 0.0], [0.0, 1.0]])
 
+    @pytest.mark.parametrize("phase", [np.inf, -np.inf, np.nan])
+    def test_diagonal_unitary_mixture_rejects_non_finite_phase_without_warning(self, phase):
+        # Runtime warnings are errors here, so a warning from exp(1j * inf)
+        # would surface instead of the typed error.
+        with pytest.raises(ChannelValidationError, match="non-finite"):
+            diagonal_unitary_mixture([1.0], [[phase, 0.0]])
+        with pytest.raises(ChannelValidationError, match="non-finite"):
+            diagonal_unitary_mixture([0.5, 0.5], [[0.0, 0.0], [0.0, phase]])
+
     @pytest.mark.parametrize(
         "build", [dephasing_channel, depolarizing_extension, erasure_extension]
     )

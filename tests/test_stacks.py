@@ -7,6 +7,7 @@ kept here as references.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -42,6 +43,7 @@ from fcoherence.errors import (
     StateValidationError,
     TraceNotOne,
 )
+from fcoherence.io import dumps17
 from fcoherence.states import EPS_ZERO
 
 
@@ -664,6 +666,22 @@ class TestTrialConfigHardening:
         for tol in (math.inf, math.nan):
             with pytest.raises(ValueError, match="tol_violation"):
                 TrialConfig(tol_violation=tol)
+
+    @pytest.mark.parametrize(
+        "tol", ["1e-9", None, 1j, [1e-9], 10**400], ids=["string", "none", "complex", "list", "huge-int"]
+    )
+    def test_rejects_tolerance_that_is_not_a_real_number(self, tol):
+        # The rule of the generator parameters: a real number that converts
+        # to a float, so 10**400 cannot reach 10.0 * tol_violation later.
+        with pytest.raises(ValueError, match="tol_violation must be positive and finite"):
+            TrialConfig(tol_violation=tol)
+
+    @pytest.mark.parametrize("tol", [Fraction(1, 10**9), 1, np.float32(1e-3)])
+    def test_tolerance_is_stored_as_a_float(self, tol):
+        cfg = TrialConfig(dims=(2,), trials_per_case=1, tol_violation=tol)
+        assert type(cfg.tol_violation) is float and cfg.tol_violation == float(tol)
+        report = verify.suite_sio_counterexample(cfg)
+        assert f'"tol_violation": {dumps17(float(tol))}' in dumps17(report.to_json_dict())
 
     def test_accepts_numpy_integers_and_the_cap(self):
         cfg = TrialConfig(dims=(np.int64(2), verify.MAX_DIM), trials_per_case=np.int32(3))

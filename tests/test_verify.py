@@ -90,6 +90,35 @@ class TestSuites:
         assert report.worst_case_seed >= 0
         assert report.worst_violation > 1e-18
 
+    # Case offset and trials per case (at trials_per_case=20) of each
+    # drawing suite.
+    SEED_CONTRACT = {
+        "entropy-bounds": (0, 20),
+        "divergence-oracle": (100, 4),
+        "gio-monotonicity": (200, 20),
+        "strong-monotonicity": (300, 10),
+        "faithfulness-bounds": (400, 5),
+    }
+
+    @pytest.mark.parametrize("master", [0, 11])
+    @pytest.mark.parametrize("name", sorted(SEED_CONTRACT))
+    def test_worst_case_seed_follows_the_seed_derivation(self, name, master):
+        # Trial t of case k draws from SeedSequence((master, offset + k, t)),
+        # so a failing report names the master seed (a head check) or one
+        # of the six words that sequence generates for one of its trials.
+        offset, trials = self.SEED_CONTRACT[name]
+        dims = (2, 3)
+        cfg = TrialConfig(dims=dims, trials_per_case=20, seed=master, tol_violation=1e-300)
+        report = SUITES[name](cfg)
+        assert not report.passed and report.trials == len(dims) * trials
+        drawn = {
+            int(word)
+            for case in range(len(dims))
+            for t in range(trials)
+            for word in np.random.SeedSequence((master, offset + case, t)).generate_state(6)
+        }
+        assert report.worst_case_seed == master or report.worst_case_seed in drawn
+
     def test_first_nan_violation_is_kept(self):
         block = ([0.5, math.nan, math.nan, 7.0, 0.1], [1, 2, 3, 4, 5], 0)
         report = verify._report("entropy-bounds", SMALL, [lookup("neg_log")], "", [block])
