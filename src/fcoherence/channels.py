@@ -29,10 +29,13 @@ from .errors import (
     ChannelValidationError,
     DimensionMismatch,
     NotGio,
+    ParamOutOfRange,
     SingularState,
 )
+from .generators import _is_tolerance
 from .states import (
     EPS_ZERO,
+    TOL_TRACE,
     DensityMatrix,
     _as_square,
     _check_dim,
@@ -73,6 +76,9 @@ __all__ = [
 
 COMPLETENESS_TOL = 1e-10
 DIAGONAL_TOL = 1e-12
+# Default tol of gio_saturation_check: the coupling a state pair needs to
+# count, and the distance from 1 its squared overlap may keep.
+_SATURATION_TOL = 1e-6
 # Largest dense output of a tensor-extension channel with ancilla
 # dimension d, its Kraus stack or its selective outcome states: d^2
 # (depolarizing) or d (erasure) matrices of 16 d^4 bytes. Depolarizing
@@ -305,9 +311,11 @@ def _set_tables(chans: list, coeffs: np.ndarray, label: str | None) -> None:
         raise ChannelValidationError("coefficient table contains non-finite entries")
     coeffs.setflags(write=False)
     # Per table the diagonal of sum K*K - I, and np.linalg.norm of it: the
-    # root of its BLAS dot.
-    defects = ((coeffs.real**2 + coeffs.imag**2).sum(axis=-2) - 1.0)[:, None, :]
-    defects = np.sqrt(defects @ defects.swapaxes(-1, -2))[:, 0, 0]
+    # root of its BLAS dot. A finite entry too large to square gives an
+    # infinite defect, as the dense sum K*K of KrausChannel does.
+    with np.errstate(over="ignore"):
+        defects = ((coeffs.real**2 + coeffs.imag**2).sum(axis=-2) - 1.0)[:, None, :]
+        defects = np.sqrt(defects @ defects.swapaxes(-1, -2))[:, 0, 0]
     if (defects > COMPLETENESS_TOL).any():
         defect = _first_above(defects, COMPLETENESS_TOL)
         raise ChannelValidationError(f"sum K*K deviates from identity by {defect:.3e} (Frobenius)")
@@ -439,7 +447,7 @@ def _mixture_tables(weights: list, phases: list) -> list[np.ndarray]:
     for w in weights:
         if not np.all(w > 0.0):
             raise BadWeights(f"weights must be strictly positive, smallest is {w.min():.3e}")
-        if abs(w.sum() - 1.0) > 1e-10:
+        if abs(w.sum() - 1.0) > TOL_TRACE:
             raise BadWeights(f"weights sum to {w.sum()!r}, expected 1")
     coeffs = np.sqrt(np.concatenate(weights))[:, None] * np.exp(1j * np.concatenate(phases))
     return np.split(coeffs, np.cumsum([len(w) for w in weights])[:-1])
@@ -477,17 +485,17 @@ def _check_sizes(dim: int, num_kraus: int) -> None:
 def random_gio(dim: int, num_kraus: int, seed: int) -> GioChannel:
     """Random diagonal channel: each basis index gets a Haar-random unit
     coefficient vector across the Kraus operators."""
+    _check_sizes(dim, num_kraus)
     return _gio_list(_gio_tables(dim, num_kraus, [seed]), f"random-gio:{dim}")[0]
 
 
 def _gio_tables(dim: int, num_kraus, seeds) -> list[np.ndarray]:
     """The (k, dim) coefficient tables of random_gio(dim, k, s) for each
     Kraus count k (one per seed, or one for all) and seed s, normalized as
-    one stack per count."""
+    one stack per count; dim and counts unchecked."""
     seeds, num_kraus = _per_row(num_kraus, seeds)
     tables = [None] * len(seeds)
     for k, rows in _groups(num_kraus):
-        _check_sizes(dim, k)
         # Per seed one block, drawn in the order of a column-by-column loop.
         z = _normals(seeds[rows], (dim, 2, k))
         v = _normalized(z[:, :, 0] + 1j * z[:, :, 1])
@@ -535,14 +543,22 @@ def _unital_kraus(dim: int, num_unitaries, seeds) -> list[np.ndarray]:
     return np.split(ops, np.cumsum(counts)[:-1])
 
 
+def _check_tol(tol) -> None:
+    """The tolerance rule of TrialConfig.tol_violation, as ParamOutOfRange."""
+    if not _is_tolerance(tol):
+        raise ParamOutOfRange(f"tol must be positive and finite, got {tol!r}")
+
+
 def is_sio(ch: KrausChannel, tol: float = 1e-10) -> bool:
     """True when K_j Delta(X) K_j* = Delta(K_j X K_j*) for every Kraus
     operator and every matrix unit X = |n><m|.
 
     For X = |n><m| with n != m the defect is max_i |k_in k_im|, and for
     n = m it is max_{i != l} |k_in k_ln|: the product of the two largest
-    moduli in a row, or in a column, of K_j.
+    moduli in a row, or in a column, of K_j. Raises ParamOutOfRange when
+    tol is not a positive, finite real number.
     """
+    _check_tol(tol)
     if ch.dim < 2:
         return True
     mod = np.abs(ch.kraus_ops)
@@ -569,13 +585,15 @@ class SaturationReport:
     proportionality_defect: float
 
 
-def gio_saturation_check(ch: KrausChannel, rho: DensityMatrix, tol: float = 1e-6) -> SaturationReport:
+def gio_saturation_check(ch: KrausChannel, rho: DensityMatrix, tol: float = _SATURATION_TOL) -> SaturationReport:
     """Decide whether a diagonal channel preserves the coherences of rho.
 
     For every index pair (n, m) with |rho_nm| > tol the squared overlap
     |sum_j conj(k_jn) k_jm|^2 must reach 1 - tol. Raises NotGio when the
-    channel is not diagonal.
+    channel is not diagonal, and ParamOutOfRange when tol is not a
+    positive, finite real number.
     """
+    _check_tol(tol)
     _check_pair(ch, rho)
     ch = ch if isinstance(ch, GioChannel) else GioChannel(ch.kraus_ops)
     # The Gram matrix coeffs^H coeffs, gram[n, m] = <k_n, k_m>, in value.
@@ -591,7 +609,7 @@ def gio_saturation_check(ch: KrausChannel, rho: DensityMatrix, tol: float = 1e-6
     return SaturationReport(bool(_saturated(worst, worst_value, tol)), (n, m), float(worst_value), defect)
 
 
-def _worst_overlaps(grams: np.ndarray, matrices: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+def _worst_overlaps(grams: np.ndarray, matrices: np.ndarray, tol=_SATURATION_TOL) -> tuple[np.ndarray, np.ndarray]:
     """For each (Gram matrix, state matrix) pair of two (n, d, d) stacks:
     the position in np.triu_indices(d, 1) of the first smallest squared
     overlap |gram_nm|^2 among the pairs n < m with |matrix_nm| > tol (a NaN
@@ -608,7 +626,7 @@ def _worst_overlaps(grams: np.ndarray, matrices: np.ndarray, tol: float) -> tupl
     return np.where(none, -1, worst), np.where(none, 1.0, overlap[np.arange(n), worst])
 
 
-def _saturated(worst, worst_value, tol: float):
+def _saturated(worst, worst_value, tol: float = _SATURATION_TOL):
     """The saturation verdict of _worst_overlaps: no coupled pair, or the
     worst overlap not below 1 (or NaN), or within tol of 1."""
     return (worst < 0) | ~(worst_value < 1.0) | (worst_value >= 1.0 - tol)

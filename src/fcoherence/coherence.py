@@ -100,7 +100,7 @@ def coherence_table(states, gens) -> np.ndarray:
     if not len(states):
         return np.zeros((0, len(gens), 2))
     rows = _rows(states)
-    sums = spectral_sums(rows, rows.shape[-1], gens)
+    sums = spectral_sums(rows, gens)
     return sums[0] - sums[1]
 
 

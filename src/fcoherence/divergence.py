@@ -17,7 +17,7 @@ grouping and support masks once and evaluates every generator on them.
 ``f_weighted_sum`` is the kernel of every entropy and coherence value:
 it works on a (..., d) stack of spectra or diagonals, so one generator
 call serves many states, and ``spectral_sums`` runs it for a list of
-generators with both numerators 1/d and 1. Both, and the single-state
+generators with both numerators 1/d and 1, d the length of its rows. Both, and the single-state
 entropies, make one call of the private ``_weighted_sums`` that does
 the work; an entropy reads its state's cached spectrum without a copy.
 
@@ -214,14 +214,14 @@ def f_weighted_sum(values, numerator, f: GeneratorFunction):
     return float(sums) if sums.ndim == 0 else sums
 
 
-def spectral_sums(rows, dim: int, gens) -> np.ndarray:
+def spectral_sums(rows, gens) -> np.ndarray:
     """f_weighted_sum of a (..., d) stack for each generator and numerator.
 
-    Returns shape (..., len(gens), 2): numerator 1/dim in [..., 0]
-    (the plain variant) and 1 in [..., 1] (the hat variant).
+    Returns shape (..., len(gens), 2): numerator 1/d in [..., 0] (the
+    plain variant) and 1 in [..., 1] (the hat variant).
     """
     rows = np.asarray(rows, dtype=float)
-    c = np.array([1.0 / dim, 1.0]).reshape((2,) + (1,) * (rows.ndim - 1))
+    c = np.array([1.0 / rows.shape[-1], 1.0]).reshape((2,) + (1,) * (rows.ndim - 1))
     sums = np.reshape(_weighted_sums(rows, c, gens), (len(gens), 2) + rows.shape[:-1])
     return np.moveaxis(sums, (0, 1), (-2, -1))
 
@@ -296,6 +296,6 @@ def entropy_table(states, gens) -> np.ndarray:
         return np.zeros((0, len(gens), 2))
     vals = spectra(states)
     d = vals.shape[-1]
-    sums = spectral_sums(vals, d, gens)
+    sums = spectral_sums(vals, gens)
     top = np.array([float(f(1.0 / d)) for f in gens])
     return np.stack((top - sums[..., 0], -sums[..., 1]), axis=-1)

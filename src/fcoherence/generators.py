@@ -51,6 +51,11 @@ def _is_real(x) -> bool:
     return True
 
 
+def _is_tolerance(x) -> bool:
+    """A real number, per _is_real, that is positive and finite."""
+    return _is_real(x) and 0.0 < x < math.inf
+
+
 @dataclass(frozen=True)
 class GeneratorFunction:
     """An operator convex generator with its tail limits.

@@ -18,7 +18,9 @@ one ``np.random.default_rng(seed)`` per seed, takes each Generator's raw
 Gaussian blocks in the order of the one-seed draw, and then runs the
 algebra (Wishart product, normalisation, QR and phase fix) once per
 stack of one shape. Each row has the bytes of its one-seed draw, and the
-public draws are the one-seed calls.
+public draws are the one-seed calls. A public draw checks its sizes
+before it creates a Generator; the stacked draws trust their callers
+for sizes and check only the seeds.
 """
 
 from __future__ import annotations
@@ -390,8 +392,8 @@ def _normalized(v: np.ndarray) -> np.ndarray:
 
 
 def _pure_vectors(dim: int, seeds) -> np.ndarray:
-    """The amplitudes of random_pure(dim, s) for each seed s, as an (n, dim) array."""
-    _check_dim(dim)
+    """The amplitudes of random_pure(dim, s) for each seed s, as an (n, dim)
+    array; dim unchecked."""
     return _normalized(_complex_normals(seeds, (dim,)))
 
 
@@ -404,13 +406,10 @@ def _projectors(v: np.ndarray) -> np.ndarray:
 def _wisharts(dim: int, ranks, seeds) -> np.ndarray:
     """The matrices of random_density(dim, r, s) for each rank r (one per
     seed, or one for all) and seed s, as an (n, dim, dim) array, with one
-    Wishart product per distinct rank."""
-    _check_dim(dim)
+    Wishart product per distinct rank; dim and ranks unchecked."""
     seeds, ranks = _per_row(ranks, seeds)
     out = np.empty((len(seeds), dim, dim), dtype=complex)
     for rank, rows in _groups(ranks):
-        if not (_is_int(rank) and 1 <= rank <= dim):
-            raise DimensionMismatch(f"rank must be an integer in [1, {dim}], got {rank!r}")
         g = _complex_normals(seeds[rows], (dim, rank))
         m = g @ g.conj().swapaxes(-1, -2)
         m = (m + m.conj().swapaxes(-1, -2)) / 2.0
@@ -429,11 +428,15 @@ def _haar(rows: int, cols: int, seeds) -> np.ndarray:
 
 def random_pure(dim: int, seed: int) -> PureState:
     """Haar-random pure state: normalized complex Gaussian vector."""
+    _check_dim(dim)
     return PureState(_pure_vectors(dim, [seed])[0])
 
 
 def random_density(dim: int, rank: int, seed: int) -> DensityMatrix:
     """Random density matrix G G* / Tr(G G*) with G of shape (dim, rank)."""
+    _check_dim(dim)
+    if not (_is_int(rank) and 1 <= rank <= dim):
+        raise DimensionMismatch(f"rank must be an integer in [1, {dim}], got {rank!r}")
     return DensityMatrix(_wisharts(dim, rank, [seed])[0])
 
 

@@ -51,7 +51,7 @@ from .coherence import (
 )
 from .divergence import divergence_table, entropy_table, f_weighted_sum, oracle_divergence_table
 from .errors import CoherenceError
-from .generators import GeneratorFunction, _is_real, lookup
+from .generators import GeneratorFunction, _is_tolerance, lookup
 from .states import (
     DensityMatrix,
     _decomposed,
@@ -91,8 +91,9 @@ DEFAULT_F_SPECS = ("neg_log", "power:0.5", "power:1.5", "tsallis:0.5", "tsallis:
 # Equality is asserted below this, strict decrease above it.
 EQUALITY_TOL = 1e-8
 # Largest dimension a suite accepts. A strong-monotonicity trial holds
-# three states and up to 3d + 4 selective outcomes of them, 3d + 7
-# matrices of 16 d^2 bytes each: 13 MB at d = 64, one trial a chunk.
+# three states with their eigenvectors, three channel correlation
+# matrices and up to 3d + 4 selective outcomes, 3d + 13 matrices of
+# 16 d^2 bytes each: 13 MB at d = 64, one trial a chunk.
 MAX_DIM = 64
 # Byte budget of one stack of d x d complex matrices in a case-batched
 # suite. A case runs in chunks of consecutive trials sized to it, so
@@ -117,7 +118,7 @@ class TrialConfig:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
         if not _is_int(self.trials_per_case) or self.trials_per_case < 1:
             raise ValueError(f"trials_per_case must be an integer of at least 1, got {self.trials_per_case!r}")
-        if not _is_real(self.tol_violation) or not 0.0 < self.tol_violation < math.inf:
+        if not _is_tolerance(self.tol_violation):
             raise ValueError(f"tol_violation must be positive and finite, got {self.tol_violation!r}")
         object.__setattr__(self, "tol_violation", float(self.tol_violation))  # reports carry a float
         if isinstance(self.f_list, str):
@@ -371,7 +372,7 @@ def suite_gio_monotonicity(cfg: TrialConfig) -> VerificationReport:
         rows, cols = np.triu_indices(d, 1)
         pred = (1.0 - np.abs(corrs[:, rows, cols]) ** 2) * np.abs(rhos[:, rows, cols]) ** 2
         # gio_saturation_check's verdict on each check, at its default tol.
-        sat = _saturated(*_worst_overlaps(corrs, rhos, 1e-6), 1e-6)
+        sat = _saturated(*_worst_overlaps(corrs, rhos))
         equal = (sat & (pred.sum(axis=1) <= 1e-12))[:, None, None]
         strict = (~sat & (pred.max(axis=1, initial=0.0) >= 1e-7))[:, None, None]
 

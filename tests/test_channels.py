@@ -29,6 +29,7 @@ from fcoherence.errors import (
     ConvergenceFailure,
     DimensionMismatch,
     NotGio,
+    ParamOutOfRange,
     SingularState,
     StateValidationError,
 )
@@ -169,6 +170,21 @@ class TestGioChannel:
             _gio_list([np.ones((1, 2)), *bad])
         with pytest.raises(ChannelValidationError, match="by 2.000e-06 "):
             _gio_list([np.ones((1, 2)), *bad[::-1]])
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: GioChannel.from_coefficients([[1e200, 1e200]]),
+            lambda: GioChannel([np.diag([1e200, 1e200])]),
+            lambda: KrausChannel([np.diag([1e200, 1e200])]),
+        ],
+        ids=["from_coefficients", "GioChannel", "KrausChannel"],
+    )
+    def test_entry_too_large_to_square_is_an_infinite_defect(self, build):
+        # Runtime warnings are errors here, so an overflow warning from the
+        # squared moduli would surface instead of the typed error.
+        with pytest.raises(ChannelValidationError, match=r"^sum K\*K deviates from identity by inf \(Frobenius\)$"):
+            build()
 
     def test_shape_is_recorded_by_each_constructor(self):
         kraus = random_channel(3, 2, seed=1)
@@ -325,6 +341,37 @@ class TestSaturationCheck:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             gio_saturation_check(dephasing_channel(2), DensityMatrix.maximally_mixed(3))
+
+
+BAD_TOLS = ["x", None, 1j, np.nan, np.inf, -np.inf, 0, -1, True, pytest.param(10**400, id="10**400"), np.array(0.5)]
+
+
+class TestToleranceArguments:
+    """is_sio and gio_saturation_check take a tol that is a real number,
+    positive and finite, the rule of TrialConfig.tol_violation."""
+
+    @pytest.mark.parametrize("tol", BAD_TOLS, ids=repr)
+    def test_is_sio_rejects_bad_tol(self, tol):
+        for ch in (dephasing_channel(2), KrausChannel([np.eye(1)])):
+            with pytest.raises(ParamOutOfRange, match=r"^tol must be positive and finite, got "):
+                is_sio(ch, tol)
+
+    @pytest.mark.parametrize("tol", BAD_TOLS, ids=repr)
+    def test_saturation_check_rejects_bad_tol(self, tol):
+        with pytest.raises(ParamOutOfRange, match=r"^tol must be positive and finite, got "):
+            gio_saturation_check(dephasing_channel(2), plus_state(), tol)
+
+    def test_message_names_the_value(self):
+        with pytest.raises(ParamOutOfRange, match=r"^tol must be positive and finite, got 'x'$"):
+            is_sio(dephasing_channel(2), "x")
+        with pytest.raises(ParamOutOfRange, match=r"^tol must be positive and finite, got nan$"):
+            gio_saturation_check(dephasing_channel(2), plus_state(), float("nan"))
+
+    @pytest.mark.parametrize("tol", [1e-300, 0.5, 2.0, np.float32(1e-3), np.int64(1), 3], ids=repr)
+    def test_accepts_positive_finite_reals(self, tol):
+        assert is_sio(dephasing_channel(2), tol)
+        # plus_state couples its pair at 0.5, which dephasing maps to overlap 0.
+        assert gio_saturation_check(dephasing_channel(2), plus_state(), tol).saturates == (tol >= 0.5)
 
 
 class TestPetzRecovery:

@@ -8,6 +8,8 @@ free of names that no longer exist.
 import importlib
 import inspect
 import pkgutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -19,7 +21,9 @@ from fcoherence import (
     KrausChannel,
     TrialConfig,
     depolarizing_extension,
+    diagonal_unitary_mixture,
     erasure_extension,
+    gio_saturation_check,
     load_channel,
     random_channel,
     random_density,
@@ -28,10 +32,10 @@ from fcoherence import (
     save_state,
     sio_counterexample_report,
 )
-from fcoherence.channels import max_offdiagonal
+from fcoherence.channels import _saturated, _worst_overlaps, max_offdiagonal
 from fcoherence.cli import DECREASING_BUILTINS, main
-from fcoherence.errors import ChannelValidationError
-from fcoherence.states import _eigh
+from fcoherence.errors import BadWeights, ChannelValidationError, TraceNotOne
+from fcoherence.states import TOL_TRACE, _eigh
 from fcoherence.verify import SUITES
 
 
@@ -144,6 +148,51 @@ class TestLoadChannel:
         capsys.readouterr()
         assert main(["channel", path, state]) == 3
         assert capsys.readouterr().err == f"fcoherence: {message}\n"
+
+    def test_diagonal_file_too_large_to_square_exits_3_with_one_line(self, tmp_path):
+        path = self.save(tmp_path, np.array([np.diag([1e200, 1.0])]), "huge")
+        message = "sum K*K deviates from identity by inf (Frobenius)"
+        with pytest.raises(ChannelValidationError) as info:
+            load_channel(path)
+        assert str(info.value) == message
+        state = str(tmp_path / "state.json")
+        save_state(DensityMatrix.maximally_mixed(2), state)
+        # A child process without warnings turned into errors, so any
+        # warning text would reach its standard error.
+        proc = subprocess.run(
+            [sys.executable, "-m", "fcoherence", "channel", path, state], capture_output=True, text=True
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", f"fcoherence: {message}\n")
+
+
+def near_saturating(gap):
+    """A two-Kraus diagonal channel on C^2 whose coefficient columns have
+    squared overlap 1 - gap."""
+    return GioChannel.from_coefficients([[1.0, np.sqrt(1.0 - gap)], [0.0, np.sqrt(gap)]])
+
+
+def test_gio_suite_verdict_is_the_saturation_check():
+    # The gio-monotonicity suite scores _saturated(*_worst_overlaps(corrs,
+    # rhos)) at both defaults; pairs just inside and just outside 1e-6.
+    chans = [near_saturating(5e-7), near_saturating(2e-6)]
+    rho = DensityMatrix(np.full((2, 2), 0.5, dtype=complex))
+    worst, values = _worst_overlaps(np.array([ch.correlation for ch in chans]), np.array([rho.matrix] * 2))
+    np.testing.assert_allclose(values, [1.0 - 5e-7, 1.0 - 2e-6], rtol=0.0, atol=1e-15)
+    reports = [gio_saturation_check(ch, rho) for ch in chans]
+    assert _saturated(worst, values).tolist() == [r.saturates for r in reports] == [True, False]
+
+
+@pytest.mark.parametrize("excess", [5e-11, -5e-11, 2e-10, -2e-10])
+def test_mixture_weights_sum_to_one_as_probabilities_do(excess):
+    weights = [0.5, 0.5 + excess]
+    if abs(sum(weights) - 1.0) <= TOL_TRACE:
+        DensityMatrix.from_diagonal(weights)
+        diagonal_unitary_mixture(weights, [[0.0], [1.0]])
+        return
+    with pytest.raises(TraceNotOne):
+        DensityMatrix.from_diagonal(weights)
+    with pytest.raises(BadWeights, match="^weights sum to "):
+        diagonal_unitary_mixture(weights, [[0.0], [1.0]])
 
 
 def test_report_dicts_keep_the_field_order():

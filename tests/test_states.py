@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -442,7 +444,7 @@ SIZED = {
 class TestSizes:
     """Every size is an integer other than bool, at least 1."""
 
-    @pytest.mark.parametrize("size", [2.5, True, "3", np.float64(2.0)], ids=repr)
+    @pytest.mark.parametrize("size", [2.5, True, "3", np.float64(2.0), [], [2], np.array(2)], ids=repr)
     @pytest.mark.parametrize("build", SIZED.values(), ids=SIZED.keys())
     def test_non_integer_size_is_a_typed_error(self, build, size):
         with pytest.raises(DimensionMismatch, match="integer"):
@@ -451,6 +453,29 @@ class TestSizes:
     @pytest.mark.parametrize("build", SIZED.values(), ids=SIZED.keys())
     def test_numpy_integer_sizes_are_accepted(self, build):
         assert type(build(np.int64(2))) is type(build(2))
+
+    @pytest.mark.parametrize("size", [0, 2.5, [2], np.array(2)], ids=repr)
+    @pytest.mark.parametrize("build", SIZED.values(), ids=SIZED.keys())
+    def test_sizes_are_checked_before_any_draw(self, monkeypatch, build, size):
+        def no_draws(seed):
+            raise AssertionError("drew before checking sizes")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draws)
+        with pytest.raises(DimensionMismatch):
+            build(size)
+
+    @pytest.mark.parametrize("size", [[], [2], np.array(2)], ids=repr)
+    @pytest.mark.parametrize("build", [random_gio, random_channel, random_unital_channel])
+    def test_kraus_count_must_be_one_integer(self, build, size):
+        message = f"need integer dimension and Kraus count, got 3, {size!r}"
+        with pytest.raises(DimensionMismatch, match=f"^{re.escape(message)}$"):
+            build(3, size, 1)
+
+    @pytest.mark.parametrize("rank", [[2], np.array(2)], ids=repr)
+    def test_rank_must_be_one_integer(self, rank):
+        message = f"rank must be an integer in [1, 3], got {rank!r}"
+        with pytest.raises(DimensionMismatch, match=f"^{re.escape(message)}$"):
+            random_density(3, rank, 1)
 
 
 class TestSeeds:

@@ -1,4 +1,5 @@
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -416,7 +417,9 @@ class TestDimensionOne:
 GOLDEN = {
     # The values carry 17 significant digits, so a change in summation
     # order or in the BLAS build can move the last digits; any such
-    # change has to be regenerated here and explained.
+    # change has to be regenerated and explained. Regenerate all seven
+    # files from the checked-out tree with
+    #     PYTHONPATH=src python tests/test_verify.py
     # The default configuration; its sha256 is a5a3b5da...f2af2cd.
     "verify_all_seed1_default.jsonl": "--suite all --seed 1",
     "verify_all_seed1_trials10.jsonl": "--suite all --seed 1 --trials 10",
@@ -446,3 +449,11 @@ def test_verify_stdout_matches_golden_file(name, tmp_path, capsys):
     assert main(["verify", *GOLDEN[name].split(), "--out", str(out)]) == 0
     capsys.readouterr()
     assert out.read_bytes() == (Path(__file__).parent / "data" / name).read_bytes()
+
+
+if __name__ == "__main__":
+    for name, args in GOLDEN.items():
+        code = main(["verify", *args.split(), "--out", str(Path(__file__).parent / "data" / name)])
+        if code:
+            raise SystemExit(f"verify {args} exited {code}; {name} may hold a failing run")
+        print(f"wrote {name}", file=sys.stderr)
