@@ -37,17 +37,19 @@ from .states import (
     EPS_ZERO,
     TOL_TRACE,
     DensityMatrix,
+    _as_array,
     _as_square,
     _check_dim,
     _eigh,
     _first_above,
+    _frozen,
     _generators,
     _groups,
     _haar,
-    _is_int,
     _normalized,
     _normals,
     _per_row,
+    _size_fault,
     _views,
     spectral_decompose,
     validate_density,
@@ -97,23 +99,13 @@ class MeasurementOutcome:
 
 
 def _kraus_stack(kraus_ops) -> np.ndarray:
-    """Read-only (num_kraus, d, d) complex copy of a Kraus list, checked
-    for shape and finiteness on the whole stack."""
-    ops = kraus_ops if isinstance(kraus_ops, np.ndarray) else list(kraus_ops)
-    if len(ops) == 0:
+    """A Kraus list as a (num_kraus, d, d) complex array by the array rule,
+    checked for shape and finiteness on the whole stack: the caller's own
+    array where it is one, so a channel that keeps it copies it."""
+    ops = _as_array(kraus_ops, complex, "Kraus stack")
+    if ops.shape[:1] == (0,):
         raise ChannelValidationError("a channel needs at least one Kraus operator")
-    try:
-        stack = np.array(ops, dtype=complex)
-    except ValueError:
-        if len({np.shape(k) for k in ops}) > 1:
-            raise DimensionMismatch("Kraus operators must all be square of one size") from None
-        raise
-    if stack.ndim != 3 or stack.shape[1] != stack.shape[2] or stack.shape[1] == 0:
-        raise DimensionMismatch(f"Kraus operators must be non-empty squares of one size, got {stack.shape[1:]}")
-    if not np.isfinite(stack).all():
-        raise ChannelValidationError("Kraus operator contains non-finite entries")
-    stack.setflags(write=False)
-    return stack
+    return _as_array(ops, complex, "Kraus stack", ChannelValidationError, (3,), square=True)
 
 
 class KrausChannel:
@@ -126,10 +118,10 @@ class KrausChannel:
     """
 
     def __init__(self, kraus_ops, label: str | None = None, *, require_trace_preserving: bool = True):
-        self._ops = _kraus_stack(kraus_ops)
+        self._ops = _frozen(_kraus_stack(kraus_ops).copy(order="K"))
         self.num_kraus, self.dim = self._ops.shape[:2]
         self.label = label
-        if require_trace_preserving and (defect := self.completeness_defect()) > COMPLETENESS_TOL:
+        if require_trace_preserving and not (defect := self.completeness_defect()) <= COMPLETENESS_TOL:
             raise ChannelValidationError(f"sum K*K deviates from identity by {defect:.3e} (Frobenius)")
 
     @property
@@ -142,8 +134,11 @@ class KrausChannel:
 
     def completeness_defect(self) -> float:
         ops = self.kraus_ops
-        s = np.einsum("kij,kil->jl", ops.conj(), ops)
-        return float(np.linalg.norm(s - np.eye(self.dim), "fro"))
+        # Entries too large to square give an infinite (or, where infinite
+        # terms cancel, NaN) defect, as in _set_tables, with no warning.
+        with np.errstate(over="ignore", invalid="ignore"):
+            s = np.einsum("kij,kil->jl", ops.conj(), ops)
+            return float(np.linalg.norm(s - np.eye(self.dim), "fro"))
 
     def apply_matrix(self, m: np.ndarray) -> np.ndarray:
         """Linear action sum_k K m K* on an arbitrary matrix."""
@@ -270,9 +265,7 @@ class GioChannel(KrausChannel):
     def from_coefficients(cls, coefficients, label: str | None = None) -> "GioChannel":
         """Channel with Kraus operators diag(coefficients[j]), from a
         (num_kraus, dim) table."""
-        coeffs = np.array(coefficients, dtype=complex)
-        if coeffs.ndim != 2 or coeffs.size == 0:
-            raise DimensionMismatch(f"coefficient table must be a non-empty matrix, got shape {coeffs.shape}")
+        coeffs = _as_array(coefficients, complex, "coefficient table", ChannelValidationError, (2,))
         return _gio_list([coeffs], label)[0]
 
     @property
@@ -306,9 +299,7 @@ class GioChannel(KrausChannel):
 def _set_tables(chans: list, coeffs: np.ndarray, label: str | None) -> None:
     """Give each channel its row of an (n, num_kraus, dim) coefficient stack,
     read-only, with its shape, correlation matrix and completeness defect,
-    after checking the stack."""
-    if not np.isfinite(coeffs).all():
-        raise ChannelValidationError("coefficient table contains non-finite entries")
+    after checking the completeness of the finite stack."""
     coeffs.setflags(write=False)
     # Per table the diagonal of sum K*K - I, and np.linalg.norm of it: the
     # root of its BLAS dot. A finite entry too large to square gives an
@@ -431,24 +422,24 @@ def diagonal_unitary_mixture(weights, phase_table) -> GioChannel:
     ``phase_table`` has one row of phases per unitary; Kraus operators
     are sqrt(w_j) diag(exp(i phases[j])).
     """
-    w = np.asarray(weights, dtype=float)
-    phases = np.asarray(phase_table, dtype=float)
+    w, phases = _as_array(weights, float, "weights"), _as_array(phase_table, float, "coefficient table")
     if w.ndim != 1 or phases.ndim != 2 or phases.shape[0] != w.size:
         raise BadWeights(f"need one phase row per weight, got {w.shape} weights and {phases.shape} phases")
-    if not np.isfinite(phases).all():  # before exp(1j * inf) can warn
-        raise ChannelValidationError("coefficient table contains non-finite entries")
+    _as_array(phases, float, "coefficient table", ChannelValidationError)  # before exp(1j * inf) can warn
     return GioChannel.from_coefficients(_mixture_tables([w], [phases])[0], label="diagonal-unitary-mixture")
 
 
 def _mixture_tables(weights: list, phases: list) -> list[np.ndarray]:
     """The coefficient tables sqrt(w_j) exp(i phases[j]) of a list of
     weight vectors and their phase tables, each weight vector checked. The
-    algebra is elementwise, so it runs once on all rows concatenated."""
-    for w in weights:
-        if not np.all(w > 0.0):
-            raise BadWeights(f"weights must be strictly positive, smallest is {w.min():.3e}")
-        if abs(w.sum() - 1.0) > TOL_TRACE:
-            raise BadWeights(f"weights sum to {w.sum()!r}, expected 1")
+    algebra is elementwise, so it runs once on all rows concatenated. A sum
+    too large for a float is inf, with no warning."""
+    with np.errstate(over="ignore"):
+        for w in weights:
+            if not np.all(w > 0.0):
+                raise BadWeights(f"weights must be strictly positive, smallest is {w.min():.3e}")
+            if abs(w.sum() - 1.0) > TOL_TRACE:
+                raise BadWeights(f"weights sum to {float(w.sum())!r}, expected 1")
     coeffs = np.sqrt(np.concatenate(weights))[:, None] * np.exp(1j * np.concatenate(phases))
     return np.split(coeffs, np.cumsum([len(w) for w in weights])[:-1])
 
@@ -476,10 +467,9 @@ def _gio_list(tables: list, label: str | None = None) -> list[GioChannel]:
 
 
 def _check_sizes(dim: int, num_kraus: int) -> None:
-    if not (_is_int(dim) and _is_int(num_kraus)):
-        raise DimensionMismatch(f"need integer dimension and Kraus count, got {dim!r}, {num_kraus!r}")
-    if dim < 1 or num_kraus < 1:
-        raise DimensionMismatch(f"need positive dimension and Kraus count, got {dim}, {num_kraus}")
+    """The size rule for a dimension and a Kraus count together."""
+    if fault := _size_fault(dim) or _size_fault(num_kraus):
+        raise DimensionMismatch(f"need {fault} dimension and Kraus count, got {dim!r}, {num_kraus!r}")
 
 
 def random_gio(dim: int, num_kraus: int, seed: int) -> GioChannel:

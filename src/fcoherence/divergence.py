@@ -35,9 +35,9 @@ import math
 
 import numpy as np
 
-from .errors import DimensionMismatch, SingularState, UnsupportedLimit
+from .errors import DimensionMismatch, ParamOutOfRange, SingularState, UnsupportedLimit
 from .generators import GeneratorFunction
-from .states import EPS_ZERO, DensityMatrix, SpectralDecomposition, _decomposed, _eigh, spectra
+from .states import EPS_ZERO, DensityMatrix, SpectralDecomposition, _as_array, _decomposed, _eigh, spectra
 
 __all__ = [
     "GROUP_TOL",
@@ -207,10 +207,16 @@ def f_weighted_sum(values, numerator, f: GeneratorFunction):
     their limiting value, which is 0 exactly when the generator's
     weighted tail limit is 0; any other tail raises UnsupportedLimit
     since no finite convention applies. A NaN entry makes its row's sum
-    NaN. Each row is summed over its positive entries alone and in order,
-    so a row of a stack gives the same bits as the row passed on its own.
+    NaN, and a +inf entry contributes its limit, +inf times f(0+). Each
+    row is summed over its positive entries alone and in order, so a row
+    of a stack gives the same bits as the row passed on its own. Raises
+    ParamOutOfRange for a numerator entry that is not positive and finite.
     """
-    (sums,) = _weighted_sums(np.asarray(values, dtype=float), np.asarray(numerator, dtype=float), [f])
+    v, c = _as_array(values, float, "values"), _as_array(numerator, float, "numerator")
+    # A float numerator, the single-state measures' case, is read as it is.
+    if not (0.0 < numerator < math.inf if type(numerator) is float else all(0.0 < x < math.inf for x in c.flat)):
+        raise ParamOutOfRange(f"numerator must be positive and finite, got {numerator!r}")
+    (sums,) = _weighted_sums(v, c, [f])
     return float(sums) if sums.ndim == 0 else sums
 
 
@@ -220,19 +226,21 @@ def spectral_sums(rows, gens) -> np.ndarray:
     Returns shape (..., len(gens), 2): numerator 1/d in [..., 0] (the
     plain variant) and 1 in [..., 1] (the hat variant).
     """
-    rows = np.asarray(rows, dtype=float)
+    rows = _as_array(rows, float, "rows")
     c = np.array([1.0 / rows.shape[-1], 1.0]).reshape((2,) + (1,) * (rows.ndim - 1))
     sums = np.reshape(_weighted_sums(rows, c, gens), (len(gens), 2) + rows.shape[:-1])
     return np.moveaxis(sums, (0, 1), (-2, -1))
 
 
 def _weighted_sums(v: np.ndarray, c: np.ndarray, gens) -> list[np.ndarray]:
-    """f_weighted_sum of the stack v with numerator c, once per generator;
-    the masking is shared by all generators. A NaN entry counts as
-    positive (np.fmin skips it in the test for zero entries), so it
-    reaches the sum."""
+    """f_weighted_sum of the stack v with positive, finite numerator c,
+    once per generator; the masking is shared by all generators. A NaN
+    entry counts as positive (np.fmin skips it in the test for zero
+    entries), so it reaches the sum. Each ratio c / v is raised to the
+    smallest subnormal, which leaves every positive ratio as it is and
+    evaluates f at 0+, with no warning, where v is +inf."""
     if not np.fmin.reduce(v, axis=None, initial=np.inf) <= EPS_ZERO:
-        x = c[..., None] / v
+        x = np.maximum(c[..., None] / v, 5e-324)
         return [np.add.reduce(v * f(x), axis=-1) for f in gens]
     for f in gens:
         if _need_limit(f, "weighted_inf_limit", "weighted tail limit") != 0.0:
@@ -246,7 +254,7 @@ def _weighted_sums(v: np.ndarray, c: np.ndarray, gens) -> list[np.ndarray]:
     # summed as one (rows, m) block.
     v, pos = np.broadcast_arrays(v, ~(v <= EPS_ZERO), c[..., None])[:2]
     vp = v[pos]
-    x = (c[..., None] / np.where(pos, v, 1.0))[pos]
+    x = np.maximum(c[..., None] / np.where(pos, v, 1.0), 5e-324)[pos]
     counts = pos.sum(axis=-1).ravel()
     ends = np.cumsum(counts)
     blocks = []

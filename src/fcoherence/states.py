@@ -21,11 +21,17 @@ stack of one shape. Each row has the bytes of its one-seed draw, and the
 public draws are the one-seed calls. A public draw checks its sizes
 before it creates a Generator; the stacked draws trust their callers
 for sizes and check only the seeds.
+
+Two private rules decide whether a caller's numeric input is usable, for
+this module, ``channels`` and ``divergence`` alike: ``_size_fault`` for a
+size and ``_as_array`` for an array, which maps every conversion failure
+to a typed error.
 """
 
 from __future__ import annotations
 
 import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,22 +84,49 @@ def _is_int(x) -> bool:
     return type(x) is int or isinstance(x, numbers.Integral) and not isinstance(x, bool)
 
 
+def _size_fault(n) -> str:
+    """The size rule: "" for an integer n >= 1 other than bool for which
+    numpy can address an n x n complex matrix (16 n^2 bytes within the
+    maximum of np.intp, which is sys.maxsize), else the word n fails:
+    "integer", "positive" or "addressable"."""
+    if not _is_int(n):
+        return "integer"
+    if n < 1:
+        return "positive"
+    return "" if 16 * n * n <= sys.maxsize else "addressable"
+
+
 def _check_dim(dim: int) -> None:
-    if not _is_int(dim):
-        raise DimensionMismatch(f"dimension must be an integer, got {dim!r}")
-    if dim < 1:
-        raise DimensionMismatch(f"dimension must be positive, got {dim}")
+    if fault := _size_fault(dim):
+        raise DimensionMismatch(f"dimension must be {fault}, got {dim!r}")
 
 
-def _as_square(matrix, what: str = "matrix", ndim: int = 2) -> np.ndarray:
-    """Complex array of ``ndim`` axes whose last two are square and
-    non-empty, all finite."""
-    m = np.asarray(matrix, dtype=complex)
-    if m.ndim != ndim or m.shape[-1] != m.shape[-2] or m.shape[-1] == 0:
-        raise DimensionMismatch(f"{what} must be square and non-empty, got shape {m.shape}")
-    if not np.isfinite(m).all():
-        raise StateValidationError(f"{what} contains non-finite entries")
-    return m
+def _as_array(x, dtype, what: str, error=None, ndims=(), square: bool = False) -> np.ndarray:
+    """The array rule: x as a numpy array of dtype, x itself where it is one.
+
+    An input numpy cannot convert (a string, a ragged list, an integer too
+    large for a float) raises DimensionMismatch. With an error class,
+    every entry must be finite, or that error. With ndims, the array must
+    have one of those numbers of axes, non-empty matrix sides (its last two
+    axes, or a vector's one; a leading stack axis may be empty) and, if
+    square, square matrices, or DimensionMismatch, which comes first.
+    """
+    try:
+        a = np.asarray(x, dtype=dtype)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DimensionMismatch(f"{what} is not an array of numbers: {exc}") from None
+    if ndims and (a.ndim not in ndims or 0 in a.shape[-2:] or square and a.shape[-1] != a.shape[-2]):
+        shape = "square and non-empty" if square else f"a non-empty {'vector' if ndims == (1,) else 'matrix'}"
+        raise DimensionMismatch(f"{what} must be {shape}, got shape {a.shape}")
+    if error and not np.isfinite(a).all():
+        raise error(f"{what} contains non-finite entries")
+    return a
+
+
+def _as_square(matrix, what: str = "matrix", ndims=(2,)) -> np.ndarray:
+    """A complex array of ndims axes whose last two are square and
+    non-empty, all finite, by the array rule."""
+    return _as_array(matrix, complex, what, StateValidationError, ndims, square=True)
 
 
 @dataclass(frozen=True, eq=False)
@@ -146,9 +179,7 @@ class DensityMatrix:
         tie keep the stable order, which eigh's closing selection sort may
         not.
         """
-        p = np.asarray(probabilities, dtype=float)
-        if p.ndim != 1 or p.size == 0:
-            raise DimensionMismatch("probabilities must be a non-empty vector")
+        p = _as_array(probabilities, float, "probabilities", ndims=(1,))
         if np.any(p < -TOL_PSD):
             raise NotPositive(f"negative probability {p.min():.3e}")
         total = float(np.clip(p, 0.0, None).sum())
@@ -179,11 +210,7 @@ class PureState:
     amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
-        a = np.asarray(self.amplitudes, dtype=complex)
-        if a.ndim != 1 or a.size == 0:
-            raise DimensionMismatch("amplitudes must be a non-empty vector")
-        if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
-            raise StateValidationError("amplitudes contain non-finite entries")
+        a = _as_array(self.amplitudes, complex, "amplitude vector", StateValidationError, (1,))
         norm = float(np.linalg.norm(a))
         if abs(norm - 1.0) > TOL_NORM:
             raise StateValidationError(f"vector norm is {norm!r}, expected 1")
@@ -230,8 +257,7 @@ def validate_density(matrix) -> DensityMatrix | list[DensityMatrix]:
     check, so a stack with one bad matrix raises what that matrix raises
     alone.
     """
-    m = np.asarray(matrix, dtype=complex)
-    m = _as_square(m, "density matrix", 3 if m.ndim == 3 else 2)
+    m = _as_square(matrix, "density matrix", (2, 3))
     if m.size == 0:
         return []
     stack = m.reshape((-1,) + m.shape[-2:])
@@ -329,9 +355,7 @@ def _rows(states) -> np.ndarray:
 
 def trace_norm(matrix) -> float:
     """Sum of singular values."""
-    m = np.asarray(matrix, dtype=complex)
-    if m.ndim != 2:
-        raise DimensionMismatch(f"expected a matrix, got shape {m.shape}")
+    m = _as_array(matrix, complex, "operand", StateValidationError, (2,))
     try:
         s = np.linalg.svd(m, compute_uv=False)
     except np.linalg.LinAlgError as exc:

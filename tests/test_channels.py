@@ -186,6 +186,17 @@ class TestGioChannel:
         with pytest.raises(ChannelValidationError, match=r"^sum K\*K deviates from identity by inf \(Frobenius\)$"):
             build()
 
+    def test_dense_sum_too_large_for_its_norm_is_an_infinite_defect(self):
+        # sum K*K = diag(1e200, 1e200) is finite; the squares in its norm are not.
+        with pytest.raises(ChannelValidationError, match=r"^sum K\*K deviates from identity by inf \(Frobenius\)$"):
+            KrausChannel([np.diag([1e100, 1e100])])
+
+    def test_dense_sum_whose_infinite_terms_cancel_is_rejected(self):
+        # Each entry of sum K*K adds infinite terms of both signs: a NaN
+        # defect, which no tolerance accepts.
+        with pytest.raises(ChannelValidationError, match=r"^sum K\*K deviates from identity by nan \(Frobenius\)$"):
+            KrausChannel([np.full((2, 2), 1e200 - 1e200j)])
+
     def test_shape_is_recorded_by_each_constructor(self):
         kraus = random_channel(3, 2, seed=1)
         assert (kraus.num_kraus, kraus.dim) == (2, 3) == kraus.kraus_ops.shape[:2]
@@ -232,6 +243,10 @@ class TestBuiltinChannels:
             diagonal_unitary_mixture([1.0], [[0.0, 0.0], [0.0, 1.0]])
         with pytest.raises(BadWeights):
             diagonal_unitary_mixture([np.nan, 1.0], [[0.0, 0.0], [0.0, 1.0]])
+
+    def test_diagonal_unitary_mixture_weights_too_large_to_sum_sum_to_inf(self):
+        with pytest.raises(BadWeights, match=r"^weights sum to inf, expected 1$"):
+            diagonal_unitary_mixture([1e308, 1e308], [[0.0], [0.0]])
 
     @pytest.mark.parametrize("phase", [np.inf, -np.inf, np.nan])
     def test_diagonal_unitary_mixture_rejects_non_finite_phase_without_warning(self, phase):

@@ -2,11 +2,13 @@
 hypothesis under the derandomized profile of conftest.py."""
 
 import os
+import string
 import tempfile
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_contract import SLOTS, swept
 
 from fcoherence import DensityMatrix, random_density, validate_density
 from fcoherence.channels import (
@@ -151,3 +153,30 @@ def test_channels_do_not_increase_divergence(d, seed_a, seed_b, k, seed):
     before = divergence_table([(a, b)], gens)
     after = divergence_table([(ch.apply(a), ch.apply(b))], gens)
     assert (after - before).max() <= 1e-9
+
+
+# The value classes of test_contract.BAD: None, strings that are no
+# number, complex numbers, NaN and infinities, negative integers, zero,
+# bools, integers too large for a float, empty lists, and non-integer
+# floats, bare or as 0-d arrays.
+non_integer_floats = st.floats(allow_nan=False, allow_infinity=False).filter(lambda x: not x.is_integer())
+bad_values = st.one_of(
+    st.none(),
+    st.text(string.ascii_letters, max_size=5),
+    st.complex_numbers(),
+    st.sampled_from([np.nan, np.inf, -np.inf]),
+    st.integers(max_value=-1),
+    st.just(0),
+    st.booleans(),
+    st.integers(2**1024, 2**2048),
+    st.just([]),
+    non_integer_floats,
+    non_integer_floats.map(np.array),
+)
+
+
+@settings(max_examples=300)
+@given(st.sampled_from(SLOTS), bad_values)
+def test_bad_values_in_any_numeric_slot_give_a_value_or_a_typed_error(slot, value):
+    row, index = slot
+    assert not swept(row, index, value).startswith("bare")
