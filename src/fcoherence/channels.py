@@ -232,12 +232,12 @@ def outcome_ensembles(channels, states) -> list[list[MeasurementOutcome]]:
 
 
 def max_offdiagonal(matrices) -> float:
-    """Largest off-diagonal modulus in a (..., d, d) array; 0 when d = 1
-    or the array is empty.
+    """Largest off-diagonal modulus in a (..., d, d) array, d >= 1; 0 when
+    d = 1 or the stack holds no matrix.
 
     GioChannel accepts a Kraus stack when this is at most DIAGONAL_TOL.
     """
-    off = np.abs(matrices)
+    off = np.abs(_as_array(matrices, complex, "matrices", ndims=range(2, 65), square=True))
     idx = np.arange(off.shape[-1])
     off[..., idx, idx] = 0.0
     return float(off.max(initial=0.0))

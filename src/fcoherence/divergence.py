@@ -210,12 +210,18 @@ def f_weighted_sum(values, numerator, f: GeneratorFunction):
     NaN, and a +inf entry contributes its limit, +inf times f(0+). Each
     row is summed over its positive entries alone and in order, so a row
     of a stack gives the same bits as the row passed on its own. Raises
-    ParamOutOfRange for a numerator entry that is not positive and finite.
+    ParamOutOfRange for a numerator entry that is not positive and finite,
+    or whose ratio to a finite entry above EPS_ZERO overflows.
     """
     v, c = _as_array(values, float, "values"), _as_array(numerator, float, "numerator")
     # A float numerator, the single-state measures' case, is read as it is.
     if not (0.0 < numerator < math.inf if type(numerator) is float else all(0.0 < x < math.inf for x in c.flat)):
         raise ParamOutOfRange(f"numerator must be positive and finite, got {numerator!r}")
+    # Over an entry above EPS_ZERO, only a numerator above 1e296 can overflow.
+    if (numerator if type(numerator) is float else c.max(initial=0.0)) > 1e296:
+        with np.errstate(all="ignore"):
+            if (np.isinf(c[..., None] / v) & (EPS_ZERO < v) & (v < math.inf)).any():
+                raise ParamOutOfRange(f"numerator {numerator!r} over an entry of values overflows")
     (sums,) = _weighted_sums(v, c, [f])
     return float(sums) if sums.ndim == 0 else sums
 
@@ -226,7 +232,7 @@ def spectral_sums(rows, gens) -> np.ndarray:
     Returns shape (..., len(gens), 2): numerator 1/d in [..., 0] (the
     plain variant) and 1 in [..., 1] (the hat variant).
     """
-    rows = _as_array(rows, float, "rows")
+    rows = _as_array(rows, float, "rows", ndims=range(1, 65))
     c = np.array([1.0 / rows.shape[-1], 1.0]).reshape((2,) + (1,) * (rows.ndim - 1))
     sums = np.reshape(_weighted_sums(rows, c, gens), (len(gens), 2) + rows.shape[:-1])
     return np.moveaxis(sums, (0, 1), (-2, -1))

@@ -14,13 +14,19 @@ first use. Every eigensolve goes through ``_eigh``, which maps a LAPACK
 failure to ConvergenceFailure.
 
 The seeded draws are stacked: a draw takes a sequence of seeds, creates
-one ``np.random.default_rng(seed)`` per seed, takes each Generator's raw
-Gaussian blocks in the order of the one-seed draw, and then runs the
-algebra (Wishart product, normalisation, QR and phase fix) once per
-stack of one shape. Each row has the bytes of its one-seed draw, and the
-public draws are the one-seed calls. A public draw checks its sizes
-before it creates a Generator; the stacked draws trust their callers
-for sizes and check only the seeds.
+one Generator per seed with the bytes of ``np.random.default_rng(seed)``,
+takes each Generator's raw Gaussian blocks in the order of the one-seed
+draw, and then runs the algebra (Wishart product, normalisation, QR and
+phase fix) once per stack of one shape. Each row has the bytes of its
+one-seed draw, and the public draws are the one-seed calls. A public
+draw checks its sizes before it creates a Generator; the stacked draws
+trust their callers for sizes and check only the seeds.
+
+Seeding follows numpy's SeedSequence, whose hash is fixed 32-bit
+arithmetic: ``_seed_states`` runs it for many seeds at once. While a
+verification suite runs, ``_PCG64_WORDS`` holds the PCG64 seeding words
+of each of its seeds, hashed in one pass, and the Generator of such a
+seed is built on them; any other seed goes through ``default_rng``.
 
 Two private rules decide whether a caller's numeric input is usable, for
 this module, ``channels`` and ``divergence`` alike: ``_size_fault`` for a
@@ -30,6 +36,7 @@ to a typed error.
 
 from __future__ import annotations
 
+import contextlib
 import numbers
 import sys
 from dataclasses import dataclass
@@ -109,14 +116,17 @@ def _as_array(x, dtype, what: str, error=None, ndims=(), square: bool = False) -
     every entry must be finite, or that error. With ndims, the array must
     have one of those numbers of axes, non-empty matrix sides (its last two
     axes, or a vector's one; a leading stack axis may be empty) and, if
-    square, square matrices, or DimensionMismatch, which comes first.
+    square, square matrices, or DimensionMismatch, which comes first. A
+    range(1, 65) or range(2, 65) of numbers of axes, every count numpy
+    allows from one or two, is a stack of vectors or of matrices.
     """
     try:
         a = np.asarray(x, dtype=dtype)
     except (TypeError, ValueError, OverflowError) as exc:
         raise DimensionMismatch(f"{what} is not an array of numbers: {exc}") from None
-    if ndims and (a.ndim not in ndims or 0 in a.shape[-2:] or square and a.shape[-1] != a.shape[-2]):
-        shape = "square and non-empty" if square else f"a non-empty {'vector' if ndims == (1,) else 'matrix'}"
+    sides = a.shape[-min(ndims[0], 2) :] if ndims else ()
+    if ndims and (a.ndim not in ndims or 0 in sides or square and sides[0] != sides[-1]):
+        shape = "square and non-empty" if square else f"a non-empty {'vector' if ndims[0] == 1 else 'matrix'}"
         raise DimensionMismatch(f"{what} must be {shape}, got shape {a.shape}")
     if error and not np.isfinite(a).all():
         raise error(f"{what} contains non-finite entries")
@@ -363,14 +373,83 @@ def trace_norm(matrix) -> float:
     return float(s.sum())
 
 
+# The PCG64 seeding words of each seed of the suite window that
+# verify._drive runs, there only inside its _suite_seeds block: a cache of
+# a pure function of the seed, so a seed missing from it costs time only.
+_PCG64_WORDS: dict = {}
+
+
+class _Words(np.ndarray):
+    """A seed's four PCG64 seeding words, SeedSequence(seed).generate_state(4,
+    np.uint64), which hand themselves over as numpy's ISeedSequence."""
+
+    def generate_state(self, n_words, dtype=None) -> np.ndarray:
+        return self
+
+
+def _hashmix(v: np.ndarray, x: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """SeedSequence's hashmix of the uint32 words v, with the hash constant
+    x before its step and m after it."""
+    v = (v ^ x) * m
+    return v ^ v >> 16
+
+
+def _seed_states(entropy: np.ndarray, n_words: int) -> np.ndarray:
+    """Row i: np.random.SeedSequence(entropy[:, i]).generate_state(n_words),
+    for an (L, n) uint32 array whose column i holds L >= 1 entropy words.
+
+    This is numpy's algorithm on all columns at once, the same integer
+    steps: the 4-word pool takes the hashmix of the first four words,
+    absent ones hashed as 0; round r < 4 mixes the hashmix of pool word r
+    into each other pool word, and round r >= 4 that of word r into every
+    pool word; the output hashes the pool words in turn. A hash constant
+    is multiplied by a fixed factor at each step, whatever the data, so
+    step i's constant start * mult**i mod 2**32 (a product mod 2**64 keeps
+    its low 32 bits) serves every column.
+    """
+    rounds = max(len(entropy), 4)
+    words = np.vstack((entropy, np.zeros((4, entropy.shape[1]), np.uint32)))  # absent words hash as 0
+    h = np.cumprod([0x43B0D7E5] + [0x931E8875] * (4 * rounds + 1), dtype=np.uint64).astype(np.uint32)[:, None]
+    # The constant's step as round r mixes into pool word j; round r < 4
+    # skips word r, whose entry is unused.
+    k = [[4 + 3 * r + j - (j > r) if r < 4 else 4 * r + j for j in range(4)] for r in range(rounds)]
+    pool = _hashmix(words[:4], h[:4], h[1:5])
+    for i, (x, m) in enumerate(zip(h[k], h[np.add(k, 1)])):
+        mixed = pool * 0xCA01F9DD - _hashmix(pool[i] if i < 4 else words[i], x, m) * 0x4973F715
+        mixed ^= mixed >> 16
+        mixed[i : i + 1], pool = pool[i : i + 1], mixed  # the slice is empty past the pool
+    h = np.cumprod([0x8B51F9DD] + [0x58F38DED] * n_words, dtype=np.uint64).astype(np.uint32)[:, None]
+    return _hashmix(pool[np.arange(n_words) % 4], h[:-1], h[1:]).T.copy()
+
+
+@contextlib.contextmanager
+def _suite_seeds(master: int, cases: np.ndarray, trials: np.ndarray):
+    """Give the (n, 6) int64 array whose row i is SeedSequence((master,
+    cases[i], trials[i])).generate_state(6), for cases and trials below
+    2**32, hashed in one pass. While the block runs, _PCG64_WORDS holds
+    the PCG64 seeding words of each of these seeds, as default_rng(seed)
+    has SeedSequence(seed) derive them."""
+    words = [int(master) >> 32 * i & 0xFFFFFFFF for i in range(max(1, -(-int(master).bit_length() // 32)))]
+    seeds = _seed_states(np.array([np.full(len(cases), w) for w in words] + [cases, trials], np.uint32), 6)
+    pcg = _seed_states(seeds.reshape(1, -1), 8).astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
+    np.random.bit_generator.ISeedSequence.register(_Words)  # numpy.random loads on first use
+    _PCG64_WORDS.update(zip(seeds.ravel().tolist(), pcg))
+    try:
+        yield seeds.astype(np.int64)
+    finally:
+        _PCG64_WORDS.clear()
+
+
 def _generators(seeds) -> list[np.random.Generator]:
-    """One np.random.default_rng(seed) per seed, each checked to be an
-    integer other than bool and at least 0."""
+    """One Generator per seed, each seed checked to be an integer other
+    than bool and at least 0, with the bytes of np.random.default_rng(seed):
+    a seed in _PCG64_WORDS seeds its PCG64 from the words there."""
     seeds = seeds.tolist() if isinstance(seeds, np.ndarray) else list(seeds)
     for s in seeds:
         if not _is_int(s) or s < 0:
             raise ParamOutOfRange(f"seed must be a non-negative integer, got {s!r}")
-    return [np.random.default_rng(s) for s in seeds]
+    rnd, stored = np.random, _PCG64_WORDS.get
+    return [rnd.default_rng(s) if (w := stored(s)) is None else rnd.Generator(rnd.PCG64(w.view(_Words))) for s in seeds]
 
 
 def _groups(keys: np.ndarray):

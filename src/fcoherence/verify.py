@@ -18,6 +18,7 @@ a matrix the bytes it gets alone, so reports equal a trial-by-trial run.
 from __future__ import annotations
 
 import contextlib
+import itertools
 import math
 import os
 import pickle
@@ -62,6 +63,7 @@ from .states import (
     _projectors,
     _pure_vectors,
     _rows,
+    _suite_seeds,
     _views,
     _wisharts,
     validate_density,
@@ -99,6 +101,9 @@ MAX_DIM = 64
 # suite. A case runs in chunks of consecutive trials sized to it, so
 # memory does not grow with trials_per_case.
 STACK_BYTES = 1 << 23
+# Trials whose seeds one pass hashes, the default suite's 4000 among them:
+# with their PCG64 words and table entries, about 1.7 kB each.
+_SEED_ROWS = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -118,6 +123,8 @@ class TrialConfig:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
         if not _is_int(self.trials_per_case) or self.trials_per_case < 1:
             raise ValueError(f"trials_per_case must be an integer of at least 1, got {self.trials_per_case!r}")
+        if self.trials_per_case > 1 << 32:  # a trial index is one 32-bit word of its seeds' entropy
+            raise ValueError(f"trials_per_case must be at most 2**32, got {self.trials_per_case!r}")
         if not _is_tolerance(self.tol_violation):
             raise ValueError(f"tol_violation must be positive and finite, got {self.tol_violation!r}")
         object.__setattr__(self, "tol_violation", float(self.tol_violation))  # reports carry a float
@@ -176,19 +183,27 @@ def _drive(cfg: TrialConfig, dims, offset: int, trials: int, per_trial, chunk, h
     """(values, seeds, trials) blocks of a drawing suite. Case k, at d =
     dims[k], gives head(d) against the master seed, then chunks of trials
     of per_trial(d) matrices. A chunk's trials t, with seeds s whose row i
-    comes from SeedSequence((master, offset + k, t[i])), go to chunk(d, t,
-    s), which draws them as stacks and returns (values, slot) parts: a row
-    per trial, seed s[:, slot]."""
-    for case, d in enumerate(dims):
-        if head:
-            yield head(d), cfg.seed, 0
-        for span in _chunks(trials, d, per_trial(d)):
-            seeds = [np.random.SeedSequence((cfg.seed, offset + case, t)).generate_state(6) for t in span]
-            seeds = np.array(seeds, dtype=np.int64)
-            parts = chunk(d, np.array(span), seeds)
-            values = np.hstack([v for v, _ in parts])
-            slots = np.hstack([np.zeros(v.shape, dtype=int) + slot for v, slot in parts])
-            yield values, np.take_along_axis(seeds, slots, axis=1), len(span)
+    is SeedSequence((master, offset + k, t[i])).generate_state(6), go to
+    chunk(d, t, s), which draws them as stacks and returns (values, slot)
+    parts: a row per trial, seed s[:, slot].
+
+    The chunks run in windows that start every _SEED_ROWS trials of the
+    suite, so the whole suite is one window below that size. One pass
+    hashes the seeds of a window's trials and the PCG64 words of each,
+    which states._generators reads while the window's chunks run."""
+    jobs = [(case, d, span) for case, d in enumerate(dims) for span in _chunks(trials, d, per_trial(d))]
+    for _, window in itertools.groupby(jobs, lambda job: (job[0] * trials + job[2].start) // _SEED_ROWS):
+        window = list(window)
+        rows = np.arange(window[0][0] * trials + window[0][2].start, window[-1][0] * trials + window[-1][2].stop)
+        with _suite_seeds(cfg.seed, offset + rows // trials, rows % trials) as seeds:
+            for _, d, span in window:
+                if head and not span.start:
+                    yield head(d), cfg.seed, 0
+                s, seeds = seeds[: len(span)], seeds[len(span) :]
+                parts = chunk(d, np.array(span), s)
+                values = np.hstack([v for v, _ in parts])
+                slots = np.hstack([np.zeros(v.shape, dtype=int) + slot for v, slot in parts])
+                yield values, np.take_along_axis(s, slots, axis=1), len(span)
 
 
 def _resolve(cfg: TrialConfig) -> tuple[list[GeneratorFunction], list[GeneratorFunction], str]:

@@ -271,7 +271,9 @@ class TestBuiltinChannels:
         def no_draws(seed):
             raise AssertionError("drew before checking sizes")
 
+        # Both routes to a Generator: default_rng, and a suite's hashed words.
         monkeypatch.setattr(np.random, "default_rng", no_draws)
+        monkeypatch.setattr(np.random, "Generator", no_draws)
         with pytest.raises(DimensionMismatch, match="need positive dimension and Kraus count"):
             build(dim, num_kraus, 1)
 

@@ -59,6 +59,8 @@ from fcoherence import (
     tsallis,
     validate_density,
 )
+from fcoherence.channels import max_offdiagonal
+from fcoherence.divergence import spectral_sums
 from fcoherence.errors import CoherenceError, DimensionMismatch, ParamOutOfRange
 
 BAD = [None, "x", 1j, math.nan, math.inf, -1, 0, True, 10**400, [], np.array(0.5), 2.5]
@@ -120,6 +122,12 @@ ROWS = [
     ),
     ("ensemble_coherence", ensemble_coherence, (KRAUS, RHO, F, coherence_f), (None, None, None, "fun"), (ValueError,)),
 ]
+# Module-level names outside the package namespace that take a stack,
+# swept like the rows above.
+MODULE_ROWS = [
+    ("divergence.spectral_sums", spectral_sums, ([[0.5, 0.5]], [F]), ("rows", None), ()),
+    ("channels.max_offdiagonal", max_offdiagonal, (MIXED,), ("matrices",), ()),
+]
 
 # Public callables whose every slot takes a state, channel, generator,
 # spec string, path or config, and the result records the package builds.
@@ -136,7 +144,7 @@ OBJECT_SLOTS_ONLY = {
 # A generator's own call f(x) follows numpy.
 DOCUMENTED = {GeneratorFunction.__name__}
 
-SLOTS = [(row, i) for row in ROWS for i, slot in enumerate(row[3]) if slot is not None]
+SLOTS = [(row, i) for row in ROWS + MODULE_ROWS for i, slot in enumerate(row[3]) if slot is not None]
 
 
 def outcome(fn, args, allowed=()) -> str:
@@ -168,7 +176,7 @@ def test_every_public_callable_is_listed():
     assert public == {name.split(".")[0] for name, *_ in ROWS} | OBJECT_SLOTS_ONLY | DOCUMENTED
 
 
-@pytest.mark.parametrize("row", ROWS, ids=[row[0] for row in ROWS])
+@pytest.mark.parametrize("row", ROWS + MODULE_ROWS, ids=[row[0] for row in ROWS + MODULE_ROWS])
 def test_valid_arguments_give_a_value(row):
     assert outcome(row[1], row[2]) == "value"
 
@@ -215,9 +223,41 @@ def test_f_weighted_sum_infinite_entry_contributes_its_limit(spec, limit):
     assert got[0] == limit and got[1] == f_weighted_sum([0.5, 0.5], 1.0, f) and math.isnan(got[2])
 
 
+def test_f_weighted_sum_ratio_overflow_is_a_typed_error():
+    # 1e300 / 1e-11 overflows; the true sum is finite, about -690.78.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParamOutOfRange, match="^numerator 1e[+]300 over an entry of values overflows$"):
+            f_weighted_sum([1e-11, 1.0], 1e300, F)
+        with pytest.raises(ParamOutOfRange, match="overflows$"):
+            f_weighted_sum([[0.5, 0.5], [1e-11, 1.0]], np.array([1.0, 1e300]), F)
+        # Below EPS_ZERO an entry contributes its limit, so nothing overflows.
+        assert f_weighted_sum([1e-13, 1.0], 1e300, F) == pytest.approx(-math.log(1e300))
+
+
+@pytest.mark.parametrize(
+    "call,shape",
+    [
+        (lambda: spectral_sums(np.array(0.5), [F]), r"\(\)"),
+        (lambda: spectral_sums(np.zeros((2, 0)), [F]), r"\(2, 0\)"),
+        (lambda: max_offdiagonal(np.array(0.5)), r"\(\)"),
+        (lambda: max_offdiagonal(np.ones((2, 3))), r"\(2, 3\)"),
+    ],
+    ids=["spectral_sums-0d", "spectral_sums-d0", "max_offdiagonal-0d", "max_offdiagonal-2x3"],
+)
+def test_stacks_need_non_empty_sides(call, shape):
+    with pytest.raises(DimensionMismatch, match=f"must be .*non-empty.*, got shape {shape}$"):
+        call()
+
+
+def test_stacks_may_hold_no_rows_or_matrices():
+    assert spectral_sums(np.zeros((0, 3)), [F]).shape == (0, 1, 2)
+    assert max_offdiagonal(np.ones((0, 3, 3))) == 0.0
+
+
 def main() -> int:
     total = Counter()
-    for row in ROWS:
+    for row in ROWS + MODULE_ROWS:
         outcomes = [swept(row, i, value) for i, slot in enumerate(row[3]) if slot is not None for value in BAD]
         counts = Counter(got.split()[0] for got in outcomes)
         total += counts

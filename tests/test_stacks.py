@@ -315,13 +315,19 @@ class TestDrawCounts:
         assert qr_calls == [] and len(wishart_calls) == 1
 
     def test_faithfulness_suite_draws_nothing_coherent_at_dimension_one(self, monkeypatch):
-        generators, real = [], np.random.default_rng
+        # The suite seeds each Generator from the words its one pass hashed,
+        # so every Generator is built on a PCG64 of those words.
+        generators, real = [], np.random.PCG64
 
-        def counting(seed):
-            generators.append(seed)
-            return real(seed)
+        def counting(words):
+            generators.append(words)
+            return real(words)
 
-        monkeypatch.setattr(np.random, "default_rng", counting)
+        def no_default_rng(seed):
+            raise AssertionError("a suite seed missed the suite's hashed words")
+
+        monkeypatch.setattr(np.random, "PCG64", counting)
+        monkeypatch.setattr(np.random, "default_rng", no_default_rng)
         report = verify.suite_faithfulness_and_bounds(TrialConfig(dims=(1,), trials_per_case=16, seed=1))
         # A 1 x 1 state has no off-diagonal entry, so no candidate is drawn:
         # one Generator a trial, for its incoherent state.

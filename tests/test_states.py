@@ -460,7 +460,9 @@ class TestSizes:
         def no_draws(seed):
             raise AssertionError("drew before checking sizes")
 
+        # Both routes to a Generator: default_rng, and a suite's hashed words.
         monkeypatch.setattr(np.random, "default_rng", no_draws)
+        monkeypatch.setattr(np.random, "Generator", no_draws)
         with pytest.raises(DimensionMismatch):
             build(size)
 
