@@ -130,7 +130,7 @@ def power(p: float) -> GeneratorFunction:
     p = float(p)
     if not (-1.0 < p < 2.0) or p in (0.0, 1.0):
         raise ParamOutOfRange(f"power exponent must lie in (-1, 2) excluding 0 and 1, got {p!r}")
-    return _power_law(f"power:{p:g}", p, 1.0 - p)
+    return _power_law(f"power:{p!r}", p, 1.0 - p)
 
 
 def tsallis(q: float) -> GeneratorFunction:
@@ -144,7 +144,7 @@ def tsallis(q: float) -> GeneratorFunction:
     q = float(q)
     if not (0.0 < q < 2.0) or q == 1.0:
         raise ParamOutOfRange(f"tsallis order must lie in (0, 2) excluding 1, got {q!r}")
-    return _power_law(f"tsallis:{q:g}", 1.0 - q, 1.0)
+    return _power_law(f"tsallis:{q!r}", 1.0 - q, 1.0)
 
 
 def lookup(spec: str) -> GeneratorFunction:

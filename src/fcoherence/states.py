@@ -13,20 +13,21 @@ without an eigensolve, and a stacked eigh solves any other state on
 first use. Every eigensolve goes through ``_eigh``, which maps a LAPACK
 failure to ConvergenceFailure.
 
-The seeded draws are stacked: a draw takes a sequence of seeds, creates
-one Generator per seed with the bytes of ``np.random.default_rng(seed)``,
-takes each Generator's raw Gaussian blocks in the order of the one-seed
-draw, and then runs the algebra (Wishart product, normalisation, QR and
-phase fix) once per stack of one shape. Each row has the bytes of its
-one-seed draw, and the public draws are the one-seed calls. A public
-draw checks its sizes before it creates a Generator; the stacked draws
-trust their callers for sizes and check only the seeds.
+The seeded draws are stacked: a draw takes a sequence of seeds or seed
+records, creates one Generator per seed with the bytes of
+``np.random.default_rng(seed)``, takes each Generator's raw Gaussian
+blocks in the order of the one-seed draw, and then runs the algebra
+(Wishart product, normalisation, QR and phase fix) once per stack of one
+shape. Each row has the bytes of its one-seed draw, and the public draws
+are the one-seed calls. A public draw checks its sizes before it creates
+a Generator; the stacked draws trust their callers for sizes and check
+only the seeds.
 
 Seeding follows numpy's SeedSequence, whose hash is fixed 32-bit
-arithmetic: ``_seed_states`` runs it for many seeds at once. While a
-verification suite runs, ``_PCG64_WORDS`` holds the PCG64 seeding words
-of each of its seeds, hashed in one pass, and the Generator of such a
-seed is built on them; any other seed goes through ``default_rng``.
+arithmetic: ``_seed_states`` runs it for many seeds at once. A
+verification suite's seeds are records that carry their PCG64 seeding
+words, hashed in one pass, and the Generator of a record is built on
+them; a plain seed goes through ``default_rng``.
 
 Two private rules decide whether a caller's numeric input is usable, for
 this module, ``channels`` and ``divergence`` alike: ``_size_fault`` for a
@@ -36,7 +37,6 @@ to a typed error.
 
 from __future__ import annotations
 
-import contextlib
 import numbers
 import sys
 from dataclasses import dataclass
@@ -373,12 +373,6 @@ def trace_norm(matrix) -> float:
     return float(s.sum())
 
 
-# The PCG64 seeding words of each seed of the suite window that
-# verify._drive runs, there only inside its _suite_seeds block: a cache of
-# a pure function of the seed, so a seed missing from it costs time only.
-_PCG64_WORDS: dict = {}
-
-
 class _Words(np.ndarray):
     """A seed's four PCG64 seeding words, SeedSequence(seed).generate_state(4,
     np.uint64), which hand themselves over as numpy's ISeedSequence."""
@@ -422,34 +416,33 @@ def _seed_states(entropy: np.ndarray, n_words: int) -> np.ndarray:
     return _hashmix(pool[np.arange(n_words) % 4], h[:-1], h[1:]).T.copy()
 
 
-@contextlib.contextmanager
-def _suite_seeds(master: int, cases: np.ndarray, trials: np.ndarray):
-    """Give the (n, 6) int64 array whose row i is SeedSequence((master,
-    cases[i], trials[i])).generate_state(6), for cases and trials below
-    2**32, hashed in one pass. While the block runs, _PCG64_WORDS holds
-    the PCG64 seeding words of each of these seeds, as default_rng(seed)
-    has SeedSequence(seed) derive them."""
+def _suite_seeds(master: int, cases: np.ndarray, trials: np.ndarray) -> np.ndarray:
+    """The (n, 6) seed records of a suite's trials, hashed in one pass each:
+    row i's "seed" field is SeedSequence((master, cases[i],
+    trials[i])).generate_state(6), for cases and trials below 2**32, and
+    each seed's "words" field its four PCG64 seeding words, as
+    default_rng(seed) has SeedSequence(seed) derive them."""
     words = [int(master) >> 32 * i & 0xFFFFFFFF for i in range(max(1, -(-int(master).bit_length() // 32)))]
     seeds = _seed_states(np.array([np.full(len(cases), w) for w in words] + [cases, trials], np.uint32), 6)
-    pcg = _seed_states(seeds.reshape(1, -1), 8).astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
-    np.random.bit_generator.ISeedSequence.register(_Words)  # numpy.random loads on first use
-    _PCG64_WORDS.update(zip(seeds.ravel().tolist(), pcg))
-    try:
-        yield seeds.astype(np.int64)
-    finally:
-        _PCG64_WORDS.clear()
+    pcg = _seed_states(seeds.reshape(1, -1), 8).astype("<u4", copy=False).view("<u8")
+    records = np.empty(seeds.shape, [("seed", np.int64), ("words", np.uint64, 4)])
+    records["seed"], records["words"] = seeds, pcg.reshape(*seeds.shape, 4)
+    return records
 
 
 def _generators(seeds) -> list[np.random.Generator]:
-    """One Generator per seed, each seed checked to be an integer other
-    than bool and at least 0, with the bytes of np.random.default_rng(seed):
-    a seed in _PCG64_WORDS seeds its PCG64 from the words there."""
+    """One Generator per seed, with the bytes of np.random.default_rng(seed):
+    a seed record's PCG64 is seeded from its words; any other seed is
+    checked to be an integer other than bool and at least 0."""
+    rnd = np.random
+    if isinstance(seeds, np.ndarray) and seeds.dtype.names:
+        rnd.bit_generator.ISeedSequence.register(_Words)  # numpy.random loads on first use
+        return [rnd.Generator(rnd.PCG64(w.view(_Words))) for w in seeds["words"]]
     seeds = seeds.tolist() if isinstance(seeds, np.ndarray) else list(seeds)
     for s in seeds:
         if not _is_int(s) or s < 0:
             raise ParamOutOfRange(f"seed must be a non-negative integer, got {s!r}")
-    rnd, stored = np.random, _PCG64_WORDS.get
-    return [rnd.default_rng(s) if (w := stored(s)) is None else rnd.Generator(rnd.PCG64(w.view(_Words))) for s in seeds]
+    return [rnd.default_rng(s) for s in seeds]
 
 
 def _groups(keys: np.ndarray):

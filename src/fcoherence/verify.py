@@ -102,7 +102,8 @@ MAX_DIM = 64
 # memory does not grow with trials_per_case.
 STACK_BYTES = 1 << 23
 # Trials whose seeds one pass hashes, the default suite's 4000 among them:
-# with their PCG64 words and table entries, about 1.7 kB each.
+# their seed records hold 240 B each, and the hash peaks at about 830 B
+# each (tracemalloc, 4096 trials).
 _SEED_ROWS = 1 << 12
 
 
@@ -182,28 +183,28 @@ def _chunks(trials: int, d: int, per_trial: int):
 def _drive(cfg: TrialConfig, dims, offset: int, trials: int, per_trial, chunk, head=None):
     """(values, seeds, trials) blocks of a drawing suite. Case k, at d =
     dims[k], gives head(d) against the master seed, then chunks of trials
-    of per_trial(d) matrices. A chunk's trials t, with seeds s whose row i
-    is SeedSequence((master, offset + k, t[i])).generate_state(6), go to
+    of per_trial(d) matrices. A chunk's trials t, with their seed records
+    s (states._suite_seeds: row i holds SeedSequence((master, offset + k,
+    t[i])).generate_state(6), each seed with its PCG64 words), go to
     chunk(d, t, s), which draws them as stacks and returns (values, slot)
-    parts: a row per trial, seed s[:, slot].
+    parts: a row per trial, reported with the seed s["seed"][:, slot].
 
     The chunks run in windows that start every _SEED_ROWS trials of the
     suite, so the whole suite is one window below that size. One pass
-    hashes the seeds of a window's trials and the PCG64 words of each,
-    which states._generators reads while the window's chunks run."""
+    hashes the seeds of a window's trials and the PCG64 words of each."""
     jobs = [(case, d, span) for case, d in enumerate(dims) for span in _chunks(trials, d, per_trial(d))]
     for _, window in itertools.groupby(jobs, lambda job: (job[0] * trials + job[2].start) // _SEED_ROWS):
         window = list(window)
         rows = np.arange(window[0][0] * trials + window[0][2].start, window[-1][0] * trials + window[-1][2].stop)
-        with _suite_seeds(cfg.seed, offset + rows // trials, rows % trials) as seeds:
-            for _, d, span in window:
-                if head and not span.start:
-                    yield head(d), cfg.seed, 0
-                s, seeds = seeds[: len(span)], seeds[len(span) :]
-                parts = chunk(d, np.array(span), s)
-                values = np.hstack([v for v, _ in parts])
-                slots = np.hstack([np.zeros(v.shape, dtype=int) + slot for v, slot in parts])
-                yield values, np.take_along_axis(s, slots, axis=1), len(span)
+        seeds = _suite_seeds(cfg.seed, offset + rows // trials, rows % trials)
+        for _, d, span in window:
+            if head and not span.start:
+                yield head(d), cfg.seed, 0
+            s, seeds = seeds[: len(span)], seeds[len(span) :]
+            parts = chunk(d, np.array(span), s)
+            values = np.hstack([v for v, _ in parts])
+            slots = np.hstack([np.zeros(v.shape, dtype=int) + slot for v, slot in parts])
+            yield values, np.take_along_axis(s["seed"], slots, axis=1), len(span)
 
 
 def _resolve(cfg: TrialConfig) -> tuple[list[GeneratorFunction], list[GeneratorFunction], str]:
@@ -498,7 +499,7 @@ def suite_faithfulness_and_bounds(cfg: TrialConfig) -> VerificationReport:
         for k in range(64):
             if not pending.size:
                 break
-            candidates = _draw_states(d, _cycling(d, t[pending] + k), s[pending, 1] + k)
+            candidates = _draw_states(d, _cycling(d, t[pending] + k), s["seed"][pending, 1] + k if k else s[pending, 1])
             large = np.array([max_offdiagonal(c) >= 0.1 for c in candidates], dtype=bool)
             rhos[pending[large]], pending = candidates[large], pending[~large]
         coherent = np.full(m, d > 1)

@@ -10,15 +10,31 @@ ValueError. Slots that take a state, channel, generator, spec string,
 path or config keep Python's own TypeError and AttributeError and are
 not swept.
 
+The command line is swept the same way: the text of each value of
+``BAD``, as it is and after each spec prefix of ``PREFIXES``, goes into
+each positional and option slot of each subcommand, and the JSON forms
+of the same values into the dim, cell, kraus and label slots of state
+and channel files. Each call goes through ``cli.main`` with warnings
+raised as errors; nothing may leave ``main``, the exit code must be one
+``main`` documents, and a validation, generator or dimension error (exit
+3 to 5) prints exactly one ``fcoherence:`` line on standard error.
+
 Run as a script, ``PYTHONPATH=src python tests/test_contract.py`` prints
-one line per callable with its typed, value and bare counts, and exits 1
-when any outcome is bare (an exception outside the contract, or a
-warning).
+one line per callable and per CLI slot with its counts (typed, value and
+bare; exit codes and bare for the CLI), and exits 1 when any outcome is
+bare (an exception outside the contract, or a warning).
 """
 
+import contextlib
+import copy
 import inspect
+import io
+import json
 import math
+import os
+import re
 import sys
+import tempfile
 import warnings
 from collections import Counter
 
@@ -59,6 +75,7 @@ from fcoherence import (
     tsallis,
     validate_density,
 )
+from fcoherence import cli
 from fcoherence.channels import max_offdiagonal
 from fcoherence.divergence import spectral_sums
 from fcoherence.errors import CoherenceError, DimensionMismatch, ParamOutOfRange
@@ -255,6 +272,111 @@ def test_stacks_may_hold_no_rows_or_matrices():
     assert max_offdiagonal(np.ones((0, 3, 3))) == 0.0
 
 
+PREFIXES = ["dephase:", "depol-ext:", "power:", "tsallis:"]
+TEXTS = [str(v) for v in BAD]
+CLI_VALUES = TEXTS + [prefix + text for prefix in PREFIXES for text in TEXTS]
+# In a file, 1j is the cell [0, 1] and the 0-d array its float.
+FILE_VALUES = [[0.0, 1.0] if v == 1j else v.tolist() if isinstance(v, np.ndarray) else v for v in BAD]
+FILE_VALUES += [prefix + text for prefix in PREFIXES for text in TEXTS]
+CLI_CODES = {0, 2, 6} | {code for _, code in cli._EXIT_CODES}
+
+STATE_DOC = {"dim": 2, "matrix": [[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]}
+CHANNEL_DOC = {"dim": 2, "kraus": [[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]], "label": "identity"}
+
+# A valid argv per subcommand; every token after the subcommand that is
+# not an option name is a slot. Paths are relative to the working directory.
+CLI_ROWS = [
+    ["coherence", "state.json", "--f", "tsallis:0.5", "--variant", "plain", "--out", "out.json"],
+    ["divergence", "state.json", "state.json", "--f", "neg_log", "--out", "out.json"],
+    ["entropy", "state.json", "--f", "power:0.5", "--variant", "hat", "--out", "out.json"],
+    ["channel", "dephase:2", "state.json", "--selective", "--out", "out.json"],
+    ["verify", "--suite", "faithfulness-bounds", "--trials", "1", "--dims", "2", "--f", "neg_log", "--seed", "1",
+     "--out", "out.json"],
+    ["demo", "log-chain", "--seed", "1", "--out", "out.json"],
+]
+CLI_SLOTS = [(argv, i) for argv in CLI_ROWS for i, arg in enumerate(argv) if i and not arg.startswith("--")]
+CLI_IDS = [f"{argv[0]}-{argv[i - 1] if argv[i - 1].startswith('--') else i}" for argv, i in CLI_SLOTS]
+# (file, the keys of its slot); `coherence` reads the state file, and
+# `channel` the channel file.
+FILE_SLOTS = [
+    ("state", ("dim",)),
+    ("state", ("matrix", 0, 0)),
+    ("channel", ("dim",)),
+    ("channel", ("kraus", 0, 0, 0)),
+    ("channel", ("kraus",)),
+    ("channel", ("label",)),
+]
+FILE_IDS = [f"{kind}-{key[0]}{'-cell' if len(key) > 1 else ''}" for kind, key in FILE_SLOTS]
+FILE_ARGV = {"state": ["coherence", "state.json"], "channel": ["channel", "channel.json", "state.json"]}
+
+
+def write_files(state=STATE_DOC, channel=CHANNEL_DOC):
+    """Write the state and channel files into the working directory."""
+    for name, doc in (("state.json", state), ("channel.json", channel)):
+        with open(name, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+
+
+def cli_outcome(argv) -> str:
+    """"exit <code>" for cli.main(argv), with every warning raised as an
+    error, or "bare ..." when something leaves main, the code is not one
+    main documents, or an exit 3 to 5 does not print one stderr line."""
+    err = io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        try:
+            code = cli.main(argv)
+        except (Exception, SystemExit) as exc:  # nothing may leave main
+            return f"bare {type(exc).__name__}: {exc}"
+    if code not in CLI_CODES or 3 <= code <= 5 and not re.fullmatch("fcoherence: [^\n]*\n", err.getvalue()):
+        return f"bare exit {code}, stderr {err.getvalue()!r}"
+    return f"exit {code}"
+
+
+def cli_swept(argv, index) -> list[str]:
+    """The outcome of argv with each CLI value in its slot at index."""
+    write_files()
+    return [cli_outcome(argv[:index] + [value] + argv[index + 1 :]) for value in CLI_VALUES]
+
+
+def file_swept(kind, key) -> list[str]:
+    """The outcome of reading each file value in the slot key of the state
+    or channel file."""
+    outcomes = []
+    for value in FILE_VALUES:
+        doc = copy.deepcopy(STATE_DOC if kind == "state" else CHANNEL_DOC)
+        target = doc
+        for part in key[:-1]:
+            target = target[part]
+        target[key[-1]] = value
+        write_files(**{kind: doc})
+        outcomes.append(cli_outcome(FILE_ARGV[kind]))
+    return outcomes
+
+
+@pytest.fixture
+def in_tmp_path(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+
+
+def test_valid_command_lines_exit_0(in_tmp_path):
+    write_files()
+    valid = CLI_ROWS + list(FILE_ARGV.values())
+    assert [cli_outcome(argv) for argv in valid] == ["exit 0"] * len(valid)
+
+
+@pytest.mark.parametrize("argv,index", CLI_SLOTS, ids=CLI_IDS)
+def test_bad_command_line_values_exit_with_a_documented_code(in_tmp_path, argv, index):
+    bare = {value: got for value, got in zip(CLI_VALUES, cli_swept(argv, index)) if got.startswith("bare")}
+    assert not bare
+
+
+@pytest.mark.parametrize("kind,key", FILE_SLOTS, ids=FILE_IDS)
+def test_bad_file_values_exit_with_a_documented_code(in_tmp_path, kind, key):
+    bare = {repr(value): got for value, got in zip(FILE_VALUES, file_swept(kind, key)) if got.startswith("bare")}
+    assert not bare
+
+
 def main() -> int:
     total = Counter()
     for row in ROWS + MODULE_ROWS:
@@ -266,7 +388,24 @@ def main() -> int:
             if got.startswith("bare"):
                 print(f"    {got[:160]}", file=sys.stderr)
     print(f"{'total':30s} typed {total['typed']:3d}  value {total['value']:3d}  bare {total['bare']:3d}")
-    return 1 if total["bare"] else 0
+    with tempfile.TemporaryDirectory() as home:
+        cwd = os.getcwd()
+        os.chdir(home)
+        try:
+            sweeps = [(f"cli {name}", cli_swept(*slot)) for slot, name in zip(CLI_SLOTS, CLI_IDS)]
+            sweeps += [(f"file {name}", file_swept(*slot)) for slot, name in zip(FILE_SLOTS, FILE_IDS)]
+        finally:
+            os.chdir(cwd)
+    cli_total = Counter()
+    for name, outcomes in sweeps:
+        counts = Counter("bare" if got.startswith("bare") else got for got in outcomes)
+        cli_total += counts
+        print(f"{name:30s} " + "  ".join(f"{k} {n}" for k, n in sorted(counts.items())))
+        for got in outcomes:
+            if got.startswith("bare"):
+                print(f"    {got[:160]}", file=sys.stderr)
+    print(f"{'cli total':30s} " + "  ".join(f"{k} {n}" for k, n in sorted(cli_total.items())))
+    return 1 if total["bare"] or cli_total["bare"] else 0
 
 
 if __name__ == "__main__":

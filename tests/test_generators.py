@@ -171,6 +171,18 @@ class TestLookup:
         with pytest.raises(UnknownGenerator):
             lookup("neg_log:0.3")
 
+    @pytest.mark.parametrize(
+        "make,p",
+        [(power, -0.99999999), (tsallis, 1 + 1e-7), (power, 1e-320), (power, 1 / 3), (tsallis, 1 / 3)],
+        ids=["power:-0.99999999", "tsallis:1+1e-7", "power:1e-320", "power:1/3", "tsallis:1/3"],
+    )
+    def test_name_rebuilds_the_parameter(self, make, p):
+        f = make(p)
+        g = lookup(f.name)
+        # The shortest repr that reads back as p, not 6 significant digits.
+        assert f.name.partition(":")[2] == repr(p) and float(repr(p)) == p
+        assert g.name == f.name and g(0.3) == f(0.3)
+
     @pytest.mark.parametrize("spec", [None, 0.5, b"neg_log", ["neg_log"]], ids=repr)
     def test_non_string_spec(self, spec):
         with pytest.raises(UnknownGenerator, match=re.escape(repr(spec))):

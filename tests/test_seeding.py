@@ -1,11 +1,14 @@
 """Bulk seeding: numpy's SeedSequence hash run on whole arrays of seeds.
 
 A suite hashes the seeds of its trials, and the PCG64 words of each
-seed, in one pass. Every word must equal, byte for byte, what
-``np.random.SeedSequence`` gives, and every Generator built from the
-table must draw what ``np.random.default_rng(seed)`` draws. These tests
-fail on any numpy that changes its seeding.
+seed, in one pass, into seed records. Every word must equal, byte for
+byte, what ``np.random.SeedSequence`` gives, and every Generator built
+from a record must draw what ``np.random.default_rng(seed)`` draws. These
+tests fail on any numpy that changes its seeding.
 """
+
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -16,20 +19,13 @@ from fcoherence.states import _generators, _seed_states, _suite_seeds
 MASTERS = [0, 1, 2**32 - 1, 2**32, 2**63 + 5, 2**64, 2**70, 2**130, np.uint32(7), np.int64(2**40), np.uint64(2**64 - 1)]
 
 
-@pytest.fixture(autouse=True)
-def empty_table():
-    yield
-    states._PCG64_WORDS.clear()
-
-
 @pytest.mark.parametrize("master", MASTERS, ids=repr)
 def test_trial_seeds_equal_seed_sequence(master):
     rng = np.random.default_rng(3)
     cases = np.concatenate(([0, 2**32 - 1, 400], rng.integers(0, 500, 40)))
     trials = np.concatenate(([0, 7, 2**32 - 1], rng.integers(0, 10**6, 40)))
     want = [np.random.SeedSequence((master, int(c), int(t))).generate_state(6) for c, t in zip(cases, trials)]
-    with _suite_seeds(master, cases, trials) as got:
-        pass
+    got = _suite_seeds(master, cases, trials)["seed"]
     assert got.dtype == np.int64 and got.tobytes() == np.array(want, dtype=np.int64).tobytes()
 
 
@@ -50,22 +46,6 @@ def seeds_under_test():
     return [0, 1, 2**32 - 1] + rng.integers(0, 2**32, 3000).tolist()
 
 
-def remember(seeds):
-    """Put the PCG64 words of seeds into the table, as a suite does for the
-    seeds of its trials."""
-    states._PCG64_WORDS.clear()
-    words = _seed_states(np.array([seeds], dtype=np.uint32), 8).view(np.uint64)
-    states._PCG64_WORDS.update(zip(seeds, words))
-
-
-def test_table_holds_the_pcg64_words_of_a_window_while_it_runs():
-    with _suite_seeds(5, np.arange(3), np.arange(3)) as seeds:
-        assert sorted(states._PCG64_WORDS) == sorted(set(seeds.ravel().tolist()))
-        for s, words in states._PCG64_WORDS.items():
-            assert words.tobytes() == np.random.SeedSequence(s).generate_state(4, np.uint64).tobytes()
-    assert states._PCG64_WORDS == {}
-
-
 def test_pcg64_words_equal_seed_sequence():
     seeds = seeds_under_test()
     want = [np.random.SeedSequence(s).generate_state(4, np.uint64) for s in seeds]
@@ -73,10 +53,19 @@ def test_pcg64_words_equal_seed_sequence():
     assert got.tobytes() == np.array(want).tobytes()
 
 
-def test_generators_from_the_table_draw_as_default_rng():
+def test_records_carry_the_pcg64_words_of_their_seeds():
+    records = _suite_seeds(5, np.arange(40) % 3, np.arange(40))
+    assert records.shape == (40, 6) and records["words"].dtype == np.uint64
+    for seed, words in zip(records["seed"].ravel().tolist(), records["words"].reshape(-1, 4)):
+        assert words.tobytes() == np.random.SeedSequence(seed).generate_state(4, np.uint64).tobytes()
+
+
+def test_generators_from_records_draw_as_default_rng():
     seeds = seeds_under_test()
-    remember(seeds)
-    for s, rng in zip(seeds, _generators(seeds)):
+    records = np.empty(len(seeds), _suite_seeds(0, [0], [0]).dtype)
+    records["seed"] = seeds
+    records["words"] = _seed_states(np.array([seeds], dtype=np.uint32), 8).view(np.uint64)
+    for s, rng in zip(seeds, _generators(records)):
         assert isinstance(rng.bit_generator.seed_seq, states._Words)
         want = np.random.default_rng(s)
         assert rng.standard_normal(5).tobytes() == want.standard_normal(5).tobytes()
@@ -85,15 +74,13 @@ def test_generators_from_the_table_draw_as_default_rng():
         assert rng.integers(0, 2**31 - 1) == want.integers(0, 2**31 - 1)
 
 
-def drive_record(cfg, dims, trials, per_trial=lambda d: 1, stop_after=None):
-    """The (d, trials, seeds, table size) of each chunk _drive hands over,
-    and the dimensions of its heads, in order."""
+def drive_record(cfg, dims, trials, per_trial=lambda d: 1):
+    """The (d, trials, seeds) of each chunk _drive hands over, and the
+    dimensions of its heads, in order."""
     calls = []
 
     def chunk(d, t, s):
-        calls.append(("chunk", d, t.tolist(), s.tolist(), len(states._PCG64_WORDS)))
-        if stop_after is not None and len(calls) > stop_after:
-            raise RuntimeError("stop")
+        calls.append(("chunk", d, t.tolist(), s["seed"].tolist()))
         return [(np.zeros((len(t), 1)), 0)]
 
     def head(d):
@@ -112,30 +99,67 @@ def test_windows_give_each_chunk_its_seeds(monkeypatch):
     per_trial = {2: 1, 3: 1, 5: 1 << 15}.get
     whole = drive_record(cfg, cfg.dims, 11, per_trial)
     monkeypatch.setattr(verify, "_SEED_ROWS", 4)
-    windowed = drive_record(cfg, cfg.dims, 11, per_trial)
-    assert [c[:4] for c in windowed] == [c[:4] for c in whole]
+    assert drive_record(cfg, cfg.dims, 11, per_trial) == whole
     assert [c[0] for c in whole].count("head") == 3 and len(whole) == 3 + 2 + 11
-    for _, d, t, s, _ in (c for c in whole if c[0] == "chunk"):
+    for _, d, t, s in (c for c in whole if c[0] == "chunk"):
         case = cfg.dims.index(d)
         want = [np.random.SeedSequence((9, 200 + case, i)).generate_state(6).tolist() for i in t]
         assert s == want
-    # Each window holds the PCG64 words of its own trials' seeds alone.
-    assert max(c[4] for c in windowed if c[0] == "chunk") < max(c[4] for c in whole if c[0] == "chunk")
 
 
-def test_table_is_emptied_when_the_suite_ends_or_raises():
+def first_normals(d, t, s):
+    """A chunk that draws one normal from the Generator of each trial's
+    first seed."""
+    return [(np.array([[rng.standard_normal()] for rng in _generators(s[:, 0])]), 0)]
+
+
+def test_interleaved_drives_draw_from_their_own_records(monkeypatch):
+    default_rng = np.random.default_rng
+
+    def refuse(seed):
+        raise AssertionError(f"default_rng({seed!r}) for a suite seed")
+
+    monkeypatch.setattr(np.random, "default_rng", refuse)
     cfg = TrialConfig(dims=(2, 3), trials_per_case=5, seed=1)
-    calls = drive_record(cfg, cfg.dims, 5)
-    assert all(c[4] > 0 for c in calls if c[0] == "chunk")
-    assert states._PCG64_WORDS == {}
-    with pytest.raises(RuntimeError, match="stop"):
-        drive_record(cfg, cfg.dims, 5, stop_after=1)
-    assert states._PCG64_WORDS == {}
-    verify.suite_entropy_bounds(cfg)
-    assert states._PCG64_WORDS == {}
+    first = verify._drive(cfg, cfg.dims, 0, 5, lambda d: 1, first_normals)
+    blocks = [next(first)]
+    second = list(verify._drive(cfg, cfg.dims, 100, 5, lambda d: 1, first_normals))
+    blocks += list(first)
+    assert len(blocks) == len(second) == 2
+    for values, seeds, _ in blocks + second:
+        want = [default_rng(s).standard_normal() for s in seeds[:, 0].tolist()]
+        assert values[:, 0].tobytes() == np.array(want).tobytes()
+
+
+def test_records_draw_as_default_rng_after_their_suite_ends():
+    kept = []
+
+    def chunk(d, t, s):
+        kept.append(s[:, [0, 5]].ravel())
+        return [(np.zeros((len(t), 1)), 0)]
+
+    cfg = TrialConfig(dims=(2, 3), trials_per_case=5, seed=1)
+    for _ in verify._drive(cfg, cfg.dims, 300, 5, lambda d: 1, chunk):
+        pass
+    records = np.concatenate(kept)
+    for seed, rng in zip(records["seed"].tolist(), _generators(records)):
+        assert isinstance(rng.bit_generator.seed_seq, states._Words)
+        assert rng.standard_normal(3).tobytes() == np.random.default_rng(seed).standard_normal(3).tobytes()
 
 
 def test_trial_indices_fit_one_word_of_the_seed_entropy():
     assert TrialConfig(trials_per_case=2**32).trials_per_case == 2**32
     with pytest.raises(ValueError, match=r"^trials_per_case must be at most 2\*\*32, got 4294967297$"):
         TrialConfig(trials_per_case=2**32 + 1)
+
+
+def test_import_loads_neither_numpy_random_nor_numpy_ma():
+    # Each costs resident memory and start-up time in every CLI command:
+    # numpy.random loads on the first draw, and nothing needs numpy.ma.
+    code = (
+        "import sys, fcoherence, fcoherence.cli\n"
+        "fcoherence.cli.build_parser()\n"
+        "print(sorted(m for m in ('numpy.random', 'numpy.ma') if m in sys.modules))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
