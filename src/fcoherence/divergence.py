@@ -7,12 +7,20 @@ The working formula is the double spectral sum
 over eigenpairs (a_j, u_j) of A and (b_k, v_k) of B. Zero eigenvalues are
 resolved through the generator's closed-form tail limits; a zero
 eigenvalue of B seen by a nonzero eigenvector of A can push the value to
-+inf, which is returned as ``math.inf``.
++inf, which is returned as ``math.inf``. Such a kernel block counts only
+where its overlap weight exceeds EPS_ZERO, so rounding-level overlaps
+(a state against itself or its dephasing) add nothing.
 
-``divergence_table`` is the kernel of every divergence value: for a list
-of (A, B) pairs it builds each pair's eigenvector overlap, spectral
-grouping and support masks once and evaluates every generator on them.
+``divergence_table`` is the kernel of every divergence value. It stacks
+the (A, B) pairs whose spectra split into groups at the same places (a
+group signature) and gives each stack one overlap product, one set of
+block sums and support masks and one call of each generator.
 ``quasi_relative_entropy`` is its one-pair, one-generator entry.
+
+Every masked sum, here and in ``_weighted_sums``, follows one rule, that
+of ``_row_sums``: each row is summed over its own terms in order, the
+rows of one count as one block, so a row of a stack has the bits it has
+alone.
 
 ``f_weighted_sum`` is the kernel of every entropy and coherence value:
 it works on a (..., d) stack of spectra or diagonals, so one generator
@@ -58,26 +66,16 @@ __all__ = [
 GROUP_TOL = 1e-12
 
 
-def _grouped(vals_desc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Start index and mean eigenvalue of each spectral group."""
-    starts = np.concatenate(([0], np.flatnonzero(vals_desc[:-1] - vals_desc[1:] > GROUP_TOL) + 1))
-    sizes = np.append(starts[1:], vals_desc.size) - starts
-    return starts, np.add.reduceat(vals_desc, starts) / sizes
-
-
-def _need_limit(f: GeneratorFunction, attr: str, what: str) -> float:
-    limit = getattr(f, attr)
-    if limit is None or math.isnan(limit):
-        raise UnsupportedLimit(f"generator {f.name} supplies no {what}")
-    return limit
-
-
 def quasi_relative_entropy(a: DensityMatrix, b: DensityMatrix, f: GeneratorFunction) -> float:
     """S_f(a || b) from the spectral data of both states.
 
     Returns ``math.inf`` when the support configuration forces it (for
     example the kernel of b overlapping the support of a when f diverges
-    at zero). The one-pair, one-generator entry of divergence_table.
+    at zero). A block of the kernel of one state against the support of
+    the other carries weight only where its block-summed overlap exceeds
+    EPS_ZERO, so rounding-level overlaps, such as those of a state with
+    itself, contribute nothing. The one-pair, one-generator entry of
+    divergence_table.
     """
     return float(divergence_table([(a, b)], [f])[0, 0])
 
@@ -88,53 +86,96 @@ def divergence_table(pairs, gens) -> np.ndarray:
     The states of all pairs share one dimension. Returns shape
     (len(pairs), len(gens)), entries ``math.inf`` where the support
     configuration forces it. The states without a decomposition are
-    solved in one stacked eigh; each pair's overlap, spectral grouping
-    and support masks are built once and serve every generator, so each
-    entry is bit for bit the value the pair and generator give alone.
-    Raises UnsupportedLimit for the first pair, then the first
-    generator, whose nonzero block needs a limit it does not supply.
+    solved in one stacked eigh. The pairs whose two spectra split into
+    GROUP_TOL groups at the same places form one stack, which gets one
+    stacked overlap product, block sums and support masks, and one
+    evaluation of each generator over all its terms; every masked sum
+    is one row sum of _row_sums, so each entry is bit for bit the value
+    the pair and generator give alone. Raises UnsupportedLimit for the
+    first pair, then the first generator, whose weighted block needs a
+    limit it does not supply, the tail block before the zero block.
     """
     pairs = list(pairs)
     decs = _pair_decompositions(pairs)
     out = np.empty((len(decs), len(gens)))
-    for row, (sa, sb) in zip(out, decs):
-        # overlap[k, j] = |<v_k|u_j>|^2
-        w = np.abs(sb.eigenvectors.conj().T @ sa.eigenvectors) ** 2
-        starts_a, lam = _grouped(sa.eigenvalues)
-        starts_b, mu = _grouped(sb.eigenvalues)
-        # Block-summed overlap weight per (group of b, group of a).
-        w = np.add.reduceat(np.add.reduceat(w, starts_b, axis=0), starts_a, axis=1)
-        lam_pos = lam > EPS_ZERO
-        mu_pos = mu > EPS_ZERO
-        carried = w != 0.0
-
-        kb, ja = np.nonzero(mu_pos[:, None] & lam_pos & carried)
-        lam_ja, ratio, w_both = lam[ja], mu[kb] / lam[ja], w[kb, ja]
-        # Kernel of a against the support of b.
-        tail_block = mu_pos[:, None] & ~lam_pos & carried
-        # Support of a against the kernel of b.
-        zero_block = ~mu_pos[:, None] & lam_pos & carried
-        has_tail, has_zero = tail_block.any(), zero_block.any()
-        # Both groups in the kernel: no contribution.
-        for g, f in enumerate(gens):
-            total = float((lam_ja * f(ratio) * w_both).sum())
-            infinite = False
-            if has_tail:
-                tail = _need_limit(f, "weighted_inf_limit", "weighted tail limit")
-                if math.isinf(tail):
-                    infinite = True
-                elif tail != 0.0:
-                    # A boolean mask takes the block's terms in np.nonzero
-                    # order; np.sum(..., where=) would regroup the sum.
-                    total += float(np.sum((mu[:, None] * tail * w)[tail_block]))
-            if has_zero:
-                zero = _need_limit(f, "limit_at_zero", "limit at zero")
-                if math.isinf(zero):
-                    infinite = True
-                else:
-                    total += float(np.sum((lam * zero * w)[zero_block]))
-            row[g] = math.inf if infinite else total
+    if not (decs and gens):
+        return out
+    n, d = len(decs), pairs[0][0].dim
+    # Each pair's spectra of a and b as one row of 2d values. Its flags
+    # mark the start of each group and the row's end (columns 0, d and 2d
+    # always): the pair's group signature.
+    vals = np.array([(sa.eigenvalues, sb.eigenvalues) for sa, sb in decs]).reshape(n, 2 * d)
+    flags = np.empty((n, 2 * d + 1), dtype=bool)
+    np.greater(vals[:, :-1] - vals[:, 1:], GROUP_TOL, out=flags[:, 1:-1])
+    flags[:, ::d] = True
+    # The pairs of each signature form one stack; a lone pair is one
+    # stack without the sort of np.unique.
+    signatures = np.unique(flags.view(f"V{2 * d + 1}")[:, 0], return_inverse=True)[1] if n > 1 else np.zeros(1, int)
+    faults = []
+    for rows in [(signatures == s).nonzero()[0] for s in range(signatures.max() + 1)] if n > 1 else [signatures]:
+        edges = flags[rows[0]].nonzero()[0]
+        starts, na = edges[:-1], edges.searchsorted(d)
+        # Group means of a and of b, and views of them along the other's groups.
+        means = np.add.reduceat(vals[rows], starts, axis=1) / (edges[1:] - starts)
+        lam, mu = means[:, None, :na], means[:, na:, None]
+        # A stack of one pair takes its eigenvectors uncopied.
+        vecs = [[decs[p][i].eigenvectors for p in rows.tolist()] for i in (0, 1)]
+        va, vb = (v[0][None] if len(v) == 1 else np.array(v) for v in vecs)
+        # Block-summed overlap weight |<v_k|u_j>|^2 per (pair, group of b, group of a).
+        w = np.abs(vb.conj().swapaxes(1, 2) @ va) ** 2
+        w = np.add.reduceat(np.add.reduceat(w, starts[na:] - d, axis=1), starts[:na], axis=2)
+        lam_pos, mu_pos = lam > EPS_ZERO, mu > EPS_ZERO
+        both = mu_pos & lam_pos & (w != 0.0)
+        # Each block's terms in C order, gathered by repeating the means.
+        lam_ja, w_both = lam.repeat(w.shape[1], axis=1)[both], w[both]
+        ratio = mu.repeat(na, axis=2)[both] / lam_ja
+        mask = both.reshape(len(rows), -1)
+        total = np.array([_row_sums(lam_ja * f(ratio) * w_both, mask) for f in gens]).T
+        if not (lam_pos.all() and mu_pos.all()):
+            # The kernel of a against the support of b (the tail block),
+            # then the support of a against the kernel of b (the zero
+            # block), where the overlap is more than rounding; both groups
+            # in the kernel add nothing. A tail of exactly 0.0 adds nothing,
+            # while the zero block adds its sum whatever its limit. A
+            # missing limit reads as NaN and is a fault where its block
+            # carries weight; the smallest (pair, generator, block) is raised.
+            tails, zeros = np.array([(f.weighted_inf_limit, f.limit_at_zero) for f in gens], dtype=float).T
+            heavy = w > EPS_ZERO
+            blocks = (mu_pos & ~lam_pos & heavy, mu, tails, tails != 0.0), (~mu_pos & lam_pos & heavy, lam, zeros, True)
+            for kind, (block, side, limit, adds) in enumerate(blocks):
+                has = block.any(axis=(1, 2))[:, None]
+                faults.extend((rows[i], g, kind) for i, g in np.argwhere(has & np.isnan(limit)))
+                adds &= np.isfinite(limit)
+                terms = np.broadcast_to(side, w.shape)[block] * np.where(adds, limit, 0.0)[:, None] * w[block]
+                np.add(total, _row_sums(terms, block.reshape(len(rows), -1)).T, out=total, where=has & adds)
+                total[has & np.isinf(limit)] = math.inf
+        out[rows] = total
+    if faults:
+        _, g, kind = min(faults)
+        raise UnsupportedLimit(f"generator {gens[g].name} supplies no {('weighted tail limit', 'limit at zero')[kind]}")
     return out
+
+
+def _row_sums(terms: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Row sums of the masked terms of each row of a boolean (rows, k)
+    mask: the last axis of terms holds the terms of the True entries in
+    C order, and the result has shape terms.shape[:-1] + (rows,).
+
+    Each row is summed over its own terms in order, as np.sum sums them
+    alone (a row of none sums to 0.0); zero-padding would let numpy's
+    pairwise summation regroup rows of 8 or more terms. The rows of one
+    count m are summed as one C-ordered (rows, m) block: a view of terms
+    when the mask is all True, else one take.
+    """
+    if mask.all():
+        return np.add.reduce(terms.reshape(terms.shape[:-1] + mask.shape), axis=-1)
+    counts = mask.sum(axis=1)
+    sums = np.zeros(terms.shape[:-1] + counts.shape)
+    begins = counts.cumsum() - counts
+    for m in set(counts.tolist()) - {0}:
+        rows = (counts == m).nonzero()[0]
+        sums[..., rows] = np.add.reduce(np.take(terms, begins[rows, None] + np.arange(m), axis=-1), axis=-1)
+    return sums
 
 
 def _pair_decompositions(pairs: list) -> list[tuple[SpectralDecomposition, SpectralDecomposition]]:
@@ -248,33 +289,16 @@ def _weighted_sums(v: np.ndarray, c: np.ndarray, gens) -> list[np.ndarray]:
     if not np.fmin.reduce(v, axis=None, initial=np.inf) <= EPS_ZERO:
         x = np.maximum(c[..., None] / v, 5e-324)
         return [np.add.reduce(v * f(x), axis=-1) for f in gens]
-    for f in gens:
-        if _need_limit(f, "weighted_inf_limit", "weighted tail limit") != 0.0:
-            raise UnsupportedLimit(
-                f"generator {f.name} has nonzero weighted tail limit, "
-                "cannot evaluate on a vector with zero entries"
-            )
-    # Zero-padding the masked entries would let numpy's pairwise summation
-    # regroup rows of 8 or more terms, so each row is summed over its
-    # compressed positive entries: rows with the same count m of them are
-    # summed as one (rows, m) block.
+    for f, tail in zip(gens, np.array([f.weighted_inf_limit for f in gens], dtype=float)):
+        if tail != 0.0:
+            nonzero = "has nonzero weighted tail limit, cannot evaluate on a vector with zero entries"
+            fault = "supplies no weighted tail limit" if math.isnan(tail) else nonzero
+            raise UnsupportedLimit(f"generator {f.name} {fault}")
     v, pos = np.broadcast_arrays(v, ~(v <= EPS_ZERO), c[..., None])[:2]
     vp = v[pos]
     x = np.maximum(c[..., None] / np.where(pos, v, 1.0), 5e-324)[pos]
-    counts = pos.sum(axis=-1).ravel()
-    ends = np.cumsum(counts)
-    blocks = []
-    for m in set(counts.tolist()) - {0}:
-        rows = np.flatnonzero(counts == m)
-        blocks.append((rows, (ends[rows] - m)[:, None] + np.arange(m)))
-    out = []
-    for f in gens:
-        terms = vp * f(x)
-        sums = np.zeros(counts.size)
-        for rows, idx in blocks:
-            sums[rows] = terms[idx].sum(axis=1)
-        out.append(sums.reshape(v.shape[:-1]))
-    return out
+    terms = np.array([vp * f(x) for f in gens]).reshape(len(gens), vp.size)
+    return list(_row_sums(terms, pos.reshape(-1, pos.shape[-1])).reshape((len(gens),) + v.shape[:-1]))
 
 
 def f_entropy(rho: DensityMatrix, f: GeneratorFunction) -> float:

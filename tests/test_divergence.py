@@ -1,4 +1,8 @@
+import dataclasses
+import json
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +10,7 @@ from scipy.linalg import fractional_matrix_power, logm
 
 from fcoherence import (
     DensityMatrix,
+    PureState,
     divergence_table,
     f_entropy,
     f_entropy_hat,
@@ -19,8 +24,11 @@ from fcoherence import (
     validate_density,
 )
 from fcoherence.channels import depolarizing_extension, random_channel
+from fcoherence.coherence import dephase, relative_entropy_coherence
+from fcoherence.divergence import GROUP_TOL
 from fcoherence.errors import DimensionMismatch, SingularState, UnsupportedLimit
 from fcoherence.generators import GeneratorFunction, lookup, neg_log, power, tsallis
+from fcoherence.states import EPS_ZERO, spectral_decompose
 
 BUILTIN_SPECS = ["neg_log", "power:0.5", "power:1.5", "tsallis:0.5", "tsallis:1.5"]
 
@@ -576,3 +584,181 @@ def test_tables_take_any_iterable_of_pairs():
     for table in (divergence_table, oracle_divergence_table):
         want = table(pairs, ALL_GENERATORS)
         assert table(iter(pairs), ALL_GENERATORS).tobytes() == want.tobytes()
+
+
+def zero_amplitude(seed):
+    """A d = 4 Haar-random pure state with amplitude seed % 4 set to 0."""
+    amps = random_pure(4, seed).amplitudes.copy()
+    amps[seed % 4] = 0.0
+    return PureState(amps / np.linalg.norm(amps)).as_density()
+
+
+def zero_row(seed):
+    """A d = 4 rank-2 random state with row and column seed % 4 set to 0."""
+    m = random_density(4, 2, seed).matrix.copy()
+    m[seed % 4, :] = m[:, seed % 4] = 0.0
+    return DensityMatrix(m / np.trace(m).real)
+
+
+class TestRoundingKernelWeight:
+    """A block of one state's kernel against the other's support counts
+    as weight only above EPS_ZERO, so the rounding-level overlaps of a
+    state with itself, or with its dephasing, never make S_f infinite."""
+
+    SELF = [random_density(3, 2, k) for k in range(5)] + [random_pure(3, 1).as_density()]
+
+    @pytest.mark.parametrize("rho", SELF, ids=[f"rank2-{k}" for k in range(5)] + ["pure"])
+    def test_self_divergence_is_zero(self, rho):
+        for f in ALL_GENERATORS:
+            assert abs(quasi_relative_entropy(rho, rho, f)) <= 1e-12, f.name
+        copy = DensityMatrix(rho.matrix)
+        assert np.abs(divergence_table([(rho, copy), (copy, rho)], ALL_GENERATORS)).max() <= 1e-12
+
+    @pytest.mark.parametrize("draw", [zero_amplitude, zero_row])
+    def test_divergence_to_the_dephased_state_is_the_shannon_gap(self, draw):
+        for seed in range(200):
+            rho = draw(seed)
+            got = quasi_relative_entropy(rho, dephase(rho), neg_log())
+            assert got == pytest.approx(relative_entropy_coherence(rho), rel=0.0, abs=1e-10), seed
+
+    def test_kernel_weight_above_rounding_still_counts(self):
+        # psi tilted by eps = 1e-10 towards a vector orthogonal to it: its
+        # support overlaps the kernel of psi by eps, above EPS_ZERO.
+        eps = 1e-10
+        psi = random_pure(3, 1).amplitudes
+        phi = random_pure(3, 2).amplitudes
+        phi = phi - np.vdot(psi, phi) * psi
+        tilted = np.sqrt(1.0 - eps) * psi + np.sqrt(eps) * phi / np.linalg.norm(phi)
+        a, b = PureState(tilted).as_density(), PureState(psi).as_density()
+        assert quasi_relative_entropy(a, b, neg_log()) == math.inf
+        # Only the zero block adds: eps times power(0.5)'s limit at zero, 4.
+        assert quasi_relative_entropy(a, b, power(0.5)) == pytest.approx(4.0 * eps, rel=1e-4)
+
+
+def counted(f, calls):
+    """f with each call's argument shape appended to calls."""
+    return dataclasses.replace(f, fn=lambda x: calls.append(np.shape(x)) or f.fn(x))
+
+
+class TestOneEvaluationPerStack:
+    """The pairs whose spectra split into groups at the same places form one
+    stack, and each generator is evaluated once over all its terms."""
+
+    def test_one_signature_one_call(self):
+        calls = []
+        pairs = [conditioned_pair(4, 200 + i) for i in range(40)]
+        table = divergence_table(pairs, [counted(neg_log(), calls)])
+        assert calls == [(40 * 16,)]
+        assert table.tobytes() == divergence_table(pairs, [neg_log()]).tobytes()
+
+    def test_two_signatures_two_calls(self):
+        calls = []
+        pairs = [conditioned_pair(4, 300 + i) for i in range(20)]
+        pairs += [(DensityMatrix.maximally_mixed(4), a) for a, _ in pairs]
+        table = divergence_table(pairs[::-1], [counted(tsallis(0.5), calls)])
+        assert sorted(calls) == [(20 * 4,), (20 * 16,)]
+        assert table.tobytes() == divergence_table(pairs[::-1], [tsallis(0.5)]).tobytes()
+
+
+BITS = Path(__file__).parent / "data" / "divergence_table_bits.jsonl"
+
+
+def spread(d, weights):
+    """A spectrum of d values proportional to weights (cycled to length d)."""
+    w = np.resize(np.asarray(weights, dtype=float), d)
+    return w / w.sum()
+
+
+def bit_cases(d):
+    """Seeded (name, (a, b)) cases of dimension d for the bit file:
+    generic, self, degenerate, diagonal, rank-deficient and pure pairs,
+    less those that carry rounding-level kernel weight."""
+    seed = 1000 * d
+    full = [conditioned_pair(d, seed + i)[i % 2] for i in range(3)]
+    low = [random_density(d, max(1, d - 1 - i % 2), seed + 10 + i) for i in range(3)]
+    pure = [random_pure(d, seed + 20 + i).as_density() for i in range(3)]
+    probs = spread(d, [3, 0, 2, 1, 0, 4])
+    cases = {
+        "generic-0": conditioned_pair(d, seed + 30),
+        "generic-1": conditioned_pair(d, seed + 31),
+        "wishart": (random_density(d, d, seed + 32), random_density(d, d, seed + 33)),
+        "self": (full[0], full[0]),
+        "degenerate": (rotated(spread(d, [2, 2, 1]), seed + 34), rotated(spread(d, [1, 3, 3, 3]), seed + 35)),
+        "degenerate-full": (rotated(spread(d, [2, 2, 1]), seed + 36), full[1]),
+        "maximally-mixed": (DensityMatrix.maximally_mixed(d), full[2]),
+        "mixed-reversed": (full[2], DensityMatrix.maximally_mixed(d)),
+        "diagonal": (DensityMatrix.from_diagonal(probs), DensityMatrix.from_diagonal(spread(d, [1, 2, 0, 5]))),
+        "diagonal-self": (DensityMatrix.from_diagonal(probs),) * 2,
+        "diagonal-generic": (DensityMatrix.from_diagonal(probs), full[0]),
+        "generic-diagonal": (full[1], DensityMatrix.from_diagonal(probs)),
+        "low-full": (low[0], full[1]),
+        "full-low": (full[2], low[1]),
+        "low-low": (low[1], low[2]),
+        "pure-pure": (pure[0], pure[1]),
+        "pure-full": (pure[2], full[0]),
+        "full-pure": (full[1], pure[0]),
+        "pure-low": (pure[1], low[0]),
+    }
+    return [(name, pair) for name, pair in cases.items() if not rounding_kernel_weight(*pair)]
+
+
+def rounding_kernel_weight(a, b):
+    """Whether a block of the kernel of one state against the support of
+    the other carries a block-summed overlap in (0, EPS_ZERO]: rounding
+    noise, which such a block does not count as weight."""
+    sa, sb = spectral_decompose(a), spectral_decompose(b)
+    overlap = np.abs(sb.eigenvectors.conj().T @ sa.eigenvectors) ** 2
+    ends = []
+    for vals in (sb.eigenvalues, sa.eigenvalues):
+        cut = np.flatnonzero(vals[:-1] - vals[1:] > GROUP_TOL) + 1
+        ends.append([(lo, hi) for lo, hi in zip([0, *cut], [*cut, vals.size])])
+    for kb, (lo_b, hi_b) in enumerate(ends[0]):
+        for ja, (lo_a, hi_a) in enumerate(ends[1]):
+            kernel_b = sb.eigenvalues[lo_b:hi_b].mean() <= EPS_ZERO
+            kernel_a = sa.eigenvalues[lo_a:hi_a].mean() <= EPS_ZERO
+            weight = overlap[lo_b:hi_b, lo_a:hi_a].sum()
+            if kernel_a != kernel_b and 0.0 < weight <= EPS_ZERO:
+                return True
+    return False
+
+
+def bit_records():
+    """The records of the bit file: every entry of one divergence_table
+    call per dimension 1..6, as float.hex, one line per pair."""
+    for d in range(1, 7):
+        names, pairs = zip(*bit_cases(d))
+        for name, row in zip(names, divergence_table(pairs, ALL_GENERATORS)):
+            yield {"dim": d, "case": name, "entries": [float(v).hex() for v in row]}
+
+
+class TestBitFile:
+    """The entries of divergence_table pinned bit for bit, for seeded pairs
+    of every kind at d = 1..6, under every builtin generator and its
+    transpose."""
+
+    def test_every_case_is_recorded(self):
+        records = [json.loads(line) for line in BITS.read_text(encoding="utf-8").splitlines()]
+        assert [(r["dim"], r["case"]) for r in records] == [
+            (d, name) for d in range(1, 7) for name, _ in bit_cases(d)
+        ]
+        assert len(records) > 90
+
+    @pytest.mark.parametrize("d", range(1, 7))
+    def test_stacked_and_one_pair_calls_reproduce_the_file(self, d):
+        want = {
+            r["case"]: r["entries"]
+            for r in map(json.loads, BITS.read_text(encoding="utf-8").splitlines())
+            if r["dim"] == d
+        }
+        names, pairs = zip(*bit_cases(d))
+        table = divergence_table(fresh(pairs), ALL_GENERATORS)
+        for name, pair, row in zip(names, fresh(pairs), table):
+            assert [float(v).hex() for v in row] == want[name], name
+            one = divergence_table([pair], ALL_GENERATORS)[0]
+            assert [float(v).hex() for v in one] == want[name], name
+
+
+if __name__ == "__main__":
+    lines = [json.dumps(record) for record in bit_records()]
+    BITS.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    print(f"wrote {len(lines)} records to {BITS}", file=sys.stderr)

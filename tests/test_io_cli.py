@@ -23,6 +23,7 @@ from fcoherence import (
     random_channel,
     random_density,
     random_gio,
+    random_pure,
     save_channel,
     save_state,
     state_to_json,
@@ -524,6 +525,12 @@ class TestCliCommands:
         b = write_state(tmp_path / "b.json", DensityMatrix.from_diagonal([1.0, 0.0]))
         assert main(["divergence", a, b]) == 0
         assert json.loads(capsys.readouterr().out)["value"] == "inf"
+
+    @pytest.mark.parametrize("spec", ["neg_log", "tsallis:1.5", "power:1.5"])
+    def test_divergence_of_a_pure_state_with_itself(self, tmp_path, capsys, spec):
+        path = write_state(tmp_path / "p.json", random_pure(3, 1).as_density())
+        assert main(["divergence", path, path, "--f", spec]) == 0
+        assert abs(json.loads(capsys.readouterr().out)["value"]) <= 1e-12
 
     def test_entropy(self, tmp_path, capsys):
         path = write_state(tmp_path / "d.json", DensityMatrix.from_diagonal([0.7, 0.3]))

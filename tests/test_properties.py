@@ -120,6 +120,17 @@ def test_coherence_is_faithful(rho):
         assert table[0].min() > 0.0
 
 
+@settings(max_examples=60)
+@given(states())
+def test_self_divergence_is_zero(rho):
+    """S_f(rho || rho) = 0 at any rank, for every default generator and
+    its transpose, for rho itself and for a copy solved on its own."""
+    gens = [lookup(spec) for spec in DEFAULT_F_SPECS]
+    copy = DensityMatrix(rho.matrix)
+    table = divergence_table([(rho, rho), (rho, copy)], gens + [f.transpose() for f in gens])
+    assert np.abs(table).max() <= 1e-12
+
+
 @st.composite
 def channel_and_state(draw):
     """A random_gio channel at d = 2..6, or an ancilla extension with
