@@ -12,7 +12,6 @@ from .channels import (
     erasure_extension,
     gio_saturation_check,
     is_sio,
-    outcome_ensembles,
     petz_recovery,
     random_channel,
     random_gio,

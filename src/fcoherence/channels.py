@@ -16,6 +16,13 @@ diagonal. Both are one replacement channel, stored as the ancilla
 dimension and the number of basis states whose uniform mixture replaces
 the ancilla, and act on the blocks of the state; their dense Kraus
 stack is built on request.
+
+Selective outcomes have one entry, ``selective_outcomes``, which checks
+the pair and asks the channel class for its outcomes. A tensor extension
+takes them from the blocks of its state. Every other channel takes them
+from ``_outcome_blocks``, which computes the outcomes of many pairs as
+blocked stacks of arrays; the strong-monotonicity suite reads those
+arrays directly, with no outcome object.
 """
 
 from __future__ import annotations
@@ -40,6 +47,7 @@ from .states import (
     _as_array,
     _as_square,
     _check_dim,
+    _cleaned,
     _eigh,
     _first_above,
     _frozen,
@@ -50,6 +58,7 @@ from .states import (
     _normals,
     _per_row,
     _size_fault,
+    _store,
     _views,
     spectral_decompose,
     validate_density,
@@ -70,7 +79,6 @@ __all__ = [
     "random_channel",
     "random_unital_channel",
     "max_offdiagonal",
-    "outcome_ensembles",
     "is_sio",
     "gio_saturation_check",
     "petz_recovery",
@@ -86,9 +94,9 @@ _SATURATION_TOL = 1e-6
 # (depolarizing) or d (erasure) matrices of 16 d^4 bytes. Depolarizing
 # reaches it at d = 10 (16 MB; 65 GB at d = 40).
 EXTENSION_DENSE_BYTES = 1 << 24
-# Largest stack of d x d matrices outcome_ensembles builds at once, a
-# bound on memory: without it the strong-monotonicity suite at d = 64
-# peaked at 170-178 MB instead of 67 MB, with the same output and no faster.
+# Largest stack of d x d matrices _outcome_blocks builds at once, a bound
+# on memory: without it the strong-monotonicity suite at d = 64 peaked at
+# 166 MB instead of 44 MB, with the same output and no faster.
 OUTCOME_BLOCK_BYTES = 1 << 16
 
 
@@ -159,7 +167,16 @@ class KrausChannel:
 
     def selective_outcomes(self, rho: DensityMatrix) -> list[MeasurementOutcome]:
         """Per-Kraus outcome list (p_k, K rho K*/p_k), zero-probability outcomes dropped."""
-        return outcome_ensembles([self], [rho])[0]
+        _check_pair(self, rho)
+        return self._outcomes(rho)
+
+    def _outcomes(self, rho: DensityMatrix) -> list[MeasurementOutcome]:
+        """The outcomes of _outcome_blocks, each state adopted with its
+        cleaned spectrum as its decomposition, as validate_density gives it."""
+        outcomes = []
+        for _, probs, matrices, vals, vecs in _outcome_blocks([self], [rho]):
+            outcomes += map(MeasurementOutcome, probs.tolist(), _store(_views(matrices), vals, vecs))
+        return outcomes
 
 
 def _kraus_sum(ops: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -180,33 +197,22 @@ def _check_pair(ch: KrausChannel, rho: DensityMatrix) -> None:
         raise DimensionMismatch(f"state dimension {rho.dim} does not match channel dimension {ch.dim}")
 
 
-def outcome_ensembles(channels, states) -> list[list[MeasurementOutcome]]:
-    """Selective outcomes of every (channel, state) pair, all of one dimension.
+def _outcome_blocks(channels, states):
+    """The selective outcomes of checked (channel, state) pairs of one
+    dimension, in outcome order, as arrays; a channel here serves its
+    Kraus operators through _kraus_slice, which a tensor extension does not.
 
     The K rho K* of all pairs are computed as one concatenated stacked
-    product, and the outcome states validated as one stack, in blocks of
-    at most OUTCOME_BLOCK_BYTES, so each outcome equals, byte for byte,
-    what selective_outcomes gives for its pair alone. A tensor-extension
-    channel takes its outcomes from the blocks of its state instead.
+    product, in blocks of at most OUTCOME_BLOCK_BYTES, and the outcomes of
+    a block with probability above EPS_ZERO are cleaned as one stack. Per
+    block with such outcomes it yields the pair of each, its probability,
+    and its cleaned matrix, clipped ascending spectrum and eigenvectors as
+    states._cleaned gives them. Each outcome has the bits its pair gives
+    it alone, whatever the blocks.
     """
-    channels, states = list(channels), list(states)
-    if len(channels) != len(states):
-        raise DimensionMismatch(f"need one state per channel, got {len(states)} for {len(channels)}")
-    if not channels:
-        return []
-    for ch, rho in zip(channels, states):
-        _check_pair(ch, rho)
-    if len({rho.dim for rho in states}) > 1:
-        raise DimensionMismatch("outcome ensembles need pairs of one dimension")
-    blockwise = [isinstance(ch, _AncillaExtension) for ch in channels]
-    if any(blockwise):
-        rest = [(ch, rho) for ch, rho, b in zip(channels, states, blockwise) if not b]
-        dense = iter(outcome_ensembles([ch for ch, _ in rest], [rho for _, rho in rest]))
-        return [ch._outcomes(rho) if b else next(dense) for ch, rho, b in zip(channels, states, blockwise)]
     counts = [ch.num_kraus for ch in channels]
     begin = np.cumsum([0] + counts).tolist()
     owner = np.repeat(np.arange(len(states)), counts)
-    probs, outcome_states = [], []
     step = max(1, OUTCOME_BLOCK_BYTES // (16 * states[0].dim ** 2))
     for start in range(0, begin[-1], step):
         stop = min(start + step, begin[-1])
@@ -217,18 +223,15 @@ def outcome_ensembles(channels, states) -> list[list[MeasurementOutcome]]:
         ]
         # A block of one pair takes its operands as they are, uncopied.
         k = pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
-        r = states[pairs[0]].matrix if len(pairs) == 1 else np.array([states[i].matrix for i in owner[start:stop]])
+        r = states[pairs[0]].matrix
+        if len(pairs) > 1:  # each outcome's state, from one stack of the block's states
+            r = np.array([states[i].matrix for i in pairs])[owner[start:stop] - pairs[0]]
         blocks = k @ r @ k.conj().transpose(0, 2, 1)
         p = np.trace(blocks, axis1=1, axis2=2).real
         kept = p > EPS_ZERO
-        probs += p.tolist()
         if kept.any():
-            outcome_states += validate_density((blocks if kept.all() else blocks[kept]) / p[kept, None, None])
-    outcome_states = iter(outcome_states)
-    return [
-        [MeasurementOutcome(p, next(outcome_states)) for p in probs[begin[i] : begin[i + 1]] if p > EPS_ZERO]
-        for i in range(len(channels))
-    ]
+            outcomes = (blocks if kept.all() else blocks[kept]) / p[kept, None, None]
+            yield owner[start:stop][kept], p[kept], *_cleaned(outcomes)
 
 
 def max_offdiagonal(matrices) -> float:
@@ -280,11 +283,9 @@ class GioChannel(KrausChannel):
 
     def _kraus_slice(self, start: int, stop: int) -> np.ndarray:
         rows = self._coeffs[start:stop]
-        ops = np.zeros((len(rows), self.dim, self.dim), dtype=complex)
-        idx = np.arange(self.dim)
-        ops[:, idx, idx] = rows
-        ops.setflags(write=False)
-        return ops
+        ops = np.zeros((len(rows), self.dim * self.dim), dtype=complex)
+        ops[:, :: self.dim + 1] = rows
+        return _frozen(ops.reshape(-1, self.dim, self.dim))
 
     def completeness_defect(self) -> float:
         """Frobenius distance of sum K*K = diag(column norms squared) from

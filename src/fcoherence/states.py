@@ -267,10 +267,20 @@ def validate_density(matrix) -> DensityMatrix | list[DensityMatrix]:
     check, so a stack with one bad matrix raises what that matrix raises
     alone.
     """
-    m = _as_square(matrix, "density matrix", (2, 3))
+    m = _as_array(matrix, complex, "density matrix", ndims=(2, 3), square=True)
     if m.size == 0:
         return []
-    stack = m.reshape((-1,) + m.shape[-2:])
+    matrices, clipped, vecs = _cleaned(m.reshape((-1,) + m.shape[-2:]))
+    states = _store(_views(matrices), clipped, vecs)
+    return states if m.ndim == 3 else states[0]
+
+
+def _cleaned(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """validate_density's checks and cleanup of an (n, d, d) complex stack,
+    n >= 1: the cleaned matrices, their clipped spectra in ascending order
+    and the eigenvectors of the one stacked eigh, as fresh arrays."""
+    if not np.isfinite(stack).all():
+        raise StateValidationError("density matrix contains non-finite entries")
     adjoint = stack.conj().swapaxes(-1, -2)
     asymmetry = np.abs(stack - adjoint)
     if asymmetry.max() > TOL_HERM:
@@ -286,9 +296,7 @@ def validate_density(matrix) -> DensityMatrix | list[DensityMatrix]:
         raise NotPositive(f"most negative eigenvalue {lowest:.3e} exceeds {TOL_PSD:.1e}")
     clipped = np.clip(vals, 0.0, 1.0)
     clipped /= clipped.sum(axis=-1, keepdims=True)
-    states = _views((vecs * clipped[..., None, :]) @ vecs.conj().swapaxes(-1, -2))
-    _store(states, clipped, vecs)
-    return states if m.ndim == 3 else states[0]
+    return (vecs * clipped[..., None, :]) @ vecs.conj().swapaxes(-1, -2), clipped, vecs
 
 
 def _views(stack: np.ndarray) -> list[DensityMatrix]:
@@ -315,12 +323,13 @@ def _eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise ConvergenceFailure(str(exc)) from exc
 
 
-def _store(states, vals: np.ndarray, vecs: np.ndarray) -> None:
+def _store(states, vals: np.ndarray, vecs: np.ndarray):
     """Cache on each state its rows of a stacked eigh (ascending values),
-    reversed and frozen once for the whole stack."""
+    reversed and frozen once for the whole stack; returns the states."""
     vals, vecs = _frozen(vals[:, ::-1].copy()), _frozen(vecs[..., ::-1].copy())
     for s, w, v in zip(states, vals, vecs):
         object.__setattr__(s, "_decomposition", SpectralDecomposition(w, v))
+    return states
 
 
 def _decomposed(states) -> list["SpectralDecomposition"]:

@@ -35,12 +35,12 @@ from .channels import (
     _gio_tables,
     _haar_kraus,
     _kraus_sum,
+    _outcome_blocks,
     _saturated,
     _unital_kraus,
     _unitary_mixture_tables,
     _worst_overlaps,
     max_offdiagonal,
-    outcome_ensembles,
 )
 from .coherence import (
     _dephasing_distances,
@@ -50,7 +50,7 @@ from .coherence import (
     dephase,
     max_coherent_state,
 )
-from .divergence import divergence_table, entropy_table, f_weighted_sum, oracle_divergence_table
+from .divergence import divergence_table, entropy_table, f_weighted_sum, oracle_divergence_table, spectral_sums
 from .errors import CoherenceError
 from .generators import GeneratorFunction, _is_tolerance, lookup
 from .states import (
@@ -416,13 +416,23 @@ def suite_gio_monotonicity(cfg: TrialConfig) -> VerificationReport:
 def _outcome_averages(pairs, gens) -> tuple[np.ndarray, np.ndarray]:
     """The coherence table of each (channel, state) pair's state, and its
     average sum_k p_k C(rho_k) over the channel's selective outcomes, a
-    sum from 0 in outcome order; one outcome_ensembles call, one table."""
-    ensembles = outcome_ensembles([ch for ch, _ in pairs], [rho for _, rho in pairs])
-    outcomes = [o for ensemble in ensembles for o in ensemble]
-    table = coherence_table([rho for _, rho in pairs] + [o.state for o in outcomes], gens)
-    weighted = np.array([o.probability for o in outcomes])[:, None, None] * table[len(pairs) :]
+    sum from 0 in outcome order. The channels serve _outcome_blocks, whose
+    outcomes are read as spectra and diagonals only, with no state object,
+    and scored with the pairs' states in one spectral_sums call.
+
+    Each outcome's row pair is copied out of its block, so no block
+    outlives its turn. Its diagonal needs no clip: that of a cleaned
+    matrix V diag(clipped) V* sums terms clipped_k |v_k|^2 >= 0."""
+    chans, states = zip(*pairs)
+    blocks = [
+        (owner, p, np.array((vals[:, ::-1], matrices.diagonal(axis1=1, axis2=2).real)))
+        for owner, p, matrices, vals, _ in _outcome_blocks(chans, states)
+    ]
+    # The empty first entries keep np.concatenate defined where no outcome is kept.
+    owners, probs, rows = zip((np.zeros(0, dtype=int), np.zeros(0), _rows(states)), *blocks)
+    table = np.subtract(*spectral_sums(np.concatenate(rows, axis=1), gens))
     averages = np.zeros((len(pairs), len(gens), 2))
-    np.add.at(averages, np.repeat(np.arange(len(pairs)), [len(e) for e in ensembles]), weighted)
+    np.add.at(averages, np.concatenate(owners), np.concatenate(probs)[:, None, None] * table[len(pairs) :])
     return table[: len(pairs)], averages
 
 
@@ -434,7 +444,11 @@ def ensemble_coherence(ch: KrausChannel, rho: DensityMatrix, f: GeneratorFunctio
     variants = (coherence_f, coherence_f_hat)  # the columns of a coherence table
     if fun not in variants:
         raise ValueError(f"fun must be coherence_f or coherence_f_hat, got {fun!r}")
-    return float(_outcome_averages([(ch, rho)], [f])[1][0, 0, variants.index(fun)])
+    outcomes = ch.selective_outcomes(rho)
+    # rho joins the table: a generator that cannot score rho's spectrum raises, whatever the outcomes.
+    values = coherence_table([rho] + [o.state for o in outcomes], [f])[1:, 0, variants.index(fun)]
+    # np.cumsum adds in order: the sum from 0 in outcome order.
+    return float(np.cumsum([0.0] + [o.probability * v for o, v in zip(outcomes, values.tolist())])[-1])
 
 
 def suite_strong_monotonicity(cfg: TrialConfig) -> VerificationReport:

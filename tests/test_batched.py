@@ -364,13 +364,13 @@ class TestEnsembles:
         # One stacked outcome build per case chunk, for parts (a), (b) and
         # (c) together, covering every trial's three (channel, state) pairs.
         builds = []
-        real = verify.outcome_ensembles
+        real = verify._outcome_blocks
 
         def counting(chans, states):
             builds.append(len(chans))
             return real(chans, states)
 
-        monkeypatch.setattr(verify, "outcome_ensembles", counting)
+        monkeypatch.setattr(verify, "_outcome_blocks", counting)
         monkeypatch.setattr(KrausChannel, "selective_outcomes", None)  # not used per pair
         report = suite_strong_monotonicity(TrialConfig(dims=(2, 3), trials_per_case=8, seed=1))
         assert report.trials == 8

@@ -12,7 +12,6 @@ from fcoherence import (
     erasure_extension,
     gio_saturation_check,
     is_sio,
-    outcome_ensembles,
     petz_recovery,
     random_channel,
     random_density,
@@ -657,15 +656,6 @@ class TestBlockExtensions:
             got = build(d).apply(rho)
             assert np.abs(got.matrix - dense.apply(rho).matrix).max() <= 1e-15
             assert abs(np.trace(got.matrix) - 1.0) <= 1e-15
-
-    def test_outcome_ensembles_equal_selective_outcomes_byte_for_byte(self):
-        rho = random_density(9, 5, seed=4)
-        chans = [depolarizing_extension(3), random_gio(9, 2, seed=5), erasure_extension(3), random_channel(9, 2, seed=6)]
-        chans.append(depolarizing_extension(3))
-        for ch, ensemble in zip(chans, outcome_ensembles(chans, [rho] * len(chans))):
-            alone = ch.selective_outcomes(rho)
-            assert [o.probability for o in ensemble] == [o.probability for o in alone]
-            assert all(a.state.matrix.tobytes() == b.state.matrix.tobytes() for a, b in zip(ensemble, alone))
 
     def test_zero_probability_blocks_are_dropped(self):
         ground = DensityMatrix.from_diagonal([1.0, 0.0, 0.0])

@@ -152,7 +152,7 @@ OBJECT_SLOTS_ONLY = {
     "builtin_channel", "channel_to_json", "coherence_f", "coherence_f_hat", "coherence_table", "dephase",
     "dephasing_distance", "divergence_table", "entropy_table", "f_entropy", "f_entropy_hat", "load_channel",
     "load_channel_or_builtin", "load_state", "lookup", "neg_log", "oracle_divergence_table",
-    "oracle_quasi_relative_entropy", "outcome_ensembles", "quasi_relative_entropy", "relative_entropy_coherence",
+    "oracle_quasi_relative_entropy", "quasi_relative_entropy", "relative_entropy_coherence",
     "run_all", "save_channel", "save_state", "spectral_decompose", "state_to_json", "suite_divergence_oracle",
     "suite_entropy_bounds", "suite_faithfulness_and_bounds", "suite_gio_monotonicity", "suite_sio_counterexample",
     "suite_strong_monotonicity", "CoherenceResult", "MeasurementOutcome", "PowerCoherence", "SaturationReport",

@@ -291,7 +291,8 @@ class TestEntropies:
 
 def reference_quasi_relative_entropy(a, b, f):
     """The grouped double spectral sum written as explicit Python loops,
-    one eigenvalue-group pair at a time."""
+    one eigenvalue-group pair at a time. A block against a kernel carries
+    weight only where its overlap is above EPS_ZERO, not rounding."""
     from fcoherence.divergence import GROUP_TOL
     from fcoherence.states import EPS_ZERO, spectral_decompose
 
@@ -322,6 +323,8 @@ def reference_quasi_relative_entropy(a, b, f):
             lam_j, mu_k = lam[ja], mu[kb]
             if lam_j > EPS_ZERO and mu_k > EPS_ZERO:
                 total += lam_j * float(f(mu_k / lam_j)) * weight
+            elif weight <= EPS_ZERO:
+                continue
             elif lam_j <= EPS_ZERO and mu_k > EPS_ZERO:
                 tail = need(f.weighted_inf_limit, "weighted tail limit")
                 if math.isinf(tail):
@@ -361,6 +364,8 @@ REFERENCE_PAIRS = {
         DensityMatrix.from_diagonal([0.5, 0.5, 0.0]),
     ),
     "pure-pair": lambda: (random_pure(3, seed=11).as_density(), random_pure(3, seed=12).as_density()),
+    # a rank-deficient state against itself: only rounding meets the kernel
+    "rank-deficient-self": lambda: (random_density(3, 2, 0),) * 2,
 }
 
 

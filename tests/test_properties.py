@@ -12,6 +12,7 @@ from test_contract import SLOTS, swept
 
 from fcoherence import DensityMatrix, random_density, validate_density
 from fcoherence.channels import (
+    GioChannel,
     depolarizing_extension,
     erasure_extension,
     max_offdiagonal,
@@ -23,7 +24,7 @@ from fcoherence.coherence import coherence_table, dephase
 from fcoherence.divergence import divergence_table
 from fcoherence.generators import lookup, tsallis
 from fcoherence.io import channel_to_json, load_channel, load_state, save_channel, save_state
-from fcoherence.verify import DEFAULT_F_SPECS
+from fcoherence.verify import DEFAULT_F_SPECS, _outcome_averages
 
 DECREASING = [f for f in map(lookup, DEFAULT_F_SPECS) if f.monotone_decreasing]
 
@@ -151,6 +152,21 @@ def test_selective_outcomes_average_to_the_output(pair):
     assert abs(sum(o.probability for o in outcomes) - 1.0) <= 1e-14
     average = sum(o.probability * o.state.matrix for o in outcomes)
     assert np.abs(average - ch.apply(rho).matrix).max() <= 1e-14
+
+
+@settings(max_examples=30)
+@given(st.integers(2, 5), st.integers(1, 4), seeds, st.data())
+def test_entry_phases_leave_outcome_averages_unchanged(d, k, seed, data):
+    """Phases on the entries of a diagonal channel's coefficient table turn
+    each outcome state K rho K* / p into U K rho K* U* / p, with U the
+    diagonal unitary of its row's phases, which keeps p, the spectrum and
+    the diagonal: the averages sum_k p_k C(rho_k) stay the same."""
+    ch = random_gio(d, k, seed)
+    rho = random_density(d, data.draw(st.integers(1, d)), data.draw(seeds))
+    phases = data.draw(st.lists(st.floats(0.0, 2 * np.pi), min_size=k * d, max_size=k * d))
+    redrawn = GioChannel.from_coefficients(ch.coefficients * np.exp(1j * np.reshape(phases, (k, d))))
+    _, averages = _outcome_averages([(ch, rho), (redrawn, rho)], DECREASING)
+    assert np.abs(averages[0] - averages[1]).max() <= 1e-12
 
 
 @settings(max_examples=60)

@@ -23,7 +23,6 @@ from fcoherence import (
     erasure_extension,
     gio_saturation_check,
     is_sio,
-    outcome_ensembles,
     random_channel,
     random_density,
     random_gio,
@@ -34,6 +33,7 @@ from fcoherence import (
 from fcoherence import channels, states, verify
 from fcoherence.channels import COMPLETENESS_TOL, KrausChannel, SaturationReport
 from fcoherence.cli import main
+from fcoherence.coherence import coherence_table
 from fcoherence.errors import (
     ChannelValidationError,
     ConvergenceFailure,
@@ -464,29 +464,70 @@ def pairs_for_outcomes(d):
     return pairs
 
 
-class TestOutcomeEnsembles:
+def object_averages(pairs, gens):
+    """_outcome_averages through the objects: each pair's selective
+    outcomes, one coherence table, and each average summed from 0 in
+    outcome order."""
+    ensembles = [ch.selective_outcomes(rho) for ch, rho in pairs]
+    table = coherence_table([rho for _, rho in pairs] + [o.state for e in ensembles for o in e], gens)
+    averages, rows = np.zeros((len(pairs), len(gens), 2)), iter(table[len(pairs) :])
+    for average, ensemble in zip(averages, ensembles):
+        for o in ensemble:
+            average += o.probability * next(rows)
+    return table[: len(pairs)], averages
+
+
+STRONG_GENS = [f for f in map(fcoherence.lookup, verify.DEFAULT_F_SPECS) if f.monotone_decreasing]
+
+
+def straddling_pairs(d):
+    """GIO pairs of one to five Kraus operators, and mixtures of two to
+    four diagonal unitaries, on pure and mixed states."""
+    chans = verify._diagonal_channels(d, np.array([1, 3, -2, 5, 2, -4, 4, -3]), np.arange(8) + 50)
+    return list(zip(chans, [random_pure(d, 60 + t).as_density() if t % 2 else random_density(d, 1 + t % d, 60 + t)
+                            for t in range(8)]))
+
+
+class TestSelectiveOutcomes:
     @pytest.mark.parametrize("d", [2, 3, 5, 9, 12, 40, 64])
     def test_matches_per_operator_loop(self, d):
         pairs = pairs_for_outcomes(d)
-        ensembles = outcome_ensembles([ch for ch, _ in pairs], [rho for _, rho in pairs])
-        for (ch, rho), outcomes in zip(pairs, ensembles):
+        for ch, rho in pairs:
             reference = seed_selective_outcomes(ch.kraus_ops, rho)
             single = ch.selective_outcomes(rho)
-            assert len(outcomes) == len(reference) == len(single)
-            for o, s, (p, state) in zip(outcomes, single, reference):
-                assert o.probability == s.probability == p
-                assert o.state.matrix.tobytes() == s.state.matrix.tobytes() == state.matrix.tobytes()
+            assert len(single) == len(reference)
+            for s, (p, state) in zip(single, reference):
+                assert s.probability == p
+                assert s.state.matrix.tobytes() == state.matrix.tobytes()
+        own, averages = verify._outcome_averages(pairs, STRONG_GENS)
+        want_own, want = object_averages(pairs, STRONG_GENS)
+        assert own.tobytes() == want_own.tobytes() and averages.tobytes() == want.tobytes()
 
-    def test_checks_dimensions(self):
-        with pytest.raises(DimensionMismatch):
-            outcome_ensembles([random_gio(2, 2, 1)], [random_density(3, 3, 1)])
-        with pytest.raises(DimensionMismatch):
-            outcome_ensembles(
-                [random_gio(2, 2, 1), random_gio(3, 2, 1)], [random_density(2, 2, 1), random_density(3, 3, 1)]
-            )
-        with pytest.raises(DimensionMismatch):
-            outcome_ensembles([random_gio(2, 2, 1)], [])
-        assert outcome_ensembles([], []) == []
+    def test_checks_the_pair(self):
+        for ch in (random_gio(2, 2, 1), random_channel(2, 2, 1), erasure_extension(2)):
+            with pytest.raises(DimensionMismatch):
+                ch.selective_outcomes(random_density(3, 3, 1))
+
+    def test_no_outcome_above_zero_gives_no_outcomes(self):
+        ch = KrausChannel(np.zeros((2, 2, 2)), require_trace_preserving=False)
+        rho = random_density(2, 2, 1)
+        assert ch.selective_outcomes(rho) == []
+        own, averages = verify._outcome_averages([(ch, rho)], STRONG_GENS)
+        assert own.tobytes() == coherence_table([rho], STRONG_GENS).tobytes()
+        assert not averages.any()
+
+    @pytest.mark.parametrize("matrices", [1, 2, 3])
+    @pytest.mark.parametrize("pairs", [straddling_pairs, pairs_for_outcomes], ids=["straddling", "mixed-kinds"])
+    def test_blocks_leave_the_bits(self, monkeypatch, pairs, matrices):
+        pairs = pairs(3)
+        want = [ch.selective_outcomes(rho) for ch, rho in pairs], verify._outcome_averages(pairs, STRONG_GENS)
+        monkeypatch.setattr(channels, "OUTCOME_BLOCK_BYTES", 16 * 3 * 3 * matrices)
+        got = [ch.selective_outcomes(rho) for ch, rho in pairs], verify._outcome_averages(pairs, STRONG_GENS)
+        for g, w in zip(got[0], want[0]):
+            assert [o.probability for o in g] == [o.probability for o in w]
+            assert [o.state.matrix.tobytes() for o in g] == [o.state.matrix.tobytes() for o in w]
+            assert [o.state.eigenvalues().tobytes() for o in g] == [o.state.eigenvalues().tobytes() for o in w]
+        assert [x.tobytes() for x in got[1]] == [x.tobytes() for x in want[1]]
 
 
 class TestVectorisedPredicates:
@@ -592,18 +633,18 @@ class TestCaseBatching:
 
     def test_strong_suite_builds_one_outcome_stack_per_chunk(self, monkeypatch):
         builds, tables = [], []
-        real_outcomes, real_table = verify.outcome_ensembles, verify.coherence_table
+        real_outcomes, real_sums = verify._outcome_blocks, verify.spectral_sums
 
         def counting(chans, states):
             builds.append(len(chans))
             return real_outcomes(chans, states)
 
-        def counting_table(states, gens):
-            tables.append(len(states))
-            return real_table(states, gens)
+        def counting_sums(rows, gens):
+            tables.append(rows.shape[1])
+            return real_sums(rows, gens)
 
-        monkeypatch.setattr(verify, "outcome_ensembles", counting)
-        monkeypatch.setattr(verify, "coherence_table", counting_table)
+        monkeypatch.setattr(verify, "_outcome_blocks", counting)
+        monkeypatch.setattr(verify, "spectral_sums", counting_sums)
         monkeypatch.setattr(verify, "STACK_BYTES", 16 * 3 * 3 * (3 * 3 + 13) * 2)  # two trials at d = 3
         report = verify.suite_strong_monotonicity(TrialConfig(dims=(3,), trials_per_case=10, seed=1))
         assert report.trials == 5
@@ -611,6 +652,31 @@ class TestCaseBatching:
         assert builds == [6, 6, 3]
         assert sum(builds) == 3 * report.trials
         assert len(tables) == len(builds)
+
+    def test_strong_suite_builds_no_outcome_object(self, monkeypatch):
+        # The drawn states, three per trial, are the suite's only state
+        # objects: outcomes reach the table as spectra and diagonals.
+        built, real_views, real_init = [], states._views, DensityMatrix.__post_init__
+
+        def counting_views(stack):
+            built.extend(stack)
+            return real_views(stack)
+
+        def counting_init(rho):
+            built.append(rho)
+            real_init(rho)
+
+        def refused(*args):
+            raise AssertionError("an outcome object was built")
+
+        # _views adopts states with no constructor call; every other state
+        # runs __post_init__.
+        for module in (states, channels, verify):
+            monkeypatch.setattr(module, "_views", counting_views)
+        monkeypatch.setattr(DensityMatrix, "__post_init__", counting_init)
+        monkeypatch.setattr(channels, "MeasurementOutcome", refused)
+        report = verify.suite_strong_monotonicity(TrialConfig(dims=(2, 3), trials_per_case=10, seed=1))
+        assert len(built) == 3 * report.trials == 30
 
     def test_faithfulness_suite_makes_one_table_per_chunk(self, monkeypatch, eigh_calls):
         tables, chunks = [], []

@@ -133,7 +133,7 @@ class TestSuites:
         [
             ("entropy-bounds", "entropy_table", slice(None)),
             ("gio-monotonicity", "coherence_table", slice(None)),
-            ("strong-monotonicity", "coherence_table", slice(None)),
+            ("strong-monotonicity", "spectral_sums", slice(None)),
             ("faithfulness-bounds", "coherence_table", slice(None)),
             ("sio-counterexample", "coherence_table", slice(None)),
             # NaN only in the hat column, never the first value reduced.
@@ -142,7 +142,7 @@ class TestSuites:
         ids=[
             "entropy-bounds-entropy_table",
             "gio-monotonicity-coherence_table",
-            "strong-monotonicity-coherence_table",
+            "strong-monotonicity-spectral_sums",
             "faithfulness-bounds-coherence_table",
             "sio-counterexample-coherence_table",
             "sio-counterexample-coherence_table-hat",
@@ -193,14 +193,14 @@ class TestSuites:
         assert "exploration" in report.notes
 
     def test_exploration_reports_a_nan_gap(self, monkeypatch):
-        real = verify.coherence_table
+        real = verify.spectral_sums
 
-        def nan_general(states, gens):
-            table = real(states, gens)
-            table[6:9] = np.nan  # the part (c) states of the chunk's three trials
-            return table
+        def nan_general(rows, gens):
+            sums = real(rows, gens)
+            sums[:, 6:9] = np.nan  # the part (c) states of the chunk's three trials
+            return sums
 
-        monkeypatch.setattr(verify, "coherence_table", nan_general)
+        monkeypatch.setattr(verify, "spectral_sums", nan_general)
         report = verify.suite_strong_monotonicity(TrialConfig(dims=(3,), trials_per_case=6, seed=1))
         assert report.passed  # explored, not scored
         assert report.notes.endswith("24 checks, worst violation nan, not scored")
