@@ -20,9 +20,10 @@ stack is built on request.
 Selective outcomes have one entry, ``selective_outcomes``, which checks
 the pair and asks the channel class for its outcomes. A tensor extension
 takes them from the blocks of its state. Every other channel takes them
-from ``_outcome_blocks``, which computes the outcomes of many pairs as
-blocked stacks of arrays; the strong-monotonicity suite reads those
-arrays directly, with no outcome object.
+from ``_outcome_blocks``, which computes the outcomes of many channels on
+a stack of state matrices as blocked stacks of arrays; the
+strong-monotonicity suite hands it its drawn stack and reads the arrays
+directly, with no state or outcome object.
 """
 
 from __future__ import annotations
@@ -57,6 +58,7 @@ from .states import (
     _normalized,
     _normals,
     _per_row,
+    _records,
     _size_fault,
     _store,
     _views,
@@ -174,7 +176,7 @@ class KrausChannel:
         """The outcomes of _outcome_blocks, each state adopted with its
         cleaned spectrum as its decomposition, as validate_density gives it."""
         outcomes = []
-        for _, probs, matrices, vals, vecs in _outcome_blocks([self], [rho]):
+        for _, probs, matrices, vals, vecs in _outcome_blocks([self], rho.matrix[None]):
             outcomes += map(MeasurementOutcome, probs.tolist(), _store(_views(matrices), vals, vecs))
         return outcomes
 
@@ -197,23 +199,25 @@ def _check_pair(ch: KrausChannel, rho: DensityMatrix) -> None:
         raise DimensionMismatch(f"state dimension {rho.dim} does not match channel dimension {ch.dim}")
 
 
-def _outcome_blocks(channels, states):
-    """The selective outcomes of checked (channel, state) pairs of one
-    dimension, in outcome order, as arrays; a channel here serves its
-    Kraus operators through _kraus_slice, which a tensor extension does not.
+def _outcome_blocks(channels, matrices: np.ndarray):
+    """The selective outcomes of checked channels on the states of an (n,
+    d, d) stack of their matrices, channel i on matrices[i], in outcome
+    order, as arrays; a channel here serves its Kraus operators through
+    _kraus_slice, which a tensor extension does not.
 
     The K rho K* of all pairs are computed as one concatenated stacked
     product, in blocks of at most OUTCOME_BLOCK_BYTES, and the outcomes of
-    a block with probability above EPS_ZERO are cleaned as one stack. Per
-    block with such outcomes it yields the pair of each, its probability,
-    and its cleaned matrix, clipped ascending spectrum and eigenvectors as
-    states._cleaned gives them. Each outcome has the bits its pair gives
-    it alone, whatever the blocks.
+    a block with probability above EPS_ZERO are kept and cleaned as one
+    stack. Per block it yields the pair of each kept outcome, its
+    probability, and its cleaned matrix, clipped ascending spectrum and
+    eigenvectors as states._cleaned gives them, none where no outcome is
+    kept. Each outcome has the bits its pair gives it alone, whatever the
+    blocks.
     """
     counts = [ch.num_kraus for ch in channels]
     begin = np.cumsum([0] + counts).tolist()
-    owner = np.repeat(np.arange(len(states)), counts)
-    step = max(1, OUTCOME_BLOCK_BYTES // (16 * states[0].dim ** 2))
+    owner = np.repeat(np.arange(len(matrices)), counts)
+    step = max(1, OUTCOME_BLOCK_BYTES // (16 * matrices.shape[-1] ** 2))
     for start in range(0, begin[-1], step):
         stop = min(start + step, begin[-1])
         pairs = range(owner[start], owner[stop - 1] + 1)
@@ -223,15 +227,13 @@ def _outcome_blocks(channels, states):
         ]
         # A block of one pair takes its operands as they are, uncopied.
         k = pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
-        r = states[pairs[0]].matrix
-        if len(pairs) > 1:  # each outcome's state, from one stack of the block's states
-            r = np.array([states[i].matrix for i in pairs])[owner[start:stop] - pairs[0]]
+        # A block of one pair takes its state as it is, any other each outcome's state by one index.
+        r = matrices[pairs[0]] if len(pairs) == 1 else matrices[owner[start:stop]]
         blocks = k @ r @ k.conj().transpose(0, 2, 1)
         p = np.trace(blocks, axis1=1, axis2=2).real
         kept = p > EPS_ZERO
-        if kept.any():
-            outcomes = (blocks if kept.all() else blocks[kept]) / p[kept, None, None]
-            yield owner[start:stop][kept], p[kept], *_cleaned(outcomes)
+        outcomes = (blocks if kept.all() else blocks[kept]) / p[kept, None, None]
+        yield owner[start:stop][kept], p[kept], *_cleaned(outcomes)
 
 
 def max_offdiagonal(matrices) -> float:
@@ -523,14 +525,15 @@ def _unital_kraus(dim: int, num_unitaries, seeds) -> list[np.ndarray]:
     """The (k, dim, dim) Kraus stacks of random_unital_channel(dim, k, s)
     for each count k (one per seed, or one for all) and seed s: Dirichlet
     weights, then one seed per Haar unitary, from each seed's Generator;
-    all the unitaries come from one QR."""
+    the unitaries' seeds are hashed into records in one pass, and all the
+    unitaries come from one QR."""
     seeds, counts = _per_row(num_unitaries, seeds)
     if not len(seeds):
         return []
     rngs, counts = _generators(seeds), counts.tolist()
     weights = [rng.dirichlet(np.ones(k)) for rng, k in zip(rngs, counts)]
-    inner = [int(rng.integers(0, 2**31 - 1)) for rng, k in zip(rngs, counts) for _ in range(k)]
-    ops = np.sqrt(np.concatenate(weights))[:, None, None] * _haar(dim, dim, inner)
+    inner = [rng.integers(0, 2**31 - 1) for rng, k in zip(rngs, counts) for _ in range(k)]
+    ops = np.sqrt(np.concatenate(weights))[:, None, None] * _haar(dim, dim, _records(inner))
     return np.split(ops, np.cumsum(counts)[:-1])
 
 

@@ -99,9 +99,7 @@ def coherence_table(states, gens) -> np.ndarray:
     """
     if not len(states):
         return np.zeros((0, len(gens), 2))
-    rows = _rows(states)
-    sums = spectral_sums(rows, gens)
-    return sums[0] - sums[1]
+    return np.subtract(*spectral_sums(_rows(states), gens))
 
 
 def relative_entropy_coherence(rho: DensityMatrix) -> float:

@@ -332,8 +332,12 @@ def entropy_table(states, gens) -> np.ndarray:
     """
     if not len(states):
         return np.zeros((0, len(gens), 2))
-    vals = spectra(states)
-    d = vals.shape[-1]
+    return _entropies(spectra(states), gens)
+
+
+def _entropies(vals: np.ndarray, gens) -> np.ndarray:
+    """The entropy table of an (n, d) stack of spectra, n >= 1, as
+    entropy_table gives it for states with these spectra."""
     sums = spectral_sums(vals, gens)
-    top = np.array([float(f(1.0 / d)) for f in gens])
+    top = np.array([float(f(1.0 / vals.shape[-1])) for f in gens])
     return np.stack((top - sums[..., 0], -sums[..., 1]), axis=-1)

@@ -13,6 +13,12 @@ without an eigensolve, and a stacked eigh solves any other state on
 first use. Every eigensolve goes through ``_eigh``, which maps a LAPACK
 failure to ConvergenceFailure.
 
+Every coherence table reads its states as (spectrum, clipped diagonal)
+rows through one reader, ``_read``: ``_rows`` reads state objects,
+``_drawn`` a raw stack of matrices after one stacked eigh, and a stack
+cleaned by ``_cleaned``, the checks and cleanup of ``validate_density``,
+is read with its cleaned spectra, all with the same bits.
+
 The seeded draws are stacked: a draw takes a sequence of seeds or seed
 records, creates one Generator per seed with the bytes of
 ``np.random.default_rng(seed)``, takes each Generator's raw Gaussian
@@ -25,9 +31,11 @@ only the seeds.
 
 Seeding follows numpy's SeedSequence, whose hash is fixed 32-bit
 arithmetic: ``_seed_states`` runs it for many seeds at once. A
-verification suite's seeds are records that carry their PCG64 seeding
-words, hashed in one pass, and the Generator of a record is built on
-them; a plain seed goes through ``default_rng``.
+verification suite's seeds, and the seeds a random unital channel draws
+for its unitaries, are records (``_records``) that carry their PCG64
+seeding words, hashed in one pass, and the Generator of a record is built
+on them; a plain seed, such as that of a public draw, goes through
+``default_rng``.
 
 Two private rules decide whether a caller's numeric input is usable, for
 this module, ``channels`` and ``divergence`` alike: ``_size_fault`` for a
@@ -205,12 +213,10 @@ class DensityMatrix:
         no copy, its decomposition stored as an eigh would be."""
         m = np.zeros((p.size, p.size), dtype=complex)
         np.fill_diagonal(m, p)
-        (rho,) = _views(m[None])
         order = np.argsort(p, kind="stable")
         vecs = np.zeros((1, p.size, p.size), dtype=complex)
         vecs[0, order, np.arange(p.size)] = 1.0
-        _store([rho], p[order][None], vecs)
-        return rho
+        return _store(_views(m[None]), p[order][None], vecs)[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -268,8 +274,6 @@ def validate_density(matrix) -> DensityMatrix | list[DensityMatrix]:
     alone.
     """
     m = _as_array(matrix, complex, "density matrix", ndims=(2, 3), square=True)
-    if m.size == 0:
-        return []
     matrices, clipped, vecs = _cleaned(m.reshape((-1,) + m.shape[-2:]))
     states = _store(_views(matrices), clipped, vecs)
     return states if m.ndim == 3 else states[0]
@@ -277,13 +281,13 @@ def validate_density(matrix) -> DensityMatrix | list[DensityMatrix]:
 
 def _cleaned(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """validate_density's checks and cleanup of an (n, d, d) complex stack,
-    n >= 1: the cleaned matrices, their clipped spectra in ascending order
+    n >= 0: the cleaned matrices, their clipped spectra in ascending order
     and the eigenvectors of the one stacked eigh, as fresh arrays."""
     if not np.isfinite(stack).all():
         raise StateValidationError("density matrix contains non-finite entries")
     adjoint = stack.conj().swapaxes(-1, -2)
     asymmetry = np.abs(stack - adjoint)
-    if asymmetry.max() > TOL_HERM:
+    if asymmetry.max(initial=0.0) > TOL_HERM:
         defect = _first_above(asymmetry.max(axis=(-2, -1)), TOL_HERM)
         raise NotHermitian(f"hermiticity defect {defect:.3e} exceeds {TOL_HERM:.1e}")
     trace_defect = abs(stack.trace(axis1=-2, axis2=-1) - 1.0)
@@ -291,7 +295,7 @@ def _cleaned(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         defect = _first_above(trace_defect, TOL_TRACE)
         raise TraceNotOne(f"trace defect {defect:.3e} exceeds {TOL_TRACE:.1e}")
     vals, vecs = _eigh((stack + adjoint) / 2.0)
-    if vals.min() < -TOL_PSD:
+    if vals.min(initial=0.0) < -TOL_PSD:
         lowest = -_first_above(-vals.min(axis=-1), TOL_PSD)
         raise NotPositive(f"most negative eigenvalue {lowest:.3e} exceeds {TOL_PSD:.1e}")
     clipped = np.clip(vals, 0.0, 1.0)
@@ -364,12 +368,28 @@ def spectra(states) -> np.ndarray:
 
 
 def _rows(states) -> np.ndarray:
-    """The (2, n, d) stack of the spectra, as ``spectra`` gives them, and
-    the diagonals, as ``diagonal_probabilities`` gives them, of n >= 1
-    states of one dimension: a fresh writable array."""
-    rows = np.array((spectra(states), [s.matrix.diagonal().real for s in states]))
-    np.maximum(rows[1], 0.0, out=rows[1])
-    return rows
+    """The rows _read gives n >= 1 states of one dimension, from their
+    spectra as ``spectra`` gives them, reversed to ascending order."""
+    return _read(spectra(states)[:, ::-1], [s.matrix.diagonal().real for s in states])
+
+
+def _read(vals, diagonals) -> np.ndarray:
+    """The (2, n, d) rows of n states of one dimension, the one reader of
+    every coherence table: their spectra in descending order, from their
+    (n, d) ascending eigenvalues vals, and their real diagonals, clipped
+    at 0 as ``diagonal_probabilities`` clips them. A fresh writable array.
+
+    A stack of matrices read with the cleaned spectra of _cleaned gives
+    the rows of the states validate_density makes of it, with no state
+    object; _drawn reads a stack as it is."""
+    return np.array((vals[..., ::-1], np.maximum(diagonals, 0.0)))
+
+
+def _drawn(stack: np.ndarray) -> np.ndarray:
+    """The rows _read gives the states of a finite (n, d, d) complex stack,
+    n >= 0, from one stacked eigh of the matrices as they are: those of the
+    states _views adopts it as, with no state object."""
+    return _read(_eigh(stack)[0], stack.diagonal(axis1=1, axis2=2).real)
 
 
 def trace_norm(matrix) -> float:
@@ -426,13 +446,18 @@ def _seed_states(entropy: np.ndarray, n_words: int) -> np.ndarray:
 
 
 def _suite_seeds(master: int, cases: np.ndarray, trials: np.ndarray) -> np.ndarray:
-    """The (n, 6) seed records of a suite's trials, hashed in one pass each:
-    row i's "seed" field is SeedSequence((master, cases[i],
-    trials[i])).generate_state(6), for cases and trials below 2**32, and
-    each seed's "words" field its four PCG64 seeding words, as
-    default_rng(seed) has SeedSequence(seed) derive them."""
+    """The (n, 6) _records of a suite's trials, hashed in one pass: row i's
+    seeds are SeedSequence((master, cases[i], trials[i])).generate_state(6),
+    for cases and trials below 2**32."""
     words = [int(master) >> 32 * i & 0xFFFFFFFF for i in range(max(1, -(-int(master).bit_length() // 32)))]
-    seeds = _seed_states(np.array([np.full(len(cases), w) for w in words] + [cases, trials], np.uint32), 6)
+    return _records(_seed_states(np.array([np.full(len(cases), w) for w in words] + [cases, trials], np.uint32), 6))
+
+
+def _records(seeds) -> np.ndarray:
+    """The seed records of an array of integer seeds in [0, 2**32), hashed in
+    one pass: field "seed" holds the seed and field "words" its four PCG64
+    seeding words, as default_rng(seed) has SeedSequence(seed) derive them."""
+    seeds = np.asarray(seeds, dtype=np.uint32)
     pcg = _seed_states(seeds.reshape(1, -1), 8).astype("<u4", copy=False).view("<u8")
     records = np.empty(seeds.shape, [("seed", np.int64), ("words", np.uint64, 4)])
     records["seed"], records["words"] = seeds, pcg.reshape(*seeds.shape, 4)

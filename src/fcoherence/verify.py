@@ -13,6 +13,10 @@ function a whole chunk of trials with their seeds. The chunk function
 draws the chunk as stacks, one Generator per seed and the algebra once
 per stack of one shape, and scores the stacks; every stacked step gives
 a matrix the bytes it gets alone, so reports equal a trial-by-trial run.
+The entropy-bounds, gio-monotonicity and strong-monotonicity chunks build
+no state object: their draws take one stacked eigh, their channel outputs
+and selective outcomes the cleanup of validate_density as arrays, and
+their spectra and diagonals go straight to the spectral sums.
 """
 
 from __future__ import annotations
@@ -50,19 +54,24 @@ from .coherence import (
     dephase,
     max_coherent_state,
 )
-from .divergence import divergence_table, entropy_table, f_weighted_sum, oracle_divergence_table, spectral_sums
+from .divergence import (
+    _entropies, divergence_table, entropy_table, f_weighted_sum, oracle_divergence_table, spectral_sums
+)
 from .errors import CoherenceError
 from .generators import GeneratorFunction, _is_tolerance, lookup
 from .states import (
     DensityMatrix,
+    _cleaned,
     _decomposed,
+    _drawn,
+    _eigh,
     _generators,
     _groups,
     _haar,
     _is_int,
     _projectors,
     _pure_vectors,
-    _rows,
+    _read,
     _suite_seeds,
     _views,
     _wisharts,
@@ -289,9 +298,12 @@ def suite_entropy_bounds(cfg: TrialConfig) -> VerificationReport:
         partners[rotated] = u @ rhos[rotated] @ u.conj().swapaxes(-1, -2)
         # Non-decrease under a random unital channel.
         partners[mapped] = _kraus_sums(_unital_kraus(d, 2 + t[mapped] % 2, s[mapped, 3]), rhos[mapped])
-        outputs = iter(validate_density(partners[mapped]))
-        partners = [next(outputs) if k == 2 else x for x, k in zip(_views(partners), kind)]
-        table = entropy_table([*_views(rhos), *partners, *_views(mixtures)], dec)
+        # The spectra of the states, partners and mixtures: the draws from
+        # one eigh, the channel outputs cleaned as validate_density cleans them.
+        stack, cleaned = np.concatenate((rhos, partners, mixtures)), np.pad(mapped, (m, len(mixtures)))
+        vals = np.empty(stack.shape[:2])
+        vals[~cleaned], vals[cleaned] = _eigh(stack[~cleaned])[0], _cleaned(stack[cleaned])[1]
+        table = _entropies(vals[:, ::-1], dec)
         own, partner, mixture = table[:m], table[m : 2 * m], np.zeros((m, len(dec), 2))
         mixture[mixed] = table[2 * m :]
         # Per generator -ent, ent - top, -hat, hat - bottom; |ent|, |hat| if pure.
@@ -380,9 +392,10 @@ def suite_gio_monotonicity(cfg: TrialConfig) -> VerificationReport:
         ranks = np.concatenate((np.full(m, d), _cycling(d, t[second] // 3)))
         rhos = _draw_states(d, ranks, np.concatenate((s[:, 0], s[second, 2])))
         rhos[:m] = _conditioned(rhos[:m])
-        checks = list(zip(chans + [ch for ch, x in zip(chans, second) if x], _views(rhos)))
-        corrs = np.array([ch.correlation for ch, _ in checks])
-        outputs = validate_density(corrs * rhos)
+        corrs = np.array([ch.correlation for ch in chans + [ch for ch, x in zip(chans, second) if x]])
+        outputs, vals, _ = _cleaned(corrs * rhos)
+        # Per check the rows of its state, from one eigh, and of its output.
+        io_rows = np.array((_drawn(rhos), _read(vals, outputs.diagonal(axis1=1, axis2=2).real)))
         # Quadratic proxy for the expected decrease, over the pairs n < m;
         # it reads moduli only, so the correlations stand in for the Grams.
         rows, cols = np.triu_indices(d, 1)
@@ -394,9 +407,9 @@ def suite_gio_monotonicity(cfg: TrialConfig) -> VerificationReport:
 
         def decreases(part, gens):
             # Per generator and variant: -decrease, then the check the proxy decides.
-            states = [rho for _, rho in checks[part]] + outputs[part]
-            table = coherence_table(states, gens)
-            decrease = table[: len(states) // 2] - table[len(states) // 2 :]
+            # The coherence tables of the states and of their outputs, and their difference.
+            sums = spectral_sums(io_rows[:, :, part], gens)
+            decrease = np.subtract(*(sums[:, 0] - sums[:, 1]))
             strictly = np.where(strict[part], EQUALITY_TOL - decrease, 0.0)
             bound = np.where(equal[part], np.abs(decrease) - EQUALITY_TOL, strictly)
             return np.stack((-decrease, bound), axis=-1).reshape(len(decrease), -1)
@@ -413,27 +426,22 @@ def suite_gio_monotonicity(cfg: TrialConfig) -> VerificationReport:
     return _report("gio-monotonicity", cfg, fs, "", blocks)
 
 
-def _outcome_averages(pairs, gens) -> tuple[np.ndarray, np.ndarray]:
-    """The coherence table of each (channel, state) pair's state, and its
-    average sum_k p_k C(rho_k) over the channel's selective outcomes, a
-    sum from 0 in outcome order. The channels serve _outcome_blocks, whose
-    outcomes are read as spectra and diagonals only, with no state object,
-    and scored with the pairs' states in one spectral_sums call.
-
-    Each outcome's row pair is copied out of its block, so no block
-    outlives its turn. Its diagonal needs no clip: that of a cleaned
-    matrix V diag(clipped) V* sums terms clipped_k |v_k|^2 >= 0."""
-    chans, states = zip(*pairs)
+def _outcome_averages(chans, states: np.ndarray, gens) -> tuple[np.ndarray, np.ndarray]:
+    """The coherence table of the states of an (n, d, d) stack of matrices,
+    n >= 1, and for each the average sum_k p_k C(rho_k) over the selective outcomes
+    of channel chans[i], a sum from 0 in outcome order. The states and the
+    outcomes of _outcome_blocks are read as rows, with no state object, and
+    scored in one spectral_sums call; each outcome's rows are copied out of
+    its block, so no block outlives its turn."""
     blocks = [
-        (owner, p, np.array((vals[:, ::-1], matrices.diagonal(axis1=1, axis2=2).real)))
+        (owner, p, _read(vals, matrices.diagonal(axis1=1, axis2=2).real))
         for owner, p, matrices, vals, _ in _outcome_blocks(chans, states)
     ]
-    # The empty first entries keep np.concatenate defined where no outcome is kept.
-    owners, probs, rows = zip((np.zeros(0, dtype=int), np.zeros(0), _rows(states)), *blocks)
-    table = np.subtract(*spectral_sums(np.concatenate(rows, axis=1), gens))
-    averages = np.zeros((len(pairs), len(gens), 2))
-    np.add.at(averages, np.concatenate(owners), np.concatenate(probs)[:, None, None] * table[len(pairs) :])
-    return table[: len(pairs)], averages
+    owners, probs, rows = zip(*blocks)
+    table = np.subtract(*spectral_sums(np.concatenate((_drawn(states), *rows), axis=1), gens))
+    averages = np.zeros((len(states), len(gens), 2))
+    np.add.at(averages, np.concatenate(owners), np.concatenate(probs)[:, None, None] * table[len(states) :])
+    return table[: len(states)], averages
 
 
 def ensemble_coherence(ch: KrausChannel, rho: DensityMatrix, f: GeneratorFunction, fun) -> float:
@@ -475,7 +483,7 @@ def suite_strong_monotonicity(cfg: TrialConfig) -> VerificationReport:
         ranks = np.concatenate((np.zeros(m, dtype=int), _cycling(d, t + 1), ranks))
         chans = _diagonal_channels(d, kinds, s[:, [1, 3, 5]].T.ravel())
         states = _draw_states(d, ranks, s[:, [0, 2, 4]].T.ravel())
-        own, averages = _outcome_averages(list(zip(chans, _views(states))), dec)
+        own, averages = _outcome_averages(chans, states, dec)
         a, b, c = (own - averages).reshape(3, m, len(dec), 2)
         # Parts (a) and (b) score one generator per trial, (c) all.
         rows, fi = np.arange(m), t % len(dec)
@@ -584,7 +592,7 @@ def _sio_reports(gens, d: int) -> list[SioCounterexampleReport]:
         float(d),        # eigenvalues diluted by 1/d
         1.0,             # unscaled value survives the ground ancilla
     ]
-    rows = _rows((rho,))[:, 0]
+    rows = _drawn(rho.matrix[None])[:, 0]
     reports = []
     for f, (lhs_plain, lhs_hat), (rhs_plain, rhs_hat) in zip(gens, table[0], table[1]):
         sums = f_weighted_sum(rows, np.array(numerators)[:, None], f)

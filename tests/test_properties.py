@@ -165,7 +165,7 @@ def test_entry_phases_leave_outcome_averages_unchanged(d, k, seed, data):
     rho = random_density(d, data.draw(st.integers(1, d)), data.draw(seeds))
     phases = data.draw(st.lists(st.floats(0.0, 2 * np.pi), min_size=k * d, max_size=k * d))
     redrawn = GioChannel.from_coefficients(ch.coefficients * np.exp(1j * np.reshape(phases, (k, d))))
-    _, averages = _outcome_averages([(ch, rho), (redrawn, rho)], DECREASING)
+    _, averages = _outcome_averages([ch, redrawn], np.array([rho.matrix, rho.matrix]), DECREASING)
     assert np.abs(averages[0] - averages[1]).max() <= 1e-12
 
 

@@ -147,6 +147,28 @@ def test_records_draw_as_default_rng_after_their_suite_ends():
         assert rng.standard_normal(3).tobytes() == np.random.default_rng(seed).standard_normal(3).tobytes()
 
 
+def test_records_of_plain_seeds_carry_their_pcg64_words():
+    seeds = seeds_under_test()[:300]
+    records = states._records(seeds)
+    want = [np.random.SeedSequence(s).generate_state(4, np.uint64) for s in seeds]
+    assert records["seed"].tolist() == seeds and records["words"].tobytes() == np.array(want).tobytes()
+
+
+def test_entropy_suite_builds_no_generator_through_default_rng(monkeypatch):
+    # The seeds of the unital channels' unitaries are hashed into records
+    # in one pass, as the suite's own seeds are.
+    calls, real = [], np.random.default_rng
+
+    def counting(seed=None):
+        calls.append(seed)
+        return real(seed)
+
+    monkeypatch.setattr(np.random, "default_rng", counting)
+    report = verify.suite_entropy_bounds(TrialConfig(seed=1, trials_per_case=30))
+    assert report.passed and report.trials == 4 * 30
+    assert calls == []
+
+
 def test_trial_indices_fit_one_word_of_the_seed_entropy():
     assert TrialConfig(trials_per_case=2**32).trials_per_case == 2**32
     with pytest.raises(ValueError, match=r"^trials_per_case must be at most 2\*\*32, got 4294967297$"):

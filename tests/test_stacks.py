@@ -446,6 +446,42 @@ class TestStackedValidation:
             validate_density(noisy_states(3, 2, seed=1))
 
 
+def reader_stack(d, kind):
+    """Six states of dimension d drawn as one stack: full rank, rank
+    deficient (rank 1 at d = 1), projectors, or the Schur products of
+    diagonal channels' correlation matrices with full-rank states."""
+    seeds = np.arange(6) + 10 * d
+    if kind == "projector":
+        return states._projectors(states._pure_vectors(d, seeds))
+    ranks = 1 + np.arange(6) % max(1, d - 1) if kind == "rank-deficient" else d
+    stack = states._wisharts(d, ranks, seeds)
+    if kind == "schur-output":
+        stack *= np.array([random_gio(d, 1 + i % 3, 50 + i).correlation for i in range(6)])
+    return stack
+
+
+class TestReader:
+    """A raw stack read with its one stacked eigh gives the rows _rows gives
+    the states _views adopts it as; a stack read after _cleaned, those of
+    the states validate_density gives it; bit for bit, with no state."""
+
+    @pytest.mark.parametrize("d", range(1, 9))
+    @pytest.mark.parametrize("kind", ["full-rank", "rank-deficient", "projector", "schur-output"])
+    def test_reader_equals_the_object_route(self, d, kind):
+        stack = reader_stack(d, kind)
+        drawn = states._drawn(stack)
+        assert drawn.shape == (2, 6, d) and drawn.tobytes() == states._rows(states._views(stack)).tobytes()
+        matrices, vals, _ = states._cleaned(stack)
+        cleaned = states._read(vals, matrices.diagonal(axis1=1, axis2=2).real)
+        assert cleaned.shape == (2, 6, d) and cleaned.tobytes() == states._rows(validate_density(stack)).tobytes()
+
+    def test_empty_stack(self):
+        empty = np.zeros((0, 3, 3), dtype=complex)
+        assert states._drawn(empty).shape == (2, 0, 3)
+        assert [a.shape for a in states._cleaned(empty)] == [(0, 3, 3), (0, 3), (0, 3, 3)]
+        assert validate_density(empty) == []
+
+
 def pairs_for_outcomes(d):
     pairs = []
     for t in range(8):
@@ -462,6 +498,12 @@ def pairs_for_outcomes(d):
             rho = DensityMatrix.from_diagonal([1.0] + [0.0] * (d - 1))  # zero-probability outcomes
         pairs.append((ch, rho))
     return pairs
+
+
+def stacked_averages(pairs, gens):
+    """_outcome_averages of (channel, state) pairs: the channels, and the
+    states as one stack of their matrices."""
+    return verify._outcome_averages([ch for ch, _ in pairs], np.array([rho.matrix for _, rho in pairs]), gens)
 
 
 def object_averages(pairs, gens):
@@ -499,7 +541,7 @@ class TestSelectiveOutcomes:
             for s, (p, state) in zip(single, reference):
                 assert s.probability == p
                 assert s.state.matrix.tobytes() == state.matrix.tobytes()
-        own, averages = verify._outcome_averages(pairs, STRONG_GENS)
+        own, averages = stacked_averages(pairs, STRONG_GENS)
         want_own, want = object_averages(pairs, STRONG_GENS)
         assert own.tobytes() == want_own.tobytes() and averages.tobytes() == want.tobytes()
 
@@ -512,7 +554,7 @@ class TestSelectiveOutcomes:
         ch = KrausChannel(np.zeros((2, 2, 2)), require_trace_preserving=False)
         rho = random_density(2, 2, 1)
         assert ch.selective_outcomes(rho) == []
-        own, averages = verify._outcome_averages([(ch, rho)], STRONG_GENS)
+        own, averages = stacked_averages([(ch, rho)], STRONG_GENS)
         assert own.tobytes() == coherence_table([rho], STRONG_GENS).tobytes()
         assert not averages.any()
 
@@ -520,9 +562,9 @@ class TestSelectiveOutcomes:
     @pytest.mark.parametrize("pairs", [straddling_pairs, pairs_for_outcomes], ids=["straddling", "mixed-kinds"])
     def test_blocks_leave_the_bits(self, monkeypatch, pairs, matrices):
         pairs = pairs(3)
-        want = [ch.selective_outcomes(rho) for ch, rho in pairs], verify._outcome_averages(pairs, STRONG_GENS)
+        want = [ch.selective_outcomes(rho) for ch, rho in pairs], stacked_averages(pairs, STRONG_GENS)
         monkeypatch.setattr(channels, "OUTCOME_BLOCK_BYTES", 16 * 3 * 3 * matrices)
-        got = [ch.selective_outcomes(rho) for ch, rho in pairs], verify._outcome_averages(pairs, STRONG_GENS)
+        got = [ch.selective_outcomes(rho) for ch, rho in pairs], stacked_averages(pairs, STRONG_GENS)
         for g, w in zip(got[0], want[0]):
             assert [o.probability for o in g] == [o.probability for o in w]
             assert [o.state.matrix.tobytes() for o in g] == [o.state.matrix.tobytes() for o in w]
@@ -653,30 +695,57 @@ class TestCaseBatching:
         assert sum(builds) == 3 * report.trials
         assert len(tables) == len(builds)
 
-    def test_strong_suite_builds_no_outcome_object(self, monkeypatch):
-        # The drawn states, three per trial, are the suite's only state
-        # objects: outcomes reach the table as spectra and diagonals.
-        built, real_views, real_init = [], states._views, DensityMatrix.__post_init__
+    @pytest.mark.parametrize("name", ["entropy-bounds", "gio-monotonicity", "strong-monotonicity"])
+    def test_chunks_score_their_stacks_with_no_state_object(self, monkeypatch, name):
+        # The chunks read draws, channel outputs and outcomes as arrays. The
+        # only state objects are the entropy head's maximally mixed states,
+        # one per dimension with its stored decomposition, and the only
+        # object route is that head's entropy_table.
+        built, heads = [], []
+        real_head, real_views, real_init, real_decomposition = (
+            verify.entropy_table,
+            states._views,
+            DensityMatrix.__post_init__,
+            states.SpectralDecomposition,
+        )
 
         def counting_views(stack):
-            built.extend(stack)
+            built.extend([DensityMatrix] * len(stack))
             return real_views(stack)
 
         def counting_init(rho):
-            built.append(rho)
+            built.append(DensityMatrix)
             real_init(rho)
 
+        def counting_decomposition(*args):
+            built.append(real_decomposition)
+            return real_decomposition(*args)
+
+        def head_table(listed, gens):
+            (rho,) = listed
+            heads.append(rho.matrix.tobytes() == (np.eye(rho.dim) / rho.dim).astype(complex).tobytes())
+            return real_head(listed, gens)
+
         def refused(*args):
-            raise AssertionError("an outcome object was built")
+            raise AssertionError("an object route was taken")
 
         # _views adopts states with no constructor call; every other state
-        # runs __post_init__.
-        for module in (states, channels, verify):
+        # runs __post_init__, and every decomposition is built in states.
+        for module in (states, channels):
             monkeypatch.setattr(module, "_views", counting_views)
         monkeypatch.setattr(DensityMatrix, "__post_init__", counting_init)
+        monkeypatch.setattr(states, "SpectralDecomposition", counting_decomposition)
+        for route in ("validate_density", "coherence_table", "_views"):
+            monkeypatch.setattr(verify, route, refused)
+        monkeypatch.setattr(verify, "entropy_table", head_table)
         monkeypatch.setattr(channels, "MeasurementOutcome", refused)
-        report = verify.suite_strong_monotonicity(TrialConfig(dims=(2, 3), trials_per_case=10, seed=1))
-        assert len(built) == 3 * report.trials == 30
+        dims = (1, 2, 3, 5)
+        report = verify.SUITES[name](TrialConfig(dims=dims, trials_per_case=12, seed=1))
+        assert report.passed and report.trials > 0
+        assert not hasattr(verify, "_rows")
+        head = name == "entropy-bounds"
+        assert heads == [True] * len(dims) * head
+        assert built == [DensityMatrix, real_decomposition] * len(dims) * head
 
     def test_faithfulness_suite_makes_one_table_per_chunk(self, monkeypatch, eigh_calls):
         tables, chunks = [], []

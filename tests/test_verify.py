@@ -131,8 +131,8 @@ class TestSuites:
     @pytest.mark.parametrize(
         ("name", "kernel", "column"),
         [
-            ("entropy-bounds", "entropy_table", slice(None)),
-            ("gio-monotonicity", "coherence_table", slice(None)),
+            ("entropy-bounds", "_entropies", slice(None)),
+            ("gio-monotonicity", "spectral_sums", slice(None)),
             ("strong-monotonicity", "spectral_sums", slice(None)),
             ("faithfulness-bounds", "coherence_table", slice(None)),
             ("sio-counterexample", "coherence_table", slice(None)),
@@ -140,8 +140,8 @@ class TestSuites:
             ("sio-counterexample", "coherence_table", 1),
         ],
         ids=[
-            "entropy-bounds-entropy_table",
-            "gio-monotonicity-coherence_table",
+            "entropy-bounds-_entropies",
+            "gio-monotonicity-spectral_sums",
             "strong-monotonicity-spectral_sums",
             "faithfulness-bounds-coherence_table",
             "sio-counterexample-coherence_table",
