@@ -202,8 +202,8 @@ def _check_pair(ch: KrausChannel, rho: DensityMatrix) -> None:
 def _outcome_blocks(channels, matrices: np.ndarray):
     """The selective outcomes of checked channels on the states of an (n,
     d, d) stack of their matrices, channel i on matrices[i], in outcome
-    order, as arrays; a channel here serves its Kraus operators through
-    _kraus_slice, which a tensor extension does not.
+    order, as arrays; the channels serve their Kraus operators through
+    _joined, which a tensor extension does not.
 
     The K rho K* of all pairs are computed as one concatenated stacked
     product, in blocks of at most OUTCOME_BLOCK_BYTES, and the outcomes of
@@ -214,26 +214,33 @@ def _outcome_blocks(channels, matrices: np.ndarray):
     kept. Each outcome has the bits its pair gives it alone, whatever the
     blocks.
     """
-    counts = [ch.num_kraus for ch in channels]
-    begin = np.cumsum([0] + counts).tolist()
-    owner = np.repeat(np.arange(len(matrices)), counts)
+    joined = _joined(channels)
+    owner = np.repeat(np.arange(len(matrices)), [ch.num_kraus for ch in channels])
     step = max(1, OUTCOME_BLOCK_BYTES // (16 * matrices.shape[-1] ** 2))
-    for start in range(0, begin[-1], step):
-        stop = min(start + step, begin[-1])
-        pairs = range(owner[start], owner[stop - 1] + 1)
-        pieces = [
-            channels[i]._kraus_slice(max(start, begin[i]) - begin[i], min(stop, begin[i + 1]) - begin[i])
-            for i in pairs
-        ]
-        # A block of one pair takes its operands as they are, uncopied.
-        k = pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
+    for start in range(0, len(owner), step):
+        pairs = owner[start : start + step]
+        k = joined._kraus_slice(start, start + len(pairs))
         # A block of one pair takes its state as it is, any other each outcome's state by one index.
-        r = matrices[pairs[0]] if len(pairs) == 1 else matrices[owner[start:stop]]
+        r = matrices[pairs[0]] if pairs[0] == pairs[-1] else matrices[pairs]
         blocks = k @ r @ k.conj().transpose(0, 2, 1)
-        p = np.trace(blocks, axis1=1, axis2=2).real
+        p = blocks.trace(axis1=1, axis2=2).real
         kept = p > EPS_ZERO
         outcomes = (blocks if kept.all() else blocks[kept]) / p[kept, None, None]
-        yield owner[start:stop][kept], p[kept], *_cleaned(outcomes)
+        yield pairs[kept], p[kept], *_cleaned(outcomes)
+
+
+def _joined(channels) -> KrausChannel:
+    """One channel whose Kraus operators are those of the channels in
+    order, each slice of it built as their own slices are: a lone channel
+    itself, diagonal channels their coefficient tables joined, and any
+    other list their dense Kraus stacks joined."""
+    if len(channels) == 1:
+        return channels[0]
+    if all(isinstance(ch, GioChannel) for ch in channels):
+        joined = GioChannel.__new__(GioChannel)
+        joined._coeffs, joined.dim = np.concatenate([ch.coefficients for ch in channels]), channels[0].dim
+        return joined
+    return KrausChannel(np.concatenate([ch.kraus_ops for ch in channels]), require_trace_preserving=False)
 
 
 def max_offdiagonal(matrices) -> float:
@@ -264,7 +271,7 @@ class GioChannel(KrausChannel):
         offdiag = max_offdiagonal(ops)
         if offdiag > DIAGONAL_TOL:
             raise NotGio(f"Kraus operator has off-diagonal entry of modulus {offdiag:.3e}")
-        _set_tables([self], np.array(np.diagonal(ops, axis1=1, axis2=2))[None], label)
+        _set_tables([self], [np.diagonal(ops, axis1=1, axis2=2)], label)
 
     @classmethod
     def from_coefficients(cls, coefficients, label: str | None = None) -> "GioChannel":
@@ -299,25 +306,28 @@ class GioChannel(KrausChannel):
         return self._corr * _operand(m, self.dim)
 
 
-def _set_tables(chans: list, coeffs: np.ndarray, label: str | None) -> None:
-    """Give each channel its row of an (n, num_kraus, dim) coefficient stack,
-    read-only, with its shape, correlation matrix and completeness defect,
-    after checking the completeness of the finite stack."""
-    coeffs.setflags(write=False)
+def _set_tables(chans: list, tables: list, label: str | None) -> None:
+    """Give each channel its table of a list of finite (num_kraus, dim)
+    coefficient tables of one dim, read-only, with its shape, correlation
+    matrix and completeness defect, after checking the completeness of
+    every table. The tables of one num_kraus are stacked for one product."""
+    groups = [(rows, np.array([tables[i] for i in rows], dtype=complex)) for _, rows in _groups(np.array([len(t) for t in tables]))]
     # Per table the diagonal of sum K*K - I, and np.linalg.norm of it: the
     # root of its BLAS dot. A finite entry too large to square gives an
     # infinite defect, as the dense sum K*K of KrausChannel does.
+    defects = np.empty((len(tables), 1, tables[0].shape[-1]))
     with np.errstate(over="ignore"):
-        defects = ((coeffs.real**2 + coeffs.imag**2).sum(axis=-2) - 1.0)[:, None, :]
+        for rows, coeffs in groups:
+            defects[rows, 0] = (coeffs.real**2 + coeffs.imag**2).sum(axis=-2) - 1.0
         defects = np.sqrt(defects @ defects.swapaxes(-1, -2))[:, 0, 0]
     if (defects > COMPLETENESS_TOL).any():
         defect = _first_above(defects, COMPLETENESS_TOL)
         raise ChannelValidationError(f"sum K*K deviates from identity by {defect:.3e} (Frobenius)")
-    corr = coeffs.swapaxes(-1, -2) @ coeffs.conj()
-    corr.setflags(write=False)
-    for ch, c, cr, defect in zip(chans, coeffs, corr, defects.tolist()):
-        ch._coeffs, ch._corr, ch._defect, ch.label = c, cr, defect, label
-        ch.num_kraus, ch.dim = coeffs.shape[1:]
+    for rows, coeffs in groups:
+        corr = _frozen(coeffs.swapaxes(-1, -2) @ coeffs.conj())
+        for i, c, cr, defect in zip(rows.tolist(), _frozen(coeffs), corr, defects[rows].tolist()):
+            ch = chans[i]
+            ch._coeffs, ch._corr, ch._defect, ch.label, (ch.num_kraus, ch.dim) = c, cr, defect, label, c.shape
 
 
 def dephasing_channel(dim: int) -> GioChannel:
@@ -464,8 +474,7 @@ def _gio_list(tables: list, label: str | None = None) -> list[GioChannel]:
     """One GioChannel per table of a list of (num_kraus, dim) tables of one
     dim, built as one stack per num_kraus."""
     chans = [GioChannel.__new__(GioChannel) for _ in tables]
-    for _, rows in _groups(np.array([len(t) for t in tables], dtype=int)):
-        _set_tables([chans[i] for i in rows], np.array([tables[i] for i in rows], dtype=complex), label)
+    _set_tables(chans, tables, label)
     return chans
 
 
@@ -532,9 +541,11 @@ def _unital_kraus(dim: int, num_unitaries, seeds) -> list[np.ndarray]:
         return []
     rngs, counts = _generators(seeds), counts.tolist()
     weights = [rng.dirichlet(np.ones(k)) for rng, k in zip(rngs, counts)]
-    inner = [rng.integers(0, 2**31 - 1) for rng, k in zip(rngs, counts) for _ in range(k)]
+    # k draws in one call: the same 32-bit words, so the same integers.
+    inner = np.concatenate([rng.integers(0, 2**31 - 1, size=k) for rng, k in zip(rngs, counts)])
     ops = np.sqrt(np.concatenate(weights))[:, None, None] * _haar(dim, dim, _records(inner))
-    return np.split(ops, np.cumsum(counts)[:-1])
+    ends = np.cumsum(counts).tolist()
+    return [ops[a:b] for a, b in zip([0] + ends, ends)]
 
 
 def _check_tol(tol) -> None:

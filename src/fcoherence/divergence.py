@@ -162,13 +162,19 @@ def _row_sums(terms: np.ndarray, mask: np.ndarray) -> np.ndarray:
     C order, and the result has shape terms.shape[:-1] + (rows,).
 
     Each row is summed over its own terms in order, as np.sum sums them
-    alone (a row of none sums to 0.0); zero-padding would let numpy's
-    pairwise summation regroup rows of 8 or more terms. The rows of one
-    count m are summed as one C-ordered (rows, m) block: a view of terms
-    when the mask is all True, else one take.
+    alone (a row of none sums to 0.0). numpy sums fewer than 8 terms one
+    by one from 0.0, so a row of fewer than 8 entries is summed whole with
+    -0.0, which adds nothing to any value, in place of each masked term;
+    past that, padding would let numpy's pairwise summation regroup the
+    row, and the rows of one count m are summed as one C-ordered (rows, m)
+    block, one take. A mask all True sums a view of terms.
     """
     if mask.all():
         return np.add.reduce(terms.reshape(terms.shape[:-1] + mask.shape), axis=-1)
+    if mask.shape[1] < 8:
+        rows = np.full(terms.shape[:-1] + mask.shape, -0.0)
+        rows[..., mask] = terms
+        return np.add.reduce(rows, axis=-1)
     counts = mask.sum(axis=1)
     sums = np.zeros(terms.shape[:-1] + counts.shape)
     begins = counts.cumsum() - counts
@@ -276,12 +282,13 @@ def spectral_sums(rows, gens) -> np.ndarray:
     rows = _as_array(rows, float, "rows", ndims=range(1, 65))
     c = np.array([1.0 / rows.shape[-1], 1.0]).reshape((2,) + (1,) * (rows.ndim - 1))
     sums = np.reshape(_weighted_sums(rows, c, gens), (len(gens), 2) + rows.shape[:-1])
-    return np.moveaxis(sums, (0, 1), (-2, -1))
+    return sums.transpose(tuple(range(2, rows.ndim + 1)) + (0, 1))
 
 
-def _weighted_sums(v: np.ndarray, c: np.ndarray, gens) -> list[np.ndarray]:
+def _weighted_sums(v: np.ndarray, c: np.ndarray, gens):
     """f_weighted_sum of the stack v with positive, finite numerator c,
-    once per generator; the masking is shared by all generators. A NaN
+    once per generator, one entry of a list or array per generator; the
+    masking is shared by all generators. A NaN
     entry counts as positive (np.fmin skips it in the test for zero
     entries), so it reaches the sum. Each ratio c / v is raised to the
     smallest subnormal, which leaves every positive ratio as it is and
@@ -294,11 +301,16 @@ def _weighted_sums(v: np.ndarray, c: np.ndarray, gens) -> list[np.ndarray]:
             nonzero = "has nonzero weighted tail limit, cannot evaluate on a vector with zero entries"
             fault = "supplies no weighted tail limit" if math.isnan(tail) else nonzero
             raise UnsupportedLimit(f"generator {f.name} {fault}")
-    v, pos = np.broadcast_arrays(v, ~(v <= EPS_ZERO), c[..., None])[:2]
+    shape = np.broadcast(v, c[..., None]).shape
+    # v is broadcast only where it repeats along an axis of c, or is a scalar.
+    v = v if shape[-v.ndim :] == v.shape else np.broadcast_to(v, shape)
+    # The kept entries of v, and their ratios, one row of them per
+    # numerator along the leading axes c adds to v, if any.
+    pos = ~(v <= EPS_ZERO)
     vp = v[pos]
-    x = np.maximum(c[..., None] / np.where(pos, v, 1.0), 5e-324)[pos]
-    terms = np.array([vp * f(x) for f in gens]).reshape(len(gens), vp.size)
-    return list(_row_sums(terms, pos.reshape(-1, pos.shape[-1])).reshape((len(gens),) + v.shape[:-1]))
+    x = np.maximum((c[..., None] + np.zeros(v.shape))[..., pos] / vp, 5e-324)
+    terms = np.array([vp * f(x) for f in gens]).reshape((len(gens),) + x.shape)
+    return _row_sums(terms, pos.reshape(-1, v.shape[-1])).reshape((len(gens),) + shape[:-1])
 
 
 def f_entropy(rho: DensityMatrix, f: GeneratorFunction) -> float:

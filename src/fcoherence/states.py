@@ -45,6 +45,7 @@ to a typed error.
 
 from __future__ import annotations
 
+import functools
 import numbers
 import sys
 from dataclasses import dataclass
@@ -298,7 +299,7 @@ def _cleaned(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     if vals.min(initial=0.0) < -TOL_PSD:
         lowest = -_first_above(-vals.min(axis=-1), TOL_PSD)
         raise NotPositive(f"most negative eigenvalue {lowest:.3e} exceeds {TOL_PSD:.1e}")
-    clipped = np.clip(vals, 0.0, 1.0)
+    clipped = vals.clip(0.0, 1.0)
     clipped /= clipped.sum(axis=-1, keepdims=True)
     return (vecs * clipped[..., None, :]) @ vecs.conj().swapaxes(-1, -2), clipped, vecs
 
@@ -402,12 +403,18 @@ def trace_norm(matrix) -> float:
     return float(s.sum())
 
 
-class _Words(np.ndarray):
-    """A seed's four PCG64 seeding words, SeedSequence(seed).generate_state(4,
-    np.uint64), which hand themselves over as numpy's ISeedSequence."""
+@functools.cache
+def _words_type() -> type:
+    """The type of a seed's four PCG64 seeding words, SeedSequence(seed).
+    generate_state(4, np.uint64), which hand themselves over as numpy's
+    ISeedSequence: a real subclass, so PCG64 checks it with no ABC
+    registry lookup, created on first use, as numpy.random loads then."""
 
-    def generate_state(self, n_words, dtype=None) -> np.ndarray:
-        return self
+    class _Words(np.ndarray, np.random.bit_generator.ISeedSequence):
+        def generate_state(self, n_words, dtype=None) -> np.ndarray:
+            return self
+
+    return _Words
 
 
 def _hashmix(v: np.ndarray, x: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -417,32 +424,42 @@ def _hashmix(v: np.ndarray, x: np.ndarray, m: np.ndarray) -> np.ndarray:
     return v ^ v >> 16
 
 
+@functools.lru_cache(maxsize=8)
+def _hash_tables(rounds: int, n_words: int) -> tuple:
+    """The uint32 hash constants of _seed_states, as columns: (x, m) of the
+    pool's first hashmix, of each mixing round, and of the output, and the
+    pool word each output word hashes.
+
+    A hash constant is multiplied by a fixed factor at each step, whatever
+    the data, so step i's constant start * mult**i mod 2**32 (a product mod
+    2**64 keeps its low 32 bits) serves every column. Round r < 4 mixes into
+    pool word j at step 4 + 3r + j - (j > r), skipping word r, whose entry
+    is unused; round r >= 4 at step 4r + j."""
+    h = np.cumprod([0x43B0D7E5] + [0x931E8875] * (4 * rounds + 1), dtype=np.uint64).astype(np.uint32)[:, None]
+    k = np.array([[4 + 3 * r + j - (j > r) if r < 4 else 4 * r + j for j in range(4)] for r in range(rounds)])
+    out = np.cumprod([0x8B51F9DD] + [0x58F38DED] * n_words, dtype=np.uint64).astype(np.uint32)[:, None]
+    return (h[:4], h[1:5]), list(zip(h[k], h[k + 1])), (out[:-1], out[1:]), np.arange(n_words) % 4
+
+
 def _seed_states(entropy: np.ndarray, n_words: int) -> np.ndarray:
     """Row i: np.random.SeedSequence(entropy[:, i]).generate_state(n_words),
     for an (L, n) uint32 array whose column i holds L >= 1 entropy words.
 
     This is numpy's algorithm on all columns at once, the same integer
-    steps: the 4-word pool takes the hashmix of the first four words,
-    absent ones hashed as 0; round r < 4 mixes the hashmix of pool word r
-    into each other pool word, and round r >= 4 that of word r into every
-    pool word; the output hashes the pool words in turn. A hash constant
-    is multiplied by a fixed factor at each step, whatever the data, so
-    step i's constant start * mult**i mod 2**32 (a product mod 2**64 keeps
-    its low 32 bits) serves every column.
+    steps, with the constants of _hash_tables: the 4-word pool takes the
+    hashmix of the first four words, absent ones hashed as 0; round r < 4
+    mixes the hashmix of pool word r into each other pool word, and round
+    r >= 4 that of word r into every pool word; the output hashes the pool
+    words in turn.
     """
-    rounds = max(len(entropy), 4)
-    words = np.vstack((entropy, np.zeros((4, entropy.shape[1]), np.uint32)))  # absent words hash as 0
-    h = np.cumprod([0x43B0D7E5] + [0x931E8875] * (4 * rounds + 1), dtype=np.uint64).astype(np.uint32)[:, None]
-    # The constant's step as round r mixes into pool word j; round r < 4
-    # skips word r, whose entry is unused.
-    k = [[4 + 3 * r + j - (j > r) if r < 4 else 4 * r + j for j in range(4)] for r in range(rounds)]
-    pool = _hashmix(words[:4], h[:4], h[1:5])
-    for i, (x, m) in enumerate(zip(h[k], h[np.add(k, 1)])):
-        mixed = pool * 0xCA01F9DD - _hashmix(pool[i] if i < 4 else words[i], x, m) * 0x4973F715
+    start, rounds, output, cycle = _hash_tables(max(len(entropy), 4), n_words)
+    absent = np.zeros((4, entropy.shape[1]), np.uint32)  # absent words hash as 0
+    pool = _hashmix(np.concatenate((entropy[:4], absent))[:4], *start)
+    for i, (x, m) in enumerate(rounds):
+        mixed = pool * 0xCA01F9DD - _hashmix(pool[i] if i < 4 else entropy[i], x, m) * 0x4973F715
         mixed ^= mixed >> 16
         mixed[i : i + 1], pool = pool[i : i + 1], mixed  # the slice is empty past the pool
-    h = np.cumprod([0x8B51F9DD] + [0x58F38DED] * n_words, dtype=np.uint64).astype(np.uint32)[:, None]
-    return _hashmix(pool[np.arange(n_words) % 4], h[:-1], h[1:]).T.copy()
+    return _hashmix(pool[cycle], *output).T.copy()
 
 
 def _suite_seeds(master: int, cases: np.ndarray, trials: np.ndarray) -> np.ndarray:
@@ -470,8 +487,7 @@ def _generators(seeds) -> list[np.random.Generator]:
     checked to be an integer other than bool and at least 0."""
     rnd = np.random
     if isinstance(seeds, np.ndarray) and seeds.dtype.names:
-        rnd.bit_generator.ISeedSequence.register(_Words)  # numpy.random loads on first use
-        return [rnd.Generator(rnd.PCG64(w.view(_Words))) for w in seeds["words"]]
+        return [rnd.Generator(rnd.PCG64(w)) for w in seeds["words"].view(_words_type())]
     seeds = seeds.tolist() if isinstance(seeds, np.ndarray) else list(seeds)
     for s in seeds:
         if not _is_int(s) or s < 0:
@@ -543,7 +559,7 @@ def _wisharts(dim: int, ranks, seeds) -> np.ndarray:
         g = _complex_normals(seeds[rows], (dim, rank))
         m = g @ g.conj().swapaxes(-1, -2)
         m = (m + m.conj().swapaxes(-1, -2)) / 2.0
-        out[rows] = m / np.trace(m, axis1=-2, axis2=-1).real[:, None, None]
+        out[rows] = m / m.trace(axis1=-2, axis2=-1).real[:, None, None]
     return out
 
 

@@ -164,12 +164,10 @@ def _reduce(values, seeds, worst=(0.0, -1)) -> tuple[float, int]:
     """The worst (value, seed) of worst and the checks after it: the first
     NaN, else the first strictly greater value, with values and seeds
     broadcast and read in C order. A worst value <= 0 gives (0.0, -1)."""
-    values, seeds = np.asarray(values, dtype=float), np.asarray(seeds)
-    if seeds.shape != values.shape:
-        values, seeds = np.broadcast_arrays(values, seeds)
-    values = np.concatenate(([worst[0]], values.ravel()))
-    i = int(np.argmax(values))  # the first NaN, else the first maximum
-    return worst if i == 0 else (float(values[i]), int(seeds.ravel()[i - 1]))
+    values = np.asarray(values, dtype=float)
+    flat = np.concatenate(([worst[0]], values.ravel()))
+    i = int(flat.argmax())  # the first NaN, else the first maximum
+    return worst if i == 0 else (float(flat[i]), int(np.broadcast_to(seeds, values.shape).flat[i - 1]))
 
 
 def _report(suite: str, cfg: TrialConfig, gens: list, note: str, blocks) -> VerificationReport:
@@ -211,9 +209,9 @@ def _drive(cfg: TrialConfig, dims, offset: int, trials: int, per_trial, chunk, h
                 yield head(d), cfg.seed, 0
             s, seeds = seeds[: len(span)], seeds[len(span) :]
             parts = chunk(d, np.array(span), s)
-            values = np.hstack([v for v, _ in parts])
-            slots = np.hstack([np.zeros(v.shape, dtype=int) + slot for v, slot in parts])
-            yield values, np.take_along_axis(s["seed"], slots, axis=1), len(span)
+            values = np.concatenate([v for v, _ in parts], axis=1)
+            slots = np.concatenate([np.zeros(v.shape, dtype=int) + slot for v, slot in parts], axis=1)
+            yield values, s["seed"][np.arange(len(span))[:, None], slots], len(span)
 
 
 def _resolve(cfg: TrialConfig) -> tuple[list[GeneratorFunction], list[GeneratorFunction], str]:
@@ -312,7 +310,7 @@ def suite_entropy_bounds(cfg: TrialConfig) -> VerificationReport:
         rows, fi, kind = np.arange(m), t % len(dec), kind[:, None]
         own, partner, mixture = own[rows, fi], partner[rows, fi], mixture[rows, fi]
         concave = lam[:, None] * own + (1.0 - lam[:, None]) * partner - mixture
-        paired = np.select([kind == 0, kind == 1], [concave, np.abs(own - partner)], own - partner)
+        paired = np.where(kind == 0, concave, np.where(kind == 1, np.abs(own - partner), own - partner))
         return [(np.concatenate((ranges, zeros), axis=-1).reshape(m, -1), 0), (paired, 1 + kind)]
 
     # A trial holds three states and, drawing a unital channel, up to
@@ -531,7 +529,7 @@ def suite_faithfulness_and_bounds(cfg: TrialConfig) -> VerificationReport:
         rhos, psis = _views(rhos[coherent]), _views(_projectors(_pure_vectors(d, s[pure, 2])))
         table = coherence_table([*diags, *rhos, *psis], dec)
         dist = _dephasing_distances(np.array([x.matrix for x in (*diags, *rhos)]))
-        zero = np.hstack((np.abs(table[:m]).reshape(m, -1), dist[:m, None]))
+        zero = np.concatenate((np.abs(table[:m]).reshape(m, -1), dist[:m, None]), axis=1)
         # Faithfulness both ways at the tolerance, positivity, upper bounds.
         own, tol = table[m : m + len(rhos)], cfg.tol_violation
         unfaithful = (own <= tol) != (dist[m:, None, None] <= tol)

@@ -2,10 +2,12 @@
 hypothesis under the derandomized profile of conftest.py."""
 
 import os
+import re
 import string
 import tempfile
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_contract import SLOTS, swept
@@ -21,7 +23,8 @@ from fcoherence.channels import (
     random_unital_channel,
 )
 from fcoherence.coherence import coherence_table, dephase
-from fcoherence.divergence import divergence_table
+from fcoherence.divergence import divergence_table, f_weighted_sum, spectral_sums
+from fcoherence.errors import UnsupportedLimit
 from fcoherence.generators import lookup, tsallis
 from fcoherence.io import channel_to_json, load_channel, load_state, save_channel, save_state
 from fcoherence.verify import DEFAULT_F_SPECS, _outcome_averages
@@ -180,6 +183,60 @@ def test_channels_do_not_increase_divergence(d, seed_a, seed_b, k, seed):
     before = divergence_table([(a, b)], gens)
     after = divergence_table([(ch.apply(a), ch.apply(b))], gens)
     assert (after - before).max() <= 1e-9
+
+
+# Exact zeros and entries at or below EPS_ZERO take the masked path of
+# the kernel; NaN and +inf entries reach its sums.
+specials = st.sampled_from([0.0, 0.0, 0.0, 1e-300, 1e-12, np.nan, np.inf])
+KERNEL_GENS = [lookup(spec) for spec in DEFAULT_F_SPECS + ("power:-0.5",)]
+
+
+@st.composite
+def kernel_stacks(draw):
+    """An (n, d) stack of random spectra, n = 1..4 and d = 1..20, past the
+    8 terms numpy sums in order before its pairwise blocks (often next to
+    that edge), with special entries in drawn places, and 1..3 generators."""
+    n, d = draw(st.integers(1, 4)), draw(st.sampled_from([7, 8, 9]) | st.integers(1, 20))
+    rows = np.random.default_rng(draw(seeds)).dirichlet(np.ones(d), size=n)
+    for i in draw(st.lists(st.integers(0, n * d - 1), max_size=n * d)):
+        rows.flat[i] = draw(specials)
+    return rows, draw(st.lists(st.sampled_from(KERNEL_GENS), min_size=1, max_size=3, unique_by=lambda f: f.name))
+
+
+def own_terms_sum(row, numerator, f):
+    """The sum rule of the kernel spelled out: the terms of the row's
+    entries above EPS_ZERO (NaN among them), each ratio raised to the
+    smallest subnormal, summed as np.add.reduce sums them alone."""
+    kept = row[~(row <= 1e-12)]
+    return np.add.reduce(kept * f(np.maximum(numerator / kept, 5e-324)))
+
+
+@settings(max_examples=100)
+@given(kernel_stacks())
+def test_spectral_sums_give_each_row_its_own_bits(stack):
+    """Each row of spectral_sums has the bits of f_weighted_sum of that row
+    alone at numerators 1/d and 1, which are those of its own terms summed
+    alone, and a stack raises the UnsupportedLimit of the first generator,
+    in order, that a row raises."""
+    rows, gens = stack
+    d = rows.shape[-1]
+    # A row of +inf and -inf terms sums to NaN, with numpy's warning.
+    with np.errstate(invalid="ignore"):
+        alone, own, raised = np.zeros((len(rows), len(gens), 2)), np.zeros((len(rows), len(gens), 2)), []
+        for g, f in enumerate(gens):
+            for i, row in enumerate(rows):
+                try:
+                    alone[i, g] = f_weighted_sum(row, 1.0 / d, f), f_weighted_sum(row, 1.0, f)
+                except UnsupportedLimit as exc:
+                    raised.append(str(exc))
+                own[i, g] = own_terms_sum(row, 1.0 / d, f), own_terms_sum(row, 1.0, f)
+        if raised:
+            with pytest.raises(UnsupportedLimit, match=f"^{re.escape(raised[0])}$"):
+                spectral_sums(rows, gens)
+            return
+        sums = spectral_sums(rows, gens)
+    assert [x.hex() for x in sums.ravel().tolist()] == [x.hex() for x in alone.ravel().tolist()]
+    assert [x.hex() for x in alone.ravel().tolist()] == [x.hex() for x in own.ravel().tolist()]
 
 
 # The value classes of test_contract.BAD: None, strings that are no

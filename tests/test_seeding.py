@@ -41,6 +41,30 @@ def test_entropy_of_any_length(length):
         assert _seed_states(entropy.T, n_words).tobytes() == np.array(want, dtype=np.uint32).tobytes()
 
 
+@pytest.mark.parametrize("words", range(1, 9))
+def test_masters_of_up_to_eight_words_equal_seed_sequence(words):
+    # A master of 1..8 32-bit words, up to 2**256 - 1, is the entropy of a
+    # suite's seeds; its words go in little-endian order.
+    rng = np.random.default_rng(words)
+    top = [2 ** (32 * words) - 1, 2 ** (32 * (words - 1))]
+    masters = top + [int.from_bytes(rng.bytes(4 * words), "little") | 1 << 32 * words - 1 for _ in range(30)]
+    entropy = np.array([[m >> 32 * i & 0xFFFFFFFF for i in range(words)] for m in masters], dtype=np.uint32).T
+    for n_words in range(1, 13):
+        want = [np.random.SeedSequence(m).generate_state(n_words) for m in masters]
+        assert _seed_states(entropy, n_words).tobytes() == np.array(want, dtype=np.uint32).tobytes()
+
+
+def test_hash_tables_stay_bounded_whatever_the_entropy_length():
+    # The constants of each (rounds, n_words) are kept, a bounded number of
+    # them, so no master seed can grow the cache.
+    for length in range(1, 101):
+        entropy = np.arange(length, dtype=np.uint32)
+        got = _seed_states(entropy[:, None], 1 + length % 12)
+        assert got.tobytes() == np.random.SeedSequence(entropy).generate_state(1 + length % 12).tobytes()
+    info = states._hash_tables.cache_info()
+    assert info.currsize <= info.maxsize < 100
+
+
 def seeds_under_test():
     rng = np.random.default_rng(11)
     return [0, 1, 2**32 - 1] + rng.integers(0, 2**32, 3000).tolist()
@@ -66,12 +90,18 @@ def test_generators_from_records_draw_as_default_rng():
     records["seed"] = seeds
     records["words"] = _seed_states(np.array([seeds], dtype=np.uint32), 8).view(np.uint64)
     for s, rng in zip(seeds, _generators(records)):
-        assert isinstance(rng.bit_generator.seed_seq, states._Words)
+        assert isinstance(rng.bit_generator.seed_seq, states._words_type())
         want = np.random.default_rng(s)
         assert rng.standard_normal(5).tobytes() == want.standard_normal(5).tobytes()
         assert rng.dirichlet(np.ones(3)).tobytes() == want.dirichlet(np.ones(3)).tobytes()
         assert rng.uniform(0.0, 2.0 * np.pi, size=4).tobytes() == want.uniform(0.0, 2.0 * np.pi, size=4).tobytes()
         assert rng.integers(0, 2**31 - 1) == want.integers(0, 2**31 - 1)
+
+
+def test_words_are_a_seed_sequence_by_inheritance():
+    # PCG64 checks its seed with isinstance; a subclass needs no lookup in
+    # the ABC's registry of virtual subclasses.
+    assert np.random.bit_generator.ISeedSequence in states._words_type().__mro__
 
 
 def drive_record(cfg, dims, trials, per_trial=lambda d: 1):
@@ -143,7 +173,7 @@ def test_records_draw_as_default_rng_after_their_suite_ends():
         pass
     records = np.concatenate(kept)
     for seed, rng in zip(records["seed"].tolist(), _generators(records)):
-        assert isinstance(rng.bit_generator.seed_seq, states._Words)
+        assert isinstance(rng.bit_generator.seed_seq, states._words_type())
         assert rng.standard_normal(3).tobytes() == np.random.default_rng(seed).standard_normal(3).tobytes()
 
 

@@ -417,12 +417,14 @@ class TestDimensionOne:
 GOLDEN = {
     # The values carry 17 significant digits, so a change in summation
     # order or in the BLAS build can move the last digits; any such
-    # change has to be regenerated and explained. Regenerate all seven
+    # change has to be regenerated and explained. Regenerate all eight
     # files from the checked-out tree with
     #     PYTHONPATH=src python tests/test_verify.py
     # The default configuration; its sha256 is a5a3b5da...f2af2cd.
     "verify_all_seed1_default.jsonl": "--suite all --seed 1",
     "verify_all_seed1_trials10.jsonl": "--suite all --seed 1 --trials 10",
+    # The seed of the benchmark's confirmation runs.
+    "verify_all_seed7_trials10.jsonl": "--suite all --seed 7 --trials 10",
     # Reaches d = 6 and the d >= 3 exploration branch.
     "verify_all_seed2_trials60_dims2-6.jsonl": "--suite all --seed 2 --trials 60 --dims 2,3,4,5,6",
     # 40 trials per case, so each generator serves several trials.
