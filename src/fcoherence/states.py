@@ -15,9 +15,10 @@ failure to ConvergenceFailure.
 
 Every coherence table reads its states as (spectrum, clipped diagonal)
 rows through one reader, ``_read``: ``_rows`` reads state objects,
-``_drawn`` a raw stack of matrices after one stacked eigh, and a stack
-cleaned by ``_cleaned``, the checks and cleanup of ``validate_density``,
-is read with its cleaned spectra, all with the same bits.
+``_drawn`` a raw stack of matrices after one stacked eigh, ``_diagonals``
+the probability rows ``from_diagonal`` would take, and a stack cleaned
+by ``_cleaned``, the checks and cleanup of ``validate_density``, is read
+with its cleaned spectra, all with the same bits.
 
 The seeded draws are stacked: a draw takes a sequence of seeds or seed
 records, creates one Generator per seed with the bytes of
@@ -391,6 +392,15 @@ def _drawn(stack: np.ndarray) -> np.ndarray:
     n >= 0, from one stacked eigh of the matrices as they are: those of the
     states _views adopts it as, with no state object."""
     return _read(_eigh(stack)[0], stack.diagonal(axis1=1, axis2=2).real)
+
+
+def _diagonals(p: np.ndarray) -> np.ndarray:
+    """The rows _read gives the states from_diagonal makes of the rows of a
+    finite, nonnegative (n, d) array, n >= 0, each renormalised as it
+    renormalises them, with no state object; their spectra are the
+    sorted, renormalised rows."""
+    p = p / p.sum(axis=-1, keepdims=True)
+    return _read(np.sort(p), p)
 
 
 def trace_norm(matrix) -> float:

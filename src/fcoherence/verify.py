@@ -13,10 +13,13 @@ function a whole chunk of trials with their seeds. The chunk function
 draws the chunk as stacks, one Generator per seed and the algebra once
 per stack of one shape, and scores the stacks; every stacked step gives
 a matrix the bytes it gets alone, so reports equal a trial-by-trial run.
-The entropy-bounds, gio-monotonicity and strong-monotonicity chunks build
-no state object: their draws take one stacked eigh, their channel outputs
-and selective outcomes the cleanup of validate_density as arrays, and
-their spectra and diagonals go straight to the spectral sums.
+Every chunk but divergence-oracle's, every head and the SIO witness
+build no state object: their draws take one stacked eigh, their diagonal
+states come with their sorted diagonals as spectra, their channel outputs
+and selective outcomes take the cleanup of validate_density as arrays,
+and their spectra and diagonals go straight to the spectral sums. The
+divergence-oracle chunk keeps its state objects on purpose: it checks
+the public divergence_table and oracle_divergence_table on them.
 """
 
 from __future__ import annotations
@@ -46,23 +49,15 @@ from .channels import (
     _worst_overlaps,
     max_offdiagonal,
 )
-from .coherence import (
-    _dephasing_distances,
-    coherence_f,
-    coherence_f_hat,
-    coherence_table,
-    dephase,
-    max_coherent_state,
-)
-from .divergence import (
-    _entropies, divergence_table, entropy_table, f_weighted_sum, oracle_divergence_table, spectral_sums
-)
+from .coherence import _dephasing_distances, coherence_f, coherence_f_hat, coherence_table, max_coherent_state
+from .divergence import _entropies, divergence_table, f_weighted_sum, oracle_divergence_table, spectral_sums
 from .errors import CoherenceError
 from .generators import GeneratorFunction, _is_tolerance, lookup
 from .states import (
     DensityMatrix,
     _cleaned,
     _decomposed,
+    _diagonals,
     _drawn,
     _eigh,
     _generators,
@@ -278,7 +273,7 @@ def suite_entropy_bounds(cfg: TrialConfig) -> VerificationReport:
     _, dec, note = _resolve(cfg)
 
     def head(d):
-        return np.abs(entropy_table([DensityMatrix.maximally_mixed(d)], dec)[0] - _bounds(d, dec))
+        return np.abs(_entropies(np.full((1, d), 1.0 / d), dec)[0] - _bounds(d, dec))
 
     def chunk(d, t, s):
         m, kind = len(t), t % 3
@@ -507,12 +502,13 @@ def suite_faithfulness_and_bounds(cfg: TrialConfig) -> VerificationReport:
     _, dec, note = _resolve(cfg)
 
     def head(d):
-        return np.abs(coherence_table([max_coherent_state(d).as_density()], dec)[0] - _bounds(d, dec))
+        rho = _projectors(max_coherent_state(d).amplitudes[None])
+        return np.abs(np.subtract(*spectral_sums(_drawn(rho), dec))[0] - _bounds(d, dec))
 
     def chunk(d, t, s):
         m = len(t)
         # Incoherent draw: coherence must vanish, distance must vanish.
-        diags = [DensityMatrix.from_diagonal(rng.dirichlet(np.ones(d))) for rng in _generators(s[:, 0])]
+        diags = np.array([rng.dirichlet(np.ones(d)) for rng in _generators(s[:, 0])])
         # Coherent draw: rejection-sample until an off-diagonal is large,
         # which a 1 x 1 state has none of.
         rhos, pending = np.empty((m, d, d), dtype=complex), np.arange(m if d > 1 else 0)
@@ -526,18 +522,19 @@ def suite_faithfulness_and_bounds(cfg: TrialConfig) -> VerificationReport:
         coherent[pending] = False
         # Pure-state coherence equals the dephased state's entropy.
         pure = (t % 3 == 0) & coherent
-        rhos, psis = _views(rhos[coherent]), _views(_projectors(_pure_vectors(d, s[pure, 2])))
-        table = coherence_table([*diags, *rhos, *psis], dec)
-        dist = _dephasing_distances(np.array([x.matrix for x in (*diags, *rhos)]))
+        rhos, n = rhos[coherent], m + coherent.sum()
+        drawn = _drawn(np.concatenate((rhos, _projectors(_pure_vectors(d, s[pure, 2])))))
+        table = np.subtract(*spectral_sums(np.concatenate((_diagonals(diags), drawn), axis=1), dec))
+        dist = _dephasing_distances(np.concatenate((diags[:, :, None] * np.eye(d), rhos)))
         zero = np.concatenate((np.abs(table[:m]).reshape(m, -1), dist[:m, None]), axis=1)
         # Faithfulness both ways at the tolerance, positivity, upper bounds.
-        own, tol = table[m : m + len(rhos)], cfg.tol_violation
+        own, tol = table[m:n], cfg.tol_violation
         unfaithful = (own <= tol) != (dist[m:, None, None] <= tol)
         bounded = np.zeros((m, len(dec), 6))
         bounded[coherent] = np.concatenate((unfaithful, -own, own - _bounds(d, dec)), axis=-1)
         dephased = np.zeros((m, 2))
-        gaps = np.abs(table[m + len(rhos) :] - entropy_table([dephase(psi) for psi in psis], dec))
-        dephased[pure] = gaps[np.arange(len(psis)), t[pure] % len(dec)]
+        gaps = np.abs(table[n:] - _entropies(_diagonals(drawn[1, len(rhos) :])[0], dec))
+        dephased[pure] = gaps[np.arange(len(gaps)), t[pure] % len(dec)]
         return [(zero, 0), (bounded.reshape(m, -1), 1), (dephased, 2)]
 
     trials = max(1, cfg.trials_per_case // (2 * len(cfg.dims)))
@@ -578,19 +575,19 @@ def sio_counterexample_report(f_name: str, d: int) -> SioCounterexampleReport:
 
 
 def _sio_reports(gens, d: int) -> list[SioCounterexampleReport]:
-    """sio_counterexample_report for each generator, from one pair of
-    tensor-extension states and one coherence table."""
-    rho = max_coherent_state(d).as_density()
-    mixed = DensityMatrix.maximally_mixed(d)
-    ground = DensityMatrix.from_diagonal([1.0] + [0.0] * (d - 1))
-    table = coherence_table([rho.tensor(mixed), rho.tensor(ground)], gens).tolist()
+    """sio_counterexample_report for each generator, from one stack of the
+    two tensor-extension states scored in one spectral_sums call."""
+    rho = _projectors(max_coherent_state(d).amplitudes[None])
+    # rho (x) I/d and rho (x) |0><0| as one stack.
+    stack = np.kron(rho, np.array((np.eye(d) / d, np.diag(np.eye(d)[0]))))
+    table = np.subtract(*spectral_sums(_drawn(stack), gens)).tolist()
     numerators = [
         1.0 / d,         # rho (x) I/d keeps the d-scaled value
         1.0 / (d * d),   # rho (x) ground at dimension d^2
         float(d),        # eigenvalues diluted by 1/d
         1.0,             # unscaled value survives the ground ancilla
     ]
-    rows = _drawn(rho.matrix[None])[:, 0]
+    rows = _drawn(rho)[:, 0]
     reports = []
     for f, (lhs_plain, lhs_hat), (rhs_plain, rhs_hat) in zip(gens, table[0], table[1]):
         sums = f_weighted_sum(rows, np.array(numerators)[:, None], f)

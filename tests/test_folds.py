@@ -1,15 +1,24 @@
 """Rules the package applies in one place only.
 
 Each test pins a shared implementation to the code it replaced, which is
-kept here as the reference, and the last test keeps every export list
+kept here as the reference, and the export tests keep every export list
 free of names that no longer exist.
+
+Run as a script, ``PYTHONPATH=src python tests/test_folds.py`` prints the
+lines and code lines of each module of the package and their totals:
+code lines are those that hold a token other than a comment, not
+counting docstrings.
 """
 
+import ast
 import importlib
 import inspect
+import io
+import pathlib
 import pkgutil
 import subprocess
 import sys
+import tokenize
 
 import numpy as np
 import pytest
@@ -252,3 +261,56 @@ def test_only_states_calls_the_eigensolver():
 
 def test_export_lists_are_checked():
     assert len([m for m in MODULES if hasattr(importlib.import_module(m), "__all__")]) >= 8
+
+
+def code_lines(source: str) -> int:
+    """The lines of Python source that hold a token other than a comment,
+    less those of the module, class and function docstrings."""
+    docstrings = set()
+    for node in ast.walk(ast.parse(source)):
+        scopes = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+        if isinstance(node, scopes) and ast.get_docstring(node, clean=False) is not None:
+            docstrings.update(range(node.body[0].lineno, node.body[0].end_lineno + 1))
+    layout = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT, tokenize.ENDMARKER}
+    lines = set()
+    for token in tokenize.generate_tokens(io.StringIO(source).readline):
+        if token.type not in layout:
+            lines.update(range(token.start[0], token.end[0] + 1))
+    return len(lines - docstrings)
+
+
+def test_code_lines_skip_blanks_comments_and_docstrings():
+    source = '''"""Module
+docstring."""
+
+# a comment
+def f(x):  # trailing comment
+    """Docstring."""
+    s = """not a
+    docstring"""
+    return (x +
+            1)
+
+
+class C:
+    """Docstring
+    of a class."""
+'''
+    # def f, the two lines of s, the two of the return and class C.
+    assert code_lines(source) == 6
+
+
+def sizes() -> int:
+    """Print the lines and code lines of each module and their totals."""
+    total = [0, 0]
+    for path in sorted(pathlib.Path(fcoherence.__file__).parent.glob("*.py")):
+        source = path.read_text()
+        counts = len(source.splitlines()), code_lines(source)
+        total = [a + b for a, b in zip(total, counts)]
+        print(f"{path.name:16s} lines {counts[0]:5d}  code lines {counts[1]:5d}")
+    print(f"{'total':16s} lines {total[0]:5d}  code lines {total[1]:5d}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(sizes())

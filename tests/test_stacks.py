@@ -16,7 +16,9 @@ import fcoherence
 from fcoherence import (
     DensityMatrix,
     GioChannel,
+    PureState,
     TrialConfig,
+    dephase,
     dephasing_channel,
     depolarizing_extension,
     diagonal_unitary_mixture,
@@ -460,24 +462,53 @@ def reader_stack(d, kind):
     return stack
 
 
+def diagonal_rows(d, kind):
+    """Six probability rows of dimension d, as the faithfulness chunk reads
+    them, and the states of the object route: Dirichlet draws, which
+    from_diagonal takes, or the diagonals of projectors, which dephase
+    takes, onto a Haar vector, one with exact zeros, one whose moduli
+    tie bit for bit in pairs, one with zeros and ties, the uniform
+    superposition and the first basis vector."""
+    seeds = np.arange(6) + 10 * d
+    if kind == "dirichlet":
+        p = np.array([rng.dirichlet(np.ones(d)) for rng in states._generators(seeds)])
+        return p, [DensityMatrix.from_diagonal(row) for row in p]
+    v = states._pure_vectors(d, seeds)
+    v[1, : d // 2] = 0.0
+    v[2, 1::2] = 1j * v[2, 0::2][: d // 2]
+    v[3, (d + 1) // 2 :], v[3, 1 : (d + 1) // 2] = 0.0, v[3, 0]
+    v[4], v[5] = 1.0, np.eye(d)[0]
+    v = states._normalized(v)
+    p = states._drawn(states._projectors(v))[1]
+    return p, [dephase(PureState(a).as_density()) for a in v]
+
+
 class TestReader:
     """A raw stack read with its one stacked eigh gives the rows _rows gives
     the states _views adopts it as; a stack read after _cleaned, those of
-    the states validate_density gives it; bit for bit, with no state."""
+    the states validate_density gives it; probability rows read by
+    _diagonals, those of the states from_diagonal and dephase make of
+    them; bit for bit, with no state."""
 
-    @pytest.mark.parametrize("d", range(1, 9))
-    @pytest.mark.parametrize("kind", ["full-rank", "rank-deficient", "projector", "schur-output"])
+    @pytest.mark.parametrize("d", [*range(1, 9), 17, 33, 64])
+    @pytest.mark.parametrize(
+        "kind", ["full-rank", "rank-deficient", "projector", "schur-output", "dirichlet", "dephased-pure"]
+    )
     def test_reader_equals_the_object_route(self, d, kind):
-        stack = reader_stack(d, kind)
-        drawn = states._drawn(stack)
-        assert drawn.shape == (2, 6, d) and drawn.tobytes() == states._rows(states._views(stack)).tobytes()
-        matrices, vals, _ = states._cleaned(stack)
-        cleaned = states._read(vals, matrices.diagonal(axis1=1, axis2=2).real)
-        assert cleaned.shape == (2, 6, d) and cleaned.tobytes() == states._rows(validate_density(stack)).tobytes()
+        if kind in ("dirichlet", "dephased-pure"):
+            p, objects = diagonal_rows(d, kind)
+            routes = [(states._diagonals(p), objects)]
+        else:
+            stack = reader_stack(d, kind)
+            matrices, vals, _ = states._cleaned(stack)
+            cleaned = states._read(vals, matrices.diagonal(axis1=1, axis2=2).real)
+            routes = [(states._drawn(stack), states._views(stack)), (cleaned, validate_density(stack))]
+        for rows, objects in routes:
+            assert rows.shape == (2, 6, d) and rows.tobytes() == states._rows(objects).tobytes()
 
     def test_empty_stack(self):
         empty = np.zeros((0, 3, 3), dtype=complex)
-        assert states._drawn(empty).shape == (2, 0, 3)
+        assert states._drawn(empty).shape == states._diagonals(np.zeros((0, 3))).shape == (2, 0, 3)
         assert [a.shape for a in states._cleaned(empty)] == [(0, 3, 3), (0, 3), (0, 3, 3)]
         assert validate_density(empty) == []
 
@@ -695,15 +726,13 @@ class TestCaseBatching:
         assert sum(builds) == 3 * report.trials
         assert len(tables) == len(builds)
 
-    @pytest.mark.parametrize("name", ["entropy-bounds", "gio-monotonicity", "strong-monotonicity"])
+    @pytest.mark.parametrize("name", [name for name in verify.SUITES if name != "divergence-oracle"])
     def test_chunks_score_their_stacks_with_no_state_object(self, monkeypatch, name):
-        # The chunks read draws, channel outputs and outcomes as arrays. The
-        # only state objects are the entropy head's maximally mixed states,
-        # one per dimension with its stored decomposition, and the only
-        # object route is that head's entropy_table.
-        built, heads = [], []
-        real_head, real_views, real_init, real_decomposition = (
-            verify.entropy_table,
+        # The chunks, the heads and the SIO witness read draws, diagonal
+        # states, channel outputs and outcomes as arrays: no state object
+        # is built and no object route is taken.
+        built = []
+        real_views, real_init, real_decomposition = (
             states._views,
             DensityMatrix.__post_init__,
             states.SpectralDecomposition,
@@ -721,11 +750,6 @@ class TestCaseBatching:
             built.append(real_decomposition)
             return real_decomposition(*args)
 
-        def head_table(listed, gens):
-            (rho,) = listed
-            heads.append(rho.matrix.tobytes() == (np.eye(rho.dim) / rho.dim).astype(complex).tobytes())
-            return real_head(listed, gens)
-
         def refused(*args):
             raise AssertionError("an object route was taken")
 
@@ -735,43 +759,50 @@ class TestCaseBatching:
             monkeypatch.setattr(module, "_views", counting_views)
         monkeypatch.setattr(DensityMatrix, "__post_init__", counting_init)
         monkeypatch.setattr(states, "SpectralDecomposition", counting_decomposition)
-        for route in ("validate_density", "coherence_table", "_views"):
-            monkeypatch.setattr(verify, route, refused)
-        monkeypatch.setattr(verify, "entropy_table", head_table)
+        # verify imports neither entropy_table nor dephase; were either
+        # back, it would be refused too.
+        for route in ("validate_density", "coherence_table", "_views", "entropy_table", "dephase"):
+            monkeypatch.setattr(verify, route, refused, raising=False)
         monkeypatch.setattr(channels, "MeasurementOutcome", refused)
-        dims = (1, 2, 3, 5)
-        report = verify.SUITES[name](TrialConfig(dims=dims, trials_per_case=12, seed=1))
+        report = verify.SUITES[name](TrialConfig(dims=(1, 2, 3, 5), trials_per_case=12, seed=1))
         assert report.passed and report.trials > 0
-        assert not hasattr(verify, "_rows")
-        head = name == "entropy-bounds"
-        assert heads == [True] * len(dims) * head
-        assert built == [DensityMatrix, real_decomposition] * len(dims) * head
+        assert built == []
+
+    def test_verify_has_no_object_route_to_its_tables(self):
+        assert [name for name in ("_rows", "entropy_table", "dephase") if hasattr(verify, name)] == []
 
     def test_faithfulness_suite_makes_one_table_per_chunk(self, monkeypatch, eigh_calls):
-        tables, chunks = [], []
-        real_table, real_chunks = verify.coherence_table, verify._chunks
+        tables, entropies, chunks = [], [], []
+        real_sums, real_entropies, real_chunks = verify.spectral_sums, verify._entropies, verify._chunks
 
-        def counting_table(states, gens):
-            tables.append(len(states))
-            return real_table(states, gens)
+        def counting_sums(rows, gens):
+            tables.append(rows.shape[1])
+            return real_sums(rows, gens)
+
+        def counting_entropies(vals, gens):
+            entropies.append(len(vals))
+            return real_entropies(vals, gens)
 
         def counting_chunks(trials, d, per_trial):
             ranges = list(real_chunks(trials, d, per_trial))
             chunks.extend(len(r) for r in ranges)
             return ranges
 
-        monkeypatch.setattr(verify, "coherence_table", counting_table)
+        monkeypatch.setattr(verify, "spectral_sums", counting_sums)
+        monkeypatch.setattr(verify, "_entropies", counting_entropies)
         monkeypatch.setattr(verify, "_chunks", counting_chunks)
         monkeypatch.setattr(verify, "STACK_BYTES", 16 * 3 * 3 * 9 * 4)  # four trials at d = 3
         report = verify.suite_faithfulness_and_bounds(TrialConfig(dims=(3,), trials_per_case=20, seed=1))
         assert report.trials == 10 and chunks == [4, 4, 2]
         # The maximally coherent state's table, then one per chunk: its
-        # incoherent, coherent and pure states.
+        # incoherent, coherent and pure states; and one entropy table of
+        # the dephased pure states per chunk.
         assert tables == [1, 4 + 4 + 2, 4 + 4 + 1, 2 + 2 + 1]  # pure draws at t = 0, 3, 6, 9
+        assert entropies == [2, 1, 1]
         # Per chunk, one stacked solve each: the table's coherent and pure
-        # states (the incoherent draws and the dephased pure states come
-        # with their spectra), and the distances of its incoherent and
-        # coherent draws.
+        # states (the incoherent draws and the dephased pure states are
+        # read with their sorted diagonals as spectra), and the distances
+        # of its incoherent and coherent draws.
         solves = [(tables[0],)] + [(n - m, 2 * m) for n, m in zip(tables[1:], chunks)]
         assert eigh_calls == [(n, 3, 3) for row in solves for n in row]
 

@@ -134,18 +134,18 @@ class TestSuites:
             ("entropy-bounds", "_entropies", slice(None)),
             ("gio-monotonicity", "spectral_sums", slice(None)),
             ("strong-monotonicity", "spectral_sums", slice(None)),
-            ("faithfulness-bounds", "coherence_table", slice(None)),
-            ("sio-counterexample", "coherence_table", slice(None)),
+            ("faithfulness-bounds", "spectral_sums", slice(None)),
+            ("sio-counterexample", "spectral_sums", slice(None)),
             # NaN only in the hat column, never the first value reduced.
-            ("sio-counterexample", "coherence_table", 1),
+            ("sio-counterexample", "spectral_sums", 1),
         ],
         ids=[
             "entropy-bounds-_entropies",
             "gio-monotonicity-spectral_sums",
             "strong-monotonicity-spectral_sums",
-            "faithfulness-bounds-coherence_table",
-            "sio-counterexample-coherence_table",
-            "sio-counterexample-coherence_table-hat",
+            "faithfulness-bounds-spectral_sums",
+            "sio-counterexample-spectral_sums",
+            "sio-counterexample-spectral_sums-hat",
         ],
     )
     def test_nan_kernel_fails_the_suite(self, monkeypatch, name, kernel, column):
